@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use flexcs_core::{SamplingPlan, SubsampledDctOperator};
 use flexcs_linalg::Matrix;
-use flexcs_solver::{fista, irls, omp, subspace_pursuit, GreedyConfig, IrlsConfig, IstaConfig};
+use flexcs_solver::{GreedyConfig, IrlsConfig, IstaConfig, SparseSolver};
 use flexcs_transform::Dct2d;
 use std::hint::black_box;
 
@@ -35,21 +35,18 @@ fn bench_solvers(c: &mut Criterion) {
 
     let mut fista_cfg = IstaConfig::with_lambda(1e-4);
     fista_cfg.max_iterations = 300;
-    group.bench_function("fista", |b| {
-        b.iter(|| fista(black_box(&op), black_box(&y), &fista_cfg).unwrap())
-    });
-
     let greedy = GreedyConfig::with_sparsity(8);
-    group.bench_function("omp_k8", |b| {
-        b.iter(|| omp(black_box(&op), black_box(&y), &greedy).unwrap())
-    });
-    group.bench_function("subspace_pursuit_k8", |b| {
-        b.iter(|| subspace_pursuit(black_box(&op), black_box(&y), &greedy).unwrap())
-    });
-
-    group.bench_function("irls", |b| {
-        b.iter(|| irls(black_box(&op), black_box(&y), &IrlsConfig::default()).unwrap())
-    });
+    let solvers = [
+        ("fista", SparseSolver::Fista(fista_cfg)),
+        ("omp_k8", SparseSolver::Omp(greedy.clone())),
+        ("subspace_pursuit_k8", SparseSolver::SubspacePursuit(greedy)),
+        ("irls", SparseSolver::Irls(IrlsConfig::default())),
+    ];
+    for (name, solver) in &solvers {
+        group.bench_function(name, |b| {
+            b.iter(|| solver.solve(black_box(&op), black_box(&y)).unwrap())
+        });
+    }
     group.finish();
 }
 

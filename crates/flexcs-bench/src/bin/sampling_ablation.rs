@@ -31,7 +31,7 @@ fn reconstruct_dense(
     // Scale lambda like the Decoder does.
     let aty = op.apply_transpose(y);
     cfg.lambda *= flexcs_linalg::vecops::norm_inf(&aty).max(1e-12);
-    let rec = flexcs_solver::fista(&op, y, &cfg)?;
+    let rec = flexcs_solver::SparseSolver::Fista(cfg).solve(&op, y)?;
     let coeffs = devectorize(&rec.x, rows, cols)?;
     Ok(Dct2d::new(rows, cols)?.inverse(&coeffs)?)
 }

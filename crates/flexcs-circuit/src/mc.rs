@@ -15,11 +15,12 @@
 //!   factor is bit-identical to a cold per-sample build.
 //! - **Pooled per-thread workspaces** — solver backends (with their
 //!   cached patterns and factor arenas) live in a bounded, blocking
-//!   pool mirroring `flexcs-core`'s `DecodePool`; a sample checks one
-//!   out, reuses its caches, and returns it. Unlike the decode pool,
-//!   workspaces are *not* cleared on return: every refill fully
-//!   overwrites the cached values, so reuse is bit-identical to a
-//!   fresh build by construction.
+//!   `flexcs_parallel::Pool`, the same pool `flexcs-core`'s block
+//!   decoder uses; a sample checks one out, reuses its caches, and
+//!   returns it. Unlike the block decoder, the engine does *not* clear
+//!   what it checks out: every refill fully overwrites the cached
+//!   values, so reuse is bit-identical to a fresh build by
+//!   construction.
 //! - **Newton warm starts** — DC solves seed Newton from the nominal
 //!   sample's solution; perturbed samples usually converge in a
 //!   fraction of the cold iteration count, and a seed that fails to
@@ -63,8 +64,8 @@ use crate::solver::{MnaSolver, SolverPolicy, SymbolicShare};
 use crate::tel;
 use crate::transient::{transient_in, TransientConfig, TransientResult};
 use crate::variation::{MonteCarloStats, VariationModel};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use flexcs_parallel::Pool;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Deterministic SplitMix64 RNG used for per-trial variation draws.
@@ -191,101 +192,6 @@ impl McWorkspace {
             .chain(&self.tran)
             .map(MnaSolver::factor_count)
             .sum()
-    }
-}
-
-/// Bounded, blocking pool of [`McWorkspace`]s (the `DecodePool` idiom):
-/// at most `capacity` workspaces exist; a checkout blocks while all are
-/// out rather than allocating past the cap.
-#[derive(Debug)]
-struct McPool {
-    state: Mutex<McPoolState>,
-    available: Condvar,
-    capacity: usize,
-    reuses: AtomicU64,
-    checkouts: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct McPoolState {
-    idle: Vec<McWorkspace>,
-    live: usize,
-}
-
-impl McPool {
-    fn with_capacity(capacity: usize) -> Self {
-        McPool {
-            state: Mutex::new(McPoolState::default()),
-            available: Condvar::new(),
-            capacity: capacity.max(1),
-            reuses: AtomicU64::new(0),
-            checkouts: AtomicU64::new(0),
-        }
-    }
-
-    /// Pre-seeds the pool with a workspace (the nominal pass's, so its
-    /// warmed caches serve the first sample).
-    fn seed(&self, ws: McWorkspace) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.live += 1;
-        state.idle.push(ws);
-    }
-
-    fn checkout(&self) -> PooledWorkspace<'_> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let ws = loop {
-            if let Some(ws) = state.idle.pop() {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                break ws;
-            }
-            if state.live < self.capacity {
-                state.live += 1;
-                break McWorkspace::default();
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        };
-        self.checkouts.fetch_add(1, Ordering::Relaxed);
-        PooledWorkspace {
-            ws: Some(ws),
-            pool: self,
-        }
-    }
-}
-
-/// RAII guard returning the workspace to the pool on drop. The
-/// workspace is returned *warm* — cached solver state intact — because
-/// every value refill fully overwrites it, keeping pooled reuse
-/// bit-identical to a fresh build.
-#[derive(Debug)]
-struct PooledWorkspace<'p> {
-    ws: Option<McWorkspace>,
-    pool: &'p McPool,
-}
-
-impl std::ops::Deref for PooledWorkspace<'_> {
-    type Target = McWorkspace;
-
-    fn deref(&self) -> &McWorkspace {
-        self.ws.as_ref().expect("present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut McWorkspace {
-        self.ws.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledWorkspace<'_> {
-    fn drop(&mut self) {
-        let ws = self.ws.take().expect("dropped once");
-        let mut state = self.pool.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.idle.push(ws);
-        drop(state);
-        self.pool.available.notify_one();
     }
 }
 
@@ -533,7 +439,8 @@ impl McEngine {
         let warm = std::mem::take(&mut nominal_ctx.record);
         let nominal_factors = nominal_ws.factor_sum();
 
-        let pool = McPool::with_capacity(self.cfg.pool_capacity.unwrap_or(threads));
+        let pool: Pool<McWorkspace> =
+            Pool::with_capacity(self.cfg.pool_capacity.unwrap_or(threads));
         if self.cfg.reuse_workspaces {
             pool.seed(nominal_ws);
         }
@@ -551,16 +458,8 @@ impl McEngine {
             // makes every sample pay pattern construction + symbolic
             // analysis itself.
             let mut fresh = McWorkspace::default();
-            let mut pooled = None;
-            let ws: &mut McWorkspace = if self.cfg.reuse_workspaces {
-                pooled
-                    .insert(pool.checkout())
-                    .ws
-                    .as_mut()
-                    .expect("present until drop")
-            } else {
-                &mut fresh
-            };
+            let mut pooled = self.cfg.reuse_workspaces.then(|| pool.checkout());
+            let ws = pooled.as_deref_mut().unwrap_or(&mut fresh);
             let factors_before = ws.factor_sum();
             let mut ctx = McTrial {
                 trial: i,
@@ -613,8 +512,8 @@ impl McEngine {
             },
             refactors,
             warm_newton_saved,
-            pool_checkouts: pool.checkouts.load(Ordering::Relaxed),
-            pool_reuses: pool.reuses.load(Ordering::Relaxed),
+            pool_checkouts: pool.checkouts(),
+            pool_reuses: pool.reuses(),
         })
     }
 }

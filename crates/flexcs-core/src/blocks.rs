@@ -34,9 +34,8 @@ use crate::rpca::{outlier_indices, rpca, RpcaConfig};
 use crate::sampling::SamplingPlan;
 use crate::tel;
 use flexcs_linalg::Matrix;
+use flexcs_parallel::Pool;
 use flexcs_solver::SolveReport;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Tiling geometry: block edge and inter-block overlap, both in pixels.
@@ -372,142 +371,13 @@ pub struct BlockMeasurements {
     pub blocks: Vec<BlockMeasurement>,
 }
 
-/// A bounded, blocking pool of decode workspaces shared by concurrent
-/// block decodes.
-///
-/// The block fan-out runs thousands of solves per frame; giving each
-/// its own [`DecodeWarmState`] would allocate (and fault in) thousands
-/// of iterate arenas per frame. The pool caps live workspaces at its
-/// capacity — typically the worker-thread count — and **blocks** a
-/// checkout when all are out, rather than allocating past the cap.
-/// Returned workspaces are cleared (carried solution and cached norm
-/// dropped, buffers kept), so a pooled decode is bit-identical to one
+/// The bounded, blocking pool of decode workspaces shared by concurrent
+/// block decodes: at most its capacity (typically the worker-thread
+/// count) of [`DecodeWarmState`]s exist, and a checkout blocks while all
+/// are out rather than allocating past the cap. [`BlockPipeline`] clears
+/// every state it checks out, so a pooled decode is bit-identical to one
 /// on a fresh workspace while skipping the allocation.
-#[derive(Debug, Clone)]
-pub struct DecodePool {
-    inner: Arc<PoolInner>,
-}
-
-#[derive(Debug)]
-struct PoolInner {
-    state: Mutex<PoolState>,
-    available: Condvar,
-    capacity: usize,
-    reuses: AtomicU64,
-    checkouts: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct PoolState {
-    idle: Vec<DecodeWarmState>,
-    live: usize,
-}
-
-impl DecodePool {
-    /// A pool holding at most `capacity` workspaces (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        DecodePool {
-            inner: Arc::new(PoolInner {
-                state: Mutex::new(PoolState::default()),
-                available: Condvar::new(),
-                capacity: capacity.max(1),
-                reuses: AtomicU64::new(0),
-                checkouts: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Maximum number of simultaneously checked-out workspaces.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
-    /// Checks a workspace out, blocking while the pool is exhausted.
-    /// The guard returns (and clears) the workspace on drop.
-    pub fn checkout(&self) -> PooledState {
-        let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        let ws = loop {
-            if let Some(ws) = state.idle.pop() {
-                // Anything on the idle list has served a previous
-                // checkout — this is the reuse the pool exists for.
-                self.inner.reuses.fetch_add(1, Ordering::Relaxed);
-                tel::counter("blocks.pool.reuses", 1);
-                break ws;
-            }
-            if state.live < self.inner.capacity {
-                state.live += 1;
-                break DecodeWarmState::new();
-            }
-            state = self
-                .inner
-                .available
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        };
-        self.inner.checkouts.fetch_add(1, Ordering::Relaxed);
-        PooledState {
-            state: Some(ws),
-            pool: Arc::clone(&self.inner),
-        }
-    }
-
-    /// Total checkouts served so far.
-    pub fn checkouts(&self) -> u64 {
-        self.inner.checkouts.load(Ordering::Relaxed)
-    }
-
-    /// Checkouts served by reusing a returned workspace (the telemetry
-    /// counter `blocks.pool.reuses` mirrors this).
-    pub fn reuses(&self) -> u64 {
-        self.inner.reuses.load(Ordering::Relaxed)
-    }
-
-    /// Workspaces currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .idle
-            .len()
-    }
-}
-
-/// RAII guard over a pooled [`DecodeWarmState`]; dereferences to the
-/// workspace and returns it (cleared) to the pool on drop.
-#[derive(Debug)]
-pub struct PooledState {
-    state: Option<DecodeWarmState>,
-    pool: Arc<PoolInner>,
-}
-
-impl std::ops::Deref for PooledState {
-    type Target = DecodeWarmState;
-
-    fn deref(&self) -> &DecodeWarmState {
-        self.state.as_ref().expect("present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledState {
-    fn deref_mut(&mut self) -> &mut DecodeWarmState {
-        self.state.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledState {
-    fn drop(&mut self) {
-        let mut ws = self.state.take().expect("dropped once");
-        // Clearing here (not at checkout) keeps the invariant visible
-        // at the blocking wait: everything on the idle list is ready to
-        // serve a bit-identical-to-fresh solve immediately.
-        ws.clear();
-        let mut state = self.pool.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.idle.push(ws);
-        drop(state);
-        self.pool.available.notify_one();
-    }
-}
+pub type DecodePool = Pool<DecodeWarmState>;
 
 /// Configuration for [`BlockPipeline`].
 #[derive(Debug, Clone)]
@@ -629,6 +499,12 @@ impl BlockPipeline {
                 let block = &meas.blocks[i];
                 let t0 = track.then(Instant::now);
                 let mut ws = self.pool.checkout();
+                if ws.reused() {
+                    tel::counter("blocks.pool.reuses", 1);
+                }
+                // Dropping the carried solution and cached norm (buffers
+                // kept) makes every block solve cold.
+                ws.clear();
                 let rec = self.decoder.reconstruct_warm(
                     b,
                     b,
@@ -858,56 +734,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pool_reuses_returned_workspaces() {
-        let pool = DecodePool::with_capacity(2);
-        {
-            let _a = pool.checkout();
-            let _b = pool.checkout();
-        }
-        assert_eq!(pool.idle(), 2);
-        let _c = pool.checkout();
-        assert_eq!(pool.checkouts(), 3);
-        assert_eq!(
-            pool.reuses(),
-            1,
-            "third checkout reuses a returned workspace"
-        );
-    }
-
-    #[test]
-    fn pool_exhaustion_blocks_until_return() {
-        use std::sync::mpsc;
-        let pool = DecodePool::with_capacity(1);
-        let held = pool.checkout();
-        let (tx, rx) = mpsc::channel();
-        let contender = {
-            let pool = pool.clone();
-            std::thread::spawn(move || {
-                tx.send(()).unwrap();
-                let _ws = pool.checkout();
-                std::time::Instant::now()
-            })
-        };
-        rx.recv().unwrap();
-        // Give the contender time to reach the blocking wait; the pool
-        // must not have minted a second workspace meanwhile.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(
-            pool.checkouts(),
-            1,
-            "cap-1 pool never allocates a second workspace"
-        );
-        let released_at = std::time::Instant::now();
-        drop(held);
-        let acquired_at = contender.join().unwrap();
-        assert!(
-            acquired_at >= released_at,
-            "blocked checkout completed only after the release"
-        );
-        assert_eq!(pool.checkouts(), 2);
-        assert_eq!(pool.reuses(), 1);
     }
 }

@@ -70,7 +70,7 @@ pub use adaptive::{
 pub use basisop::{BasisKind, SubsampledDctOperator};
 pub use blocks::{
     BlockGrid, BlockGridConfig, BlockMeasurement, BlockMeasurements, BlockOutcome, BlockPipeline,
-    BlockPipelineConfig, BlockRect, DecodePool, PooledState,
+    BlockPipelineConfig, BlockRect, DecodePool,
 };
 pub use comm::{comm_cost, comm_cost_for_sparsity, CommCostReport};
 pub use decode::{DecodeWarmState, Decoder, Reconstruction};

@@ -6,9 +6,10 @@
 //! - zero-overlap tiling is bit-identical to pasting independent
 //!   per-block decodes on fresh workspaces (which also proves the
 //!   pooled workspaces leak nothing between solves);
-//! - results are bit-identical for every thread count;
-//! - the pool reuses returned workspaces and reports it through the
-//!   `blocks.pool.reuses` telemetry counter.
+//! - results are bit-identical for every thread count.
+//!
+//! The telemetry counters are checked in `block_telemetry.rs`, a binary
+//! of their own, because the recorder is process-global.
 
 use flexcs_core::{rmse, BlockGrid, BlockGridConfig, BlockPipeline, BlockPipelineConfig, Decoder};
 use flexcs_linalg::Matrix;
@@ -220,50 +221,6 @@ fn excluded_pixels_are_never_sampled_in_any_block() {
             );
         }
     }
-}
-
-#[cfg(feature = "telemetry")]
-#[test]
-fn telemetry_records_block_counters_and_latency() {
-    use flexcs_telemetry::MemoryRecorder;
-    use std::sync::Arc;
-
-    // The global recorder installs once per process; this is the only
-    // test in this binary that installs one.
-    let recorder = Arc::new(MemoryRecorder::new());
-    flexcs_telemetry::install(recorder.clone()).expect("first install");
-
-    let frame = smooth_frame(32, 32);
-    let grid = BlockGrid::new(
-        32,
-        32,
-        BlockGridConfig {
-            block: 16,
-            overlap: 4,
-        },
-    )
-    .unwrap();
-    let meas = grid.measure(&frame, 0.6, &[], 9).unwrap();
-    let pipe = BlockPipeline::new(
-        Decoder::default(),
-        BlockPipelineConfig {
-            pool_capacity: 1,
-            ..BlockPipelineConfig::default()
-        },
-    );
-    let out = pipe.decode(&grid, &meas).unwrap();
-
-    let blocks = grid.block_count() as u64;
-    assert_eq!(recorder.counter_value("blocks.decoded"), blocks);
-    assert_eq!(recorder.counter_value("blocks.pool.reuses"), blocks - 1);
-    assert_eq!(
-        recorder.counter_value("blocks.seam_px"),
-        out.seam_pixels as u64
-    );
-    let hist = recorder
-        .histogram_snapshot("blocks.block_ms")
-        .expect("per-block latency histogram recorded");
-    assert_eq!(hist.count, blocks);
 }
 
 proptest! {

@@ -23,7 +23,6 @@
 //!   for RPCA.
 //! - [`Rsvd`]: randomized truncated SVD (Gaussian range finder, block
 //!   power iterations, residual certificate) for the RPCA hot path.
-//! - [`SymmetricEigen`]: cyclic Jacobi symmetric eigendecomposition.
 //! - [`Complex`] / [`ComplexMatrix`]: complex solves for AC circuit
 //!   analysis.
 //!
@@ -55,7 +54,6 @@
 
 mod cholesky;
 mod complex;
-mod eigen;
 mod error;
 mod lu;
 mod matrix;
@@ -67,7 +65,6 @@ pub mod vecops;
 
 pub use cholesky::{solve_spd, Cholesky};
 pub use complex::{Complex, ComplexMatrix};
-pub use eigen::SymmetricEigen;
 pub use error::{LinalgError, Result};
 pub use lu::{solve, Lu};
 pub use matrix::Matrix;

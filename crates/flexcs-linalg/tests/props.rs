@@ -1,8 +1,6 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use flexcs_linalg::{
-    solve, solve_spd, vecops, Cholesky, Lu, Matrix, Qr, Rsvd, RsvdConfig, Svd, SymmetricEigen,
-};
+use flexcs_linalg::{solve, solve_spd, vecops, Cholesky, Lu, Matrix, Qr, Rsvd, RsvdConfig, Svd};
 use proptest::prelude::*;
 
 /// Strategy: matrix entries bounded away from pathological magnitude.
@@ -161,17 +159,6 @@ proptest! {
         let err = (&a - &ar).norm_fro();
         let tail: f64 = svd.sigma()[r..].iter().map(|s| s * s).sum::<f64>().sqrt();
         prop_assert!((err - tail).abs() < 1e-7 * (1.0 + a.norm_fro()));
-    }
-
-    #[test]
-    fn eigen_reconstructs_symmetric(a in matrix_strategy(6, 6)) {
-        let sym = Matrix::from_fn(6, 6, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
-        let eig = SymmetricEigen::compute(&sym).unwrap();
-        prop_assert!(eig.reconstruct().max_abs_diff(&sym).unwrap() < 1e-8 * (1.0 + sym.norm_max()));
-        // Trace equals eigenvalue sum.
-        let tr = sym.trace().unwrap();
-        let es: f64 = eig.values().iter().sum();
-        prop_assert!((tr - es).abs() < 1e-8 * (1.0 + tr.abs()));
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //! a small thread pool, but results are reassembled by index, so the
 //! output is independent of scheduling.
 //!
+//! [`Pool`] is the one bounded, blocking workspace pool the fan-outs
+//! draw their per-job scratch arenas from.
+//!
 //! ## Example
 //!
 //! ```
@@ -22,7 +25,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod pool;
 mod tel;
+
+pub use pool::{Pool, Pooled};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};

@@ -85,29 +85,19 @@ fn gram_rho(a: &Matrix, rho: f64) -> Matrix {
 }
 
 /// ADMM for basis-pursuit denoising:
-/// `min_x λ‖x‖₁ + ½‖A·x − b‖₂²`.
+/// `min_x λ‖x‖₁ + ½‖A·x − b‖₂²`, over the caller's [`SolveWorkspace`].
 ///
 /// The x-update inverts `(AᵀA + ρI)` through the matrix inversion lemma,
 /// so only an `m x m` SPD factorization is required even when `n ≫ m`.
+/// The inner loop performs zero heap allocation (`z` is double-buffered
+/// in the workspace).
 ///
 /// # Errors
 ///
 /// Returns [`SolverError::DimensionMismatch`] for a wrong-length `b`,
 /// [`SolverError::InvalidParameter`] for bad configuration values, and
 /// propagates factorization failures.
-pub fn admm_bpdn(op: &dyn LinearOperator, b: &[f64], config: &AdmmConfig) -> Result<Recovery> {
-    admm_bpdn_in(op, b, config, &mut SolveWorkspace::new())
-}
-
-/// [`admm_bpdn`] with a caller-provided [`SolveWorkspace`]: the inner
-/// loop performs zero heap allocation (the former per-iteration
-/// `z.clone()` is double-buffered in the workspace) and results are
-/// bit-identical to the allocating wrapper.
-///
-/// # Errors
-///
-/// See [`admm_bpdn`].
-pub fn admm_bpdn_in(
+pub fn admm_bpdn(
     op: &dyn LinearOperator,
     b: &[f64],
     config: &AdmmConfig,
@@ -206,11 +196,12 @@ pub fn admm_bpdn_in(
     ))
 }
 
-/// ADMM for exact basis pursuit: `min ‖x‖₁ s.t. A·x = b`.
+/// ADMM for exact basis pursuit: `min ‖x‖₁ s.t. A·x = b`, over the
+/// caller's [`SolveWorkspace`].
 ///
 /// The x-update projects onto the affine constraint set using a cached
 /// factorization of `A·Aᵀ`; the z-update is soft thresholding with
-/// `1/ρ`.
+/// `1/ρ`. The inner loop performs zero heap allocation.
 ///
 /// # Errors
 ///
@@ -221,34 +212,19 @@ pub fn admm_bpdn_in(
 ///
 /// ```
 /// use flexcs_linalg::Matrix;
-/// use flexcs_solver::{admm_basis_pursuit, AdmmConfig, DenseOperator};
+/// use flexcs_solver::{admm_basis_pursuit, AdmmConfig, DenseOperator, SolveWorkspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let a = Matrix::from_rows(&[&[1.0, 0.3, -0.2], &[0.2, 1.1, 0.4]])?;
 /// let op = DenseOperator::new(a);
 /// let b = [1.0, 0.2]; // x = (1, 0, 0) satisfies A x = b exactly
-/// let rec = admm_basis_pursuit(&op, &b, &AdmmConfig::default())?;
+/// let cfg = AdmmConfig::default();
+/// let rec = admm_basis_pursuit(&op, &b, &cfg, &mut SolveWorkspace::new())?;
 /// assert!(rec.report.residual_norm < 1e-4);
 /// # Ok(())
 /// # }
 /// ```
 pub fn admm_basis_pursuit(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    config: &AdmmConfig,
-) -> Result<Recovery> {
-    admm_basis_pursuit_in(op, b, config, &mut SolveWorkspace::new())
-}
-
-/// [`admm_basis_pursuit`] with a caller-provided [`SolveWorkspace`]:
-/// the inner loop performs zero heap allocation (the former
-/// per-iteration `z.clone()` is double-buffered in the workspace) and
-/// results are bit-identical to the allocating wrapper.
-///
-/// # Errors
-///
-/// See [`admm_basis_pursuit`].
-pub fn admm_basis_pursuit_in(
     op: &dyn LinearOperator,
     b: &[f64],
     config: &AdmmConfig,
@@ -334,7 +310,7 @@ mod tests {
         let mut cfg = AdmmConfig::with_lambda(1e-4);
         cfg.max_iterations = 8000;
         cfg.tol = 1e-10;
-        let rec = admm_bpdn(&op, &b, &cfg).unwrap();
+        let rec = admm_bpdn(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         let err = vecops::norm2(&vecops::sub(&rec.x, &x_true)) / vecops::norm2(&x_true);
         assert!(err < 2e-2, "relative error {err}");
     }
@@ -351,7 +327,7 @@ mod tests {
             rho: 5.0,
             ..AdmmConfig::default()
         };
-        let rec = admm_basis_pursuit(&op, &b, &cfg).unwrap();
+        let rec = admm_basis_pursuit(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         let err = vecops::norm2(&vecops::sub(&rec.x, &x_true)) / vecops::norm2(&x_true);
         assert!(err < 1e-3, "relative error {err}");
         assert!(rec.report.residual_norm < 1e-6);
@@ -362,7 +338,8 @@ mod tests {
         let op = gaussian_operator(20, 60, 41);
         let x_true = sparse_signal(60, 3, 42);
         let b = op.apply(&x_true);
-        let rec = admm_basis_pursuit(&op, &b, &AdmmConfig::default()).unwrap();
+        let rec = admm_basis_pursuit(&op, &b, &AdmmConfig::default(), &mut SolveWorkspace::new())
+            .unwrap();
         assert!(rec.report.residual_norm < 1e-5 * vecops::norm2(&b).max(1.0));
     }
 
@@ -373,7 +350,7 @@ mod tests {
         let atb = op.apply_transpose(&b);
         let mut cfg = AdmmConfig::with_lambda(vecops::norm_inf(&atb) * 2.0);
         cfg.max_iterations = 1000;
-        let rec = admm_bpdn(&op, &b, &cfg).unwrap();
+        let rec = admm_bpdn(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         assert!(vecops::norm_inf(&rec.x) < 1e-8);
     }
 
@@ -385,19 +362,25 @@ mod tests {
             rho: 0.0,
             ..AdmmConfig::default()
         };
-        assert!(admm_bpdn(&op, &b, &cfg).is_err());
+        assert!(admm_bpdn(&op, &b, &cfg, &mut SolveWorkspace::new()).is_err());
         cfg.rho = 1.0;
         cfg.lambda = -1.0;
-        assert!(admm_bpdn(&op, &b, &cfg).is_err());
+        assert!(admm_bpdn(&op, &b, &cfg, &mut SolveWorkspace::new()).is_err());
         cfg.lambda = 0.0;
         cfg.max_iterations = 0;
-        assert!(admm_basis_pursuit(&op, &b, &cfg).is_err());
+        assert!(admm_basis_pursuit(&op, &b, &cfg, &mut SolveWorkspace::new()).is_err());
     }
 
     #[test]
     fn wrong_rhs_rejected() {
         let op = gaussian_operator(10, 20, 71);
-        assert!(admm_bpdn(&op, &[0.0; 9], &AdmmConfig::default()).is_err());
+        assert!(admm_bpdn(
+            &op,
+            &[0.0; 9],
+            &AdmmConfig::default(),
+            &mut SolveWorkspace::new()
+        )
+        .is_err());
     }
 
     #[test]
@@ -411,7 +394,7 @@ mod tests {
             rho: 5.0,
             ..AdmmConfig::default()
         };
-        let rec = admm_basis_pursuit(&op, &b, &cfg).unwrap();
+        let rec = admm_basis_pursuit(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         let true_l1 = vecops::norm1(&x_true);
         assert!(rec.report.objective <= true_l1 * 1.01 + 1e-9);
     }

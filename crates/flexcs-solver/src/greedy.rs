@@ -7,15 +7,16 @@
 //! the low-latency tier the adaptive decode pipeline routes small-K
 //! event frames to.
 //!
-//! Like the iterative solvers, each algorithm has a `*_in` entry point
-//! over a [`GreedyWorkspace`] arena whose inner loop is allocation-free
-//! after warm-up; the plain entry points are thin wrappers creating a
-//! throwaway workspace, bit-identical to the historical implementations.
+//! Like the iterative solvers, each algorithm takes the caller's
+//! [`SolveWorkspace`], whose greedy arena makes the inner loop
+//! allocation-free after warm-up; reusing a workspace is bit-identical
+//! to a fresh one.
 
 use crate::error::{Result, SolverError};
 use crate::op::{check_measurements, dense_submatrix_into, LinearOperator};
 use crate::report::{Recovery, SolveReport};
 use crate::tel;
+use crate::workspace::SolveWorkspace;
 use flexcs_linalg::vecops;
 use flexcs_linalg::{Matrix, QrScratch};
 
@@ -87,12 +88,12 @@ impl Default for GreedyConfig {
 /// correlation spectrum, residual/coefficient buffers and the
 /// least-squares refit scratch (dense submatrix + packed QR factors).
 /// Buffers grow on first use and are reused verbatim afterwards, so the
-/// `*_in` entry points run allocation-free inner loops after warm-up.
-/// The buffers hold garbage between solves — every entry point fully
+/// greedy solvers run allocation-free inner loops after warm-up. The
+/// buffers hold garbage between solves — every solver fully
 /// (re)initializes what it reads, so reusing one workspace across
 /// different problems is bit-identical to using a fresh one each time.
 #[derive(Debug, Clone)]
-pub struct GreedyWorkspace {
+pub(crate) struct GreedyWorkspace {
     /// Current support (selected atom indices).
     support: Vec<usize>,
     /// Candidate support under construction (CoSaMP/SP).
@@ -131,18 +132,6 @@ pub struct GreedyWorkspace {
     sub: Matrix,
     /// Packed QR factorization storage reused across refits.
     qr: QrScratch,
-}
-
-impl GreedyWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        GreedyWorkspace::default()
-    }
-
-    /// Drops all held memory (buffers regrow on the next solve).
-    pub fn reset(&mut self) {
-        *self = GreedyWorkspace::default();
-    }
 }
 
 impl Default for GreedyWorkspace {
@@ -217,11 +206,13 @@ fn refit_in(
     Ok(())
 }
 
-/// Orthogonal Matching Pursuit.
+/// Orthogonal Matching Pursuit, over the caller's [`SolveWorkspace`].
 ///
 /// Adds one atom per iteration (the column most correlated with the
 /// residual) and refits by least squares on the accumulated support.
-/// Thin wrapper over [`omp_in`] with a throwaway workspace.
+/// The support scan uses an O(1) membership mask, the correlation
+/// spectrum lands in a reused buffer via `apply_transpose_into`, and
+/// every refit reuses the submatrix and QR storage.
 ///
 /// # Errors
 ///
@@ -233,36 +224,26 @@ fn refit_in(
 ///
 /// ```
 /// use flexcs_linalg::Matrix;
-/// use flexcs_solver::{omp, DenseOperator, GreedyConfig};
+/// use flexcs_solver::{omp, DenseOperator, GreedyConfig, SolveWorkspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // x = (0, 3, 0) measured by a well-conditioned 2x3 matrix.
 /// let a = Matrix::from_rows(&[&[1.0, 0.6, 0.2], &[0.1, 0.8, -0.5]])?;
 /// let op = DenseOperator::new(a);
 /// let b = [1.8, 2.4];
-/// let rec = omp(&op, &b, &GreedyConfig::with_sparsity(1))?;
+/// let cfg = GreedyConfig::with_sparsity(1);
+/// let rec = omp(&op, &b, &cfg, &mut SolveWorkspace::new())?;
 /// assert!((rec.x[1] - 3.0).abs() < 1e-9);
 /// # Ok(())
 /// # }
 /// ```
-pub fn omp(op: &dyn LinearOperator, b: &[f64], config: &GreedyConfig) -> Result<Recovery> {
-    omp_in(op, b, config, &mut GreedyWorkspace::new())
-}
-
-/// [`omp`] over a caller-provided [`GreedyWorkspace`]: the support
-/// scan uses the O(1) membership mask, the correlation spectrum lands in
-/// a reused buffer via `apply_transpose_into`, and every refit reuses the
-/// submatrix and QR storage. Results are bit-identical to [`omp`].
-///
-/// # Errors
-///
-/// See [`omp`].
-pub fn omp_in(
+pub fn omp(
     op: &dyn LinearOperator,
     b: &[f64],
     config: &GreedyConfig,
-    ws: &mut GreedyWorkspace,
+    ws: &mut SolveWorkspace,
 ) -> Result<Recovery> {
+    let ws = &mut ws.greedy;
     check_measurements(op, b)?;
     config.validate(op)?;
     let n = op.cols();
@@ -355,32 +336,23 @@ pub fn omp_in(
     ))
 }
 
-/// CoSaMP (Compressive Sampling Matching Pursuit).
+/// CoSaMP (Compressive Sampling Matching Pursuit), over the caller's
+/// [`SolveWorkspace`]; allocation-free inner loop after warm-up.
 ///
 /// Each iteration merges the current support with the `2K` most
 /// correlated atoms, solves least squares on the merged set, and prunes
-/// back to the best `K` entries. Thin wrapper over [`cosamp_in`] with a
-/// throwaway workspace.
+/// back to the best `K` entries.
 ///
 /// # Errors
 ///
 /// See [`omp`].
-pub fn cosamp(op: &dyn LinearOperator, b: &[f64], config: &GreedyConfig) -> Result<Recovery> {
-    cosamp_in(op, b, config, &mut GreedyWorkspace::new())
-}
-
-/// [`cosamp`] over a caller-provided [`GreedyWorkspace`]; bit-identical
-/// results, allocation-free inner loop after warm-up.
-///
-/// # Errors
-///
-/// See [`omp`].
-pub fn cosamp_in(
+pub fn cosamp(
     op: &dyn LinearOperator,
     b: &[f64],
     config: &GreedyConfig,
-    ws: &mut GreedyWorkspace,
+    ws: &mut SolveWorkspace,
 ) -> Result<Recovery> {
+    let ws = &mut ws.greedy;
     check_measurements(op, b)?;
     config.validate(op)?;
     let n = op.cols();
@@ -511,12 +483,12 @@ pub fn cosamp_in(
     ))
 }
 
-/// Subspace Pursuit.
+/// Subspace Pursuit, over the caller's [`SolveWorkspace`];
+/// allocation-free inner loop after warm-up.
 ///
 /// Like CoSaMP but expands by only `K` candidate atoms per iteration and
 /// tracks the best support found; converges in few iterations on
-/// well-conditioned problems. Thin wrapper over [`subspace_pursuit_in`]
-/// with a throwaway workspace.
+/// well-conditioned problems.
 ///
 /// # Errors
 ///
@@ -525,22 +497,9 @@ pub fn subspace_pursuit(
     op: &dyn LinearOperator,
     b: &[f64],
     config: &GreedyConfig,
+    ws: &mut SolveWorkspace,
 ) -> Result<Recovery> {
-    subspace_pursuit_in(op, b, config, &mut GreedyWorkspace::new())
-}
-
-/// [`subspace_pursuit`] over a caller-provided [`GreedyWorkspace`];
-/// bit-identical results, allocation-free inner loop after warm-up.
-///
-/// # Errors
-///
-/// See [`omp`].
-pub fn subspace_pursuit_in(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    config: &GreedyConfig,
-    ws: &mut GreedyWorkspace,
-) -> Result<Recovery> {
+    let ws = &mut ws.greedy;
     check_measurements(op, b)?;
     config.validate(op)?;
     let n = op.cols();
@@ -666,15 +625,21 @@ mod tests {
     use crate::DenseOperator;
     use flexcs_linalg::Matrix;
 
-    fn exact_recovery(
-        solver: fn(&dyn LinearOperator, &[f64], &GreedyConfig) -> Result<Recovery>,
-        seed: u64,
-    ) {
+    type Greedy =
+        fn(&dyn LinearOperator, &[f64], &GreedyConfig, &mut SolveWorkspace) -> Result<Recovery>;
+
+    fn exact_recovery(solver: Greedy, seed: u64) {
         let (m, n, k) = (40, 100, 5);
         let op = gaussian_operator(m, n, seed);
         let x_true = sparse_signal(n, k, seed + 1);
         let b = op.apply(&x_true);
-        let rec = solver(&op, &b, &GreedyConfig::with_sparsity(k)).unwrap();
+        let rec = solver(
+            &op,
+            &b,
+            &GreedyConfig::with_sparsity(k),
+            &mut SolveWorkspace::new(),
+        )
+        .unwrap();
         for (a, t) in rec.x.iter().zip(&x_true) {
             assert!((a - t).abs() < 1e-6, "recovery mismatch: {a} vs {t}");
         }
@@ -701,7 +666,13 @@ mod tests {
         let op = gaussian_operator(30, 80, 5);
         let x_true = sparse_signal(80, 4, 6);
         let b = op.apply(&x_true);
-        let rec = omp(&op, &b, &GreedyConfig::with_sparsity(4)).unwrap();
+        let rec = omp(
+            &op,
+            &b,
+            &GreedyConfig::with_sparsity(4),
+            &mut SolveWorkspace::new(),
+        )
+        .unwrap();
         assert!(rec.support_size(1e-9) <= 4);
     }
 
@@ -710,7 +681,13 @@ mod tests {
         let op = gaussian_operator(10, 20, 1);
         let b = vec![0.0; 10];
         for solver in [omp, cosamp, subspace_pursuit] {
-            let rec = solver(&op, &b, &GreedyConfig::with_sparsity(3)).unwrap();
+            let rec = solver(
+                &op,
+                &b,
+                &GreedyConfig::with_sparsity(3),
+                &mut SolveWorkspace::new(),
+            )
+            .unwrap();
             assert!(rec.x.iter().all(|&v| v == 0.0));
             assert!(rec.report.converged);
         }
@@ -721,9 +698,9 @@ mod tests {
         let op = gaussian_operator(10, 20, 2);
         let b = vec![1.0; 10];
         let bad_k = GreedyConfig::with_sparsity(0);
-        assert!(omp(&op, &b, &bad_k).is_err());
+        assert!(omp(&op, &b, &bad_k, &mut SolveWorkspace::new()).is_err());
         let too_big = GreedyConfig::with_sparsity(11);
-        assert!(cosamp(&op, &b, &too_big).is_err());
+        assert!(cosamp(&op, &b, &too_big, &mut SolveWorkspace::new()).is_err());
     }
 
     #[test]
@@ -731,7 +708,12 @@ mod tests {
         let op = gaussian_operator(10, 20, 3);
         let b = vec![1.0; 9];
         assert!(matches!(
-            subspace_pursuit(&op, &b, &GreedyConfig::with_sparsity(2)),
+            subspace_pursuit(
+                &op,
+                &b,
+                &GreedyConfig::with_sparsity(2),
+                &mut SolveWorkspace::new()
+            ),
             Err(SolverError::DimensionMismatch { .. })
         ));
     }
@@ -748,7 +730,7 @@ mod tests {
         }
         let mut cfg = GreedyConfig::with_sparsity(k);
         cfg.residual_tol = 1e-2;
-        let rec = omp(&op, &b, &cfg).unwrap();
+        let rec = omp(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         let err: f64 = rec
             .x
             .iter()
@@ -768,7 +750,13 @@ mod tests {
     fn omp_identity_operator_copies_b() {
         let op = DenseOperator::new(Matrix::identity(5));
         let b = [0.0, 2.0, 0.0, -1.0, 0.0];
-        let rec = omp(&op, &b, &GreedyConfig::with_sparsity(2)).unwrap();
+        let rec = omp(
+            &op,
+            &b,
+            &GreedyConfig::with_sparsity(2),
+            &mut SolveWorkspace::new(),
+        )
+        .unwrap();
         assert!((rec.x[1] - 2.0).abs() < 1e-12);
         assert!((rec.x[3] + 1.0).abs() < 1e-12);
     }
@@ -784,10 +772,10 @@ mod tests {
         let x_dense: Vec<f64> = (0..n).map(|i| 1.0 + 0.1 * (i as f64 * 0.7).sin()).collect();
         let b = op.apply(&x_dense);
         let mut cfg = GreedyConfig::with_sparsity(40);
-        let full = omp(&op, &b, &cfg).unwrap();
+        let full = omp(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         cfg.stall_factor = 0.95;
         cfg.stall_patience = 4;
-        let aborted = omp(&op, &b, &cfg).unwrap();
+        let aborted = omp(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         assert!(!aborted.report.converged);
         assert!(
             aborted.report.iterations < full.report.iterations,
@@ -808,37 +796,32 @@ mod tests {
         let (m, n, k) = (40, 100, 5);
         let op = gaussian_operator(m, n, 66);
         let b = op.apply(&sparse_signal(n, k, 67));
-        let base = omp(&op, &b, &GreedyConfig::with_sparsity(k)).unwrap();
+        let base = omp(
+            &op,
+            &b,
+            &GreedyConfig::with_sparsity(k),
+            &mut SolveWorkspace::new(),
+        )
+        .unwrap();
         let mut cfg = GreedyConfig::with_sparsity(k);
         cfg.stall_factor = 0.95;
         cfg.stall_patience = 0; // patience 0 disables the guard entirely
-        let guarded = omp(&op, &b, &cfg).unwrap();
+        let guarded = omp(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         assert_eq!(base.x, guarded.x);
         assert_eq!(base.report.iterations, guarded.report.iterations);
     }
 
     #[test]
     fn workspace_reuse_is_bit_identical_across_problems() {
-        let mut ws = GreedyWorkspace::new();
+        let mut ws = SolveWorkspace::new();
         for seed in [101_u64, 202, 303] {
             let (m, n, k) = (35, 90, 4);
             let op = gaussian_operator(m, n, seed);
             let b = op.apply(&sparse_signal(n, k, seed + 1));
             let cfg = GreedyConfig::with_sparsity(k);
-            for (fresh, reused) in [
-                (
-                    omp(&op, &b, &cfg).unwrap(),
-                    omp_in(&op, &b, &cfg, &mut ws).unwrap(),
-                ),
-                (
-                    cosamp(&op, &b, &cfg).unwrap(),
-                    cosamp_in(&op, &b, &cfg, &mut ws).unwrap(),
-                ),
-                (
-                    subspace_pursuit(&op, &b, &cfg).unwrap(),
-                    subspace_pursuit_in(&op, &b, &cfg, &mut ws).unwrap(),
-                ),
-            ] {
+            for solver in [omp as Greedy, cosamp, subspace_pursuit] {
+                let fresh = solver(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
+                let reused = solver(&op, &b, &cfg, &mut ws).unwrap();
                 assert_eq!(fresh.x, reused.x);
                 assert_eq!(fresh.report.iterations, reused.report.iterations);
             }

@@ -60,12 +60,15 @@ impl IrlsConfig {
     }
 }
 
-/// IRLS basis pursuit.
+/// IRLS basis pursuit, over the caller's [`SolveWorkspace`].
 ///
 /// Each outer iteration solves `x = W·Aᵀ·(A·W·Aᵀ)⁻¹·b` with
 /// `W = diag(|x| + ε)`, which is the minimizer of the weighted L2 norm
 /// under the equality constraints; ε is divided by 10 whenever the
-/// iterate stabilizes, sharpening the L1 surrogate.
+/// iterate stabilizes, sharpening the L1 surrogate. Iterate, weight and
+/// Gram-system buffers are recycled across outer iterations (and across
+/// solves), leaving only the Cholesky factorization's own allocation per
+/// outer iteration.
 ///
 /// # Errors
 ///
@@ -77,31 +80,18 @@ impl IrlsConfig {
 ///
 /// ```
 /// use flexcs_linalg::Matrix;
-/// use flexcs_solver::{irls, DenseOperator, IrlsConfig};
+/// use flexcs_solver::{irls, DenseOperator, IrlsConfig, SolveWorkspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let a = Matrix::from_rows(&[&[1.0, 0.5, -0.3], &[0.2, 1.0, 0.8]])?;
 /// let op = DenseOperator::new(a);
 /// let b = [2.0, 0.4]; // x = (2, 0, 0)
-/// let rec = irls(&op, &b, &IrlsConfig::default())?;
+/// let rec = irls(&op, &b, &IrlsConfig::default(), &mut SolveWorkspace::new())?;
 /// assert!((rec.x[0] - 2.0).abs() < 1e-4);
 /// # Ok(())
 /// # }
 /// ```
-pub fn irls(op: &dyn LinearOperator, b: &[f64], config: &IrlsConfig) -> Result<Recovery> {
-    irls_in(op, b, config, &mut SolveWorkspace::new())
-}
-
-/// [`irls`] with a caller-provided [`SolveWorkspace`]: iterate, weight
-/// and Gram-system buffers are recycled across outer iterations (and
-/// across solves), leaving only the Cholesky factorization's own
-/// allocation per outer iteration. Results are bit-identical to the
-/// allocating wrapper.
-///
-/// # Errors
-///
-/// See [`irls`].
-pub fn irls_in(
+pub fn irls(
     op: &dyn LinearOperator,
     b: &[f64],
     config: &IrlsConfig,
@@ -206,7 +196,7 @@ mod tests {
         let op = gaussian_operator(m, n, 7);
         let x_true = sparse_signal(n, k, 8);
         let b = op.apply(&x_true);
-        let rec = irls(&op, &b, &IrlsConfig::default()).unwrap();
+        let rec = irls(&op, &b, &IrlsConfig::default(), &mut SolveWorkspace::new()).unwrap();
         let err = vecops::norm2(&vecops::sub(&rec.x, &x_true)) / vecops::norm2(&x_true);
         assert!(err < 1e-4, "relative error {err}");
     }
@@ -216,14 +206,20 @@ mod tests {
         let op = gaussian_operator(25, 50, 17);
         let x_true = sparse_signal(50, 3, 18);
         let b = op.apply(&x_true);
-        let rec = irls(&op, &b, &IrlsConfig::default()).unwrap();
+        let rec = irls(&op, &b, &IrlsConfig::default(), &mut SolveWorkspace::new()).unwrap();
         assert!(rec.report.residual_norm < 1e-8 * vecops::norm2(&b).max(1.0));
     }
 
     #[test]
     fn zero_rhs_gives_zero() {
         let op = gaussian_operator(10, 30, 27);
-        let rec = irls(&op, &[0.0; 10], &IrlsConfig::default()).unwrap();
+        let rec = irls(
+            &op,
+            &[0.0; 10],
+            &IrlsConfig::default(),
+            &mut SolveWorkspace::new(),
+        )
+        .unwrap();
         assert!(rec.x.iter().all(|&v| v == 0.0));
     }
 
@@ -233,7 +229,7 @@ mod tests {
         let op = gaussian_operator(m, n, 37);
         let x_true = sparse_signal(n, k, 38);
         let b = op.apply(&x_true);
-        let rec = irls(&op, &b, &IrlsConfig::default()).unwrap();
+        let rec = irls(&op, &b, &IrlsConfig::default(), &mut SolveWorkspace::new()).unwrap();
         assert!(rec.report.objective <= vecops::norm1(&x_true) * (1.0 + 1e-6));
     }
 
@@ -245,18 +241,24 @@ mod tests {
             max_iterations: 0,
             ..IrlsConfig::default()
         };
-        assert!(irls(&op, &b, &cfg).is_err());
+        assert!(irls(&op, &b, &cfg, &mut SolveWorkspace::new()).is_err());
         cfg.max_iterations = 10;
         cfg.epsilon_start = 0.0;
-        assert!(irls(&op, &b, &cfg).is_err());
+        assert!(irls(&op, &b, &cfg, &mut SolveWorkspace::new()).is_err());
         cfg.epsilon_start = 1e-9;
         cfg.epsilon_min = 1.0;
-        assert!(irls(&op, &b, &cfg).is_err());
+        assert!(irls(&op, &b, &cfg, &mut SolveWorkspace::new()).is_err());
     }
 
     #[test]
     fn wrong_rhs_rejected() {
         let op = gaussian_operator(8, 16, 57);
-        assert!(irls(&op, &[1.0; 7], &IrlsConfig::default()).is_err());
+        assert!(irls(
+            &op,
+            &[1.0; 7],
+            &IrlsConfig::default(),
+            &mut SolveWorkspace::new()
+        )
+        .is_err());
     }
 }

@@ -199,7 +199,12 @@ fn run_in(
     ))
 }
 
-/// Plain ISTA (proximal gradient) for the LASSO.
+/// Plain ISTA (proximal gradient) for the LASSO, over the caller's
+/// [`SolveWorkspace`] (the inner loop performs zero heap allocation).
+///
+/// With `warm = Some(..)` the iterate is seeded from the carried
+/// previous solution and the cached spectral norm replaces power
+/// iteration; see [`fista`]. `None` runs cold.
 ///
 /// # Errors
 ///
@@ -207,27 +212,26 @@ fn run_in(
 /// [`SolverError::InvalidParameter`] for an unusable configuration, and
 /// [`SolverError::Diverged`] if iterates become non-finite (only possible
 /// with a user-supplied too-small Lipschitz constant).
-pub fn ista(op: &dyn LinearOperator, b: &[f64], config: &IstaConfig) -> Result<Recovery> {
-    run_in(op, b, config, false, &mut SolveWorkspace::new(), None)
-}
-
-/// [`ista`] with a caller-provided [`SolveWorkspace`]: the inner loop
-/// performs zero heap allocation and results are bit-identical to the
-/// allocating wrapper.
-///
-/// # Errors
-///
-/// See [`ista`].
-pub fn ista_in(
+pub fn ista(
     op: &dyn LinearOperator,
     b: &[f64],
     config: &IstaConfig,
     ws: &mut SolveWorkspace,
+    warm: Option<&mut WarmStart>,
 ) -> Result<Recovery> {
-    run_in(op, b, config, false, ws, None)
+    run_in(op, b, config, false, ws, warm)
 }
 
-/// FISTA (accelerated proximal gradient) for the LASSO.
+/// FISTA (accelerated proximal gradient) for the LASSO, over the
+/// caller's [`SolveWorkspace`] (the inner loop performs zero heap
+/// allocation; reusing a workspace is bit-identical to a fresh one).
+///
+/// With `warm = Some(..)` the solve seeds the iterate from the carried
+/// previous solution, reuses the cached spectral norm instead of
+/// re-running power iteration, and enables gradient-scheme adaptive
+/// restart so stale momentum cannot fight the warm start. The first
+/// solve on a fresh (or shape-changed) [`WarmStart`] runs cold and is
+/// bit-identical to `warm = None`.
 ///
 /// # Errors
 ///
@@ -237,72 +241,26 @@ pub fn ista_in(
 ///
 /// ```
 /// use flexcs_linalg::Matrix;
-/// use flexcs_solver::{fista, DenseOperator, IstaConfig};
+/// use flexcs_solver::{fista, DenseOperator, IstaConfig, SolveWorkspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let a = Matrix::from_rows(&[&[1.0, 0.5, 0.0], &[0.0, 0.4, 1.0]])?;
 /// let op = DenseOperator::new(a);
 /// let b = [2.0, 1.0]; // x = (2, 0, 1) fits exactly
-/// let rec = fista(&op, &b, &IstaConfig::with_lambda(1e-6))?;
+/// let cfg = IstaConfig::with_lambda(1e-6);
+/// let rec = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None)?;
 /// assert!(rec.report.residual_norm < 1e-3);
 /// # Ok(())
 /// # }
 /// ```
-pub fn fista(op: &dyn LinearOperator, b: &[f64], config: &IstaConfig) -> Result<Recovery> {
-    run_in(op, b, config, true, &mut SolveWorkspace::new(), None)
-}
-
-/// [`fista`] with a caller-provided [`SolveWorkspace`]: the inner loop
-/// performs zero heap allocation and results are bit-identical to the
-/// allocating wrapper.
-///
-/// # Errors
-///
-/// See [`ista`].
-pub fn fista_in(
+pub fn fista(
     op: &dyn LinearOperator,
     b: &[f64],
     config: &IstaConfig,
     ws: &mut SolveWorkspace,
+    warm: Option<&mut WarmStart>,
 ) -> Result<Recovery> {
-    run_in(op, b, config, true, ws, None)
-}
-
-/// Warm-started FISTA: seeds the iterate from the carried previous
-/// solution, reuses the cached spectral norm instead of re-running
-/// power iteration, and enables gradient-scheme adaptive restart so
-/// stale momentum cannot fight the warm start.
-///
-/// The first solve on a fresh (or shape-changed) [`WarmStart`] runs
-/// cold and is bit-identical to [`fista`]; each later solve over the
-/// same operator shape starts from the previous solution.
-///
-/// # Errors
-///
-/// See [`ista`].
-pub fn fista_warm(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    config: &IstaConfig,
-    ws: &mut SolveWorkspace,
-    warm: &mut WarmStart,
-) -> Result<Recovery> {
-    run_in(op, b, config, true, ws, Some(warm))
-}
-
-/// Warm-started ISTA; see [`fista_warm`] (no momentum, so no restarts).
-///
-/// # Errors
-///
-/// See [`ista`].
-pub fn ista_warm(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    config: &IstaConfig,
-    ws: &mut SolveWorkspace,
-    warm: &mut WarmStart,
-) -> Result<Recovery> {
-    run_in(op, b, config, false, ws, Some(warm))
+    run_in(op, b, config, true, ws, warm)
 }
 
 #[cfg(test)]
@@ -319,7 +277,7 @@ mod tests {
         let mut cfg = IstaConfig::with_lambda(1e-4);
         cfg.max_iterations = 3000;
         cfg.tol = 1e-9;
-        let rec = fista(&op, &b, &cfg).unwrap();
+        let rec = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap();
         let err = vecops::norm2(&vecops::sub(&rec.x, &x_true)) / vecops::norm2(&x_true);
         assert!(err < 1e-2, "relative error {err}");
     }
@@ -333,8 +291,8 @@ mod tests {
         let mut cfg = IstaConfig::with_lambda(1e-3);
         cfg.max_iterations = 200;
         cfg.tol = 0.0; // force full budget
-        let ri = ista(&op, &b, &cfg).unwrap();
-        let rf = fista(&op, &b, &cfg).unwrap();
+        let ri = ista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap();
+        let rf = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap();
         assert!(
             rf.report.objective <= ri.report.objective + 1e-12,
             "fista objective {} vs ista {}",
@@ -350,7 +308,8 @@ mod tests {
         // λ above ‖Aᵀb‖∞ forces x = 0.
         let atb = op.apply_transpose(&b);
         let lambda = vecops::norm_inf(&atb) * 1.5;
-        let rec = fista(&op, &b, &IstaConfig::with_lambda(lambda)).unwrap();
+        let cfg = IstaConfig::with_lambda(lambda);
+        let rec = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap();
         assert!(vecops::norm_inf(&rec.x) < 1e-10);
         assert!(rec.report.converged);
     }
@@ -364,8 +323,8 @@ mod tests {
         c1.max_iterations = 1000;
         let mut c2 = IstaConfig::with_lambda(1e-4);
         c2.max_iterations = 1000;
-        let r1 = fista(&op, &b, &c1).unwrap();
-        let r2 = fista(&op, &b, &c2).unwrap();
+        let r1 = fista(&op, &b, &c1, &mut SolveWorkspace::new(), None).unwrap();
+        let r2 = fista(&op, &b, &c2, &mut SolveWorkspace::new(), None).unwrap();
         assert!(r2.report.residual_norm <= r1.report.residual_norm + 1e-9);
     }
 
@@ -374,13 +333,13 @@ mod tests {
         let op = gaussian_operator(10, 20, 1);
         let b = vec![0.0; 10];
         let mut cfg = IstaConfig::with_lambda(-1.0);
-        assert!(fista(&op, &b, &cfg).is_err());
+        assert!(fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).is_err());
         cfg.lambda = 1.0;
         cfg.max_iterations = 0;
-        assert!(ista(&op, &b, &cfg).is_err());
+        assert!(ista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).is_err());
         cfg.max_iterations = 10;
         cfg.lipschitz = Some(-2.0);
-        assert!(fista(&op, &b, &cfg).is_err());
+        assert!(fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).is_err());
     }
 
     #[test]
@@ -391,7 +350,7 @@ mod tests {
         let mut cfg = IstaConfig::with_lambda(1e-4);
         cfg.lipschitz = Some(op.spectral_norm_estimate(50).powi(2) * 1.1);
         cfg.max_iterations = 2000;
-        let rec = fista(&op, &b, &cfg).unwrap();
+        let rec = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap();
         let err = vecops::norm2(&vecops::sub(&rec.x, &x_true));
         assert!(err < 0.05 * vecops::norm2(&x_true));
     }
@@ -400,7 +359,13 @@ mod tests {
     fn wrong_rhs_length_rejected() {
         let op = gaussian_operator(10, 20, 2);
         assert!(matches!(
-            fista(&op, &[1.0; 9], &IstaConfig::default()),
+            fista(
+                &op,
+                &[1.0; 9],
+                &IstaConfig::default(),
+                &mut SolveWorkspace::new(),
+                None
+            ),
             Err(SolverError::DimensionMismatch { .. })
         ));
     }

@@ -18,6 +18,14 @@
 //! | reweighting | [`irls`] | exact BP |
 //! | interior point | [`lp_basis_pursuit`] | exact BP as an LP |
 //!
+//! Each algorithm has exactly one entry point: a function under its
+//! bare name that takes the caller's [`SolveWorkspace`] (ISTA and FISTA
+//! also take an optional [`WarmStart`]; the LP solver needs no
+//! workspace). [`SparseSolver`] is the one dispatch over all of them:
+//! [`SparseSolver::solve`] runs cold on a fresh workspace and
+//! [`SparseSolver::solve_warm`] reuses the caller's workspace and warm
+//! state.
+//!
 //! All solvers work through the [`LinearOperator`] abstraction so the
 //! flexcs pipeline can keep `A = Φ·Ψ` implicit (separable DCT transforms)
 //! — only the dense-only solvers (flagged by
@@ -60,21 +68,18 @@ mod select;
 mod tel;
 mod workspace;
 
-pub use admm::{admm_basis_pursuit, admm_basis_pursuit_in, admm_bpdn, admm_bpdn_in, AdmmConfig};
+pub use admm::{admm_basis_pursuit, admm_bpdn, AdmmConfig};
 pub use error::{Result, SolverError};
-pub use greedy::{
-    cosamp, cosamp_in, omp, omp_in, subspace_pursuit, subspace_pursuit_in, GreedyConfig,
-    GreedyWorkspace,
-};
-pub use irls::{irls, irls_in, IrlsConfig};
-pub use ista::{fista, fista_in, fista_warm, ista, ista_in, ista_warm, IstaConfig};
+pub use greedy::{cosamp, omp, subspace_pursuit, GreedyConfig};
+pub use irls::{irls, IrlsConfig};
+pub use ista::{fista, ista, IstaConfig};
 pub use lp::{lp_basis_pursuit, LpConfig};
 pub use op::{
     check_measurements, dense_submatrix, dense_submatrix_into, power_iteration_norm, DenseOperator,
     LinearOperator, NormCache,
 };
 pub use report::{Recovery, SolveReport};
-pub use reweighted::{reweighted_l1, reweighted_l1_in, ReweightedConfig};
+pub use reweighted::{reweighted_l1, ReweightedConfig};
 pub use select::SparseSolver;
 pub use workspace::{SolveWorkspace, WarmStart};
 

@@ -301,7 +301,13 @@ mod tests {
         let x_true = sparse_signal(n, k, 152);
         let b = op.apply(&x_true);
         let r_lp = lp_basis_pursuit(&op, &b, &LpConfig::default()).unwrap();
-        let r_irls = crate::irls(&op, &b, &crate::IrlsConfig::default()).unwrap();
+        let r_irls = crate::irls(
+            &op,
+            &b,
+            &crate::IrlsConfig::default(),
+            &mut crate::SolveWorkspace::new(),
+        )
+        .unwrap();
         let diff = vecops::norm2(&vecops::sub(&r_lp.x, &r_irls.x));
         assert!(diff < 1e-3 * vecops::norm2(&x_true).max(1.0));
     }

@@ -43,7 +43,7 @@ pub trait LinearOperator {
     /// The default delegates to [`apply`] and moves the result, so every
     /// operator works; operators on the solver hot path (dense matrices,
     /// the subsampled DCT) override it to write in place so the
-    /// workspace-based `*_in` solver entry points run allocation-free.
+    /// workspace-based solvers run allocation-free.
     /// Overrides must produce bit-identical values to [`apply`].
     ///
     /// [`apply`]: LinearOperator::apply

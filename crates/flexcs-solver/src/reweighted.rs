@@ -10,7 +10,7 @@
 //! in `u` over the column-scaled operator `A·W⁻¹`.
 
 use crate::error::{Result, SolverError};
-use crate::ista::{fista_in, IstaConfig};
+use crate::ista::{fista, IstaConfig};
 use crate::op::{check_measurements, LinearOperator};
 use crate::report::{Recovery, SolveReport};
 use crate::tel;
@@ -100,7 +100,9 @@ impl LinearOperator for ColumnScaled<'_> {
 }
 
 /// Iteratively reweighted L1: a short sequence of weighted LASSO solves
-/// with weights `w_i = 1/(|x_i| + ε)` from the previous round.
+/// with weights `w_i = 1/(|x_i| + ε)` from the previous round. The
+/// caller's [`SolveWorkspace`] is shared by the inner FISTA solves, so
+/// their iteration loops are allocation-free.
 ///
 /// # Errors
 ///
@@ -112,34 +114,19 @@ impl LinearOperator for ColumnScaled<'_> {
 ///
 /// ```
 /// use flexcs_linalg::Matrix;
-/// use flexcs_solver::{reweighted_l1, DenseOperator, ReweightedConfig};
+/// use flexcs_solver::{reweighted_l1, DenseOperator, ReweightedConfig, SolveWorkspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let a = Matrix::from_rows(&[&[1.0, 0.4, 0.2], &[0.1, 1.0, -0.6]])?;
 /// let op = DenseOperator::new(a);
 /// let b = [2.0, 0.2]; // x = (2, 0, 0)
-/// let rec = reweighted_l1(&op, &b, &ReweightedConfig::default())?;
+/// let cfg = ReweightedConfig::default();
+/// let rec = reweighted_l1(&op, &b, &cfg, &mut SolveWorkspace::new())?;
 /// assert!((rec.x[0] - 2.0).abs() < 0.05);
 /// # Ok(())
 /// # }
 /// ```
 pub fn reweighted_l1(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    config: &ReweightedConfig,
-) -> Result<Recovery> {
-    reweighted_l1_in(op, b, config, &mut SolveWorkspace::new())
-}
-
-/// [`reweighted_l1`] with a caller-provided [`SolveWorkspace`] shared
-/// by the inner FISTA solves, so their iteration loops are
-/// allocation-free. Results are bit-identical to the allocating
-/// wrapper.
-///
-/// # Errors
-///
-/// See [`reweighted_l1`].
-pub fn reweighted_l1_in(
     op: &dyn LinearOperator,
     b: &[f64],
     config: &ReweightedConfig,
@@ -159,7 +146,7 @@ pub fn reweighted_l1_in(
     }
     let n = op.cols();
     // Round 0: plain LASSO.
-    let mut recovery = fista_in(op, b, &config.inner, ws)?;
+    let mut recovery = fista(op, b, &config.inner, ws, None)?;
     let mut total_iterations = recovery.report.iterations;
     if tel::enabled() {
         // One event per reweighting round (the inner FISTA emits its own
@@ -182,7 +169,7 @@ pub fn reweighted_l1_in(
         // freedom, small ones are pushed toward zero.
         let scale: Vec<f64> = recovery.x.iter().map(|v| v.abs() + eps).collect();
         let scaled_op = ColumnScaled::new(op, scale);
-        let inner = fista_in(&scaled_op, b, &config.inner, ws)?;
+        let inner = fista(&scaled_op, b, &config.inner, ws, None)?;
         total_iterations += inner.report.iterations;
         // Map back: x = D·u.
         let x: Vec<f64> = inner
@@ -227,8 +214,8 @@ mod tests {
         let mut cfg = ReweightedConfig::default();
         cfg.inner.lambda = 1e-4;
         cfg.inner.max_iterations = 800;
-        let plain = fista(&op, &b, &cfg.inner).unwrap();
-        let rw = reweighted_l1(&op, &b, &cfg).unwrap();
+        let plain = fista(&op, &b, &cfg.inner, &mut SolveWorkspace::new(), None).unwrap();
+        let rw = reweighted_l1(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         let err = |x: &[f64]| vecops::norm2(&vecops::sub(x, &x_true));
         assert!(
             err(&rw.x) <= err(&plain.x) * 1.02,
@@ -247,7 +234,7 @@ mod tests {
         let mut cfg = ReweightedConfig::default();
         cfg.inner.lambda = 1e-4;
         cfg.inner.max_iterations = 1000;
-        let rec = reweighted_l1(&op, &b, &cfg).unwrap();
+        let rec = reweighted_l1(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         let err = vecops::norm2(&vecops::sub(&rec.x, &x_true)) / vecops::norm2(&x_true);
         assert!(err < 1e-2, "relative error {err}");
     }
@@ -255,7 +242,13 @@ mod tests {
     #[test]
     fn zero_measurements_give_zero() {
         let op = gaussian_operator(10, 20, 81);
-        let rec = reweighted_l1(&op, &[0.0; 10], &ReweightedConfig::default()).unwrap();
+        let rec = reweighted_l1(
+            &op,
+            &[0.0; 10],
+            &ReweightedConfig::default(),
+            &mut SolveWorkspace::new(),
+        )
+        .unwrap();
         assert!(vecops::norm_inf(&rec.x) < 1e-12);
     }
 
@@ -267,11 +260,17 @@ mod tests {
             rounds: 0,
             ..ReweightedConfig::default()
         };
-        assert!(reweighted_l1(&op, &b, &cfg).is_err());
+        assert!(reweighted_l1(&op, &b, &cfg, &mut SolveWorkspace::new()).is_err());
         cfg.rounds = 2;
         cfg.epsilon = 0.0;
-        assert!(reweighted_l1(&op, &b, &cfg).is_err());
-        assert!(reweighted_l1(&op, &[1.0; 4], &ReweightedConfig::default()).is_err());
+        assert!(reweighted_l1(&op, &b, &cfg, &mut SolveWorkspace::new()).is_err());
+        assert!(reweighted_l1(
+            &op,
+            &[1.0; 4],
+            &ReweightedConfig::default(),
+            &mut SolveWorkspace::new()
+        )
+        .is_err());
     }
 
     #[test]
@@ -287,8 +286,8 @@ mod tests {
         one_round.inner.lambda = 1e-3;
         let mut four_rounds = one_round.clone();
         four_rounds.rounds = 4;
-        let r1 = reweighted_l1(&op, &b, &one_round).unwrap();
-        let r4 = reweighted_l1(&op, &b, &four_rounds).unwrap();
+        let r1 = reweighted_l1(&op, &b, &one_round, &mut SolveWorkspace::new()).unwrap();
+        let r4 = reweighted_l1(&op, &b, &four_rounds, &mut SolveWorkspace::new()).unwrap();
         assert!(r4.support_size(1e-6) <= r1.support_size(1e-6) + 2);
     }
 }

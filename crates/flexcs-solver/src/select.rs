@@ -3,17 +3,15 @@
 //! The flexcs decoder lets callers pick any recovery algorithm through a
 //! single enum — the knob the `solver_ablation` bench sweeps.
 
-use crate::admm::{admm_basis_pursuit, admm_basis_pursuit_in, admm_bpdn, admm_bpdn_in, AdmmConfig};
+use crate::admm::{admm_basis_pursuit, admm_bpdn, AdmmConfig};
 use crate::error::Result;
-use crate::greedy::{
-    cosamp, cosamp_in, omp, omp_in, subspace_pursuit, subspace_pursuit_in, GreedyConfig,
-};
-use crate::irls::{irls, irls_in, IrlsConfig};
-use crate::ista::{fista, fista_in, fista_warm, ista, ista_in, ista_warm, IstaConfig};
+use crate::greedy::{cosamp, omp, subspace_pursuit, GreedyConfig};
+use crate::irls::{irls, IrlsConfig};
+use crate::ista::{fista, ista, IstaConfig};
 use crate::lp::{lp_basis_pursuit, LpConfig};
 use crate::op::LinearOperator;
 use crate::report::Recovery;
-use crate::reweighted::{reweighted_l1, reweighted_l1_in, ReweightedConfig};
+use crate::reweighted::{reweighted_l1, ReweightedConfig};
 use crate::workspace::{SolveWorkspace, WarmStart};
 use std::fmt;
 
@@ -59,65 +57,23 @@ pub enum SparseSolver {
 }
 
 impl SparseSolver {
-    /// Runs the selected solver.
+    /// Runs the selected solver cold on a fresh [`SolveWorkspace`].
     ///
     /// # Errors
     ///
     /// Propagates the selected solver's errors; see the individual solver
     /// functions.
     pub fn solve(&self, op: &dyn LinearOperator, b: &[f64]) -> Result<Recovery> {
-        match self {
-            SparseSolver::Omp(c) => omp(op, b, c),
-            SparseSolver::Cosamp(c) => cosamp(op, b, c),
-            SparseSolver::SubspacePursuit(c) => subspace_pursuit(op, b, c),
-            SparseSolver::Ista(c) => ista(op, b, c),
-            SparseSolver::Fista(c) => fista(op, b, c),
-            SparseSolver::AdmmBpdn(c) => admm_bpdn(op, b, c),
-            SparseSolver::AdmmBasisPursuit(c) => admm_basis_pursuit(op, b, c),
-            SparseSolver::Irls(c) => irls(op, b, c),
-            SparseSolver::LpBasisPursuit(c) => lp_basis_pursuit(op, b, c),
-            SparseSolver::ReweightedL1(c) => reweighted_l1(op, b, c),
-        }
+        self.run(op, b, &mut SolveWorkspace::new(), None)
     }
 
-    /// [`SparseSolver::solve`] with a caller-provided [`SolveWorkspace`]
-    /// for the iterative and greedy solvers, which then run
-    /// allocation-free inner loops with bit-identical results. The LP
-    /// solver does not use the workspace and behaves exactly like
-    /// [`solve`].
-    ///
-    /// [`solve`]: SparseSolver::solve
-    ///
-    /// # Errors
-    ///
-    /// See [`SparseSolver::solve`].
-    pub fn solve_in(
-        &self,
-        op: &dyn LinearOperator,
-        b: &[f64],
-        ws: &mut SolveWorkspace,
-    ) -> Result<Recovery> {
-        match self {
-            SparseSolver::Omp(c) => omp_in(op, b, c, &mut ws.greedy),
-            SparseSolver::Cosamp(c) => cosamp_in(op, b, c, &mut ws.greedy),
-            SparseSolver::SubspacePursuit(c) => subspace_pursuit_in(op, b, c, &mut ws.greedy),
-            SparseSolver::Ista(c) => ista_in(op, b, c, ws),
-            SparseSolver::Fista(c) => fista_in(op, b, c, ws),
-            SparseSolver::AdmmBpdn(c) => admm_bpdn_in(op, b, c, ws),
-            SparseSolver::AdmmBasisPursuit(c) => admm_basis_pursuit_in(op, b, c, ws),
-            SparseSolver::Irls(c) => irls_in(op, b, c, ws),
-            SparseSolver::ReweightedL1(c) => reweighted_l1_in(op, b, c, ws),
-            other => other.solve(op, b),
-        }
-    }
-
-    /// [`SparseSolver::solve_in`] with cross-solve warm starting for the
+    /// Runs the selected solver over the caller's [`SolveWorkspace`]
+    /// (allocation-free inner loops for every solver but the LP, which
+    /// does not use it), with cross-solve warm starting for the
     /// proximal-gradient solvers (ISTA/FISTA): the iterate is seeded
     /// from `warm`'s carried solution and the cached spectral norm
-    /// replaces per-solve power iteration. Solvers without a warm path
-    /// fall back to [`solve_in`].
-    ///
-    /// [`solve_in`]: SparseSolver::solve_in
+    /// replaces per-solve power iteration. The other solvers ignore
+    /// `warm`.
     ///
     /// # Errors
     ///
@@ -129,10 +85,27 @@ impl SparseSolver {
         ws: &mut SolveWorkspace,
         warm: &mut WarmStart,
     ) -> Result<Recovery> {
+        self.run(op, b, ws, Some(warm))
+    }
+
+    fn run(
+        &self,
+        op: &dyn LinearOperator,
+        b: &[f64],
+        ws: &mut SolveWorkspace,
+        warm: Option<&mut WarmStart>,
+    ) -> Result<Recovery> {
         match self {
-            SparseSolver::Ista(c) => ista_warm(op, b, c, ws, warm),
-            SparseSolver::Fista(c) => fista_warm(op, b, c, ws, warm),
-            other => other.solve_in(op, b, ws),
+            SparseSolver::Omp(c) => omp(op, b, c, ws),
+            SparseSolver::Cosamp(c) => cosamp(op, b, c, ws),
+            SparseSolver::SubspacePursuit(c) => subspace_pursuit(op, b, c, ws),
+            SparseSolver::Ista(c) => ista(op, b, c, ws, warm),
+            SparseSolver::Fista(c) => fista(op, b, c, ws, warm),
+            SparseSolver::AdmmBpdn(c) => admm_bpdn(op, b, c, ws),
+            SparseSolver::AdmmBasisPursuit(c) => admm_basis_pursuit(op, b, c, ws),
+            SparseSolver::Irls(c) => irls(op, b, c, ws),
+            SparseSolver::LpBasisPursuit(c) => lp_basis_pursuit(op, b, c),
+            SparseSolver::ReweightedL1(c) => reweighted_l1(op, b, c, ws),
         }
     }
 

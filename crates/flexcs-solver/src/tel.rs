@@ -41,7 +41,7 @@ mod imp {
 
     /// Records the completion of one solve. The name `format!`s are
     /// heap traffic, so bail before them when no recorder is installed
-    /// — the greedy `*_in` paths are allocation-free after warm-up and
+    /// — the greedy solvers are allocation-free after warm-up and
     /// the alloc tests hold that bar with the feature compiled in.
     pub(crate) fn solve_done(solver: &'static str, iterations: usize, converged: bool) {
         if !enabled() {

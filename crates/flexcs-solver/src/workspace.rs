@@ -8,13 +8,12 @@
 //! and the power-iteration Lipschitz estimate — are pure waste after
 //! the first round.
 //!
-//! [`SolveWorkspace`] is a buffer arena borrowed by the `*_in` solver
-//! entry points ([`crate::fista_in`], [`crate::admm_bpdn_in`], …): all
-//! iterate/gradient/residual vectors live here and are recycled across
-//! solves, so the inner loops perform zero heap allocation. The
-//! allocating wrappers ([`crate::fista`], …) simply create a throwaway
-//! workspace, which keeps seeded results bit-identical to the
-//! historical implementations.
+//! [`SolveWorkspace`] is a buffer arena borrowed by every solver that
+//! iterates ([`crate::fista`], [`crate::admm_bpdn`], [`crate::omp`],
+//! …): all iterate/gradient/residual vectors live here and are recycled
+//! across solves, so the inner loops perform zero heap allocation.
+//! [`crate::SparseSolver::solve`] simply creates a throwaway workspace,
+//! and a reused workspace gives bit-identical results to a fresh one.
 //!
 //! [`WarmStart`] carries state *between* related solves: the previous
 //! solution (used to seed the next solve's iterate) and a [`NormCache`]
@@ -33,14 +32,13 @@ use flexcs_linalg::Matrix;
 /// Buffers are grown on first use and reused verbatim afterwards; a
 /// workspace sized for one problem shape adapts to another without
 /// reallocating beyond the high-water mark. The buffers hold garbage
-/// between solves — every `*_in` entry point fully (re)initializes what
-/// it reads.
+/// between solves — every solver fully (re)initializes what it reads.
 ///
 /// # Examples
 ///
 /// ```
 /// use flexcs_linalg::Matrix;
-/// use flexcs_solver::{fista, fista_in, DenseOperator, IstaConfig, SolveWorkspace};
+/// use flexcs_solver::{fista, DenseOperator, IstaConfig, SolveWorkspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let a = Matrix::from_rows(&[&[1.0, 0.5, 0.0], &[0.0, 0.4, 1.0]])?;
@@ -48,9 +46,9 @@ use flexcs_linalg::Matrix;
 /// let b = [2.0, 1.0];
 /// let cfg = IstaConfig::with_lambda(1e-6);
 /// let mut ws = SolveWorkspace::new();
-/// let warm = fista_in(&op, &b, &cfg, &mut ws)?; // allocation-free inner loop
-/// let cold = fista(&op, &b, &cfg)?;
-/// assert_eq!(warm.x, cold.x); // bit-identical to the allocating wrapper
+/// let first = fista(&op, &b, &cfg, &mut ws, None)?;
+/// let again = fista(&op, &b, &cfg, &mut ws, None)?; // allocation-free inner loop
+/// assert_eq!(first.x, again.x); // a reused workspace is bit-identical to a fresh one
 /// # Ok(())
 /// # }
 /// ```
@@ -83,8 +81,7 @@ pub struct SolveWorkspace {
     /// Dense `m×m` Gram system reused by IRLS across outer iterations.
     pub(crate) gram: Option<Matrix>,
     /// Arena for the greedy solvers (support mask, correlation buffer,
-    /// refit scratch), so `SparseSolver::solve_in` runs OMP/CoSaMP/SP
-    /// allocation-free too.
+    /// refit scratch), so OMP/CoSaMP/SP run allocation-free too.
     pub(crate) greedy: GreedyWorkspace,
 }
 

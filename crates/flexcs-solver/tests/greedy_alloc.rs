@@ -1,23 +1,33 @@
-//! Proof that the greedy `*_in` solvers are allocation-free after
-//! warm-up.
+//! Proof that the greedy solvers are allocation-free after warm-up.
 //!
 //! A counting global allocator measures heap traffic around a second
-//! solve through an already-warmed [`GreedyWorkspace`]. The only
+//! solve through an already-warmed `SolveWorkspace`. The count is kept
+//! per thread, so tests running concurrently in the same binary cannot
+//! add their allocations to the one being measured. The only
 //! allocations allowed are the ones that build the returned `Recovery`
 //! (the scattered solution vector and its support metadata) — the inner
 //! loop itself (correlation scan, merges, QR refits) must not touch the
 //! allocator once the arena has grown to the problem's high-water mark.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialisation: no lazy-init allocation and no destructor
+    // registration, so the allocator can bump it re-entrantly.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` keeps allocations made during thread teardown safe.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -26,7 +36,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -34,14 +44,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 use flexcs_linalg::Matrix;
 use flexcs_solver::{
-    cosamp_in, omp_in, subspace_pursuit_in, DenseOperator, GreedyConfig, GreedyWorkspace,
-    LinearOperator, Recovery, Result,
+    cosamp, omp, subspace_pursuit, DenseOperator, GreedyConfig, LinearOperator, Recovery, Result,
+    SolveWorkspace,
 };
 
 fn gaussian_op(m: usize, n: usize, seed: u64) -> DenseOperator {
@@ -87,19 +98,14 @@ fn sparse_truth(n: usize, k: usize, seed: u64) -> Vec<f64> {
 /// plumbing); anything beyond that budget means the inner loop leaked
 /// per-iteration allocations.
 fn warmed_allocations(
-    solver: fn(
-        &dyn LinearOperator,
-        &[f64],
-        &GreedyConfig,
-        &mut GreedyWorkspace,
-    ) -> Result<Recovery>,
+    solver: fn(&dyn LinearOperator, &[f64], &GreedyConfig, &mut SolveWorkspace) -> Result<Recovery>,
 ) -> u64 {
     let (m, n, k) = (40, 100, 5);
     let op = gaussian_op(m, n, 9);
     let x = sparse_truth(n, k, 10);
     let b = op.apply(&x);
     let cfg = GreedyConfig::with_sparsity(k);
-    let mut ws = GreedyWorkspace::new();
+    let mut ws = SolveWorkspace::new();
     // Warm-up: grows every buffer to the high-water mark.
     let warm = solver(&op, &b, &cfg, &mut ws).unwrap();
     let before = allocations();
@@ -110,25 +116,22 @@ fn warmed_allocations(
 }
 
 #[test]
-fn omp_in_is_allocation_free_after_warmup() {
-    let allocs = warmed_allocations(omp_in);
-    assert!(allocs <= 4, "omp_in allocated {allocs} times after warm-up");
+fn omp_is_allocation_free_after_warmup() {
+    let allocs = warmed_allocations(omp);
+    assert!(allocs <= 4, "omp allocated {allocs} times after warm-up");
 }
 
 #[test]
-fn cosamp_in_is_allocation_free_after_warmup() {
-    let allocs = warmed_allocations(cosamp_in);
-    assert!(
-        allocs <= 4,
-        "cosamp_in allocated {allocs} times after warm-up"
-    );
+fn cosamp_is_allocation_free_after_warmup() {
+    let allocs = warmed_allocations(cosamp);
+    assert!(allocs <= 4, "cosamp allocated {allocs} times after warm-up");
 }
 
 #[test]
-fn subspace_pursuit_in_is_allocation_free_after_warmup() {
-    let allocs = warmed_allocations(subspace_pursuit_in);
+fn subspace_pursuit_is_allocation_free_after_warmup() {
+    let allocs = warmed_allocations(subspace_pursuit);
     assert!(
         allocs <= 4,
-        "subspace_pursuit_in allocated {allocs} times after warm-up"
+        "subspace_pursuit allocated {allocs} times after warm-up"
     );
 }

@@ -2,9 +2,8 @@
 
 use flexcs_linalg::{vecops, Matrix};
 use flexcs_solver::{
-    admm_basis_pursuit, admm_bpdn, admm_bpdn_in, cosamp, cosamp_in, fista, fista_in, fista_warm,
-    irls, lp_basis_pursuit, omp, omp_in, subspace_pursuit, subspace_pursuit_in, AdmmConfig,
-    DenseOperator, GreedyConfig, GreedyWorkspace, IrlsConfig, IstaConfig, LinearOperator, LpConfig,
+    admm_basis_pursuit, admm_bpdn, cosamp, fista, irls, lp_basis_pursuit, omp, subspace_pursuit,
+    AdmmConfig, DenseOperator, GreedyConfig, IrlsConfig, IstaConfig, LinearOperator, LpConfig,
     SolveWorkspace, WarmStart,
 };
 use proptest::prelude::*;
@@ -64,7 +63,7 @@ proptest! {
         let op = gaussian_op(m, n, seed);
         let x = sparse_truth(n, k, seed + 1);
         let b = op.apply(&x);
-        let rec = omp(&op, &b, &GreedyConfig::with_sparsity(k)).unwrap();
+        let rec = omp(&op, &b, &GreedyConfig::with_sparsity(k), &mut SolveWorkspace::new()).unwrap();
         if rec.report.converged {
             let err = vecops::norm2(&vecops::sub(&rec.x, &x));
             prop_assert!(err < 1e-6 * vecops::norm2(&x), "err {err}");
@@ -77,7 +76,7 @@ proptest! {
         let x = sparse_truth(50, 4, seed + 2);
         let b = op.apply(&x);
         let cfg = IstaConfig::with_lambda(1e-2);
-        let rec = fista(&op, &b, &cfg).unwrap();
+        let rec = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap();
         // Objective at 0 is ½‖b‖²; the solver must do at least as well.
         let zero_obj = 0.5 * vecops::dot(&b, &b);
         prop_assert!(rec.report.objective <= zero_obj + 1e-9);
@@ -92,8 +91,8 @@ proptest! {
         small.max_iterations = 600;
         let mut large = IstaConfig::with_lambda(5e-1);
         large.max_iterations = 600;
-        let rec_small = fista(&op, &b, &small).unwrap();
-        let rec_large = fista(&op, &b, &large).unwrap();
+        let rec_small = fista(&op, &b, &small, &mut SolveWorkspace::new(), None).unwrap();
+        let rec_large = fista(&op, &b, &large, &mut SolveWorkspace::new(), None).unwrap();
         prop_assert!(
             rec_large.support_size(1e-8) <= rec_small.support_size(1e-8)
         );
@@ -110,7 +109,7 @@ proptest! {
             max_iterations: 2000,
             ..AdmmConfig::default()
         };
-        let rec = admm_basis_pursuit(&op, &b, &cfg).unwrap();
+        let rec = admm_basis_pursuit(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
         // Feasibility.
         prop_assert!(rec.report.residual_norm < 1e-4 * (1.0 + vecops::norm2(&b)));
         // L1 optimality relative to the (feasible) truth.
@@ -123,7 +122,7 @@ proptest! {
         let op = gaussian_op(m, n, seed);
         let x = sparse_truth(n, k, seed + 5);
         let b = op.apply(&x);
-        let r1 = irls(&op, &b, &IrlsConfig::default()).unwrap();
+        let r1 = irls(&op, &b, &IrlsConfig::default(), &mut SolveWorkspace::new()).unwrap();
         let r2 = lp_basis_pursuit(&op, &b, &LpConfig::default()).unwrap();
         // IRLS is a smoothed approximation; sub-percent agreement with
         // the exact LP is the expected regime.
@@ -143,11 +142,11 @@ proptest! {
         let mut cfg = IstaConfig::with_lambda(1e-3);
         cfg.max_iterations = 2000;
         cfg.tol = 1e-12;
-        let cold = fista(&op, &b, &cfg).unwrap();
+        let cold = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap();
         let mut ws = SolveWorkspace::new();
         let mut warm = WarmStart::new();
-        fista_warm(&op, &b, &cfg, &mut ws, &mut warm).unwrap(); // round 1: cold, records seed
-        let rewarmed = fista_warm(&op, &b, &cfg, &mut ws, &mut warm).unwrap();
+        fista(&op, &b, &cfg, &mut ws, Some(&mut warm)).unwrap(); // round 1: cold, records seed
+        let rewarmed = fista(&op, &b, &cfg, &mut ws, Some(&mut warm)).unwrap();
         let diff = vecops::norm2(&vecops::sub(&rewarmed.x, &cold.x));
         prop_assert!(diff < 1e-8 * (1.0 + vecops::norm2(&cold.x)), "diff {diff}");
     }
@@ -164,8 +163,8 @@ proptest! {
         cfg.max_iterations = 1500;
         let mut ws = SolveWorkspace::new();
         let mut warm = WarmStart::new();
-        let first = fista_warm(&op, &b, &cfg, &mut ws, &mut warm).unwrap();
-        let second = fista_warm(&op, &b, &cfg, &mut ws, &mut warm).unwrap();
+        let first = fista(&op, &b, &cfg, &mut ws, Some(&mut warm)).unwrap();
+        let second = fista(&op, &b, &cfg, &mut ws, Some(&mut warm)).unwrap();
         prop_assert!(
             second.report.iterations <= first.report.iterations,
             "warm {} vs cold {}", second.report.iterations, first.report.iterations
@@ -174,9 +173,9 @@ proptest! {
     }
 
     #[test]
-    fn workspace_reuse_is_bit_identical_to_wrappers(seed in 0u64..200) {
+    fn workspace_reuse_is_bit_identical_to_fresh(seed in 0u64..200) {
         // One workspace carried across solvers and instances: every
-        // *_in result must match the allocating wrapper bit for bit.
+        // result must match a solve on a fresh workspace bit for bit.
         let (m, n, k) = (20, 40, 3);
         let mut ws = SolveWorkspace::new();
         for round in 0..2u64 {
@@ -184,40 +183,40 @@ proptest! {
             let x = sparse_truth(n, k, seed + 9 + round);
             let b = op.apply(&x);
             let cfg = IstaConfig::with_lambda(1e-3);
-            let a = fista(&op, &b, &cfg).unwrap();
-            let a_in = fista_in(&op, &b, &cfg, &mut ws).unwrap();
-            prop_assert_eq!(a.x, a_in.x);
+            let a = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap();
+            let a_reused = fista(&op, &b, &cfg, &mut ws, None).unwrap();
+            prop_assert_eq!(a.x, a_reused.x);
             let admm_cfg = AdmmConfig::default();
-            let c = admm_bpdn(&op, &b, &admm_cfg).unwrap();
-            let c_in = admm_bpdn_in(&op, &b, &admm_cfg, &mut ws).unwrap();
-            prop_assert_eq!(c.x, c_in.x);
+            let c = admm_bpdn(&op, &b, &admm_cfg, &mut SolveWorkspace::new()).unwrap();
+            let c_reused = admm_bpdn(&op, &b, &admm_cfg, &mut ws).unwrap();
+            prop_assert_eq!(c.x, c_reused.x);
         }
     }
 
     #[test]
-    fn greedy_workspace_reuse_is_bit_identical_to_wrappers(seed in 0u64..200, k in 1usize..6) {
-        // One GreedyWorkspace carried across all three greedy solvers
-        // and two problem instances: every *_in result must match the
-        // allocating wrapper bit for bit, including iteration counts.
+    fn greedy_workspace_reuse_is_bit_identical_to_fresh(seed in 0u64..200, k in 1usize..6) {
+        // One workspace carried across all three greedy solvers and two
+        // problem instances: every result must match a solve on a fresh
+        // workspace bit for bit, including iteration counts.
         let (m, n) = (10 * k + 10, 20 * k + 16);
-        let mut ws = GreedyWorkspace::new();
+        let mut ws = SolveWorkspace::new();
         for round in 0..2u64 {
             let op = gaussian_op(m, n, seed + round * 17);
             let x = sparse_truth(n, k, seed + 11 + round);
             let b = op.apply(&x);
             let cfg = GreedyConfig::with_sparsity(k);
-            let a = omp(&op, &b, &cfg).unwrap();
-            let a_in = omp_in(&op, &b, &cfg, &mut ws).unwrap();
-            prop_assert_eq!(a.x, a_in.x);
-            prop_assert_eq!(a.report.iterations, a_in.report.iterations);
-            let c = cosamp(&op, &b, &cfg).unwrap();
-            let c_in = cosamp_in(&op, &b, &cfg, &mut ws).unwrap();
-            prop_assert_eq!(c.x, c_in.x);
-            prop_assert_eq!(c.report.iterations, c_in.report.iterations);
-            let s = subspace_pursuit(&op, &b, &cfg).unwrap();
-            let s_in = subspace_pursuit_in(&op, &b, &cfg, &mut ws).unwrap();
-            prop_assert_eq!(s.x, s_in.x);
-            prop_assert_eq!(s.report.iterations, s_in.report.iterations);
+            let a = omp(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
+            let a_reused = omp(&op, &b, &cfg, &mut ws).unwrap();
+            prop_assert_eq!(a.x, a_reused.x);
+            prop_assert_eq!(a.report.iterations, a_reused.report.iterations);
+            let c = cosamp(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
+            let c_reused = cosamp(&op, &b, &cfg, &mut ws).unwrap();
+            prop_assert_eq!(c.x, c_reused.x);
+            prop_assert_eq!(c.report.iterations, c_reused.report.iterations);
+            let s = subspace_pursuit(&op, &b, &cfg, &mut SolveWorkspace::new()).unwrap();
+            let s_reused = subspace_pursuit(&op, &b, &cfg, &mut ws).unwrap();
+            prop_assert_eq!(s.x, s_reused.x);
+            prop_assert_eq!(s.report.iterations, s_reused.report.iterations);
         }
     }
 
@@ -230,8 +229,8 @@ proptest! {
         let x = sparse_truth(n, k, seed + 6);
         let b = op.apply(&x);
         let scaled: Vec<f64> = b.iter().map(|v| v * alpha).collect();
-        let r1 = irls(&op, &b, &IrlsConfig::default()).unwrap();
-        let r2 = irls(&op, &scaled, &IrlsConfig::default()).unwrap();
+        let r1 = irls(&op, &b, &IrlsConfig::default(), &mut SolveWorkspace::new()).unwrap();
+        let r2 = irls(&op, &scaled, &IrlsConfig::default(), &mut SolveWorkspace::new()).unwrap();
         // IRLS's absolute epsilon floor and finite iteration budget
         // break exact homogeneity, so require agreement to ~2 % at the
         // whole-vector level.
@@ -257,13 +256,13 @@ proptest! {
         let op = gaussian_op(m, n, seed.wrapping_mul(7) + 3);
         let x = sparse_truth(n, k, seed + 13);
         let b = op.apply(&x);
-        let greedy = omp(&op, &b, &GreedyConfig::with_sparsity(k)).unwrap();
+        let greedy = omp(&op, &b, &GreedyConfig::with_sparsity(k), &mut SolveWorkspace::new()).unwrap();
         if greedy.report.converged {
             prop_assert!(greedy.report.residual_norm <= 1e-6 * vecops::norm2(&b));
             let mut cfg = IstaConfig::with_lambda(1e-6);
             cfg.max_iterations = 30_000;
             cfg.tol = 1e-12;
-            let convex = fista(&op, &b, &cfg).unwrap();
+            let convex = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap();
             // Same support: the K largest-magnitude FISTA entries sit
             // exactly where OMP put its atoms (true entries are >= 1,
             // spurious LASSO shrinkage residue is far smaller).

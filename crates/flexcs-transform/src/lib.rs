@@ -43,7 +43,6 @@
 
 mod basis;
 mod dct;
-mod dft;
 pub mod dwt;
 mod error;
 pub mod sparsity;
@@ -51,7 +50,6 @@ pub mod zigzag;
 
 pub use basis::{devectorize, mutual_coherence, psi_matrix, vectorize};
 pub use dct::{fast_dct2_orthonormal, fast_dct2_unscaled, fast_dct3_orthonormal, Dct2d, DctPlan};
-pub use dft::RealFourierPlan;
 pub use dwt::{haar2d_full_forward, haar2d_full_inverse};
 pub use error::{Result, TransformError};
 pub use sparsity::{

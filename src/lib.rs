@@ -15,7 +15,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`linalg`] | `flexcs-linalg` | dense matrices, LU/QR/Cholesky/SVD/eigen, complex solves |
+//! | [`linalg`] | `flexcs-linalg` | dense matrices, LU/QR/Cholesky/SVD, complex solves |
 //! | [`transform`] | `flexcs-transform` | 1-D/2-D DCT, Haar DWT, Ψ basis, sparsity statistics |
 //! | [`solver`] | `flexcs-solver` | OMP, CoSaMP, SP, ISTA/FISTA, ADMM, IRLS, interior-point LP |
 //! | [`circuit`] | `flexcs-circuit` | CNT-TFT model, MNA simulator, pseudo-CMOS cells, shift register, amplifier, active matrix |
