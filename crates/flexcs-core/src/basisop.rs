@@ -35,22 +35,6 @@ impl BasisKind {
             BasisKind::Haar => "haar",
         }
     }
-
-    /// Synthesis: coefficients → frame.
-    pub(crate) fn synthesize(self, coeffs: &Matrix, plan: &Dct2d) -> Matrix {
-        match self {
-            BasisKind::Dct => plan.inverse(coeffs).expect("plan shape matches"),
-            BasisKind::Haar => haar2d_full_inverse(coeffs).expect("validated power of two"),
-        }
-    }
-
-    /// Analysis: frame → coefficients.
-    pub(crate) fn analyze(self, frame: &Matrix, plan: &Dct2d) -> Matrix {
-        match self {
-            BasisKind::Dct => plan.forward(frame).expect("plan shape matches"),
-            BasisKind::Haar => haar2d_full_forward(frame).expect("validated power of two"),
-        }
-    }
 }
 
 /// Implicit `Φ_M·Ψ` operator for identity-subset sampling over an
@@ -61,18 +45,24 @@ pub struct SubsampledDctOperator {
     cols: usize,
     plan: Arc<Dct2d>,
     selected: Vec<usize>,
+    /// `selected` in the layout the plan's fused sampled transforms
+    /// read and write ([`Dct2d::sample_positions`]); empty for Haar.
+    positions: Vec<usize>,
     basis: BasisKind,
     norm_cache: NormCache,
 }
 
 impl SubsampledDctOperator {
     /// Creates the operator for a `rows x cols` frame sampled at the
-    /// given (ascending) pixel indices, in the DCT basis.
+    /// given strictly ascending pixel indices, in the DCT basis.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for empty dimensions or
-    /// out-of-range indices.
+    /// Returns [`CoreError::InvalidConfig`] for empty dimensions, an
+    /// empty selection, indices that are out of range or not strictly
+    /// ascending (a repeated index would make the scatter in
+    /// [`LinearOperator::apply_transpose`] overwrite instead of
+    /// accumulate, so `Aᵀ` would no longer be `A`'s adjoint).
     pub fn new(rows: usize, cols: usize, selected: Vec<usize>) -> Result<Self> {
         Self::with_basis(rows, cols, selected, BasisKind::Dct)
     }
@@ -117,7 +107,18 @@ impl SubsampledDctOperator {
                 "operator needs positive dimensions".to_string(),
             ));
         }
-        if selected.iter().any(|&i| i >= rows * cols) {
+        if selected.is_empty() {
+            return Err(CoreError::InvalidConfig(
+                "operator needs at least one selected pixel".to_string(),
+            ));
+        }
+        if selected.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(CoreError::InvalidConfig(
+                "selected indices must be strictly ascending".to_string(),
+            ));
+        }
+        // Strictly ascending, so the last index is the largest.
+        if selected[selected.len() - 1] >= rows * cols {
             return Err(CoreError::InvalidConfig(
                 "selected index out of range".to_string(),
             ));
@@ -133,11 +134,16 @@ impl SubsampledDctOperator {
                 plan.shape()
             )));
         }
+        let positions = match basis {
+            BasisKind::Dct => plan.sample_positions(&selected)?,
+            BasisKind::Haar => Vec::new(),
+        };
         Ok(SubsampledDctOperator {
             rows,
             cols,
             plan,
             selected,
+            positions,
             basis,
             norm_cache: NormCache::new(),
         })
@@ -174,41 +180,57 @@ impl LinearOperator for SubsampledDctOperator {
     }
 
     fn apply(&self, x: &[f64]) -> Vec<f64> {
-        // Ψ·x (synthesis), then gather the sampled pixels.
-        let coeffs = devectorize(x, self.rows, self.cols).expect("length checked by caller");
-        let frame = self.basis.synthesize(&coeffs, &self.plan);
-        let flat = frame.to_flat();
-        self.selected.iter().map(|&i| flat[i]).collect()
+        let mut out = Vec::new();
+        self.apply_into(x, &mut out);
+        out
     }
 
     fn apply_transpose(&self, y: &[f64]) -> Vec<f64> {
-        // Ψᵀ·Φᵀ·y = analysis(scatter(y)); Ψ orthonormal so Ψᵀ = Ψ⁻¹.
-        let mut frame = Matrix::zeros(self.rows, self.cols);
-        for (&i, &v) in self.selected.iter().zip(y) {
-            frame[(i / self.cols, i % self.cols)] = v;
-        }
-        self.basis.analyze(&frame, &self.plan).to_flat()
+        let mut out = Vec::new();
+        self.apply_transpose_into(y, &mut out);
+        out
     }
 
     fn apply_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        // The transform itself still builds its output matrix (the 2-D
-        // passes need a full frame), but the gather writes straight into
-        // the caller's buffer, so solver loops skip one Vec per product.
-        let coeffs = devectorize(x, self.rows, self.cols).expect("length checked by caller");
-        let frame = self.basis.synthesize(&coeffs, &self.plan);
-        let flat = frame.as_slice();
-        out.clear();
-        out.extend(self.selected.iter().map(|&i| flat[i]));
+        // Ψ·x (synthesis), then gather the sampled pixels. The DCT path
+        // gathers inside the transform, from its transposed staging
+        // buffer, and allocates nothing once the thread scratch is warm.
+        out.resize(self.selected.len(), 0.0);
+        match self.basis {
+            BasisKind::Dct => self
+                .plan
+                .inverse_gather(x, &self.positions, out)
+                .expect("length checked by caller"),
+            BasisKind::Haar => {
+                let coeffs =
+                    devectorize(x, self.rows, self.cols).expect("length checked by caller");
+                let frame = haar2d_full_inverse(&coeffs).expect("validated power of two");
+                let flat = frame.as_slice();
+                for (o, &i) in out.iter_mut().zip(&self.selected) {
+                    *o = flat[i];
+                }
+            }
+        }
     }
 
     fn apply_transpose_into(&self, y: &[f64], out: &mut Vec<f64>) {
-        let mut frame = Matrix::zeros(self.rows, self.cols);
-        for (&i, &v) in self.selected.iter().zip(y) {
-            frame[(i / self.cols, i % self.cols)] = v;
+        // Ψᵀ·Φᵀ·y = analysis(scatter(y)); Ψ orthonormal so Ψᵀ = Ψ⁻¹.
+        out.resize(self.rows * self.cols, 0.0);
+        match self.basis {
+            BasisKind::Dct => self
+                .plan
+                .scatter_forward(y, &self.positions, out)
+                .expect("length checked by caller"),
+            BasisKind::Haar => {
+                let mut frame = Matrix::zeros(self.rows, self.cols);
+                let flat = frame.as_mut_slice();
+                for (&i, &v) in self.selected.iter().zip(y) {
+                    flat[i] = v;
+                }
+                let coeffs = haar2d_full_forward(&frame).expect("validated power of two");
+                out.copy_from_slice(coeffs.as_slice());
+            }
         }
-        let coeffs = self.basis.analyze(&frame, &self.plan);
-        out.clear();
-        out.extend_from_slice(coeffs.as_slice());
     }
 
     fn spectral_norm_estimate(&self, iterations: usize) -> f64 {
@@ -222,8 +244,68 @@ impl LinearOperator for SubsampledDctOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::SamplingPlan;
     use flexcs_linalg::vecops;
     use flexcs_transform::psi_matrix;
+    use proptest::prelude::*;
+
+    /// The unfused forward path: devectorize, full inverse 2-D DCT,
+    /// then gather the sampled pixels.
+    fn unfused_apply(op: &SubsampledDctOperator, x: &[f64]) -> Vec<f64> {
+        let (rows, cols) = op.frame_shape();
+        let coeffs = devectorize(x, rows, cols).unwrap();
+        let frame = op.plan().inverse(&coeffs).unwrap();
+        op.selected().iter().map(|&i| frame.as_slice()[i]).collect()
+    }
+
+    /// The unfused adjoint path: scatter into a zero frame, then the
+    /// full forward 2-D DCT.
+    fn unfused_apply_transpose(op: &SubsampledDctOperator, y: &[f64]) -> Vec<f64> {
+        let (rows, cols) = op.frame_shape();
+        let mut frame = Matrix::zeros(rows, cols);
+        for (&i, &v) in op.selected().iter().zip(y) {
+            frame.as_mut_slice()[i] = v;
+        }
+        op.plan().forward(&frame).unwrap().to_flat()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused gather/scatter transforms change data movement
+        /// only: every product equals the unfused composition bit for
+        /// bit, on fast (8x8, 32x32, 16x32), mixed (12x8: dense
+        /// columns, fast rows) and dense (5x7) shapes.
+        #[test]
+        fn fused_products_match_unfused_bitwise(
+            shape in 0usize..5,
+            density in 0.02f64..1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (rows, cols) = [(8, 8), (32, 32), (16, 32), (12, 8), (5, 7)][shape];
+            let n = rows * cols;
+            let m = ((n as f64 * density) as usize).clamp(1, n);
+            let plan = SamplingPlan::random_subset(n, m, &[], seed).unwrap();
+            let op = SubsampledDctOperator::new(rows, cols, plan.selected().to_vec()).unwrap();
+            let x: Vec<f64> = (0..n)
+                .map(|i| ((i as f64 + 1.0) * (seed % 997) as f64 * 1e-3).sin())
+                .collect();
+            let y: Vec<f64> = (0..m)
+                .map(|i| ((i as f64 + 0.5) * (seed % 991) as f64 * 1e-3).cos())
+                .collect();
+            let (mut ax, mut aty) = (vec![7.0; 3], vec![7.0; 3]);
+            op.apply_into(&x, &mut ax);
+            op.apply_transpose_into(&y, &mut aty);
+            prop_assert_eq!(bits(&ax), bits(&unfused_apply(&op, &x)));
+            prop_assert_eq!(bits(&aty), bits(&unfused_apply_transpose(&op, &y)));
+            prop_assert_eq!(bits(&op.apply(&x)), bits(&ax));
+            prop_assert_eq!(bits(&op.apply_transpose(&y)), bits(&aty));
+        }
+    }
 
     #[test]
     fn matches_dense_phi_psi() {
@@ -312,6 +394,22 @@ mod tests {
         assert!(SubsampledDctOperator::new(4, 4, vec![16]).is_err());
         // Haar demands powers of two.
         assert!(SubsampledDctOperator::with_basis(6, 8, vec![0], BasisKind::Haar).is_err());
+    }
+
+    #[test]
+    fn rejects_duplicate_unsorted_and_empty_selections() {
+        // A repeated index would make the adjoint's scatter overwrite
+        // instead of accumulate, so Aᵀ would stop being A's adjoint.
+        for selected in [vec![3, 3, 7], vec![7, 3], vec![]] {
+            assert!(
+                matches!(
+                    SubsampledDctOperator::new(4, 4, selected.clone()),
+                    Err(CoreError::InvalidConfig(_))
+                ),
+                "{selected:?} accepted"
+            );
+        }
+        assert!(SubsampledDctOperator::new(4, 4, vec![3, 7]).is_ok());
     }
 
     #[test]

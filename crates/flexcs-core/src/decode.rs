@@ -9,7 +9,7 @@ use crate::error::Result;
 use crate::tel;
 use flexcs_linalg::{simd, Matrix};
 use flexcs_solver::{
-    IstaConfig, LinearOperator, SolveReport, SolveWorkspace, SparseSolver, WarmStart,
+    IstaConfig, LinearOperator, SolveReport, SolveWorkspace, SolverError, SparseSolver, WarmStart,
 };
 use flexcs_transform::{devectorize, haar2d_full_inverse, Dct2d};
 use std::sync::{Arc, Mutex};
@@ -237,6 +237,15 @@ impl Decoder {
         let setup_span = tel::span("decode.setup");
         let plan = self.plan_for(rows, cols)?;
         let op = SubsampledDctOperator::with_plan(rows, cols, selected.to_vec(), self.basis, plan)?;
+        // Checked before the λ scaling below, which applies Aᵀ to `y`
+        // ahead of any solver-side validation.
+        if y.len() != op.rows() {
+            return Err(SolverError::DimensionMismatch {
+                expected: op.rows(),
+                got: y.len(),
+            }
+            .into());
+        }
         // Scale λ for LASSO-type solvers relative to the measurement
         // correlations so behaviour is signal-amplitude invariant.
         let solver = self.scaled_solver(solver_override.unwrap_or(&self.solver), &op, y);
@@ -270,7 +279,7 @@ impl Decoder {
 
     /// Returns the cached plan when its shape matches, otherwise builds
     /// and caches a fresh one. Shared plans are safe across threads —
-    /// `Dct2d` falls back to transient scratch under contention — so
+    /// `Dct2d` keeps its scratch per thread, so no lock is taken — and
     /// parallel resample rounds all borrow the same tables.
     pub(crate) fn plan_for(&self, rows: usize, cols: usize) -> Result<Arc<Dct2d>> {
         let mut cache = self.plan_cache.lock().unwrap_or_else(|e| e.into_inner());
@@ -333,6 +342,7 @@ impl Default for Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::sampling::SamplingPlan;
     use flexcs_solver::{AdmmConfig, GreedyConfig};
 
@@ -361,6 +371,32 @@ mod tests {
             "error {}",
             rec.frame.max_abs_diff(&frame).unwrap()
         );
+    }
+
+    #[test]
+    fn degenerate_selections_are_rejected() {
+        let decoder = Decoder::default();
+        for (selected, y) in [(vec![3, 3, 7], vec![1.0, 1.0, 0.5]), (vec![], vec![])] {
+            assert!(
+                matches!(
+                    decoder.reconstruct(4, 4, &selected, &y),
+                    Err(CoreError::InvalidConfig(_))
+                ),
+                "{selected:?} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn measurement_count_mismatch_is_a_typed_error() {
+        let result = Decoder::default().reconstruct(4, 4, &[1, 5, 9], &[1.0, 2.0]);
+        assert!(matches!(
+            result,
+            Err(CoreError::Solver(SolverError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            }))
+        ));
     }
 
     #[test]

@@ -191,3 +191,46 @@ fn warm_state_resets_after_panic_keeps_decodes_finite() {
         "post-panic reconstruction is sane (reset warm state)"
     );
 }
+
+#[test]
+fn duplicate_sample_indices_fail_as_decode_errors() {
+    // A repeated pixel index passes the submit-time structural checks
+    // but makes the operator's adjoint wrong; the decoder must refuse
+    // it with a typed error, never a worker panic, on every session
+    // kind.
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
+    let tenants = [
+        engine.register_tenant(SessionConfig::named("warm")),
+        engine.register_tenant(SessionConfig::named("cold").cold()),
+        engine.register_tenant(SessionConfig::named("adaptive").with_frame_budget_us(5_000.0)),
+    ];
+    let frame = sparse_frame(8, 8);
+    let mut req = request(&frame, 40, 4);
+    req.selected[1] = req.selected[0];
+    for tenant in tenants {
+        let result = engine
+            .submit(tenant, req.clone())
+            .unwrap()
+            .accepted()
+            .unwrap()
+            .wait();
+        assert!(
+            matches!(
+                result,
+                Err(ServeError::Decode(flexcs_core::CoreError::InvalidConfig(_)))
+            ),
+            "duplicate indices: {result:?}"
+        );
+        // The tenant still serves a well-formed frame afterwards.
+        let ok = engine
+            .submit(tenant, request(&frame, 40, 5))
+            .unwrap()
+            .accepted()
+            .unwrap()
+            .wait();
+        assert!(ok.is_ok(), "tenant wedged after a rejected frame");
+    }
+}

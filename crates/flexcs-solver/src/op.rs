@@ -124,10 +124,13 @@ pub fn power_iteration_norm<O: LinearOperator + ?Sized>(op: &O, iterations: usiz
     let mut x: Vec<f64> = (0..n)
         .map(|i| 1.0 + 0.01 * ((i as f64) * 0.73).sin())
         .collect();
+    // Two product buffers reused across iterations: operators with
+    // in-place `_into` overrides run the whole loop allocation-free.
+    let (mut ax, mut atax) = (Vec::new(), Vec::new());
     let mut norm = 0.0;
     for _ in 0..iterations.max(1) {
-        let ax = op.apply(&x);
-        let atax = op.apply_transpose(&ax);
+        op.apply_into(&x, &mut ax);
+        op.apply_transpose_into(&ax, &mut atax);
         let s = flexcs_linalg::vecops::norm2(&atax);
         if s == 0.0 {
             return 0.0;

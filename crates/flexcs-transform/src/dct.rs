@@ -5,7 +5,7 @@
 //! kernels: an O(n log n) in-place Lee recursion for power-of-two
 //! lengths (forward DCT-II and a matching exact inverse DCT-III) and a
 //! precomputed dense cosine matrix for every other size. [`Dct2d`]
-//! applies the 1-D plans separably and keeps per-plan scratch storage so
+//! applies the 1-D plans separably and keeps per-thread scratch storage so
 //! repeated frames do not reallocate.
 
 use crate::error::{Result, TransformError};
@@ -540,14 +540,14 @@ fn lee_inverse_cols(v: &mut [f64], s: &mut [f64], w: usize, levels: &[Vec<f64>])
 }
 
 /// Scratch buffers reused across [`Dct2d`] applications on the same
-/// thread: two frame-sized multi-lane workspaces (transpose staging
-/// plus recursion scratch) and two strips for the dense fallback.
+/// thread: two frame-sized buffers that take turns as the staging frame
+/// and the multi-lane recursion scratch (the dense column pass takes its
+/// two strips from `aux`), and one strip for the dense row pass.
 #[derive(Debug, Default)]
 struct Dct2dScratch {
     aux: Vec<f64>,
     aux2: Vec<f64>,
     strip: Vec<f64>,
-    strip_out: Vec<f64>,
 }
 
 /// Tiled out-of-place transpose: `src` is `rows x cols`, `dst` becomes
@@ -572,10 +572,12 @@ fn transpose_into(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
 ///
 /// Each axis runs through a [`DctPlan`] (fast Lee kernel on
 /// power-of-two extents), and intermediate row/column buffers live in
-/// per-thread scratch storage so decoding many frames through one plan
-/// performs no per-call allocation beyond the output matrix — even when
-/// many worker threads share one cached plan (the block-tiled decode
-/// fan-out), since thread-local scratch needs no lock at all.
+/// per-thread scratch storage, so the slice entry points
+/// ([`Dct2d::forward_into`], [`Dct2d::inverse_into`] and the sampled
+/// [`Dct2d::inverse_gather`] / [`Dct2d::scatter_forward`]) allocate
+/// nothing once the thread's scratch is warm — even when many worker
+/// threads share one cached plan (the block-tiled decode fan-out),
+/// since thread-local scratch needs no lock at all.
 ///
 /// # Examples
 ///
@@ -643,7 +645,11 @@ impl Dct2d {
     /// Returns [`TransformError::ShapeMismatch`] when the frame shape
     /// differs from the plan shape.
     pub fn forward(&self, frame: &Matrix) -> Result<Matrix> {
-        self.apply(frame, true)
+        self.check(frame)?;
+        let (rows, cols) = frame.shape();
+        let mut out = Matrix::zeros(rows, cols);
+        self.forward_into(frame.as_slice(), out.as_mut_slice())?;
+        Ok(out)
     }
 
     /// Inverse 2-D DCT (orthonormal DCT-III) of a coefficient frame.
@@ -653,135 +659,279 @@ impl Dct2d {
     /// Returns [`TransformError::ShapeMismatch`] when the coefficient
     /// shape differs from the plan shape.
     pub fn inverse(&self, coeffs: &Matrix) -> Result<Matrix> {
-        self.apply(coeffs, false)
-    }
-
-    fn apply(&self, frame: &Matrix, forward: bool) -> Result<Matrix> {
-        self.check(frame)?;
-        let (rows, cols) = frame.shape();
+        self.check(coeffs)?;
+        let (rows, cols) = coeffs.shape();
         let mut out = Matrix::zeros(rows, cols);
-        self.with_scratch(|s| {
-            // Separable transform: rows then columns (forward) or
-            // columns then rows (inverse); order only matters for
-            // matching the adjoint exactly, cost is identical. Both
-            // passes run the multi-lane kernel over contiguous memory —
-            // the row pass through a tiled transpose — so every
-            // butterfly vectorizes across lanes.
-            if forward {
-                self.row_pass_forward(frame, &mut out, s);
-                self.col_pass(&mut out, s, true);
-            } else {
-                out.as_mut_slice().copy_from_slice(frame.as_slice());
-                self.col_pass(&mut out, s, false);
-                self.row_pass_inverse(&mut out, s);
-            }
-        });
+        self.inverse_into(coeffs.as_slice(), out.as_mut_slice())?;
         Ok(out)
     }
 
-    /// Row pass of the forward transform: transpose, run the multi-lane
-    /// Lee kernel along the original row direction, transpose back
-    /// (fast plan), or dense per-row matvecs (dense plan).
-    fn row_pass_forward(&self, frame: &Matrix, out: &mut Matrix, s: &mut Dct2dScratch) {
-        let (rows, cols) = frame.shape();
+    /// Forward 2-D DCT-II of a row-major frame into a caller buffer;
+    /// bit-identical to [`Dct2d::forward`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransformError::InvalidLength`] unless both slices
+    /// hold `rows * cols` values.
+    pub fn forward_into(&self, frame: &[f64], out: &mut [f64]) -> Result<()> {
+        self.check_len(frame.len())?;
+        self.check_len(out.len())?;
+        let (rows, cols) = self.shape();
+        self.forward_staged(out, |staged| {
+            if self.row_plan.is_fast() {
+                transpose_into(frame, staged, rows, cols);
+            } else {
+                staged.copy_from_slice(frame);
+            }
+        });
+        Ok(())
+    }
+
+    /// Inverse 2-D DCT of row-major coefficients into a caller buffer;
+    /// bit-identical to [`Dct2d::inverse`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransformError::InvalidLength`] unless both slices
+    /// hold `rows * cols` values.
+    pub fn inverse_into(&self, coeffs: &[f64], out: &mut [f64]) -> Result<()> {
+        self.check_len(coeffs.len())?;
+        self.check_len(out.len())?;
+        let (rows, cols) = self.shape();
+        self.inverse_staged(coeffs, |staged| {
+            if self.row_plan.is_fast() {
+                transpose_into(staged, out, cols, rows);
+            } else {
+                out.copy_from_slice(staged);
+            }
+        });
+        Ok(())
+    }
+
+    /// Maps row-major pixel indices to their positions in the staging
+    /// layout [`Dct2d::inverse_gather`] reads and
+    /// [`Dct2d::scatter_forward`] writes: transposed (`cols x rows`)
+    /// when the row axis runs the fast kernel, row-major otherwise.
+    /// Compute once per sampling pattern; the per-apply loops then do
+    /// no index arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransformError::InvalidArgument`] for an index outside
+    /// the frame.
+    pub fn sample_positions(&self, selected: &[usize]) -> Result<Vec<usize>> {
+        let (rows, cols) = self.shape();
+        if let Some(&i) = selected.iter().find(|&&i| i >= rows * cols) {
+            return Err(TransformError::InvalidArgument(format!(
+                "sample index {i} outside the {rows}x{cols} frame"
+            )));
+        }
+        if !self.row_plan.is_fast() {
+            return Ok(selected.to_vec());
+        }
+        // A fast row kernel means `cols` is a power of two, so the
+        // row/column split is a shift and a mask.
+        let shift = cols.trailing_zeros();
+        Ok(selected
+            .iter()
+            .map(|&i| (i & (cols - 1)) * rows + (i >> shift))
+            .collect())
+    }
+
+    /// Sampled synthesis `Φ·Ψ`: the inverse 2-D DCT of row-major
+    /// `coeffs`, gathered at `positions` (from
+    /// [`Dct2d::sample_positions`] on this plan) into `out`.
+    /// Bit-identical to [`Dct2d::inverse`] followed by a gather, but on
+    /// the fast row kernel the samples are read straight from the
+    /// transposed staging buffer, skipping the final transpose.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransformError::InvalidLength`] unless `coeffs` holds
+    /// `rows * cols` values and `out` one value per position.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a position outside the frame.
+    pub fn inverse_gather(
+        &self,
+        coeffs: &[f64],
+        positions: &[usize],
+        out: &mut [f64],
+    ) -> Result<()> {
+        self.check_len(coeffs.len())?;
+        check_samples(out.len(), positions.len())?;
+        self.inverse_staged(coeffs, |staged| {
+            for (o, &p) in out.iter_mut().zip(positions) {
+                *o = staged[p];
+            }
+        });
+        Ok(())
+    }
+
+    /// Sampled analysis `Ψᵀ·Φᵀ`: scatters `values` at `positions` (from
+    /// [`Dct2d::sample_positions`] on this plan) into an otherwise zero
+    /// frame and writes its forward 2-D DCT to `out` (row-major).
+    /// Bit-identical to a scatter followed by [`Dct2d::forward`], but on
+    /// the fast row kernel the values land straight in the zeroed
+    /// transposed staging buffer, skipping the first transpose.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransformError::InvalidLength`] unless `values` holds
+    /// one value per position and `out` holds `rows * cols` values.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a position outside the frame.
+    pub fn scatter_forward(
+        &self,
+        values: &[f64],
+        positions: &[usize],
+        out: &mut [f64],
+    ) -> Result<()> {
+        check_samples(values.len(), positions.len())?;
+        self.check_len(out.len())?;
+        self.forward_staged(out, |staged| {
+            staged.fill(0.0);
+            for (&v, &p) in values.iter().zip(positions) {
+                staged[p] = v;
+            }
+        });
+        Ok(())
+    }
+
+    /// Forward transform into row-major `out` of the frame that `stage`
+    /// writes into the staging buffer (see [`Dct2d::sample_positions`]
+    /// for its layout).
+    ///
+    /// Separable transform: rows then columns here, columns then rows
+    /// in the inverse (order only matters for matching the adjoint
+    /// exactly, cost is identical). Both passes run the multi-lane
+    /// kernel over contiguous memory — the row pass on the transposed
+    /// staging buffer — so every butterfly vectorizes across lanes.
+    fn forward_staged(&self, out: &mut [f64], stage: impl FnOnce(&mut [f64])) {
+        let (rows, cols) = self.shape();
+        with_frame_scratch(|s| {
+            if self.row_plan.is_fast() {
+                let t = lanes(&mut s.aux, rows * cols);
+                stage(t);
+                self.transposed_row_forward(t, lanes(&mut s.aux2, rows * cols));
+                transpose_into(t, out, cols, rows);
+            } else {
+                let frame = lanes(&mut s.aux2, rows * cols);
+                stage(frame);
+                self.dense_row_forward(frame, out);
+            }
+            self.col_pass(out, &mut s.aux, true);
+        });
+    }
+
+    /// Inverse transform of row-major `coeffs`, handing `finish` the
+    /// result in the staging layout (see [`Dct2d::sample_positions`]).
+    fn inverse_staged(&self, coeffs: &[f64], finish: impl FnOnce(&[f64])) {
+        let (rows, cols) = self.shape();
+        with_frame_scratch(|s| {
+            let Dct2dScratch { aux, aux2, strip } = s;
+            let data = lanes(aux2, rows * cols);
+            data.copy_from_slice(coeffs);
+            self.col_pass(data, aux, false);
+            if self.row_plan.is_fast() {
+                let t = lanes(aux, rows * cols);
+                transpose_into(data, t, rows, cols);
+                self.transposed_row_inverse(t, data);
+                finish(t);
+            } else {
+                self.dense_row_inverse(data, strip);
+                finish(data);
+            }
+        });
+    }
+
+    /// Fast-kernel row pass of the forward transform on a transposed
+    /// (`cols x rows`) frame in `t`: the multi-lane Lee recursion along
+    /// the original row direction, then the orthonormal scaling.
+    fn transposed_row_forward(&self, t: &mut [f64], scratch: &mut [f64]) {
+        let rows = self.col_plan.len();
         let plan = &self.row_plan;
-        match plan.kernel {
-            DctKernel::Fast => {
-                s.aux.resize(rows * cols, 0.0);
-                s.aux2.resize(rows * cols, 0.0);
-                transpose_into(frame.as_slice(), &mut s.aux, rows, cols);
-                lee_forward_cols(&mut s.aux, &mut s.aux2, rows, &plan.inv_levels);
-                let kern = simd::kernels();
-                (kern.scale)(&mut s.aux[..rows], plan.a0);
-                (kern.scale)(&mut s.aux[rows..], plan.ak);
-                transpose_into(&s.aux, out.as_mut_slice(), cols, rows);
-            }
-            DctKernel::Dense => {
-                let c = plan.matrix();
-                for i in 0..rows {
-                    dense_matvec(c, frame.row(i), out.row_mut(i));
-                }
-            }
+        lee_forward_cols(t, scratch, rows, &plan.inv_levels);
+        let kern = simd::kernels();
+        (kern.scale)(&mut t[..rows], plan.a0);
+        (kern.scale)(&mut t[rows..], plan.ak);
+    }
+
+    /// Fast-kernel row pass of the inverse transform on a transposed
+    /// (`cols x rows`) frame in `t`, in place.
+    fn transposed_row_inverse(&self, t: &mut [f64], scratch: &mut [f64]) {
+        let rows = self.col_plan.len();
+        let plan = &self.row_plan;
+        let kern = simd::kernels();
+        (kern.scale)(&mut t[..rows], plan.inv_a0);
+        (kern.scale)(&mut t[rows..], plan.inv_ak);
+        lee_inverse_cols(t, scratch, rows, &plan.levels);
+    }
+
+    /// Dense-kernel row pass of the forward transform: one matvec per
+    /// row of the row-major `frame`.
+    fn dense_row_forward(&self, frame: &[f64], out: &mut [f64]) {
+        let cols = self.row_plan.len();
+        let c = self.row_plan.matrix();
+        for (src, dst) in frame.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
+            dense_matvec(c, src, dst);
         }
     }
 
-    /// Row pass of the inverse transform, in place on `out`.
-    fn row_pass_inverse(&self, out: &mut Matrix, s: &mut Dct2dScratch) {
-        let (rows, cols) = out.shape();
-        let plan = &self.row_plan;
-        match plan.kernel {
-            DctKernel::Fast => {
-                s.aux.resize(rows * cols, 0.0);
-                s.aux2.resize(rows * cols, 0.0);
-                transpose_into(out.as_slice(), &mut s.aux, rows, cols);
-                let kern = simd::kernels();
-                (kern.scale)(&mut s.aux[..rows], plan.inv_a0);
-                (kern.scale)(&mut s.aux[rows..], plan.inv_ak);
-                lee_inverse_cols(&mut s.aux, &mut s.aux2, rows, &plan.levels);
-                transpose_into(&s.aux, out.as_mut_slice(), cols, rows);
-            }
-            DctKernel::Dense => {
-                let c = plan.matrix();
-                for i in 0..rows {
-                    let v = out.row_mut(i);
-                    s.strip.clear();
-                    s.strip.extend_from_slice(v);
-                    dense_matvec_transpose(c, &s.strip, v);
-                }
-            }
+    /// Dense-kernel row pass of the inverse transform, in place on the
+    /// row-major `frame`.
+    fn dense_row_inverse(&self, frame: &mut [f64], strip: &mut Vec<f64>) {
+        let cols = self.row_plan.len();
+        let c = self.row_plan.matrix();
+        for v in frame.chunks_exact_mut(cols) {
+            strip.clear();
+            strip.extend_from_slice(v);
+            dense_matvec_transpose(c, strip, v);
         }
     }
 
-    /// Column pass over `m`'s storage: a multi-lane Lee recursion over
-    /// whole rows when the column plan is fast (contiguous memory, no
-    /// per-column gather), dense per-column matvecs otherwise.
-    fn col_pass(&self, m: &mut Matrix, s: &mut Dct2dScratch, forward: bool) {
-        let (rows, cols) = m.shape();
+    /// Column pass over a row-major frame: a multi-lane Lee recursion
+    /// over whole rows when the column plan is fast (contiguous memory,
+    /// no per-column gather), dense per-column matvecs otherwise.
+    /// `scratch` is the recursion workspace, or the two column strips.
+    fn col_pass(&self, data: &mut [f64], scratch: &mut Vec<f64>, forward: bool) {
+        let (rows, cols) = self.shape();
         let plan = &self.col_plan;
         match plan.kernel {
             DctKernel::Fast => {
-                s.aux.resize(rows * cols, 0.0);
-                let data = m.as_mut_slice();
+                let scratch = lanes(scratch, rows * cols);
                 let kern = simd::kernels();
                 if forward {
-                    lee_forward_cols(data, &mut s.aux, cols, &plan.inv_levels);
+                    lee_forward_cols(data, scratch, cols, &plan.inv_levels);
                     (kern.scale)(&mut data[..cols], plan.a0);
                     (kern.scale)(&mut data[cols..], plan.ak);
                 } else {
                     (kern.scale)(&mut data[..cols], plan.inv_a0);
                     (kern.scale)(&mut data[cols..], plan.inv_ak);
-                    lee_inverse_cols(data, &mut s.aux, cols, &plan.levels);
+                    lee_inverse_cols(data, scratch, cols, &plan.levels);
                 }
             }
             DctKernel::Dense => {
-                s.strip.resize(rows, 0.0);
-                s.strip_out.resize(rows, 0.0);
+                let (strip, strip_out) = lanes(scratch, 2 * rows).split_at_mut(rows);
                 let c = plan.matrix();
-                let data = m.as_mut_slice();
                 for j in 0..cols {
                     for i in 0..rows {
-                        s.strip[i] = data[i * cols + j];
+                        strip[i] = data[i * cols + j];
                     }
                     if forward {
-                        dense_matvec(c, &s.strip, &mut s.strip_out);
+                        dense_matvec(c, strip, strip_out);
                     } else {
-                        dense_matvec_transpose(c, &s.strip, &mut s.strip_out);
+                        dense_matvec_transpose(c, strip, strip_out);
                     }
                     for i in 0..rows {
-                        data[i * cols + j] = s.strip_out[i];
+                        data[i * cols + j] = strip_out[i];
                     }
                 }
             }
         }
-    }
-
-    /// Runs `f` with this thread's frame scratch; the `try_borrow_mut`
-    /// fallback covers re-entrant use only.
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut Dct2dScratch) -> R) -> R {
-        FRAME_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut guard) => f(&mut guard),
-            Err(_) => f(&mut Dct2dScratch::default()),
-        })
     }
 
     fn check(&self, frame: &Matrix) -> Result<()> {
@@ -793,6 +943,48 @@ impl Dct2d {
         }
         Ok(())
     }
+
+    fn check_len(&self, len: usize) -> Result<()> {
+        let (rows, cols) = self.shape();
+        if len != rows * cols {
+            return Err(TransformError::InvalidLength {
+                len,
+                reason: "slice length differs from the plan's frame size",
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Rejects a sample buffer whose length differs from the position count.
+fn check_samples(len: usize, positions: usize) -> Result<()> {
+    if len != positions {
+        return Err(TransformError::InvalidLength {
+            len,
+            reason: "sample count differs from the number of positions",
+        });
+    }
+    Ok(())
+}
+
+/// The first `len` values of `buf`, growing it as needed but never
+/// shrinking it, so plans of different shapes (or a dense column pass
+/// between fast row passes) sharing one thread's scratch do not re-zero
+/// the buffer on every call.
+fn lanes(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Runs `f` with this thread's frame scratch; the `try_borrow_mut`
+/// fallback covers re-entrant use only.
+fn with_frame_scratch<R>(f: impl FnOnce(&mut Dct2dScratch) -> R) -> R {
+    FRAME_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut guard) => f(&mut guard),
+        Err(_) => f(&mut Dct2dScratch::default()),
+    })
 }
 
 /// Unscaled DCT-II by Lee's recursive algorithm, valid for power-of-two
@@ -1018,6 +1210,57 @@ mod tests {
                 "{rows}x{cols} inverse"
             );
         }
+    }
+
+    #[test]
+    fn dct2d_slice_entry_points_match_matrix_forms_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rows, cols) in [(8usize, 8usize), (16, 32), (12, 8), (8, 12), (5, 7)] {
+            let d = Dct2d::new(rows, cols).unwrap();
+            let img = Matrix::from_fn(rows, cols, |i, j| ((i * 7 + j * 3) as f64 * 0.19).sin());
+            let mut out = vec![0.0; rows * cols];
+            d.forward_into(img.as_slice(), &mut out).unwrap();
+            assert_eq!(bits(&out), bits(d.forward(&img).unwrap().as_slice()));
+            d.inverse_into(img.as_slice(), &mut out).unwrap();
+            assert_eq!(bits(&out), bits(d.inverse(&img).unwrap().as_slice()));
+        }
+    }
+
+    #[test]
+    fn dct2d_slice_entry_points_reject_wrong_lengths() {
+        let d = Dct2d::new(4, 4).unwrap();
+        let (frame, mut out) = (vec![1.0; 16], vec![0.0; 16]);
+        let wrong = |r: Result<()>| matches!(r, Err(TransformError::InvalidLength { .. }));
+        assert!(wrong(d.forward_into(&frame[..15], &mut out)));
+        assert!(wrong(d.forward_into(&frame, &mut out[..3])));
+        assert!(wrong(d.inverse_into(&frame[..15], &mut out)));
+        assert!(wrong(d.inverse_into(&frame, &mut [0.0; 17])));
+        let pos = d.sample_positions(&[1, 6, 11]).unwrap();
+        assert!(wrong(d.inverse_gather(&frame[..15], &pos, &mut [0.0; 3])));
+        assert!(wrong(d.inverse_gather(&frame, &pos, &mut [0.0; 2])));
+        assert!(wrong(d.scatter_forward(&[1.0; 4], &pos, &mut out)));
+        assert!(wrong(d.scatter_forward(&[1.0; 3], &pos, &mut out[..8])));
+        assert!(d.sample_positions(&[16]).is_err());
+    }
+
+    #[test]
+    fn sample_positions_follow_the_staging_layout() {
+        // Fast row kernel: the transposed (cols x rows) layout.
+        assert_eq!(
+            Dct2d::new(4, 8)
+                .unwrap()
+                .sample_positions(&[0, 1, 9])
+                .unwrap(),
+            vec![0, 4, 5]
+        );
+        // Dense row kernel: row-major.
+        assert_eq!(
+            Dct2d::new(4, 6)
+                .unwrap()
+                .sample_positions(&[0, 1, 9])
+                .unwrap(),
+            vec![0, 1, 9]
+        );
     }
 
     #[test]

@@ -13,13 +13,14 @@ fi
 # All `unsafe` must live in the SIMD kernel module (see
 # flexcs-linalg/src/simd/mod.rs for the dispatch contract). The grep
 # ignores mentions of the `unsafe_code` lint name, which is how the
-# rest of the workspace *denies* unsafe. One test-only exception: the
-# greedy allocation-counting test must `unsafe impl GlobalAlloc` (an
-# inherently unsafe trait) to count heap traffic; it only forwards to
-# `System` and never ships in a library.
+# rest of the workspace *denies* unsafe. Test-only exceptions: the
+# allocation-counting tests (greedy solvers, Φ·Ψ operator) must
+# `unsafe impl GlobalAlloc` (an inherently unsafe trait) to count heap
+# traffic; they only forward to `System` and never ship in a library.
 unsafe_leaks=$(grep -rn 'unsafe' --include='*.rs' crates \
   | grep -v 'crates/flexcs-linalg/src/simd/' \
   | grep -v 'crates/flexcs-solver/tests/greedy_alloc.rs' \
+  | grep -v 'crates/flexcs-core/tests/operator_alloc.rs' \
   | grep -v 'unsafe_code' || true)
 if [[ -n "$unsafe_leaks" ]]; then
   echo "check.sh: 'unsafe' outside crates/flexcs-linalg/src/simd/:" >&2
