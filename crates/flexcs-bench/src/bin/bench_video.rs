@@ -27,8 +27,10 @@
 //! CI-gated headline, must stay >= 2.0), per-tier latency p50/p99,
 //! per-tier frame counts, and mean RMSE against the generating truth
 //! for both paths (`video_rmse_degradation` must stay <= 0.01). The
-//! binary also asserts, every run, that a disabled pipeline is
-//! bit-identical to the baseline path on a stream prefix.
+//! binary also asserts, every run, that a pipeline decoding every
+//! frame in full (`force_full_every: 1`, `greedy_max_sparsity: 0`) is
+//! bit-identical to the baseline path on a stream prefix; the
+//! `video_bit_identical_disabled` key records that guard.
 //!
 //! Frame count can be overridden for smoke runs: `bench_video [frames]`.
 
@@ -263,26 +265,32 @@ fn main() {
         .collect();
     let measurements: Vec<Vec<f64>> = frames.iter().map(|f| plan.measure(&f.to_flat())).collect();
 
-    // ---- Bit-identity guard: disabled pipeline == baseline path ----
+    // ---- Bit-identity guard: every-frame-full pipeline == baseline ----
+    // Every frame is a forced event and the greedy tier is capped at
+    // zero atoms, so the router adds nothing to the warm full decode.
     {
         let decoder = Decoder::default();
         let mut warm_ref = DecodeWarmState::new();
         let mut warm_adp = DecodeWarmState::new();
-        let mut disabled = AdaptivePipeline::new(AdaptiveConfig::disabled());
+        let mut full_only = AdaptivePipeline::new(AdaptiveConfig {
+            force_full_every: 1,
+            greedy_max_sparsity: 0,
+            ..AdaptiveConfig::default()
+        });
         for y in measurements.iter().take(8) {
             let reference = decoder
                 .reconstruct_warm(ROWS, COLS, plan.selected(), y, &mut warm_ref)
                 .unwrap();
-            let (adaptive, _) = disabled
+            let (adaptive, _) = full_only
                 .decode(&decoder, ROWS, COLS, plan.selected(), y, &mut warm_adp)
                 .unwrap();
             assert_eq!(
                 reference.frame.as_slice(),
                 adaptive.frame.as_slice(),
-                "disabled adaptive pipeline must be bit-identical to reconstruct_warm"
+                "every-frame-full adaptive pipeline must be bit-identical to reconstruct_warm"
             );
         }
-        eprintln!("bench_video: disabled-pipeline bit-identity holds on 8-frame prefix");
+        eprintln!("bench_video: every-frame-full pipeline bit-identity holds on 8-frame prefix");
     }
 
     // ---- Timed passes: best-of-N for both paths ----

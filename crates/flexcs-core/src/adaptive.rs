@@ -14,12 +14,11 @@
 //! measurements — no solve, no operator build — classifies every
 //! incoming frame before any decode work is committed:
 //!
-//! - [`FrameClass::Static`] — the measurements match the previous
-//!   reconstruction; reuse it outright.
-//! - [`FrameClass::Delta`] — small drift; run a warm partial decode
-//!   under a reduced iteration budget, seeded from the previous
-//!   coefficients.
-//! - [`FrameClass::Event`] — the scene changed; decode in full. When
+//! - `Static` — the measurements match the previous reconstruction;
+//!   reuse it outright.
+//! - `Delta` — small drift; run a warm partial decode under a reduced
+//!   iteration budget, seeded from the previous coefficients.
+//! - `Event` — the scene changed; decode in full. When
 //!   the correlation spectrum of the measurement residual says the
 //!   change is genuinely sparse, the decode routes to OMP (the
 //!   allocation-free greedy tier) instead of FISTA and falls back to
@@ -59,7 +58,7 @@ const GREEDY_STALL_PATIENCE: usize = 4;
 
 /// Change-detector verdict for one incoming frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameClass {
+pub(crate) enum FrameClass {
     /// Measurements match the previous reconstruction within the static
     /// threshold: no decode needed.
     Static,
@@ -117,12 +116,13 @@ impl TierCounts {
 }
 
 /// Tuning for the adaptive decode tier.
+///
+/// `force_full_every: 1` with `greedy_max_sparsity: 0` sends every frame
+/// to [`Decoder::reconstruct_warm`], bit-identical to calling it
+/// directly: each frame is a forced `Event` and the greedy tier is
+/// capped at zero atoms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Master switch. When `false` the pipeline is a transparent
-    /// pass-through to [`Decoder::reconstruct_warm`] — bit-identical to
-    /// the non-adaptive path — and every frame counts as `event_full`.
-    pub enabled: bool,
     /// Relative measurement residual at or below which a frame is
     /// `Static`.
     pub static_threshold: f64,
@@ -156,7 +156,6 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
-            enabled: true,
             static_threshold: 0.05,
             delta_threshold: 0.30,
             force_full_every: 64,
@@ -170,16 +169,6 @@ impl Default for AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// A disabled configuration: the pipeline passes every frame to the
-    /// full decode path, bit-identical to calling
-    /// [`Decoder::reconstruct_warm`] directly.
-    pub fn disabled() -> Self {
-        AdaptiveConfig {
-            enabled: false,
-            ..AdaptiveConfig::default()
-        }
-    }
-
     /// Rejects threshold orderings that can never classify a frame.
     ///
     /// # Errors
@@ -209,26 +198,8 @@ impl AdaptiveConfig {
 /// frame gathers it at the plan's `selected` indices (that *is*
 /// re-encoding under Φ_M) and compares against the raw measurements.
 /// No solve and no operator are built on this path.
-///
-/// # Examples
-///
-/// ```
-/// use flexcs_core::{AdaptiveConfig, ChangeDetector, FrameClass};
-/// use flexcs_linalg::Matrix;
-///
-/// let cfg = AdaptiveConfig::default();
-/// let mut det = ChangeDetector::new();
-/// let frame = Matrix::from_fn(4, 4, |i, j| (i + j) as f64 / 6.0);
-/// let selected = [0usize, 3, 5, 10, 12, 15];
-/// let y: Vec<f64> = selected.iter().map(|&i| frame.as_slice()[i]).collect();
-/// // No previous frame: everything is an event.
-/// assert_eq!(det.classify(4, 4, &selected, &y, &cfg), FrameClass::Event);
-/// det.observe(&frame);
-/// // Identical measurements: static.
-/// assert_eq!(det.classify(4, 4, &selected, &y, &cfg), FrameClass::Static);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct ChangeDetector {
+pub(crate) struct ChangeDetector {
     /// Flat frame of the last observed reconstruction.
     prev_flat: Vec<f64>,
     /// Shape of `prev_flat`; `None` until the first observation.
@@ -236,8 +207,6 @@ pub struct ChangeDetector {
     /// Frames classified since the last full decode, for the
     /// forced-full guard.
     frames_since_full: usize,
-    /// Relative residual of the most recent classification.
-    last_rel_residual: f64,
     /// Measurement-length residual scratch, reused across frames.
     residual: Vec<f64>,
 }
@@ -267,7 +236,6 @@ impl ChangeDetector {
         {
             // No comparable previous frame (or malformed request — the
             // decode itself will produce the proper error).
-            self.last_rel_residual = f64::INFINITY;
             return FrameClass::Event;
         }
         // Φ_M applied to the previous reconstruction is a gather.
@@ -276,7 +244,6 @@ impl ChangeDetector {
             .extend(selected.iter().zip(y).map(|(&i, &v)| v - self.prev_flat[i]));
         let y_norm = vecops::norm2(y).max(f64::MIN_POSITIVE);
         let rel = vecops::norm2(&self.residual) / y_norm;
-        self.last_rel_residual = rel;
         if config.force_full_every > 0 && self.frames_since_full >= config.force_full_every {
             return FrameClass::Event;
         }
@@ -302,12 +269,6 @@ impl ChangeDetector {
         self.frames_since_full = 0;
     }
 
-    /// Relative measurement residual of the last classification
-    /// (`∞` when no previous frame was available).
-    pub fn last_relative_residual(&self) -> f64 {
-        self.last_rel_residual
-    }
-
     /// Measurement residual `y − Φ_M·x_prev` of the last comparable
     /// classification, for downstream sparsity estimation.
     pub fn residual(&self) -> &[f64] {
@@ -319,17 +280,15 @@ impl ChangeDetector {
         self.prev_flat.clear();
         self.shape = None;
         self.frames_since_full = 0;
-        self.last_rel_residual = 0.0;
         self.residual.clear();
     }
 }
 
 /// Change-gated tier router around a [`Decoder`].
 ///
-/// One pipeline follows one stream of frames (a serve session, a
-/// strategy session): it owns the [`ChangeDetector`], the previous
-/// reconstruction, the per-tier counters and the delta-tier latency
-/// governor. The decoder and warm state stay caller-owned so the
+/// One pipeline follows one stream of frames (e.g. a serve session):
+/// it owns the change detector, the previous reconstruction, the
+/// per-tier counters and the delta-tier latency governor. The decoder and warm state stay caller-owned so the
 /// pipeline composes with the existing session plumbing.
 ///
 /// # Examples
@@ -374,15 +333,9 @@ pub struct AdaptivePipeline {
 }
 
 impl AdaptivePipeline {
-    /// Builds a pipeline; invalid configurations fall back to decoding
-    /// every frame in full rather than erroring (callers that want the
-    /// error should [`AdaptiveConfig::validate`] first).
+    /// Builds a pipeline. An invalid configuration is reported by every
+    /// [`AdaptivePipeline::decode`] call (see [`AdaptiveConfig::validate`]).
     pub fn new(config: AdaptiveConfig) -> Self {
-        let config = if config.validate().is_ok() {
-            config
-        } else {
-            AdaptiveConfig::disabled()
-        };
         let delta_budget = config.delta_iteration_budget.max(MIN_DELTA_ITERATIONS);
         AdaptivePipeline {
             config,
@@ -405,11 +358,6 @@ impl AdaptivePipeline {
         self.tiers
     }
 
-    /// Current (latency-governed) delta-tier iteration budget.
-    pub fn delta_iteration_budget(&self) -> usize {
-        self.delta_budget
-    }
-
     /// Drops all carried stream state (reference frame, previous
     /// reconstruction, latency EMA); tier counters survive.
     pub fn reset(&mut self) {
@@ -425,7 +373,9 @@ impl AdaptivePipeline {
     ///
     /// # Errors
     ///
-    /// Propagates decode failures; see [`Decoder::reconstruct`].
+    /// [`CoreError::InvalidConfig`] when the pipeline's configuration
+    /// fails [`AdaptiveConfig::validate`]; otherwise propagates decode
+    /// failures, see [`Decoder::reconstruct`].
     pub fn decode(
         &mut self,
         decoder: &Decoder,
@@ -435,13 +385,7 @@ impl AdaptivePipeline {
         y: &[f64],
         warm: &mut DecodeWarmState,
     ) -> Result<(Reconstruction, DecodeTier)> {
-        if !self.config.enabled {
-            // Transparent pass-through: bit-identical to the
-            // non-adaptive warm path.
-            let rec = decoder.reconstruct_warm(rows, cols, selected, y, warm)?;
-            self.count(DecodeTier::EventFull);
-            return Ok((rec, DecodeTier::EventFull));
-        }
+        self.config.validate()?;
         let class = self
             .detector
             .classify(rows, cols, selected, y, &self.config);
@@ -692,7 +636,7 @@ mod tests {
         let after = sparse_frame(8, 8, 1.12);
         let y = measure(&after, &plan);
         let class = det.classify(8, 8, plan.selected(), &y, &cfg);
-        let rel = det.last_relative_residual();
+        let rel = vecops::norm2(det.residual()) / vecops::norm2(&y);
         assert_eq!(class, FrameClass::Delta, "relative residual {rel}");
     }
 
@@ -823,6 +767,8 @@ mod tests {
 
     #[test]
     fn disabled_pipeline_is_bit_identical_to_warm_path() {
+        // Every frame a forced event, greedy capped at zero atoms: the
+        // router adds nothing to the warm full decode.
         let decoder = Decoder::default();
         let plan = SamplingPlan::random_subset(64, 40, &[], 17).unwrap();
         let frames = [
@@ -832,7 +778,11 @@ mod tests {
         ];
         let mut warm_ref = DecodeWarmState::new();
         let mut warm_adp = DecodeWarmState::new();
-        let mut pipeline = AdaptivePipeline::new(AdaptiveConfig::disabled());
+        let mut pipeline = AdaptivePipeline::new(AdaptiveConfig {
+            force_full_every: 1,
+            greedy_max_sparsity: 0,
+            ..AdaptiveConfig::default()
+        });
         for frame in &frames {
             let y = measure(frame, &plan);
             let reference = decoder
@@ -852,15 +802,38 @@ mod tests {
     }
 
     #[test]
-    fn invalid_config_degrades_to_pass_through() {
-        let cfg = AdaptiveConfig {
-            static_threshold: 0.5,
-            delta_threshold: 0.1, // inverted
-            ..AdaptiveConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        let pipeline = AdaptivePipeline::new(cfg);
-        assert!(!pipeline.config().enabled);
+    fn invalid_config_fails_every_decode() {
+        let decoder = Decoder::default();
+        let plan = SamplingPlan::random_subset(64, 40, &[], 21).unwrap();
+        let y = measure(&sparse_frame(8, 8, 1.0), &plan);
+        for cfg in [
+            AdaptiveConfig {
+                static_threshold: 0.5,
+                delta_threshold: 0.1, // inverted
+                ..AdaptiveConfig::default()
+            },
+            AdaptiveConfig {
+                static_threshold: f64::NAN,
+                ..AdaptiveConfig::default()
+            },
+            AdaptiveConfig {
+                greedy_kappa: 0.0,
+                ..AdaptiveConfig::default()
+            },
+        ] {
+            assert!(cfg.validate().is_err());
+            let mut warm = DecodeWarmState::new();
+            let mut pipeline = AdaptivePipeline::new(cfg);
+            for _ in 0..2 {
+                let result = pipeline.decode(&decoder, 8, 8, plan.selected(), &y, &mut warm);
+                assert!(
+                    matches!(result, Err(CoreError::InvalidConfig(_))),
+                    "{result:?}"
+                );
+            }
+            assert_eq!(pipeline.tier_counts().total(), 0);
+            assert_eq!(warm.warm_starts(), 0, "no solve ran");
+        }
     }
 
     #[test]

@@ -64,9 +64,7 @@ mod sampling;
 mod strategy;
 mod tel;
 
-pub use adaptive::{
-    AdaptiveConfig, AdaptivePipeline, ChangeDetector, DecodeTier, FrameClass, TierCounts,
-};
+pub use adaptive::{AdaptiveConfig, AdaptivePipeline, DecodeTier, TierCounts};
 pub use basisop::{BasisKind, SubsampledDctOperator};
 pub use blocks::{
     BlockGrid, BlockGridConfig, BlockMeasurement, BlockMeasurements, BlockOutcome, BlockPipeline,

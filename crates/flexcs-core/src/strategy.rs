@@ -11,14 +11,14 @@
 //! - [`SamplingStrategy::RpcaFilter`]: detect outliers with RPCA first,
 //!   exclude them, then sample and reconstruct (Fig. 6c "RPCA").
 
-use crate::adaptive::{AdaptiveConfig, AdaptivePipeline, TierCounts};
 use crate::decode::{DecodeWarmState, Decoder, Reconstruction};
 use crate::error::Result;
 use crate::inject::detect_extremes;
-use crate::rpca::{outlier_indices, rpca, RpcaConfig, RpcaStream};
+use crate::rpca::{outlier_indices, RpcaConfig, RpcaStream};
 use crate::sampling::SamplingPlan;
 use crate::tel;
 use flexcs_linalg::{vecops, Matrix};
+use std::borrow::Cow;
 
 /// Solver effort accumulated across one strategy invocation (summed
 /// over resampling rounds where applicable).
@@ -111,189 +111,173 @@ impl SamplingStrategy {
         decoder: &Decoder,
         seed: u64,
     ) -> Result<(Matrix, ReconstructStats)> {
-        self.reconstruct_traced_with(measured, m, decoder, seed, None)
+        self.reconstruct_with(measured, m, decoder, seed, &mut SessionState::new())
     }
 
-    /// [`SamplingStrategy::reconstruct_traced`] with optional carried
-    /// session state: the RPCA-filter strategy warm-starts its
-    /// decomposition from the previous frame instead of solving cold,
-    /// and — when the session opted in via
-    /// [`StrategySession::with_warm_decode`] — every decode is seeded
-    /// from the previous solution's DCT coefficients.
-    fn reconstruct_traced_with(
+    /// Runs the strategy against the state `state` carries from the
+    /// previous frames of a sequence. A fresh state is the stateless
+    /// [`SamplingStrategy::reconstruct`]: its RPCA stream's first push is
+    /// a cold `rpca` solve, and without decode warm state every
+    /// decode is cold.
+    fn reconstruct_with(
         &self,
         measured: &Matrix,
         m: usize,
         decoder: &Decoder,
         seed: u64,
-        mut state: Option<&mut SessionState>,
+        state: &mut SessionState,
     ) -> Result<(Matrix, ReconstructStats)> {
-        let (rows, cols) = measured.shape();
-        let n = rows * cols;
-        let flat = measured.to_flat();
-        match self {
-            SamplingStrategy::ExcludeTested { margin } => {
-                let sampling_span = tel::span("strategy.sampling");
-                let excluded = detect_extremes(measured, *margin);
-                let m_eff = m.min(n - excluded.len().min(n));
-                let plan = SamplingPlan::random_subset(n, m_eff, &excluded, seed)?;
-                let y = plan.measure(&flat);
-                drop(sampling_span);
-                let rec = decode_subset(decoder, rows, cols, plan.selected(), &y, &mut state)?;
-                let stats = ReconstructStats {
-                    solver_iterations: rec.report.iterations,
-                    converged: rec.report.converged,
-                };
-                Ok((rec.frame, stats))
-            }
-            SamplingStrategy::ExcludeKnown { indices } => {
-                let sampling_span = tel::span("strategy.sampling");
-                let m_eff = m.min(n - indices.len().min(n));
-                let plan = SamplingPlan::random_subset(n, m_eff, indices, seed)?;
-                let y = plan.measure(&flat);
-                drop(sampling_span);
-                let rec = decode_subset(decoder, rows, cols, plan.selected(), &y, &mut state)?;
-                let stats = ReconstructStats {
-                    solver_iterations: rec.report.iterations,
-                    converged: rec.report.converged,
-                };
-                Ok((rec.frame, stats))
-            }
-            SamplingStrategy::Oblivious => {
-                let sampling_span = tel::span("strategy.sampling");
-                let plan = SamplingPlan::random_subset(n, m, &[], seed)?;
-                let y = plan.measure(&flat);
-                drop(sampling_span);
-                let rec = decode_subset(decoder, rows, cols, plan.selected(), &y, &mut state)?;
-                let stats = ReconstructStats {
-                    solver_iterations: rec.report.iterations,
-                    converged: rec.report.converged,
-                };
-                Ok((rec.frame, stats))
-            }
+        let excluded = match self {
             SamplingStrategy::ResampleMedian { rounds } => {
-                let rounds = (*rounds).max(1);
-                let recs: Vec<Reconstruction> = match warm_of(&mut state) {
-                    // Warm rounds chain through one shared solver
-                    // state — round r seeds from round r−1's
-                    // coefficients of the same frame — so they must
-                    // run sequentially. Per-round plan seeds are the
-                    // same as the cold fan-out's.
-                    Some(warm) => {
-                        let mut recs = Vec::with_capacity(rounds);
-                        for r in 0..rounds {
-                            let plan = SamplingPlan::random_subset(
-                                n,
-                                m,
-                                &[],
-                                seed.wrapping_add(r as u64 * 77),
-                            )?;
-                            let y = plan.measure(&flat);
-                            recs.push(decoder.reconstruct_warm(
-                                rows,
-                                cols,
-                                plan.selected(),
-                                &y,
-                                warm,
-                            )?);
-                        }
-                        recs
-                    }
-                    // Each cold round is seeded from its index alone,
-                    // so the fan-out is bit-identical to the serial
-                    // loop.
-                    None => crate::par::maybe_par_map_indices(rounds, |r| {
-                        let plan = SamplingPlan::random_subset(
-                            n,
-                            m,
-                            &[],
-                            seed.wrapping_add(r as u64 * 77),
-                        )?;
-                        let y = plan.measure(&flat);
-                        decoder.reconstruct(rows, cols, plan.selected(), &y)
-                    })
-                    .into_iter()
-                    .collect::<Result<_>>()?,
-                };
-                let mut stats = ReconstructStats {
-                    solver_iterations: 0,
-                    converged: true,
-                };
-                let mut stacks: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); n];
-                for rec in recs {
-                    stats.solver_iterations += rec.report.iterations;
-                    stats.converged &= rec.report.converged;
-                    for (stack, &v) in stacks.iter_mut().zip(rec.frame.as_slice()) {
-                        stack.push(v);
-                    }
-                }
-                let merge_span = tel::span("strategy.median_merge");
-                let merged =
-                    Matrix::from_fn(rows, cols, |i, j| vecops::median(&stacks[i * cols + j]));
-                drop(merge_span);
-                Ok((merged, stats))
+                return resample_median(
+                    measured,
+                    m,
+                    *rounds,
+                    decoder,
+                    seed,
+                    state.decode_warm.as_mut(),
+                );
+            }
+            SamplingStrategy::Oblivious => None,
+            SamplingStrategy::ExcludeKnown { indices } => Some(Cow::Borrowed(indices.as_slice())),
+            SamplingStrategy::ExcludeTested { margin } => {
+                Some(Cow::Owned(detect_extremes(measured, *margin)))
             }
             SamplingStrategy::RpcaFilter { threshold } => {
-                let rpca_span = tel::span("strategy.rpca_filter");
-                let decomposition = match state.as_deref_mut() {
-                    Some(session) => session.rpca_stream.push(measured)?,
-                    None => rpca(measured, &RpcaConfig::default())?,
-                };
-                let excluded = outlier_indices(&decomposition, *threshold);
-                drop(rpca_span);
-                let sampling_span = tel::span("strategy.sampling");
-                let m_eff = m.min(n - excluded.len().min(n));
-                let plan = SamplingPlan::random_subset(n, m_eff, &excluded, seed)?;
-                let y = plan.measure(&flat);
-                drop(sampling_span);
-                let rec = decode_subset(decoder, rows, cols, plan.selected(), &y, &mut state)?;
-                let stats = ReconstructStats {
-                    solver_iterations: rec.report.iterations,
-                    converged: rec.report.converged,
-                };
-                Ok((rec.frame, stats))
+                let _rpca_span = tel::span("strategy.rpca_filter");
+                let decomposition = state.rpca_stream.push(measured)?;
+                Some(Cow::Owned(outlier_indices(&decomposition, *threshold)))
             }
+        };
+        decode_sample(
+            measured,
+            m,
+            excluded.as_deref(),
+            decoder,
+            seed,
+            state.decode_warm.as_mut(),
+        )
+    }
+}
+
+/// The single-decode tail shared by every strategy but
+/// `ResampleMedian`: sample `m` pixels outside `excluded`, measure them
+/// and decode — warm-started when `warm` is given, cold otherwise.
+///
+/// `Some(excluded)` clamps `m` to the distinct pixels left. `None` (the
+/// oblivious baseline) keeps `m` as asked, so a budget above N fails
+/// with `CoreError::InsufficientSamples`.
+fn decode_sample(
+    measured: &Matrix,
+    m: usize,
+    excluded: Option<&[usize]>,
+    decoder: &Decoder,
+    seed: u64,
+    warm: Option<&mut DecodeWarmState>,
+) -> Result<(Matrix, ReconstructStats)> {
+    let (rows, cols) = measured.shape();
+    let n = rows * cols;
+    let sampling_span = tel::span("strategy.sampling");
+    let (m, excluded) = match excluded {
+        Some(excluded) => (m.min(n - distinct_pixels(excluded, n)), excluded),
+        None => (m, &[][..]),
+    };
+    let plan = SamplingPlan::random_subset(n, m, excluded, seed)?;
+    let y = plan.measure(measured.as_slice());
+    drop(sampling_span);
+    let rec = match warm {
+        Some(warm) => decoder.reconstruct_warm(rows, cols, plan.selected(), &y, warm)?,
+        None => decoder.reconstruct(rows, cols, plan.selected(), &y)?,
+    };
+    let stats = ReconstructStats {
+        solver_iterations: rec.report.iterations,
+        converged: rec.report.converged,
+    };
+    Ok((rec.frame, stats))
+}
+
+/// Number of distinct in-range pixels in `excluded`: the pixels a
+/// sampling plan over `n` pixels actually keeps out.
+fn distinct_pixels(excluded: &[usize], n: usize) -> usize {
+    let mut seen = vec![false; n];
+    excluded
+        .iter()
+        .filter(|&&i| i < n && !std::mem::replace(&mut seen[i], true))
+        .count()
+}
+
+/// `ResampleMedian`: decode `rounds` random `m`-subsets of the frame
+/// and take the per-pixel median.
+fn resample_median(
+    measured: &Matrix,
+    m: usize,
+    rounds: usize,
+    decoder: &Decoder,
+    seed: u64,
+    warm: Option<&mut DecodeWarmState>,
+) -> Result<(Matrix, ReconstructStats)> {
+    let (rows, cols) = measured.shape();
+    let n = rows * cols;
+    let flat = measured.as_slice();
+    let rounds = rounds.max(1);
+    let round_plan =
+        |r: usize| SamplingPlan::random_subset(n, m, &[], seed.wrapping_add(r as u64 * 77));
+    let recs: Vec<Reconstruction> = match warm {
+        // Warm rounds chain through one shared solver state — round r
+        // seeds from round r−1's coefficients of the same frame — so
+        // they must run sequentially. Per-round plan seeds are the same
+        // as the cold fan-out's.
+        Some(warm) => (0..rounds)
+            .map(|r| {
+                let plan = round_plan(r)?;
+                let y = plan.measure(flat);
+                decoder.reconstruct_warm(rows, cols, plan.selected(), &y, warm)
+            })
+            .collect::<Result<_>>()?,
+        // Each cold round is seeded from its index alone, so the
+        // fan-out is bit-identical to the serial loop.
+        None => crate::par::maybe_par_map_indices(rounds, |r| {
+            let plan = round_plan(r)?;
+            let y = plan.measure(flat);
+            decoder.reconstruct(rows, cols, plan.selected(), &y)
+        })
+        .into_iter()
+        .collect::<Result<_>>()?,
+    };
+    let mut stats = ReconstructStats {
+        solver_iterations: 0,
+        converged: true,
+    };
+    let mut stacks: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); n];
+    for rec in recs {
+        stats.solver_iterations += rec.report.iterations;
+        stats.converged &= rec.report.converged;
+        for (stack, &v) in stacks.iter_mut().zip(rec.frame.as_slice()) {
+            stack.push(v);
         }
     }
-}
-
-/// The decode warm state carried by `state`, when the session opted in.
-fn warm_of<'a>(state: &'a mut Option<&mut SessionState>) -> Option<&'a mut DecodeWarmState> {
-    state.as_deref_mut().and_then(|s| s.decode_warm.as_mut())
-}
-
-/// Decodes one sampled subset: adaptively tier-gated when the session
-/// opted in, warm-started when it carries decode state, cold otherwise.
-fn decode_subset(
-    decoder: &Decoder,
-    rows: usize,
-    cols: usize,
-    selected: &[usize],
-    y: &[f64],
-    state: &mut Option<&mut SessionState>,
-) -> Result<Reconstruction> {
-    match state.as_deref_mut() {
-        Some(SessionState {
-            adaptive: Some(pipeline),
-            decode_warm: Some(warm),
-            ..
-        }) => Ok(pipeline.decode(decoder, rows, cols, selected, y, warm)?.0),
-        Some(SessionState {
-            decode_warm: Some(warm),
-            ..
-        }) => decoder.reconstruct_warm(rows, cols, selected, y, warm),
-        _ => decoder.reconstruct(rows, cols, selected, y),
-    }
+    let merge_span = tel::span("strategy.median_merge");
+    let merged = Matrix::from_fn(rows, cols, |i, j| vecops::median(&stacks[i * cols + j]));
+    drop(merge_span);
+    Ok((merged, stats))
 }
 
 /// State a [`StrategySession`] carries across the frames of a sequence:
-/// the RPCA decomposition stream, (opt-in) decode-side warm starts and
-/// the (opt-in) adaptive decode tier.
+/// the RPCA decomposition stream and the (opt-in) decode-side warm
+/// starts.
 #[derive(Debug, Clone)]
 struct SessionState {
     rpca_stream: RpcaStream,
     decode_warm: Option<DecodeWarmState>,
-    adaptive: Option<AdaptivePipeline>,
+}
+
+impl SessionState {
+    fn new() -> Self {
+        SessionState {
+            rpca_stream: RpcaStream::new(RpcaConfig::default()),
+            decode_warm: None,
+        }
+    }
 }
 
 /// A strategy plus the state it carries across the frames of a
@@ -320,11 +304,7 @@ impl StrategySession {
     pub fn new(strategy: SamplingStrategy) -> Self {
         StrategySession {
             strategy,
-            state: SessionState {
-                rpca_stream: RpcaStream::new(RpcaConfig::default()),
-                decode_warm: None,
-                adaptive: None,
-            },
+            state: SessionState::new(),
         }
     }
 
@@ -334,30 +314,6 @@ impl StrategySession {
     pub fn with_warm_decode(mut self) -> Self {
         self.state.decode_warm = Some(DecodeWarmState::new());
         self
-    }
-
-    /// Enables the event-driven adaptive decode tier (builder style):
-    /// each frame's decode is gated by the O(M) change detector and
-    /// routed to the cheapest tier — previous-frame reuse, a
-    /// budget-capped warm delta solve, the greedy fast tier, or the
-    /// full solver. Implies [`StrategySession::with_warm_decode`].
-    ///
-    /// The single-decode strategies (`ExcludeTested`, `ExcludeKnown`,
-    /// `Oblivious`, `RpcaFilter`) are gated; `ResampleMedian` decodes
-    /// several subsets per frame and keeps its dedicated warm chain.
-    #[must_use]
-    pub fn with_adaptive(mut self, config: AdaptiveConfig) -> Self {
-        if self.state.decode_warm.is_none() {
-            self.state.decode_warm = Some(DecodeWarmState::new());
-        }
-        self.state.adaptive = Some(AdaptivePipeline::new(config));
-        self
-    }
-
-    /// Per-tier frame counts of the adaptive decode tier, when enabled
-    /// via [`StrategySession::with_adaptive`].
-    pub fn adaptive_tiers(&self) -> Option<TierCounts> {
-        self.state.adaptive.as_ref().map(|p| p.tier_counts())
     }
 
     /// The wrapped strategy.
@@ -398,7 +354,7 @@ impl StrategySession {
         seed: u64,
     ) -> Result<(Matrix, ReconstructStats)> {
         self.strategy
-            .reconstruct_traced_with(measured, m, decoder, seed, Some(&mut self.state))
+            .reconstruct_with(measured, m, decoder, seed, &mut self.state)
     }
 }
 
@@ -526,6 +482,42 @@ mod tests {
         assert!(
             (&r1 - &r2).norm_fro() > 1e-9,
             "budgets produced identical plans"
+        );
+    }
+
+    #[test]
+    fn exclude_known_duplicates_do_not_shrink_the_sample() {
+        // The budget is clamped by the distinct defects, not the list
+        // length: 200 copies of one index exclude one pixel.
+        let (_, bad) = corrupted(16, 16, 0.05, 71);
+        let decoder = Decoder::default();
+        let repeated = SamplingStrategy::ExcludeKnown {
+            indices: vec![5; 200],
+        }
+        .reconstruct(&bad, 150, &decoder, 6)
+        .unwrap();
+        let single = SamplingStrategy::ExcludeKnown { indices: vec![5] }
+            .reconstruct(&bad, 150, &decoder, 6)
+            .unwrap();
+        assert_eq!(repeated.as_slice(), single.as_slice());
+    }
+
+    #[test]
+    fn oblivious_budget_above_n_is_an_error() {
+        // Only the excluding strategies clamp the budget.
+        let truth = smooth_frame(8, 8);
+        let err = SamplingStrategy::Oblivious
+            .reconstruct(&truth, 65, &Decoder::default(), 1)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::CoreError::InsufficientSamples {
+                    requested: 65,
+                    available: 64
+                }
+            ),
+            "{err:?}"
         );
     }
 

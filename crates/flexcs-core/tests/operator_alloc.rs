@@ -8,10 +8,11 @@
 //! - an operator product through `apply_into` / `apply_transpose_into`
 //!   allocates nothing after one warm-up call, on both the fast Lee
 //!   kernel (32x32) and the dense kernel (12x12);
-//! - FISTA, power iteration, a warm `Decoder` solve and a block-tiled
-//!   decode allocate exactly as often under a 10-iteration budget as
-//!   under a 200-iteration one, so their iteration loops allocate
-//!   nothing (whatever they allocate is per call, not per iteration).
+//! - FISTA, power iteration, a warm `Decoder` solve, an adaptive
+//!   delta-tier frame and a block-tiled decode allocate exactly as
+//!   often under a 10-iteration budget as under a 200-iteration one, so
+//!   their iteration loops allocate nothing (whatever they allocate is
+//!   per call, not per iteration).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,8 +60,8 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 use flexcs_core::{
-    BlockGrid, BlockGridConfig, BlockPipeline, BlockPipelineConfig, DecodeWarmState, Decoder,
-    SamplingPlan, SubsampledDctOperator,
+    AdaptiveConfig, AdaptivePipeline, BlockGrid, BlockGridConfig, BlockPipeline,
+    BlockPipelineConfig, DecodeTier, DecodeWarmState, Decoder, SamplingPlan, SubsampledDctOperator,
 };
 use flexcs_linalg::Matrix;
 use flexcs_solver::{
@@ -167,6 +168,45 @@ fn warm_decode_allocates_independently_of_budget() {
         })
         .collect();
     assert_eq!(counts[0], counts[1], "warm decode allocates per iteration");
+}
+
+#[test]
+fn adaptive_delta_frame_allocates_independently_of_budget() {
+    let (rows, cols) = (16, 16);
+    let n = rows * cols;
+    let plan = SamplingPlan::random_subset(n, n / 2, &[], 19).unwrap();
+    let hold = plan.measure(smooth_frame(rows, cols).as_slice());
+    // ~9 % relative drift: between the static and event thresholds.
+    let drift: Vec<f64> = hold.iter().map(|v| 1.1 * v).collect();
+    let counts: Vec<u64> = [10, 200]
+        .into_iter()
+        .map(|budget| {
+            // The decoder's own budget is far above the delta tier's, so
+            // the delta budget alone caps the drift frame's solve.
+            let decoder = Decoder::new(SparseSolver::Fista(budget_config(1000)));
+            let mut pipeline = AdaptivePipeline::new(AdaptiveConfig {
+                delta_iteration_budget: budget,
+                frame_budget_us: None,
+                ..AdaptiveConfig::default()
+            });
+            let mut warm = DecodeWarmState::new();
+            pipeline
+                .decode(&decoder, rows, cols, plan.selected(), &hold, &mut warm)
+                .unwrap();
+            let (count, (rec, tier)) = allocations_during(|| {
+                pipeline
+                    .decode(&decoder, rows, cols, plan.selected(), &drift, &mut warm)
+                    .unwrap()
+            });
+            assert_eq!(tier, DecodeTier::Delta);
+            assert_eq!(rec.report.iterations, budget, "ran the whole budget");
+            count
+        })
+        .collect();
+    assert_eq!(
+        counts[0], counts[1],
+        "adaptive delta decode allocates per iteration"
+    );
 }
 
 #[test]

@@ -60,4 +60,6 @@ pub use error::ServeError;
 pub use handle::{DecodedFrame, FrameHandle, FrameResult};
 pub use large::{LargeDecodedFrame, LargeFrameConfig, LargeFrameHandle, LargeFrameSession};
 pub use metrics::{EngineMetrics, TenantMetrics};
-pub use session::{DecodeBackend, FrameRequest, Session, SessionConfig, WarmDecodeBackend};
+pub use session::{
+    DecodeBackend, DecodeMode, FrameRequest, Session, SessionConfig, WarmDecodeBackend,
+};

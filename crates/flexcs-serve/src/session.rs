@@ -51,6 +51,12 @@ impl FrameRequest {
         if self.selected.is_empty() {
             return Err(ServeError::BadRequest("no measurements".to_string()));
         }
+        if let Some(i) = self.y.iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::BadRequest(format!(
+                "measurement {i} is not finite ({})",
+                self.y[i]
+            )));
+        }
         Ok(())
     }
 
@@ -60,6 +66,24 @@ impl FrameRequest {
     }
 }
 
+/// How a session decodes its stream of frames.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DecodeMode {
+    /// Every frame solves from scratch.
+    Cold,
+    /// Each solve seeds from the tenant's previous solution
+    /// (cross-frame warm starts); the first frame after a shape change
+    /// runs cold automatically.
+    Warm,
+    /// Event-driven adaptive tier routing on top of warm decodes: each
+    /// frame is gated by the O(M) change detector and served by the
+    /// cheapest tier (previous-frame reuse, budget-capped delta decode,
+    /// greedy fast tier, or full decode). The config's
+    /// `frame_budget_us` doubles as the session's per-frame latency
+    /// budget.
+    Adaptive(AdaptiveConfig),
+}
+
 /// Configuration for one tenant session.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -67,28 +91,18 @@ pub struct SessionConfig {
     pub name: String,
     /// Decoder configuration the tenant's frames run through.
     pub decoder: Decoder,
-    /// Seed each solve from the tenant's previous solution (cross-frame
-    /// warm starts). On by default; the first frame after a shape
-    /// change runs cold automatically.
-    pub warm_decode: bool,
-    /// Event-driven adaptive tier routing: when set, each frame is
-    /// gated by the O(M) change detector and served by the cheapest
-    /// tier (previous-frame reuse, budget-capped delta decode, greedy
-    /// fast tier, or full decode). Requires `warm_decode`; the
-    /// config's `frame_budget_us` doubles as the session's per-frame
-    /// latency budget. `None` (the default) decodes every frame in
-    /// full.
-    pub adaptive: Option<AdaptiveConfig>,
+    /// How the tenant's frames are decoded; [`DecodeMode::Warm`] by
+    /// default.
+    pub mode: DecodeMode,
 }
 
 impl SessionConfig {
-    /// Default session (FISTA decoder, warm decode on) with a name.
+    /// Default session (FISTA decoder, warm decode) with a name.
     pub fn named(name: impl Into<String>) -> Self {
         SessionConfig {
             name: name.into(),
             decoder: Decoder::default(),
-            warm_decode: true,
-            adaptive: None,
+            mode: DecodeMode::Warm,
         }
     }
 
@@ -99,31 +113,31 @@ impl SessionConfig {
         self
     }
 
-    /// Disables cross-frame warm starts (builder style). Also drops any
-    /// adaptive tier routing, which depends on the warm state.
+    /// Decodes every frame cold (builder style), replacing the mode.
     #[must_use]
     pub fn cold(mut self) -> Self {
-        self.warm_decode = false;
-        self.adaptive = None;
+        self.mode = DecodeMode::Cold;
         self
     }
 
-    /// Enables adaptive tier routing (builder style); implies warm
-    /// decodes.
+    /// Enables adaptive tier routing (builder style), replacing the
+    /// mode.
     #[must_use]
     pub fn with_adaptive(mut self, config: AdaptiveConfig) -> Self {
-        self.warm_decode = true;
-        self.adaptive = Some(config);
+        self.mode = DecodeMode::Adaptive(config);
         self
     }
 
     /// Sets the per-frame latency budget of the adaptive tier in
     /// microseconds (builder style): the delta tier's iteration budget
-    /// is steered to keep decode time under it. Enables adaptive
-    /// routing with defaults when not already configured.
+    /// is steered to keep decode time under it. Switches to adaptive
+    /// routing with defaults when the session is not adaptive yet.
     #[must_use]
-    pub fn with_frame_budget_us(mut self, budget_us: f64) -> Self {
-        let mut cfg = self.adaptive.take().unwrap_or_default();
+    pub fn with_frame_budget_us(self, budget_us: f64) -> Self {
+        let mut cfg = match self.mode {
+            DecodeMode::Adaptive(ref cfg) => cfg.clone(),
+            _ => AdaptiveConfig::default(),
+        };
         cfg.frame_budget_us = Some(budget_us);
         self.with_adaptive(cfg)
     }
@@ -135,14 +149,22 @@ impl Default for SessionConfig {
     }
 }
 
+/// The live form of a [`DecodeMode`]: the adaptive mode owns its tier
+/// router (boxed: it dwarfs the other variants).
+#[derive(Debug)]
+enum LiveMode {
+    Cold,
+    Warm,
+    Adaptive(Box<AdaptivePipeline>),
+}
+
 /// Live per-tenant state, exclusively held by one worker at a time.
 #[derive(Debug)]
 pub struct Session {
     name: String,
     decoder: Decoder,
     warm: DecodeWarmState,
-    warm_decode: bool,
-    adaptive: Option<AdaptivePipeline>,
+    mode: LiveMode,
     frames_decoded: u64,
 }
 
@@ -152,8 +174,13 @@ impl Session {
             name: config.name,
             decoder: config.decoder,
             warm: DecodeWarmState::new(),
-            warm_decode: config.warm_decode,
-            adaptive: config.adaptive.map(AdaptivePipeline::new),
+            mode: match config.mode {
+                DecodeMode::Cold => LiveMode::Cold,
+                DecodeMode::Warm => LiveMode::Warm,
+                DecodeMode::Adaptive(cfg) => {
+                    LiveMode::Adaptive(Box::new(AdaptivePipeline::new(cfg)))
+                }
+            },
             frames_decoded: 0,
         }
     }
@@ -168,19 +195,8 @@ impl Session {
         &self.decoder
     }
 
-    /// Whether this session seeds solves from the previous solution.
-    pub fn warm_decode(&self) -> bool {
-        self.warm_decode
-    }
-
-    /// Split borrow for warm decodes: the decoder plus the mutable
-    /// warm-start state.
-    pub fn warm_parts(&mut self) -> (&Decoder, &mut DecodeWarmState) {
-        (&self.decoder, &mut self.warm)
-    }
-
     /// Split borrow for adaptive decodes: decoder, warm state and the
-    /// tier pipeline (when the session enabled it).
+    /// tier pipeline (when the session is adaptive).
     pub fn adaptive_parts(
         &mut self,
     ) -> (
@@ -188,12 +204,20 @@ impl Session {
         &mut DecodeWarmState,
         Option<&mut AdaptivePipeline>,
     ) {
-        (&self.decoder, &mut self.warm, self.adaptive.as_mut())
+        let pipeline = match &mut self.mode {
+            LiveMode::Adaptive(pipeline) => Some(pipeline.as_mut()),
+            LiveMode::Cold | LiveMode::Warm => None,
+        };
+        (&self.decoder, &mut self.warm, pipeline)
     }
 
-    /// Per-tier frame counts of the adaptive router, when enabled.
+    /// Per-tier frame counts of the adaptive router, when the session
+    /// is adaptive.
     pub fn tier_counts(&self) -> Option<TierCounts> {
-        self.adaptive.as_ref().map(|p| p.tier_counts())
+        match &self.mode {
+            LiveMode::Adaptive(pipeline) => Some(pipeline.tier_counts()),
+            LiveMode::Cold | LiveMode::Warm => None,
+        }
     }
 
     /// Frames this session has decoded (successfully or not).
@@ -215,7 +239,7 @@ impl Session {
     /// must run cold on fresh buffers rather than inherit torn state.
     pub(crate) fn reset_after_panic(&mut self) {
         self.warm = DecodeWarmState::new();
-        if let Some(pipeline) = self.adaptive.as_mut() {
+        if let LiveMode::Adaptive(pipeline) = &mut self.mode {
             pipeline.reset();
         }
     }
@@ -242,11 +266,11 @@ pub trait DecodeBackend: Send + Sync {
     ) -> flexcs_core::Result<Reconstruction>;
 }
 
-/// Default backend: the flexcs-core decoder. Sessions with an adaptive
-/// tier route each frame through the change-gated pipeline (and emit
-/// `serve.tier.{static,delta,event_greedy,event_full}` counters);
-/// warm sessions seed from the previous solution; cold sessions decode
-/// from scratch.
+/// Default backend: the flexcs-core decoder, dispatched on the
+/// session's [`DecodeMode`]. Cold sessions decode from scratch, warm
+/// sessions seed from the previous solution, and adaptive sessions
+/// route each frame through the change-gated pipeline (emitting
+/// `serve.tier.{static,delta,event_greedy,event_full}` counters).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WarmDecodeBackend;
 
@@ -256,21 +280,23 @@ impl DecodeBackend for WarmDecodeBackend {
         req: &FrameRequest,
         session: &mut Session,
     ) -> flexcs_core::Result<Reconstruction> {
-        if session.warm_decode() {
-            let (decoder, warm, adaptive) = session.adaptive_parts();
-            if let Some(pipeline) = adaptive {
-                let (rec, tier) =
-                    pipeline.decode(decoder, req.rows, req.cols, &req.selected, &req.y, warm)?;
+        let Session {
+            decoder,
+            warm,
+            mode,
+            ..
+        } = session;
+        let (rows, cols, selected, y) = (req.rows, req.cols, &req.selected, &req.y);
+        match mode {
+            LiveMode::Cold => decoder.reconstruct(rows, cols, selected, y),
+            LiveMode::Warm => decoder.reconstruct_warm(rows, cols, selected, y, warm),
+            LiveMode::Adaptive(pipeline) => {
+                let (rec, tier) = pipeline.decode(decoder, rows, cols, selected, y, warm)?;
                 if tel::enabled() {
                     tel::counter(&format!("serve.tier.{}", tier.name()), 1);
                 }
-                return Ok(rec);
+                Ok(rec)
             }
-            decoder.reconstruct_warm(req.rows, req.cols, &req.selected, &req.y, warm)
-        } else {
-            session
-                .decoder()
-                .reconstruct(req.rows, req.cols, &req.selected, &req.y)
         }
     }
 }
@@ -308,6 +334,18 @@ mod tests {
             y: vec![],
         };
         assert!(matches!(empty.validate(), Err(ServeError::BadRequest(_))));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let non_finite = FrameRequest {
+                rows: 4,
+                cols: 4,
+                selected: vec![0, 1],
+                y: vec![1.0, bad],
+            };
+            assert!(matches!(
+                non_finite.validate(),
+                Err(ServeError::BadRequest(_))
+            ));
+        }
     }
 
     #[test]
@@ -377,8 +415,7 @@ mod tests {
         let cfg = SessionConfig::named("t")
             .with_adaptive(flexcs_core::AdaptiveConfig::default())
             .cold();
-        assert!(cfg.adaptive.is_none());
-        assert!(!cfg.warm_decode);
+        assert_eq!(cfg.mode, DecodeMode::Cold);
         let s = Session::new(cfg);
         assert!(s.tier_counts().is_none());
     }
@@ -386,9 +423,22 @@ mod tests {
     #[test]
     fn frame_budget_builder_enables_adaptive() {
         let cfg = SessionConfig::named("t").with_frame_budget_us(500.0);
-        let adaptive = cfg.adaptive.as_ref().unwrap();
+        let DecodeMode::Adaptive(adaptive) = &cfg.mode else {
+            panic!("not adaptive: {:?}", cfg.mode);
+        };
         assert_eq!(adaptive.frame_budget_us, Some(500.0));
-        assert!(cfg.warm_decode);
+        // A second budget keeps the rest of the adaptive config.
+        let cfg = SessionConfig::named("t")
+            .with_adaptive(flexcs_core::AdaptiveConfig {
+                delta_iteration_budget: 7,
+                ..Default::default()
+            })
+            .with_frame_budget_us(250.0);
+        let DecodeMode::Adaptive(adaptive) = &cfg.mode else {
+            panic!("not adaptive: {:?}", cfg.mode);
+        };
+        assert_eq!(adaptive.delta_iteration_budget, 7);
+        assert_eq!(adaptive.frame_budget_us, Some(250.0));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! mutable state between sessions (a bled workspace buffer, a reused
 //! previous-solution seed, a swapped DCT plan) breaks exact equality.
 
-use flexcs_core::{DecodeWarmState, Decoder, SamplingPlan};
+use flexcs_core::{AdaptiveConfig, CoreError, DecodeWarmState, Decoder, SamplingPlan};
 use flexcs_linalg::Matrix;
-use flexcs_serve::{Engine, EngineConfig, FrameRequest, SessionConfig};
+use flexcs_serve::{Engine, EngineConfig, FrameRequest, ServeError, SessionConfig};
 use flexcs_transform::Dct2d;
 
 /// A drifting DCT-sparse stream: frame `t` perturbs the coefficients
@@ -160,4 +160,66 @@ fn shape_switch_within_a_tenant_stays_serial_exact() {
     for (handle, expected) in handles.into_iter().zip(&serial) {
         assert_eq!(&handle.wait().unwrap().frame, expected);
     }
+}
+
+#[test]
+fn invalid_adaptive_tenant_fails_alone() {
+    // Inverted thresholds can never classify a frame: every frame of
+    // that tenant fails with a typed error (no panic, no silent
+    // fallback), while a tenant sharing the workers keeps serving
+    // frames identical to a direct decode.
+    let stream_a = stream(10, 10, 4, 7);
+    let stream_b = stream(8, 8, 4, 13);
+    let reqs_a = requests(&stream_a, 0.6, 300);
+    let reqs_b = requests(&stream_b, 0.6, 700);
+    let serial_b = serial_decodes(&reqs_b);
+
+    let engine = Engine::new(EngineConfig {
+        workers: 2,
+        ..EngineConfig::default()
+    });
+    let broken = engine.register_tenant(SessionConfig::named("broken").with_adaptive(
+        AdaptiveConfig {
+            static_threshold: 0.5,
+            delta_threshold: 0.1,
+            ..AdaptiveConfig::default()
+        },
+    ));
+    let bystander = engine.register_tenant(SessionConfig::named("bystander"));
+    let mut handles_a = Vec::new();
+    let mut handles_b = Vec::new();
+    for (ra, rb) in reqs_a.iter().zip(&reqs_b) {
+        handles_a.push(
+            engine
+                .submit(broken, ra.clone())
+                .unwrap()
+                .accepted()
+                .unwrap(),
+        );
+        handles_b.push(
+            engine
+                .submit(bystander, rb.clone())
+                .unwrap()
+                .accepted()
+                .unwrap(),
+        );
+    }
+    for handle in handles_a {
+        let result = handle.wait();
+        assert!(
+            matches!(result, Err(ServeError::Decode(CoreError::InvalidConfig(_)))),
+            "{result:?}"
+        );
+    }
+    for (t, (handle, expected)) in handles_b.into_iter().zip(&serial_b).enumerate() {
+        assert_eq!(
+            &handle.wait().unwrap().frame,
+            expected,
+            "bystander frame {t} differs from the serial decode"
+        );
+    }
+    let metrics = engine.metrics();
+    assert_eq!(metrics.panicked, 0);
+    assert_eq!(metrics.failed, 4);
+    assert_eq!(metrics.decoded, 4);
 }

@@ -25,9 +25,14 @@ fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Solver stand-in that panics on poisoned frames (marked by a NaN
-/// sentinel in the first measurement) and otherwise delegates to the
-/// real warm decoder.
+/// Sentinel first measurement marking a poisoned frame. It is finite
+/// because submit rejects NaN and ±Inf measurements before a worker
+/// sees them.
+const POISON: f64 = f64::MAX;
+
+/// Solver stand-in that panics on poisoned frames (marked by the
+/// [`POISON`] sentinel in the first measurement) and otherwise delegates
+/// to the real warm decoder.
 struct PanickingSolver {
     decodes: AtomicU64,
 }
@@ -40,7 +45,7 @@ impl DecodeBackend for PanickingSolver {
     ) -> flexcs_core::Result<Reconstruction> {
         self.decodes.fetch_add(1, Ordering::Relaxed);
         assert!(
-            !req.y[0].is_nan(),
+            req.y[0] != POISON,
             "injected solver panic: measurement buffer corrupted"
         );
         WarmDecodeBackend.decode(req, session)
@@ -90,7 +95,7 @@ fn panicking_decode_fails_only_its_frame() {
         for seed in 0..5u64 {
             let mut req = request(&frame, 40, seed);
             if seed == 2 {
-                req.y[0] = f64::NAN;
+                req.y[0] = POISON;
             }
             handles.push(
                 engine
@@ -168,7 +173,7 @@ fn warm_state_resets_after_panic_keeps_decodes_finite() {
             .unwrap()
             .wait();
         let mut poisoned = request(&frame, 40, 2);
-        poisoned.y[0] = f64::NAN;
+        poisoned.y[0] = POISON;
         let crash = engine
             .submit(tenant, poisoned)
             .unwrap()
@@ -233,4 +238,43 @@ fn duplicate_sample_indices_fail_as_decode_errors() {
             .wait();
         assert!(ok.is_ok(), "tenant wedged after a rejected frame");
     }
+}
+
+#[test]
+fn non_finite_measurements_are_rejected_at_submit() {
+    // NaN or ±Inf measurements never reach a worker, whatever the
+    // session's decode mode: submit refuses them as bad requests.
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
+    let tenants = [
+        engine.register_tenant(SessionConfig::named("warm")),
+        engine.register_tenant(SessionConfig::named("cold").cold()),
+        engine.register_tenant(
+            SessionConfig::named("adaptive").with_adaptive(flexcs_core::AdaptiveConfig::default()),
+        ),
+    ];
+    let frame = sparse_frame(8, 8);
+    for tenant in tenants {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut req = request(&frame, 40, 6);
+            req.y[7] = bad;
+            let submitted = engine.submit(tenant, req);
+            assert!(
+                matches!(submitted, Err(ServeError::BadRequest(_))),
+                "y = {bad}: {submitted:?}"
+            );
+        }
+        let ok = engine
+            .submit(tenant, request(&frame, 40, 7))
+            .unwrap()
+            .accepted()
+            .unwrap()
+            .wait();
+        assert!(ok.is_ok(), "tenant wedged after a rejected frame");
+    }
+    let metrics = engine.metrics();
+    assert_eq!(metrics.decoded, 3);
+    assert_eq!(metrics.failed, 0);
 }
