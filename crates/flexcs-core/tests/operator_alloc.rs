@@ -6,8 +6,9 @@
 //! cannot add to the count being measured). Two kinds of assertion:
 //!
 //! - an operator product through `apply_into` / `apply_transpose_into`
-//!   allocates nothing after one warm-up call, on both the fast Lee
-//!   kernel (32x32) and the dense kernel (12x12);
+//!   allocates nothing after one warm-up call, on the Lee lane codelet
+//!   alone (32x32, 8x32), with an upper sweep level above it (64x64),
+//!   and on the dense kernel (12x12);
 //! - FISTA, power iteration, a warm `Decoder` solve, an adaptive
 //!   delta-tier frame and a block-tiled decode allocate exactly as
 //!   often under a 10-iteration budget as under a 200-iteration one, so
@@ -91,7 +92,9 @@ fn budget_config(max_iterations: usize) -> IstaConfig {
 
 #[test]
 fn operator_products_are_allocation_free_after_warmup() {
-    for (rows, cols) in [(32, 32), (12, 12)] {
+    // 32 x 32 and 8 x 32 run only the Lee lane codelet, 64 x 64 its upper
+    // sweep level on top of it, and 12 x 12 the dense kernel.
+    for (rows, cols) in [(32, 32), (12, 12), (64, 64), (8, 32)] {
         let op = operator(rows, cols, 7);
         let x: Vec<f64> = (0..op.cols()).map(|i| (i as f64 * 0.3).sin()).collect();
         let y: Vec<f64> = (0..op.rows()).map(|i| (i as f64 * 0.7).cos()).collect();

@@ -21,6 +21,10 @@
 //!   `diff_norm2_sq` share one accumulation structure, so
 //!   `diff_norm2_sq(a, b)` stays bit-identical to `dot(d, d)` of the
 //!   materialized difference *within this tier*.
+//! - The Lee lane codelets compile the shared plain-Rust body in
+//!   [`super::codelet`] inside `#[target_feature(enable = "avx2")]`
+//!   wrappers (AVX2 only, so no FMA can appear); the 4×4 transpose only
+//!   moves data. Both are bit-identical to the scalar tier.
 //! - Soft-threshold branches are mirrored with a blend sequence whose
 //!   last write corresponds to the scalar `v > t` arm, reproducing the
 //!   scalar branch priority bit for bit (including `t < 0` and NaN
@@ -486,6 +490,90 @@ unsafe fn sub_add_scaled_shrink_inner(
         let v = (*ap.add(i) - *bp.add(i)) + *cp.add(i) * k;
         *op.add(i) = super::scalar::shrink(v, thr);
         i += 1;
+    }
+}
+
+/// Lee DCT-II lane codelet: the shared [`super::codelet`] body compiled
+/// for AVX2 (no FMA), so it is bit-identical to the scalar tier.
+pub fn lee_forward_lanes(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    // SAFETY: AVX2 verified at tier selection; the body is safe code
+    // that checks its own lengths.
+    unsafe { lee_forward_lanes_inner(v, w, twiddles, s0, sk) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn lee_forward_lanes_inner(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    super::codelet::forward(v, w, twiddles, s0, sk);
+}
+
+/// Lee DCT-III lane codelet: the shared [`super::codelet`] body
+/// compiled for AVX2 (no FMA), so it is bit-identical to the scalar
+/// tier.
+pub fn lee_inverse_lanes(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    // SAFETY: AVX2 verified at tier selection; the body is safe code
+    // that checks its own lengths.
+    unsafe { lee_inverse_lanes_inner(v, w, twiddles, s0, sk) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn lee_inverse_lanes_inner(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    super::codelet::inverse(v, w, twiddles, s0, sk);
+}
+
+/// Out-of-place transpose (`rows x cols` → `cols x rows`) in
+/// register-blocked 4×4 tiles; pure data movement, so identical to the
+/// scalar tier.
+pub fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
+    assert_eq!(src.len(), rows * cols, "transpose: length mismatch");
+    assert_eq!(dst.len(), rows * cols, "transpose: length mismatch");
+    // SAFETY: AVX2 verified at tier selection; lengths checked.
+    unsafe { transpose_inner(src, dst, rows, cols) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_inner(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
+    // Cache tile (a multiple of the 4×4 register block).
+    const TILE: usize = 32;
+    let (r4, c4) = (rows & !3, cols & !3);
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    for ib in (0..r4).step_by(TILE) {
+        let i_end = (ib + TILE).min(r4);
+        for jb in (0..c4).step_by(TILE) {
+            let j_end = (jb + TILE).min(c4);
+            for i in (ib..i_end).step_by(4) {
+                for j in (jb..j_end).step_by(4) {
+                    // SAFETY: i + 3 < r4 <= rows and j + 3 < c4 <= cols,
+                    // so the four source rows and four destination rows
+                    // stay inside the rows * cols buffers.
+                    let s = sp.add(i * cols + j);
+                    let r0 = _mm256_loadu_pd(s);
+                    let r1 = _mm256_loadu_pd(s.add(cols));
+                    let r2 = _mm256_loadu_pd(s.add(2 * cols));
+                    let r3 = _mm256_loadu_pd(s.add(3 * cols));
+                    let t0 = _mm256_unpacklo_pd(r0, r1);
+                    let t1 = _mm256_unpackhi_pd(r0, r1);
+                    let t2 = _mm256_unpacklo_pd(r2, r3);
+                    let t3 = _mm256_unpackhi_pd(r2, r3);
+                    let d = dp.add(j * rows + i);
+                    _mm256_storeu_pd(d, _mm256_permute2f128_pd::<0x20>(t0, t2));
+                    _mm256_storeu_pd(d.add(rows), _mm256_permute2f128_pd::<0x20>(t1, t3));
+                    _mm256_storeu_pd(d.add(2 * rows), _mm256_permute2f128_pd::<0x31>(t0, t2));
+                    _mm256_storeu_pd(d.add(3 * rows), _mm256_permute2f128_pd::<0x31>(t1, t3));
+                }
+            }
+        }
+    }
+    // Ragged edges: the last `cols % 4` columns of every row, then the
+    // last `rows % 4` rows of the remaining columns.
+    for i in 0..rows {
+        for j in c4..cols {
+            dst[j * rows + i] = src[i * cols + j];
+        }
+    }
+    for i in r4..rows {
+        for j in 0..c4 {
+            dst[j * rows + i] = src[i * cols + j];
+        }
     }
 }
 

@@ -1,10 +1,11 @@
 //! Runtime-dispatched SIMD micro-kernel layer for the decode hot path.
 //!
 //! Every hot inner loop of the decode stack — the `vecops` fused
-//! kernels, the blocked-matmul / matvec panels, the Lee-DCT butterfly
-//! lane loops, and the RPCA shrinkage/residual updates — funnels
-//! through the [`Kernels`] table returned by [`kernels`]. The table is
-//! selected exactly once per process (a [`OnceLock`]) from:
+//! kernels, the blocked-matmul / matvec panels, the Lee-DCT lane
+//! codelets, butterflies and transpose, and the RPCA shrinkage/residual
+//! updates — funnels through the [`Kernels`] table returned by
+//! [`kernels`]. The table is selected exactly once per process (a
+//! [`OnceLock`]) from:
 //!
 //! 1. **`FLEXCS_FORCE_SCALAR`** — if set to anything other than
 //!    `""`/`"0"`/`"false"`, the portable [`scalar`] tier is used
@@ -20,9 +21,10 @@
 //! ## Tolerance policy
 //!
 //! - *Elementwise* kernels (axpy, scale, sub/add, soft-threshold,
-//!   prox-grad step, momentum, DCT butterflies, RPCA shrink targets)
-//!   are **bit-identical** across tiers: vector tiers use explicit
-//!   mul/add/sub intrinsics — never fused multiply-add — so each lane
+//!   prox-grad step, momentum, DCT butterflies and lane codelets, RPCA
+//!   shrink targets) are **bit-identical** across tiers: vector tiers
+//!   use explicit mul/add/sub intrinsics, or compile the shared codelet
+//!   body with FMA disabled — never fused multiply-add — so each lane
 //!   performs the exact scalar rounding sequence.
 //! - *Reductions* (`dot`, `diff_norm2_sq`, the RPCA dual residual) may
 //!   **re-associate** (wide accumulators, FMA) and are pinned to the
@@ -50,7 +52,10 @@
 
 use std::sync::OnceLock;
 
+mod codelet;
 pub mod scalar;
+
+pub use codelet::CODELET_MAX;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -83,6 +88,15 @@ impl SimdTier {
 /// Lee-DCT butterfly lane loop: two output lanes from two input lanes
 /// and one scalar coefficient (`butterfly_split` / `butterfly_merge`).
 pub type ButterflyFn = fn(&mut [f64], &mut [f64], &[f64], &[f64], f64);
+
+/// Lee-DCT lane codelet over a row-major `n x w` frame (`n` a power of
+/// two `≤ 32`): `(v, w, twiddles, s0, sk)`, see
+/// [`Kernels::lee_forward_lanes`] / [`Kernels::lee_inverse_lanes`].
+pub type LeeLanesFn = fn(&mut [f64], usize, &[f64], f64, f64);
+
+/// Out-of-place transpose `(src, dst, rows, cols)`: `src` is
+/// `rows x cols`, `dst` becomes `cols x rows`.
+pub type TransposeFn = fn(&[f64], &mut [f64], usize, usize);
 
 /// RPCA L-update target `out = (a − b) + c·k`.
 pub type SubAddScaledFn = fn(&mut [f64], &[f64], &[f64], &[f64], f64);
@@ -129,6 +143,17 @@ pub struct Kernels {
     /// Lee-DCT inverse butterfly lane loop: `top = 0.5·(alpha + c·beta)`,
     /// `bottom = 0.5·(alpha − c·beta)` (elementwise, bit-identical).
     pub butterfly_merge: ButterflyFn,
+    /// Lee-DCT forward lane codelet: the unscaled DCT-II of every lane
+    /// (`n − 1` reciprocal twiddles `0.5 / cos`, level by level), row 0
+    /// scaled by `s0` and the others by `sk` on the store (elementwise,
+    /// bit-identical).
+    pub lee_forward_lanes: LeeLanesFn,
+    /// Lee-DCT inverse lane codelet: rows scaled by `s0` / `sk` on the
+    /// load, then the exact inverse recursion (`n − 1` doubled cosines,
+    /// level by level) on every lane (elementwise, bit-identical).
+    pub lee_inverse_lanes: LeeLanesFn,
+    /// Out-of-place transpose (data movement, identical across tiers).
+    pub transpose: TransposeFn,
     /// RPCA L-update target `out = (a − b) + c·k` (elementwise,
     /// bit-identical).
     pub sub_add_scaled: SubAddScaledFn,
@@ -155,6 +180,9 @@ static SCALAR: Kernels = Kernels {
     momentum: scalar::momentum,
     butterfly_split: scalar::butterfly_split,
     butterfly_merge: scalar::butterfly_merge,
+    lee_forward_lanes: scalar::lee_forward_lanes,
+    lee_inverse_lanes: scalar::lee_inverse_lanes,
+    transpose: scalar::transpose,
     sub_add_scaled: scalar::sub_add_scaled,
     sub_add_scaled_shrink: scalar::sub_add_scaled_shrink,
     dual_update_residual_sq: scalar::dual_update_residual_sq,
@@ -174,6 +202,9 @@ static AVX2_FMA: Kernels = Kernels {
     momentum: avx2::momentum,
     butterfly_split: avx2::butterfly_split,
     butterfly_merge: avx2::butterfly_merge,
+    lee_forward_lanes: avx2::lee_forward_lanes,
+    lee_inverse_lanes: avx2::lee_inverse_lanes,
+    transpose: avx2::transpose,
     sub_add_scaled: avx2::sub_add_scaled,
     sub_add_scaled_shrink: avx2::sub_add_scaled_shrink,
     dual_update_residual_sq: avx2::dual_update_residual_sq,
@@ -193,6 +224,9 @@ static NEON: Kernels = Kernels {
     momentum: neon::momentum,
     butterfly_split: neon::butterfly_split,
     butterfly_merge: neon::butterfly_merge,
+    lee_forward_lanes: neon::lee_forward_lanes,
+    lee_inverse_lanes: neon::lee_inverse_lanes,
+    transpose: scalar::transpose,
     sub_add_scaled: neon::sub_add_scaled,
     sub_add_scaled_shrink: neon::sub_add_scaled_shrink,
     dual_update_residual_sq: neon::dual_update_residual_sq,

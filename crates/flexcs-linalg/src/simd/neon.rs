@@ -460,6 +460,34 @@ unsafe fn sub_add_scaled_shrink_inner(
     }
 }
 
+/// Lee DCT-II lane codelet: the shared [`super::codelet`] body compiled
+/// for NEON (no fused multiply-add), so it is bit-identical to the
+/// scalar tier.
+pub fn lee_forward_lanes(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    // SAFETY: NEON verified at tier selection; the body is safe code
+    // that checks its own lengths.
+    unsafe { lee_forward_lanes_inner(v, w, twiddles, s0, sk) }
+}
+
+#[target_feature(enable = "neon")]
+unsafe fn lee_forward_lanes_inner(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    super::codelet::forward(v, w, twiddles, s0, sk);
+}
+
+/// Lee DCT-III lane codelet: the shared [`super::codelet`] body
+/// compiled for NEON (no fused multiply-add), so it is bit-identical to
+/// the scalar tier.
+pub fn lee_inverse_lanes(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    // SAFETY: NEON verified at tier selection; the body is safe code
+    // that checks its own lengths.
+    unsafe { lee_inverse_lanes_inner(v, w, twiddles, s0, sk) }
+}
+
+#[target_feature(enable = "neon")]
+unsafe fn lee_inverse_lanes_inner(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    super::codelet::inverse(v, w, twiddles, s0, sk);
+}
+
 /// Fused RPCA dual update `y += mu·z`, `z = d − l − s`, returning `Σ z²`
 /// (elementwise part bit-identical; returned sum re-associates,
 /// ≤ 1e-12 relative vs the scalar tier).

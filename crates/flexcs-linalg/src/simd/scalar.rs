@@ -196,6 +196,41 @@ pub fn butterfly_merge(
     }
 }
 
+/// Register-blocked Lee DCT-II over the lanes of a row-major `n x w`
+/// frame, scaled on the store (reference for
+/// [`super::Kernels::lee_forward_lanes`]; body in `simd/codelet.rs`).
+pub fn lee_forward_lanes(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    super::codelet::forward(v, w, twiddles, s0, sk);
+}
+
+/// Register-blocked inverse of [`lee_forward_lanes`], scaled on the
+/// load (reference for [`super::Kernels::lee_inverse_lanes`]; body in
+/// `simd/codelet.rs`).
+pub fn lee_inverse_lanes(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    super::codelet::inverse(v, w, twiddles, s0, sk);
+}
+
+/// Out-of-place transpose: `src` is `rows x cols`, `dst` becomes
+/// `cols x rows` (reference for [`super::Kernels::transpose`]). Tiling
+/// keeps both access streams cache-resident.
+pub fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
+    assert_eq!(src.len(), rows * cols, "transpose: length mismatch");
+    assert_eq!(dst.len(), rows * cols, "transpose: length mismatch");
+    const TILE: usize = 32;
+    for ib in (0..rows).step_by(TILE) {
+        let i_end = (ib + TILE).min(rows);
+        for jb in (0..cols).step_by(TILE) {
+            let j_end = (jb + TILE).min(cols);
+            for i in ib..i_end {
+                let srow = &src[i * cols..(i + 1) * cols];
+                for j in jb..j_end {
+                    dst[j * rows + i] = srow[j];
+                }
+            }
+        }
+    }
+}
+
 /// Fused RPCA L-update target `out = (a − b) + c·k` (reference for
 /// [`super::Kernels::sub_add_scaled`]).
 pub fn sub_add_scaled(out: &mut [f64], a: &[f64], b: &[f64], c: &[f64], k: f64) {

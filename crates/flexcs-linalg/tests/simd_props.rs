@@ -12,7 +12,11 @@
 //! Lengths are drawn across 0..=67 (via full-length draws sliced to
 //! an independent length) to hit the empty case, the
 //! sub-vector-width remainders, and full vector blocks of every tier
-//! (4/8-wide AVX2, 2/4-wide NEON, 4-wide scalar unrolling).
+//! (4/8-wide AVX2, 2/4-wide NEON, 4-wide scalar unrolling). The Lee
+//! lane codelets draw 1..=68 lanes (whole 4-lane strips plus 1–3
+//! leftover lanes) at every codelet length, and the transpose draws
+//! shapes up to 69 x 69 (ragged 4×4 blocks on both edges, several
+//! cache tiles).
 
 use flexcs_linalg::simd;
 use proptest::prelude::*;
@@ -204,4 +208,62 @@ proptest! {
         let staged = (k.dot)(&d, &d);
         prop_assert_eq!(fused.to_bits(), staged.to_bits());
     }
+
+    #[test]
+    fn lee_lanes_bit_identical(
+        vals in proptest::collection::vec(-100.0..100.0f64, simd::CODELET_MAX * MAX_LEN),
+        w in 1usize..MAX_LEN + 1,
+        log_n in 0usize..6,
+        s0 in -2.0..2.0f64,
+        sk in -2.0..2.0f64,
+    ) {
+        let n = 1usize << log_n;
+        let v = &vals[..n * w];
+        let (inv, twice_cos) = lee_twiddles(n);
+        let k = simd::kernels();
+        let s = simd::scalar_kernels();
+        let (mut fd, mut fs) = (v.to_vec(), v.to_vec());
+        (k.lee_forward_lanes)(&mut fd, w, &inv, s0, sk);
+        (s.lee_forward_lanes)(&mut fs, w, &inv, s0, sk);
+        assert_bits_eq(&fd, &fs, "lee_forward_lanes");
+        let (mut id, mut is) = (v.to_vec(), v.to_vec());
+        (k.lee_inverse_lanes)(&mut id, w, &twice_cos, s0, sk);
+        (s.lee_inverse_lanes)(&mut is, w, &twice_cos, s0, sk);
+        assert_bits_eq(&id, &is, "lee_inverse_lanes");
+    }
+
+    #[test]
+    fn transpose_bit_identical(
+        vals in proptest::collection::vec(-100.0..100.0f64, 69 * 69),
+        rows in 1usize..70,
+        cols in 1usize..70,
+    ) {
+        let src = &vals[..rows * cols];
+        let (mut td, mut ts) = (vec![0.0; rows * cols], vec![0.0; rows * cols]);
+        (simd::kernels().transpose)(src, &mut td, rows, cols);
+        (simd::scalar_kernels().transpose)(src, &mut ts, rows, cols);
+        assert_bits_eq(&td, &ts, "transpose");
+        for i in 0..rows {
+            for j in 0..cols {
+                prop_assert_eq!(ts[j * rows + i].to_bits(), src[i * cols + j].to_bits());
+            }
+        }
+    }
+}
+
+/// Codelet twiddles for length `n`, level by level from `m = n` down to
+/// `m = 2`: reciprocal twiddles `0.5 / cos((i + 0.5)·π / m)` (forward)
+/// and doubled cosines `2·cos((i + 0.5)·π / m)` (inverse).
+fn lee_twiddles(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let (mut inv, mut twice_cos) = (Vec::new(), Vec::new());
+    let mut m = n;
+    while m >= 2 {
+        for i in 0..m / 2 {
+            let c = ((i as f64 + 0.5) * std::f64::consts::PI / m as f64).cos();
+            inv.push(0.5 / c);
+            twice_cos.push(2.0 * c);
+        }
+        m /= 2;
+    }
+    (inv, twice_cos)
 }

@@ -140,14 +140,18 @@ fn run_in(
         op.apply_transpose_into(&ws.r, &mut ws.grad);
         ws.x_next.resize(n, 0.0);
         vecops::prox_grad_step_into(&mut ws.x_next, &ws.y, &ws.grad, step, thresh);
-        if ws.x_next.iter().any(|v| !v.is_finite()) {
+        // A NaN or infinite entry makes the norm non-finite, so the
+        // entry scan runs only then; it tells divergence from a norm
+        // that merely overflowed. Checked before `max`, which drops NaN.
+        let nrm = vecops::norm2(&ws.x_next);
+        if !nrm.is_finite() && ws.x_next.iter().any(|v| !v.is_finite()) {
             return Err(SolverError::Diverged {
                 iteration: iterations,
             });
         }
         // Relative change stopping criterion.
         let change = vecops::diff_norm2(&ws.x_next, &ws.x);
-        let scale = vecops::norm2(&ws.x_next).max(1e-12);
+        let scale = nrm.max(1e-12);
         if accelerated {
             // Gradient-scheme adaptive restart (O'Donoghue & Candès):
             // drop momentum when it points against the descent
@@ -353,6 +357,25 @@ mod tests {
         let rec = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap();
         let err = vecops::norm2(&vecops::sub(&rec.x, &x_true));
         assert!(err < 0.05 * vecops::norm2(&x_true));
+    }
+
+    #[test]
+    fn too_small_lipschitz_diverges_at_a_fixed_iteration() {
+        // A step 10⁴× too long makes the iterates grow geometrically.
+        // Their norm overflows to +∞ while every entry is still finite
+        // (with `tol = 0` the stopping test `change <= 0·∞` is false, so
+        // the solve goes on); only a later non-finite entry ends it.
+        let op = gaussian_operator(20, 40, 7);
+        let b = op.apply(&sparse_signal(40, 3, 8));
+        let mut cfg = IstaConfig::with_lambda(1e-3);
+        cfg.lipschitz = Some(op.spectral_norm_estimate(50).powi(2) * 1e-4);
+        cfg.max_iterations = 10_000;
+        cfg.tol = 0.0;
+        let err = fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None).unwrap_err();
+        assert!(
+            matches!(err, SolverError::Diverged { iteration: 73 }),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! repeated frames do not reallocate.
 
 use crate::error::{Result, TransformError};
-use flexcs_linalg::{simd, Matrix};
+use flexcs_linalg::simd::{self, CODELET_MAX};
+use flexcs_linalg::Matrix;
 use std::cell::RefCell;
 use std::f64::consts::PI;
 use std::sync::OnceLock;
@@ -77,6 +78,11 @@ pub struct DctPlan {
     /// Reciprocal twiddles `0.5 / levels[l][i]`, so the forward butterfly
     /// multiplies instead of divides (divides dominate the lane cost).
     inv_levels: Vec<Vec<f64>>,
+    /// Lane-codelet twiddles for the bottom `min(n, 32)`-point levels,
+    /// level by level: reciprocal twiddles (forward) and doubled cosines
+    /// `2·cos` (inverse; the same product `lee_inverse` forms).
+    codelet_inv: Vec<f64>,
+    codelet_twice_cos: Vec<f64>,
     a0: f64,
     ak: f64,
     inv_a0: f64,
@@ -133,10 +139,14 @@ impl DctPlan {
         } else {
             Vec::new()
         };
-        let inv_levels = levels
+        let inv_levels: Vec<Vec<f64>> = levels
             .iter()
             .map(|l| l.iter().map(|c| 0.5 / c).collect())
             .collect();
+        let codelet_levels = levels.len().min(CODELET_MAX.trailing_zeros() as usize);
+        let tail = levels.len() - codelet_levels;
+        let codelet_inv = inv_levels[tail..].concat();
+        let codelet_twice_cos = levels[tail..].iter().flatten().map(|c| 2.0 * c).collect();
         let a0 = (1.0 / nf).sqrt();
         let ak = (2.0 / nf).sqrt();
         let plan = DctPlan {
@@ -145,6 +155,8 @@ impl DctPlan {
             dense: OnceLock::new(),
             levels,
             inv_levels,
+            codelet_inv,
+            codelet_twice_cos,
             a0,
             ak,
             inv_a0: 1.0 / a0,
@@ -169,6 +181,8 @@ impl DctPlan {
             plan.kernel = DctKernel::Dense;
             plan.levels = Vec::new();
             plan.inv_levels = Vec::new();
+            plan.codelet_inv = Vec::new();
+            plan.codelet_twice_cos = Vec::new();
             let _ = plan.dense.set(cosine_matrix(n));
         }
         Ok(plan)
@@ -286,6 +300,34 @@ impl DctPlan {
         })
     }
 
+    /// Orthonormal forward transform of every lane of the row-major
+    /// `n x w` buffer `v` (one lane per column). Up to the codelet length
+    /// the whole transform is one codelet call that scales on its store;
+    /// longer lanes sweep the upper levels and scale afterwards. `s` is
+    /// the sweep scratch (same size as `v`), unused by the codelet.
+    fn forward_lanes(&self, v: &mut [f64], s: &mut [f64], w: usize) {
+        let kern = simd::kernels();
+        if self.n <= CODELET_MAX {
+            (kern.lee_forward_lanes)(v, w, &self.codelet_inv, self.a0, self.ak);
+        } else {
+            lee_forward_cols(v, s, w, &self.inv_levels, &self.codelet_inv);
+            (kern.scale)(&mut v[..w], self.a0);
+            (kern.scale)(&mut v[w..], self.ak);
+        }
+    }
+
+    /// Inverse of [`DctPlan::forward_lanes`], in place.
+    fn inverse_lanes(&self, v: &mut [f64], s: &mut [f64], w: usize) {
+        let kern = simd::kernels();
+        if self.n <= CODELET_MAX {
+            (kern.lee_inverse_lanes)(v, w, &self.codelet_twice_cos, self.inv_a0, self.inv_ak);
+        } else {
+            (kern.scale)(&mut v[..w], self.inv_a0);
+            (kern.scale)(&mut v[w..], self.inv_ak);
+            lee_inverse_cols(v, s, w, &self.levels, &self.codelet_twice_cos);
+        }
+    }
+
     fn check(&self, len: usize) -> Result<()> {
         if len != self.n {
             return Err(TransformError::InvalidLength {
@@ -398,51 +440,27 @@ fn lee_inverse(v: &mut [f64], s: &mut [f64], levels: &[Vec<f64>]) {
 
 /// Multi-lane Lee forward recursion: treats the row-major `n x w` buffer
 /// `v` as `w` independent length-`n` lanes (one per column) and applies
-/// the butterfly to whole rows at a time. This keeps the column pass of
-/// the 2-D transform on contiguous memory — no per-column gather — and
-/// lets the compiler vectorize each row operation across lanes.
-fn lee_forward_cols(v: &mut [f64], s: &mut [f64], w: usize, inv_levels: &[Vec<f64>]) {
+/// the butterfly to whole rows at a time, so the column pass of the 2-D
+/// transform stays on contiguous memory with no per-column gather. Each
+/// sweep level halves the length; at the codelet length the dispatched
+/// register-blocked codelet ([`simd::Kernels::lee_forward_lanes`])
+/// finishes the sub-block in one load and one store. Unscaled.
+fn lee_forward_cols(
+    v: &mut [f64],
+    s: &mut [f64],
+    w: usize,
+    inv_levels: &[Vec<f64>],
+    codelet: &[f64],
+) {
     let n = v.len() / w;
-    if n == 1 {
-        return;
-    }
-    if n == 2 {
-        let r = inv_levels[0][0];
-        let (top, bot) = v.split_at_mut(w);
-        for j in 0..w {
-            let (x, y) = (top[j], bot[j]);
-            top[j] = x + y;
-            bot[j] = (x - y) * r;
-        }
-        return;
-    }
-    if n == 4 {
-        // Fused bottom two levels: one read and one write per lane
-        // element, all intermediates in registers.
-        let (r0, r1) = (inv_levels[0][0], inv_levels[0][1]);
-        let r2 = inv_levels[1][0];
-        let (v01, v23) = v.split_at_mut(2 * w);
-        let (v0, v1) = v01.split_at_mut(w);
-        let (v2, v3) = v23.split_at_mut(w);
-        for j in 0..w {
-            let a0 = v0[j] + v3[j];
-            let a1 = v1[j] + v2[j];
-            let b0 = (v0[j] - v3[j]) * r0;
-            let b1 = (v1[j] - v2[j]) * r1;
-            let bt1 = (b0 - b1) * r2;
-            v0[j] = a0 + a1;
-            v1[j] = b0 + b1 + bt1;
-            v2[j] = (a0 - a1) * r2;
-            v3[j] = bt1;
-        }
+    let kern = simd::kernels();
+    if n <= CODELET_MAX {
+        // Unit scales: the caller scales the whole lane once at the end.
+        (kern.lee_forward_lanes)(v, w, codelet, 1.0, 1.0);
         return;
     }
     let half = n / 2;
     let recip = &inv_levels[0];
-    // Lane loops run the dispatched elementwise kernels (bit-identical
-    // across tiers); the n = 2 / n = 4 fused base cases above stay
-    // scalar — their intermediates live entirely in registers.
-    let kern = simd::kernels();
     let (alpha, beta) = s.split_at_mut(half * w);
     for i in 0..half {
         let inv = recip[i];
@@ -456,8 +474,8 @@ fn lee_forward_cols(v: &mut [f64], s: &mut [f64], w: usize, inv_levels: &[Vec<f6
     }
     {
         let (va, vb) = v.split_at_mut(half * w);
-        lee_forward_cols(alpha, va, w, &inv_levels[1..]);
-        lee_forward_cols(beta, vb, w, &inv_levels[1..]);
+        lee_forward_cols(alpha, va, w, &inv_levels[1..], codelet);
+        lee_forward_cols(beta, vb, w, &inv_levels[1..], codelet);
     }
     for i in 0..half - 1 {
         v[i * 2 * w..(i * 2 + 1) * w].copy_from_slice(&alpha[i * w..(i + 1) * w]);
@@ -469,49 +487,17 @@ fn lee_forward_cols(v: &mut [f64], s: &mut [f64], w: usize, inv_levels: &[Vec<f6
     v[(n - 1) * w..n * w].copy_from_slice(&beta[(half - 1) * w..half * w]);
 }
 
-/// Multi-lane inverse of [`lee_forward_cols`].
-fn lee_inverse_cols(v: &mut [f64], s: &mut [f64], w: usize, levels: &[Vec<f64>]) {
+/// Multi-lane inverse of [`lee_forward_cols`], with the codelet
+/// ([`simd::Kernels::lee_inverse_lanes`]) as its base case. Unscaled.
+fn lee_inverse_cols(v: &mut [f64], s: &mut [f64], w: usize, levels: &[Vec<f64>], codelet: &[f64]) {
     let n = v.len() / w;
-    if n == 1 {
-        return;
-    }
-    if n == 2 {
-        let c = levels[0][0];
-        let (top, bot) = v.split_at_mut(w);
-        for j in 0..w {
-            let diff = 2.0 * c * bot[j];
-            let a = top[j];
-            top[j] = 0.5 * (a + diff);
-            bot[j] = 0.5 * (a - diff);
-        }
-        return;
-    }
-    if n == 4 {
-        // Fused inverse of the two bottom levels (see the forward case).
-        let (c0, c1) = (levels[0][0], levels[0][1]);
-        let d = 2.0 * levels[1][0];
-        let (v01, v23) = v.split_at_mut(2 * w);
-        let (v0, v1) = v01.split_at_mut(w);
-        let (v2, v3) = v23.split_at_mut(w);
-        for j in 0..w {
-            let at0 = 0.5 * (v0[j] + d * v2[j]);
-            let at1 = 0.5 * (v0[j] - d * v2[j]);
-            let b0 = v1[j] - v3[j];
-            let bt0 = 0.5 * (b0 + d * v3[j]);
-            let bt1 = 0.5 * (b0 - d * v3[j]);
-            let diff0 = 2.0 * c0 * bt0;
-            let diff1 = 2.0 * c1 * bt1;
-            v0[j] = 0.5 * (at0 + diff0);
-            v1[j] = 0.5 * (at1 + diff1);
-            v2[j] = 0.5 * (at1 - diff1);
-            v3[j] = 0.5 * (at0 - diff0);
-        }
+    let kern = simd::kernels();
+    if n <= CODELET_MAX {
+        (kern.lee_inverse_lanes)(v, w, codelet, 1.0, 1.0);
         return;
     }
     let half = n / 2;
     let cosines = &levels[0];
-    // Dispatched elementwise lane kernels, as in the forward recursion.
-    let kern = simd::kernels();
     let (alpha, beta) = s.split_at_mut(half * w);
     for i in 0..half {
         alpha[i * w..(i + 1) * w].copy_from_slice(&v[i * 2 * w..(i * 2 + 1) * w]);
@@ -526,8 +512,8 @@ fn lee_inverse_cols(v: &mut [f64], s: &mut [f64], w: usize, levels: &[Vec<f64>])
     }
     {
         let (va, vb) = v.split_at_mut(half * w);
-        lee_inverse_cols(alpha, va, w, &levels[1..]);
-        lee_inverse_cols(beta, vb, w, &levels[1..]);
+        lee_inverse_cols(alpha, va, w, &levels[1..], codelet);
+        lee_inverse_cols(beta, vb, w, &levels[1..], codelet);
     }
     for i in 0..half {
         let twice_cos = 2.0 * cosines[i];
@@ -548,24 +534,6 @@ struct Dct2dScratch {
     aux: Vec<f64>,
     aux2: Vec<f64>,
     strip: Vec<f64>,
-}
-
-/// Tiled out-of-place transpose: `src` is `rows x cols`, `dst` becomes
-/// `cols x rows`. Tiling keeps both access streams cache-resident.
-fn transpose_into(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
-    const TILE: usize = 32;
-    for ib in (0..rows).step_by(TILE) {
-        let i_end = (ib + TILE).min(rows);
-        for jb in (0..cols).step_by(TILE) {
-            let j_end = (jb + TILE).min(cols);
-            for i in ib..i_end {
-                let srow = &src[i * cols..(i + 1) * cols];
-                for j in jb..j_end {
-                    dst[j * rows + i] = srow[j];
-                }
-            }
-        }
-    }
 }
 
 /// A 2-D separable orthonormal DCT for `rows x cols` frames.
@@ -679,7 +647,7 @@ impl Dct2d {
         let (rows, cols) = self.shape();
         self.forward_staged(out, |staged| {
             if self.row_plan.is_fast() {
-                transpose_into(frame, staged, rows, cols);
+                (simd::kernels().transpose)(frame, staged, rows, cols);
             } else {
                 staged.copy_from_slice(frame);
             }
@@ -700,7 +668,7 @@ impl Dct2d {
         let (rows, cols) = self.shape();
         self.inverse_staged(coeffs, |staged| {
             if self.row_plan.is_fast() {
-                transpose_into(staged, out, cols, rows);
+                (simd::kernels().transpose)(staged, out, cols, rows);
             } else {
                 out.copy_from_slice(staged);
             }
@@ -809,15 +777,16 @@ impl Dct2d {
     /// in the inverse (order only matters for matching the adjoint
     /// exactly, cost is identical). Both passes run the multi-lane
     /// kernel over contiguous memory — the row pass on the transposed
-    /// staging buffer — so every butterfly vectorizes across lanes.
+    /// staging buffer — so every codelet strip vectorizes across lanes.
     fn forward_staged(&self, out: &mut [f64], stage: impl FnOnce(&mut [f64])) {
         let (rows, cols) = self.shape();
         with_frame_scratch(|s| {
             if self.row_plan.is_fast() {
                 let t = lanes(&mut s.aux, rows * cols);
                 stage(t);
-                self.transposed_row_forward(t, lanes(&mut s.aux2, rows * cols));
-                transpose_into(t, out, cols, rows);
+                self.row_plan
+                    .forward_lanes(t, lanes(&mut s.aux2, rows * cols), rows);
+                (simd::kernels().transpose)(t, out, cols, rows);
             } else {
                 let frame = lanes(&mut s.aux2, rows * cols);
                 stage(frame);
@@ -838,37 +807,14 @@ impl Dct2d {
             self.col_pass(data, aux, false);
             if self.row_plan.is_fast() {
                 let t = lanes(aux, rows * cols);
-                transpose_into(data, t, rows, cols);
-                self.transposed_row_inverse(t, data);
+                (simd::kernels().transpose)(data, t, rows, cols);
+                self.row_plan.inverse_lanes(t, data, rows);
                 finish(t);
             } else {
                 self.dense_row_inverse(data, strip);
                 finish(data);
             }
         });
-    }
-
-    /// Fast-kernel row pass of the forward transform on a transposed
-    /// (`cols x rows`) frame in `t`: the multi-lane Lee recursion along
-    /// the original row direction, then the orthonormal scaling.
-    fn transposed_row_forward(&self, t: &mut [f64], scratch: &mut [f64]) {
-        let rows = self.col_plan.len();
-        let plan = &self.row_plan;
-        lee_forward_cols(t, scratch, rows, &plan.inv_levels);
-        let kern = simd::kernels();
-        (kern.scale)(&mut t[..rows], plan.a0);
-        (kern.scale)(&mut t[rows..], plan.ak);
-    }
-
-    /// Fast-kernel row pass of the inverse transform on a transposed
-    /// (`cols x rows`) frame in `t`, in place.
-    fn transposed_row_inverse(&self, t: &mut [f64], scratch: &mut [f64]) {
-        let rows = self.col_plan.len();
-        let plan = &self.row_plan;
-        let kern = simd::kernels();
-        (kern.scale)(&mut t[..rows], plan.inv_a0);
-        (kern.scale)(&mut t[rows..], plan.inv_ak);
-        lee_inverse_cols(t, scratch, rows, &plan.levels);
     }
 
     /// Dense-kernel row pass of the forward transform: one matvec per
@@ -903,15 +849,10 @@ impl Dct2d {
         match plan.kernel {
             DctKernel::Fast => {
                 let scratch = lanes(scratch, rows * cols);
-                let kern = simd::kernels();
                 if forward {
-                    lee_forward_cols(data, scratch, cols, &plan.inv_levels);
-                    (kern.scale)(&mut data[..cols], plan.a0);
-                    (kern.scale)(&mut data[cols..], plan.ak);
+                    plan.forward_lanes(data, scratch, cols);
                 } else {
-                    (kern.scale)(&mut data[..cols], plan.inv_a0);
-                    (kern.scale)(&mut data[cols..], plan.inv_ak);
-                    lee_inverse_cols(data, scratch, cols, &plan.levels);
+                    plan.inverse_lanes(data, scratch, cols);
                 }
             }
             DctKernel::Dense => {

@@ -46,8 +46,8 @@ proptest! {
 
     #[test]
     fn fast_and_dense_plans_agree_across_lengths(seed in 0u64..1000) {
-        // Powers of two exercise the Lee recursion (including the fused
-        // n = 2/4 bases); 100 exercises the dense fallback selector.
+        // Powers of two exercise the Lee recursion (including its
+        // unrolled n = 2 base); 100 exercises the dense fallback selector.
         for n in [1usize, 2, 8, 64, 100, 256] {
             let v: Vec<f64> = (0..n)
                 .map(|i| ((i as f64 + seed as f64) * 0.37).sin() * 5.0)
@@ -172,5 +172,124 @@ proptest! {
         let v = zigzag::zigzag_scan(&frame);
         let back = zigzag::zigzag_unscan(&v, 4, 6);
         prop_assert_eq!(back, frame);
+    }
+}
+
+/// Deterministic pseudo-random values in `[-8, 8)` from a seed
+/// (splitmix64), with every seventh value scaled by 1e6 so the frames
+/// mix magnitudes.
+fn seeded_values(seed: u64, len: usize) -> Vec<f64> {
+    let mut state = seed;
+    (0..len)
+        .map(|i| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let u = (z >> 11) as f64 / (1u64 << 53) as f64 * 16.0 - 8.0;
+            if i % 7 == 3 {
+                u * 1e6
+            } else {
+                u
+            }
+        })
+        .collect()
+}
+
+/// Separable 2-D transform built from single-lane 1-D plans: forward is
+/// every row then every column, inverse every column then every row —
+/// the pass order `Dct2d` documents.
+fn separable_reference(rows: usize, cols: usize, data: &[f64], forward: bool) -> Vec<f64> {
+    let (row_plan, col_plan) = (DctPlan::new(cols).unwrap(), DctPlan::new(rows).unwrap());
+    let apply = |plan: &DctPlan, x: &[f64]| {
+        if forward {
+            plan.forward(x).unwrap()
+        } else {
+            plan.inverse(x).unwrap()
+        }
+    };
+    let mut out = data.to_vec();
+    let row_pass = |out: &mut Vec<f64>| {
+        for r in 0..rows {
+            let y = apply(&row_plan, &out[r * cols..(r + 1) * cols]);
+            out[r * cols..(r + 1) * cols].copy_from_slice(&y);
+        }
+    };
+    let col_pass = |out: &mut Vec<f64>| {
+        for c in 0..cols {
+            let x: Vec<f64> = (0..rows).map(|r| out[r * cols + c]).collect();
+            for (r, v) in apply(&col_plan, &x).into_iter().enumerate() {
+                out[r * cols + c] = v;
+            }
+        }
+    };
+    if forward {
+        row_pass(&mut out);
+        col_pass(&mut out);
+    } else {
+        col_pass(&mut out);
+        row_pass(&mut out);
+    }
+    out
+}
+
+fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g:?} vs {w:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn dct2d_entry_points_match_separable_single_lane_plans_bitwise(seed in 0u64..1_000_000) {
+        // Every power-of-two shape up to 128 x 128 (sweep levels above
+        // the 32-point codelet, the codelet alone, and 1-lane edges),
+        // plus shapes with one dense (non-power-of-two) axis.
+        let pow2 = [1usize, 2, 4, 8, 16, 32, 64, 128];
+        let mut shapes: Vec<(usize, usize)> = pow2
+            .iter()
+            .flat_map(|&r| pow2.iter().map(move |&c| (r, c)))
+            .collect();
+        shapes.extend([(12, 32), (32, 12), (6, 64)]);
+        for (rows, cols) in shapes {
+            let n = rows * cols;
+            let what = |entry: &str| format!("{rows}x{cols} {entry}");
+            let dct = Dct2d::new(rows, cols).unwrap();
+            let data = seeded_values(seed ^ (n as u64), n);
+            let frame = Matrix::from_vec(rows, cols, data.clone()).unwrap();
+            let want_fwd = separable_reference(rows, cols, &data, true);
+            let want_inv = separable_reference(rows, cols, &data, false);
+
+            assert_bits(dct.forward(&frame).unwrap().as_slice(), &want_fwd, &what("forward"));
+            assert_bits(dct.inverse(&frame).unwrap().as_slice(), &want_inv, &what("inverse"));
+            let mut out = vec![0.0; n];
+            dct.forward_into(&data, &mut out).unwrap();
+            assert_bits(&out, &want_fwd, &what("forward_into"));
+            dct.inverse_into(&data, &mut out).unwrap();
+            assert_bits(&out, &want_inv, &what("inverse_into"));
+
+            // Sampled forms: about a third of the pixels, picked by seed.
+            let selected: Vec<usize> = (0..n)
+                .filter(|&i| ((i as u64).wrapping_mul(2_654_435_761) ^ seed).is_multiple_of(3))
+                .collect();
+            let positions = dct.sample_positions(&selected).unwrap();
+            let mut gathered = vec![0.0; selected.len()];
+            dct.inverse_gather(&data, &positions, &mut gathered).unwrap();
+            let want_gather: Vec<f64> = selected.iter().map(|&i| want_inv[i]).collect();
+            assert_bits(&gathered, &want_gather, &what("inverse_gather"));
+
+            let values = seeded_values(seed.wrapping_add(1), selected.len());
+            let mut scattered = vec![0.0; n];
+            for (&i, &v) in selected.iter().zip(&values) {
+                scattered[i] = v;
+            }
+            dct.scatter_forward(&values, &positions, &mut out).unwrap();
+            let want_scatter = separable_reference(rows, cols, &scattered, true);
+            assert_bits(&out, &want_scatter, &what("scatter_forward"));
+        }
     }
 }
