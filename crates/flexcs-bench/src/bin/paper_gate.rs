@@ -20,7 +20,7 @@
 //! The telemetry JSON snapshot is written to the path given as the
 //! first argument (default `artifacts/paper_gate_telemetry.json`); its
 //! per-stage span timings are the instrumented counterpart of the
-//! uninstrumented decode-path numbers in `BENCH_decode.json`.
+//! per-layer figures `perfbench --trace 1` reports.
 //!
 //! Run with:
 //! `cargo run --release -p flexcs-bench --features telemetry --bin paper_gate`
@@ -553,7 +553,7 @@ fn main() {
     if let Some(s) = recorder.span_summary("decode.solve") {
         println!(
             "decode.solve mean: {:.1} us over {} solves \
-             (BENCH_decode.json holds the uninstrumented decode-path baseline)",
+             (perfbench measures the uninstrumented decode path)",
             s.mean_ns() / 1e3,
             s.count
         );

@@ -3,8 +3,9 @@
 //! Figure-regeneration harness for the DAC 2020 reproduction. Each
 //! binary regenerates one table/figure of the paper (see DESIGN.md's
 //! per-experiment index); this library holds the shared sweep logic so
-//! the binaries, the integration tests and the Criterion benches agree
-//! on parameters.
+//! the binaries and the integration tests agree on parameters. The
+//! wall-clock and scale gates live in `tests/scale_gates.rs`; repeated,
+//! noise-banded throughput figures come from the `perfbench/` harness.
 //!
 //! | binary | paper artefact |
 //! |---|---|

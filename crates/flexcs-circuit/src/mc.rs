@@ -153,7 +153,7 @@ impl Default for McEngineConfig {
 pub struct McSample {
     /// Metric value recorded into [`MonteCarloStats::values`].
     pub value: f64,
-    /// Whether the trial meets the sweep's pass criterion.
+    /// Whether the trial meets the sweep's pass condition.
     pub pass: bool,
 }
 

@@ -56,7 +56,7 @@ impl VariationModel {
 pub struct MonteCarloStats {
     /// Trials run.
     pub trials: usize,
-    /// Trials meeting the pass criterion.
+    /// Trials meeting the pass condition.
     pub passes: usize,
     /// Metric samples, one per trial.
     pub values: Vec<f64>,

@@ -47,9 +47,9 @@ const MIN_DELTA_ITERATIONS: usize = 5;
 /// fraction of the previous residual counts as stalled. A dense scene
 /// where each atom explains only ~1/K_true of the remaining energy
 /// shrinks the residual by roughly `sqrt(1 − 1/K_true)` per pick
-/// (≈ 0.97 for K_true ≈ 100, measured on the bench_video dense event),
-/// while greedy-recoverable sparse events progress at 0.45–0.87 per
-/// atom — 0.95 separates the two with margin on both sides.
+/// (≈ 0.97 for K_true ≈ 100, as in the adaptive-video scale gate's
+/// dense event), while greedy-recoverable sparse events progress at
+/// 0.45–0.87 per atom — 0.95 separates the two with margin on both sides.
 const GREEDY_STALL_FACTOR: f64 = 0.95;
 
 /// Consecutive stalled iterations before the greedy attempt gives up

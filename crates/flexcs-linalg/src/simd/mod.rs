@@ -75,7 +75,7 @@ pub enum SimdTier {
 
 impl SimdTier {
     /// Stable identifier recorded in telemetry (`simd.tier.<name>`) and
-    /// in `BENCH_decode.json` (`simd_tier`).
+    /// in perfbench's environment stamp (`simd_tier`).
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",

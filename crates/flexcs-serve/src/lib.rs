@@ -22,11 +22,6 @@
 //!   submitter; drop-safe on the worker side (a lost worker resolves
 //!   its claimed frames with [`ServeError::WorkerLost`] instead of
 //!   stranding waiters).
-//! - **[`LargeFrameSession`]** — megapixel session mode: one tenant
-//!   frame, tiled by a [`BlockGrid`], fans out to per-block subtasks
-//!   across cold shard tenants and reassembles (overlap-and-average)
-//!   before completion — bit-identical to `flexcs_core::BlockPipeline`
-//!   for any shard count.
 //! - **Metrics** — engine-native throughput counters and latency
 //!   percentile reservoirs ([`EngineMetrics`]); with the `telemetry`
 //!   feature the same events also flow to the installed
@@ -42,7 +37,6 @@
 //!
 //! [`Decoder`]: flexcs_core::Decoder
 //! [`DecodeWarmState`]: flexcs_core::DecodeWarmState
-//! [`BlockGrid`]: flexcs_core::BlockGrid
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +44,6 @@
 mod engine;
 mod error;
 mod handle;
-mod large;
 mod metrics;
 mod session;
 mod tel;
@@ -58,7 +51,6 @@ mod tel;
 pub use engine::{Engine, EngineConfig, Submit};
 pub use error::ServeError;
 pub use handle::{DecodedFrame, FrameHandle, FrameResult};
-pub use large::{LargeDecodedFrame, LargeFrameConfig, LargeFrameHandle, LargeFrameSession};
 pub use metrics::{EngineMetrics, TenantMetrics};
 pub use session::{
     DecodeBackend, DecodeMode, FrameRequest, Session, SessionConfig, WarmDecodeBackend,

@@ -149,7 +149,7 @@ fn run_in(
                 iteration: iterations,
             });
         }
-        // Relative change stopping criterion.
+        // Relative-change stopping rule.
         let change = vecops::diff_norm2(&ws.x_next, &ws.x);
         let scale = nrm.max(1e-12);
         if accelerated {
