@@ -115,24 +115,6 @@ pub struct McEngineConfig {
     pub threads: Option<usize>,
     /// Linear-solver policy for every solve the engine runs.
     pub policy: SolverPolicy,
-    /// Share symbolic analyses across samples (the tentpole
-    /// optimization). Off = every fresh workspace pays its own
-    /// symbolic analysis; results are bit-identical either way.
-    pub share_symbolic: bool,
-    /// Seed DC Newton solves from the nominal sample's solution.
-    /// Changes Newton trajectories (fewer iterations to the same
-    /// tolerance), so results are deterministic per setting but not
-    /// bitwise-comparable across settings.
-    pub warm_start: bool,
-    /// Workspace-pool capacity; `None` sizes the pool to the resolved
-    /// thread count (enough that no worker ever blocks on checkout).
-    pub pool_capacity: Option<usize>,
-    /// Carry solver workspaces (cached patterns, factor arenas) across
-    /// trials through the pool. Off = every trial builds fresh solvers
-    /// and pays its own pattern construction and symbolic analysis,
-    /// as the pre-engine helpers did — the cold-factor baseline.
-    /// Results are bit-identical either way (refills fully overwrite).
-    pub reuse_workspaces: bool,
 }
 
 impl Default for McEngineConfig {
@@ -140,10 +122,6 @@ impl Default for McEngineConfig {
         McEngineConfig {
             threads: None,
             policy: SolverPolicy::Auto,
-            share_symbolic: true,
-            warm_start: true,
-            pool_capacity: None,
-            reuse_workspaces: true,
         }
     }
 }
@@ -231,7 +209,7 @@ pub struct McTrial<'e> {
     trial: usize,
     nominal: bool,
     rng: Rng,
-    cfg: &'e McEngineConfig,
+    engine: &'e McEngine,
     tables: &'e ShareTables,
     warm: Option<&'e NominalRecord>,
     ws: &'e mut McWorkspace,
@@ -304,15 +282,14 @@ impl McTrial<'_> {
         self.dc_calls += 1;
         let asm = Assembler::new(ckt);
         if self.ws.dc.len() <= slot {
-            let share = self
-                .cfg
-                .share_symbolic
-                .then(|| share_at(&self.tables.dc, slot));
-            self.ws
-                .dc
-                .push(MnaSolver::with_share(self.cfg.policy, asm.dim(), share));
+            let share = (!self.engine.cold).then(|| share_at(&self.tables.dc, slot));
+            self.ws.dc.push(MnaSolver::with_share(
+                self.engine.cfg.policy,
+                asm.dim(),
+                share,
+            ));
         }
-        let seed = if !self.nominal && self.cfg.warm_start {
+        let seed = if !self.nominal && !self.engine.cold {
             self.warm
                 .and_then(|w| w.dc.get(slot))
                 .map(|(x, _)| x.as_slice())
@@ -348,16 +325,13 @@ impl McTrial<'_> {
         let slot = self.tran_calls;
         self.tran_calls += 1;
         if self.ws.tran.len() <= slot {
-            let share = self
-                .cfg
-                .share_symbolic
-                .then(|| share_at(&self.tables.tran, slot));
+            let share = (!self.engine.cold).then(|| share_at(&self.tables.tran, slot));
             let dim = Assembler::new(ckt).dim();
             self.ws
                 .tran
-                .push(MnaSolver::with_share(self.cfg.policy, dim, share));
+                .push(MnaSolver::with_share(self.engine.cfg.policy, dim, share));
         }
-        transient_in(ckt, config, &mut self.ws.tran[slot], self.cfg.policy)
+        transient_in(ckt, config, &mut self.ws.tran[slot], self.engine.cfg.policy)
     }
 }
 
@@ -366,26 +340,32 @@ impl McTrial<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct McEngine {
     cfg: McEngineConfig,
+    /// The [`McEngine::serial_cold`] baseline: no symbolic sharing, no
+    /// Newton warm starts, and a fresh workspace per trial.
+    cold: bool,
 }
 
 impl McEngine {
     /// An engine with an explicit configuration.
     pub fn new(cfg: McEngineConfig) -> Self {
-        McEngine { cfg }
+        McEngine { cfg, cold: false }
     }
 
     /// The serial cold-factor baseline: one thread, no symbolic
-    /// sharing, no warm starts — every sample is an independent cold
-    /// solve, as the pre-engine helpers ran. Benchmarks measure the
-    /// engine's speedup against this configuration.
+    /// sharing, no warm starts, no pooled workspaces — every sample is
+    /// an independent cold solve that pays its own pattern construction
+    /// and symbolic analysis, as the pre-engine helpers ran. Benchmarks
+    /// measure the engine's speedup against this configuration. Its
+    /// statistics are deterministic but not bitwise-comparable to the
+    /// default engine's: warm starts change Newton trajectories.
     pub fn serial_cold() -> Self {
-        McEngine::new(McEngineConfig {
-            threads: Some(1),
-            share_symbolic: false,
-            warm_start: false,
-            reuse_workspaces: false,
-            ..McEngineConfig::default()
-        })
+        McEngine {
+            cfg: McEngineConfig {
+                threads: Some(1),
+                ..McEngineConfig::default()
+            },
+            cold: true,
+        }
     }
 
     /// The engine's configuration.
@@ -426,7 +406,7 @@ impl McEngine {
             trial: 0,
             nominal: true,
             rng: Rng::new(seed),
-            cfg: &self.cfg,
+            engine: self,
             tables: &tables,
             warm: None,
             ws: &mut nominal_ws,
@@ -439,9 +419,8 @@ impl McEngine {
         let warm = std::mem::take(&mut nominal_ctx.record);
         let nominal_factors = nominal_ws.factor_sum();
 
-        let pool: Pool<McWorkspace> =
-            Pool::with_capacity(self.cfg.pool_capacity.unwrap_or(threads));
-        if self.cfg.reuse_workspaces {
+        let pool: Pool<McWorkspace> = Pool::with_capacity(threads);
+        if !self.cold {
             pool.seed(nominal_ws);
         }
 
@@ -458,14 +437,14 @@ impl McEngine {
             // makes every sample pay pattern construction + symbolic
             // analysis itself.
             let mut fresh = McWorkspace::default();
-            let mut pooled = self.cfg.reuse_workspaces.then(|| pool.checkout());
+            let mut pooled = (!self.cold).then(|| pool.checkout());
             let ws = pooled.as_deref_mut().unwrap_or(&mut fresh);
             let factors_before = ws.factor_sum();
             let mut ctx = McTrial {
                 trial: i,
                 nominal: false,
                 rng: Rng::new(sample_seed(seed, i as u64)),
-                cfg: &self.cfg,
+                engine: self,
                 tables: &tables,
                 warm: Some(&warm),
                 ws,

@@ -133,7 +133,6 @@ proptest! {
             let engine = McEngine::new(McEngineConfig {
                 threads: Some(threads),
                 policy: SolverPolicy::Auto,
-                ..McEngineConfig::default()
             });
             engine
                 .run(trials, seed, |trial| {

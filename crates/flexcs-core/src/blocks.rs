@@ -29,7 +29,6 @@
 
 use crate::decode::{DecodeWarmState, Decoder};
 use crate::error::{CoreError, Result};
-use crate::par;
 use crate::rpca::{outlier_indices, rpca, RpcaConfig};
 use crate::sampling::SamplingPlan;
 use crate::tel;
@@ -448,13 +447,18 @@ pub struct BlockOutcome {
 pub struct BlockPipeline {
     decoder: Decoder,
     config: BlockPipelineConfig,
+    /// Fan-out width: `config.threads`, or the default pool size.
+    workers: usize,
     pool: DecodePool,
 }
 
 impl BlockPipeline {
     /// Builds a pipeline around a decoder configuration.
     pub fn new(decoder: Decoder, config: BlockPipelineConfig) -> Self {
-        let workers = par::resolved_threads(config.threads);
+        let workers = config
+            .threads
+            .unwrap_or_else(flexcs_parallel::default_threads)
+            .max(1);
         let capacity = if config.pool_capacity == 0 {
             workers
         } else {
@@ -463,6 +467,7 @@ impl BlockPipeline {
         BlockPipeline {
             decoder,
             config,
+            workers,
             pool: DecodePool::with_capacity(capacity),
         }
     }
@@ -495,7 +500,7 @@ impl BlockPipeline {
         let b = grid.block_size();
         let track = tel::enabled();
         let decoded: Vec<Result<(Matrix, SolveReport)>> =
-            par::maybe_par_map_indices_capped(self.config.threads, meas.blocks.len(), |i| {
+            flexcs_parallel::par_map_indices_with(self.workers, meas.blocks.len(), |i| {
                 let block = &meas.blocks[i];
                 let t0 = track.then(Instant::now);
                 let mut ws = self.pool.checkout();

@@ -5,7 +5,7 @@
 //! frame.
 
 use crate::basisop::{BasisKind, SubsampledDctOperator};
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::tel;
 use flexcs_linalg::{simd, Matrix};
 use flexcs_solver::{
@@ -165,7 +165,9 @@ impl Decoder {
     ///
     /// # Errors
     ///
-    /// Propagates operator-construction and solver failures.
+    /// Returns [`CoreError::NonFiniteMeasurement`] when `y` holds a NaN
+    /// or ±Inf, and propagates operator-construction and solver
+    /// failures.
     pub fn reconstruct(
         &self,
         rows: usize,
@@ -245,6 +247,9 @@ impl Decoder {
                 got: y.len(),
             }
             .into());
+        }
+        if let Some(index) = y.iter().position(|v| !v.is_finite()) {
+            return Err(CoreError::NonFiniteMeasurement { index });
         }
         // Scale λ for LASSO-type solvers relative to the measurement
         // correlations so behaviour is signal-amplitude invariant.
@@ -342,9 +347,8 @@ impl Default for Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CoreError;
     use crate::sampling::SamplingPlan;
-    use flexcs_solver::{AdmmConfig, GreedyConfig};
+    use flexcs_solver::{AdmmConfig, GreedyConfig, IrlsConfig};
 
     /// A frame that is exactly K-sparse in the DCT domain.
     fn sparse_frame(rows: usize, cols: usize) -> Matrix {
@@ -397,6 +401,55 @@ mod tests {
                 got: 2
             }))
         ));
+    }
+
+    #[test]
+    fn non_finite_measurements_are_a_typed_error() {
+        let frame = sparse_frame(8, 8);
+        let plan = SamplingPlan::random_subset(64, 40, &[], 5).unwrap();
+        let clean = plan.measure(&frame.to_flat());
+        let solvers = [
+            SparseSolver::Fista(IstaConfig::default()),
+            SparseSolver::Omp(GreedyConfig::with_sparsity(5)),
+            SparseSolver::AdmmBpdn(AdmmConfig::default()),
+            SparseSolver::Irls(IrlsConfig::default()),
+        ];
+        for solver in solvers {
+            let decoder = Decoder::new(solver);
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut y = clean.clone();
+                y[3] = bad;
+                let result = decoder.reconstruct(8, 8, plan.selected(), &y);
+                assert_eq!(
+                    result.err(),
+                    Some(CoreError::NonFiniteMeasurement { index: 3 }),
+                    "{:?} accepted y[3] = {bad}",
+                    decoder.solver()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_pipeline_rejects_non_finite_measurements() {
+        use crate::blocks::{BlockGrid, BlockGridConfig, BlockPipeline, BlockPipelineConfig};
+        let frame = Matrix::from_fn(32, 32, |i, j| (i as f64 * 0.1).cos() + j as f64 * 0.01);
+        let grid = BlockGrid::new(
+            32,
+            32,
+            BlockGridConfig {
+                block: 16,
+                overlap: 0,
+            },
+        )
+        .unwrap();
+        let mut meas = grid.measure(&frame, 0.5, &[], 11).unwrap();
+        meas.blocks[2].y[0] = f64::INFINITY;
+        let pipeline = BlockPipeline::new(Decoder::default(), BlockPipelineConfig::default());
+        assert_eq!(
+            pipeline.decode(&grid, &meas).err(),
+            Some(CoreError::NonFiniteMeasurement { index: 0 })
+        );
     }
 
     #[test]

@@ -15,6 +15,12 @@ pub enum CoreError {
         /// Usable pixels available.
         available: usize,
     },
+    /// A measurement was NaN or ±Inf; no solver can decode it.
+    NonFiniteMeasurement {
+        /// Position of the first non-finite value in the measurement
+        /// vector.
+        index: usize,
+    },
     /// A transform failure (shape mismatches and the like).
     Transform(flexcs_transform::TransformError),
     /// A recovery-solver failure.
@@ -36,6 +42,9 @@ impl fmt::Display for CoreError {
                 f,
                 "requested {requested} samples but only {available} usable pixels remain"
             ),
+            CoreError::NonFiniteMeasurement { index } => {
+                write!(f, "measurement {index} is not finite")
+            }
             CoreError::Transform(e) => write!(f, "transform failure: {e}"),
             CoreError::Solver(e) => write!(f, "solver failure: {e}"),
             CoreError::Linalg(e) => write!(f, "linear algebra failure: {e}"),

@@ -57,7 +57,6 @@ mod encoder;
 mod error;
 mod inject;
 mod metrics;
-mod par;
 mod pipeline;
 mod rpca;
 mod sampling;
@@ -76,15 +75,20 @@ pub use encoder::{Acquisition, CircuitEncoder};
 pub use error::{CoreError, Result};
 pub use inject::{detect_extremes, SparseErrorModel};
 pub use metrics::{mae, psnr_unit, relative_error, rmse};
-pub use par::parallel_enabled;
 pub use pipeline::{
     run_experiment, run_experiment_batch, run_experiment_stream, ExperimentConfig,
     ExperimentOutcome,
 };
 pub use rpca::{
-    outlier_indices, persistent_outliers, rpca, rpca_multiframe, rpca_multiframe_warm, rpca_warm,
-    transient_outliers, RpcaConfig, RpcaDecomposition, RpcaStream, RpcaWarmStart, SvdPolicy,
-    RSVD_CROSSOVER,
+    outlier_indices, persistent_outliers, rpca, rpca_multiframe, transient_outliers, RpcaConfig,
+    RpcaDecomposition, RpcaStream, SvdPolicy, RSVD_CROSSOVER,
 };
 pub use sampling::{SamplingKind, SamplingPlan};
 pub use strategy::{SamplingStrategy, StrategySession};
+
+/// Always `true`: every build fans work out across threads, and
+/// `FLEXCS_THREADS=1` (or an explicit `threads: Some(1)`) selects the
+/// serial path at run time. Kept only for perfbench's environment stamp.
+pub fn parallel_enabled() -> bool {
+    true
+}

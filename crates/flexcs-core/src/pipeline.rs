@@ -181,7 +181,7 @@ pub fn run_experiment_batch(frames: &[Matrix], config: &ExperimentConfig) -> Res
     }
     // Frame k's config depends only on k, so frames fan out across
     // threads with results identical to the serial loop.
-    let outcomes = crate::par::maybe_par_map_indices(frames.len(), |k| {
+    let outcomes = flexcs_parallel::par_map_indices(frames.len(), |k| {
         let mut cfg = config.clone();
         cfg.seed = config.seed.wrapping_add(k as u64 * 1013);
         run_experiment(&frames[k], &cfg)

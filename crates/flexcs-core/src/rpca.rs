@@ -19,8 +19,8 @@
 //!   when the sweep over-captures (Lin/Chen/Ma's partial-SVD rule).
 //! - **Warm starts**: the captured subspace `Q` is carried from one ALM
 //!   sweep to the next (one power pass instead of two), and — via
-//!   [`RpcaWarmStart`] / [`RpcaStream`] — from frame `t` into `t+1`
-//!   together with the converged sparse support.
+//!   [`RpcaStream`] — from frame `t` into `t+1` together with the
+//!   converged sparse support.
 //! - **Certificate fallback**: each randomized solve carries the
 //!   residual certificate `‖A − QQᵀA‖_F`; if the uncaptured mass is
 //!   inconsistent with a tail entirely below `1/μ`, the sketch grows,
@@ -114,27 +114,16 @@ pub struct RpcaDecomposition {
 
 /// Warm-start state harvested from a converged RPCA solve: the final
 /// left subspace, its retained rank, and the sparse component (support
-/// plus values). Feed it into [`rpca_warm`] for the next, similar
-/// problem (the following frame of a sequence, the next window of a
-/// sliding multi-frame stack); state with mismatched shapes is ignored,
-/// so reuse across heterogeneous problems is safe, just useless.
+/// plus values). Fed into [`rpca_warm`] for the next, similar problem
+/// (the following frame of an [`RpcaStream`]); state with mismatched
+/// shapes is ignored, so reuse across heterogeneous problems is safe,
+/// just useless.
 #[derive(Debug, Clone)]
-pub struct RpcaWarmStart {
+struct RpcaWarmStart {
     subspace: Option<Matrix>,
+    /// Retained rank of the converged low-rank component.
     rank: usize,
     sparse: Matrix,
-}
-
-impl RpcaWarmStart {
-    /// Retained rank of the converged low-rank component.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// The converged left subspace, if the randomized engine ran.
-    pub fn subspace(&self) -> Option<&Matrix> {
-        self.subspace.as_ref()
-    }
 }
 
 /// Runs inexact-ALM RPCA on `d`.
@@ -160,7 +149,7 @@ pub fn rpca(d: &Matrix, config: &RpcaConfig) -> Result<RpcaDecomposition> {
 ///
 /// Returns [`CoreError::InvalidConfig`] for empty input or a bad
 /// configuration, and propagates SVD failures.
-pub fn rpca_warm(
+fn rpca_warm(
     d: &Matrix,
     config: &RpcaConfig,
     warm: Option<&RpcaWarmStart>,
@@ -416,7 +405,7 @@ impl RpcaStream {
 
     /// Rank carried from the last converged solve, if any.
     pub fn warm_rank(&self) -> Option<usize> {
-        self.warm.as_ref().map(RpcaWarmStart::rank)
+        self.warm.as_ref().map(|w| w.rank)
     }
 
     /// Drops the carried warm-start state.
@@ -428,7 +417,7 @@ impl RpcaStream {
     ///
     /// # Errors
     ///
-    /// Propagates [`rpca_warm`] failures; the carried state is left
+    /// Propagates [`rpca`] failures; the carried state is left
     /// untouched on error.
     pub fn push(&mut self, frame: &Matrix) -> Result<RpcaDecomposition> {
         if self
@@ -491,23 +480,6 @@ pub fn outlier_indices(decomposition: &RpcaDecomposition, threshold_factor: f64)
 /// Returns [`CoreError::InvalidConfig`] for an empty frame list or
 /// mismatched shapes, and propagates [`rpca`] failures.
 pub fn rpca_multiframe(frames: &[Matrix], config: &RpcaConfig) -> Result<RpcaDecomposition> {
-    rpca_multiframe_warm(frames, config, None).map(|(dec, _)| dec)
-}
-
-/// [`rpca_multiframe`] with warm starting across stacked windows: for a
-/// sliding window over a frame stream (fixed frame shape and window
-/// length), the `N x T` stacks share their row space, so the previous
-/// window's subspace and sparse stack seed the next solve.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidConfig`] for an empty frame list or
-/// mismatched shapes, and propagates [`rpca_warm`] failures.
-pub fn rpca_multiframe_warm(
-    frames: &[Matrix],
-    config: &RpcaConfig,
-    warm: Option<&RpcaWarmStart>,
-) -> Result<(RpcaDecomposition, RpcaWarmStart)> {
     let Some(first) = frames.first() else {
         return Err(CoreError::InvalidConfig(
             "rpca_multiframe: no frames".to_string(),
@@ -527,7 +499,7 @@ pub fn rpca_multiframe_warm(
             stacked[(row, col)] = v;
         }
     }
-    rpca_warm(&stacked, config, warm)
+    rpca(&stacked, config)
 }
 
 /// Maps *static* defects from a frame sequence: runs spatial RPCA on
@@ -566,7 +538,7 @@ pub fn persistent_outliers(
     }
     // Each frame's RPCA is independent; fan out and merge hit counts
     // afterwards (order-insensitive, so results match the serial loop).
-    let per_frame = crate::par::maybe_par_map_indices(frames.len(), |k| {
+    let per_frame = flexcs_parallel::par_map_indices(frames.len(), |k| {
         rpca(&frames[k], config).map(|dec| outlier_indices(&dec, threshold_factor))
     });
     let mut hits = vec![0usize; n];
@@ -856,21 +828,6 @@ mod tests {
             .map(|&(p, _)| p)
             .collect();
         assert!(frame2_hits.contains(&(5 * 8 + 5)));
-    }
-
-    #[test]
-    fn multiframe_warm_slides_across_windows() {
-        let frames = defect_sequence();
-        let config = RpcaConfig::default();
-        let (_, warm) = rpca_multiframe_warm(&frames[0..4], &config, None).unwrap();
-        let (dec_warm, _) = rpca_multiframe_warm(&frames[2..6], &config, Some(&warm)).unwrap();
-        let dec_cold = rpca_multiframe(&frames[2..6], &config).unwrap();
-        assert!(dec_warm.converged);
-        let mut warm_hits = transient_outliers(&dec_warm, 0.4);
-        let mut cold_hits = transient_outliers(&dec_cold, 0.4);
-        warm_hits.sort_unstable();
-        cold_hits.sort_unstable();
-        assert_eq!(warm_hits, cold_hits);
     }
 
     #[test]

@@ -236,7 +236,7 @@ fn resample_median(
             .collect::<Result<_>>()?,
         // Each cold round is seeded from its index alone, so the
         // fan-out is bit-identical to the serial loop.
-        None => crate::par::maybe_par_map_indices(rounds, |r| {
+        None => flexcs_parallel::par_map_indices(rounds, |r| {
             let plan = round_plan(r)?;
             let y = plan.measure(flat);
             decoder.reconstruct(rows, cols, plan.selected(), &y)

@@ -1,8 +1,9 @@
-//! Bit-identity checks for the `parallel` feature: every fan-out point
-//! in the recovery pipeline must produce results identical to a
-//! hand-rolled serial loop over the same public APIs. Meaningful with
-//! the feature on (the default); with it off both sides run serially
-//! and the tests degenerate to self-consistency.
+//! Bit-identity checks for the thread fan-out: every fan-out point in
+//! the recovery pipeline must produce results identical to a
+//! hand-rolled serial loop over the same public APIs. The fan-out uses
+//! the default pool, so these compare real threads against the serial
+//! loop whenever it has more than one worker (pin `FLEXCS_THREADS=2`
+//! on a single-core host); at `FLEXCS_THREADS=1` both sides are serial.
 
 use flexcs_core::{
     outlier_indices, persistent_outliers, rpca, run_experiment, run_experiment_batch, Decoder,

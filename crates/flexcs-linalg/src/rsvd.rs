@@ -295,7 +295,6 @@ fn gaussian(rows: usize, cols: usize, seed: u64) -> Matrix {
 /// Row-panel edge for the fan-out product: panels this tall amortize
 /// thread hand-off while staying well inside L2 alongside the (skinny)
 /// right operand.
-#[cfg(any(feature = "parallel", test))]
 const PANEL_ROWS: usize = 64;
 
 /// `a * b` with the rows of `a` fanned out across threads in
@@ -306,7 +305,6 @@ const PANEL_ROWS: usize = 64;
 /// the same blocked kernel over the same operands in the same
 /// floating-point order regardless of which panel — or thread — it
 /// lands in, and panels are reassembled in index order.
-#[cfg(feature = "parallel")]
 fn panel_matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     let (m, inner) = a.shape();
     if inner != b.rows() || m < 2 * PANEL_ROWS || flexcs_parallel::default_threads() == 1 {
@@ -325,11 +323,6 @@ fn panel_matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
         data.extend_from_slice(block.as_slice());
     }
     Matrix::from_vec(m, b.cols(), data)
-}
-
-#[cfg(not(feature = "parallel"))]
-fn panel_matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    a.matmul(b)
 }
 
 #[cfg(test)]

@@ -229,9 +229,9 @@ proptest! {
         r in 1usize..6,
         seed in 0u64..1_000_000,
     ) {
-        // Holds regardless of the `parallel` feature: the panel fan-out
-        // is bit-identical to the serial blocked kernel, and the
-        // Gaussian sketch depends only on (shape, seed).
+        // Holds for any `FLEXCS_THREADS`: the panel fan-out is
+        // bit-identical to the serial blocked kernel, and the Gaussian
+        // sketch depends only on (shape, seed).
         let cfg = RsvdConfig { seed, ..RsvdConfig::default() };
         let r1 = Rsvd::compute(&a, r, &cfg).unwrap();
         let r2 = Rsvd::compute(&a, r, &cfg).unwrap();

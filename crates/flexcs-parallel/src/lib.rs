@@ -33,7 +33,7 @@ pub use pool::{Pool, Pooled};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
 
-/// Number of worker threads used by the `par_map` family: the
+/// Number of worker threads used by the `par_map_indices` family: the
 /// `FLEXCS_THREADS` environment override when set to a positive
 /// integer, otherwise the machine's available parallelism (or 1 when
 /// that cannot be determined).
@@ -202,22 +202,6 @@ where
     Ok(out)
 }
 
-/// Maps `f` over a slice on a scoped thread pool, returning results in
-/// input order. Deterministic under the same contract as
-/// [`par_map_indices`].
-///
-/// # Panics
-///
-/// Propagates a panic from any invocation of `f`.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indices(items.len(), |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +210,7 @@ mod tests {
     fn empty_input() {
         let out: Vec<i32> = par_map_indices(0, |_| unreachable!());
         assert!(out.is_empty());
-        let none: Vec<i32> = par_map(&[] as &[i32], |_| unreachable!());
+        let none: Vec<i32> = par_map_indices_with(4, 0, |_| unreachable!());
         assert!(none.is_empty());
     }
 
@@ -241,7 +225,7 @@ mod tests {
     #[test]
     fn matches_serial_map_on_slices() {
         let items: Vec<f64> = (0..100).map(|i| i as f64 * 0.37).collect();
-        let par = par_map(&items, |x| x.sin() * 2.0);
+        let par = par_map_indices_with(4, items.len(), |i| items[i].sin() * 2.0);
         let ser: Vec<f64> = items.iter().map(|x| x.sin() * 2.0).collect();
         assert_eq!(par, ser, "bit-identical to the serial loop");
     }
