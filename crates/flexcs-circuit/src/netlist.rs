@@ -138,8 +138,17 @@ impl Circuit {
     }
 
     /// Creates a fresh anonymous node (unique generated name).
+    ///
+    /// The name is `{prefix}#{id}` for the new node's id unless a named
+    /// node already took it, in which case the suffix advances to the
+    /// next unused number: a fresh node never aliases an existing one.
     pub fn fresh_node(&mut self, prefix: &str) -> NodeId {
-        let name = format!("{prefix}#{}", self.node_names.len());
+        let mut suffix = self.node_names.len();
+        let mut name = format!("{prefix}#{suffix}");
+        while self.name_to_id.contains_key(&name) {
+            suffix += 1;
+            name = format!("{prefix}#{suffix}");
+        }
         self.node(&name)
     }
 
@@ -333,6 +342,20 @@ mod tests {
         let x = c.fresh_node("x");
         let y = c.fresh_node("x");
         assert_ne!(x, y);
+    }
+
+    #[test]
+    fn fresh_node_never_aliases_a_named_node() {
+        let mut c = Circuit::new();
+        let taken = c.node("a#2");
+        let fresh = c.fresh_node("a");
+        assert_ne!(fresh, taken, "fresh node shorted onto a named one");
+        assert_eq!(c.node_name(fresh), "a#3");
+        assert_eq!(c.find_node("a#2").unwrap(), taken);
+        // Without a collision the name follows the new id, as before.
+        let next = c.fresh_node("b");
+        assert_eq!(c.node_name(next), format!("b#{}", next.0));
+        assert_eq!(c.node_count(), 4);
     }
 
     #[test]

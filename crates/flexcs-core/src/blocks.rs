@@ -10,8 +10,10 @@
 //!   derives every block's [`SamplingPlan`] from a single master seed,
 //!   so an entire megapixel acquisition is reproducible from one u64.
 //! - [`BlockPipeline`] fans the per-block decodes out through
-//!   `flexcs-parallel` (index-ordered reassembly keeps results
-//!   bit-identical for any thread count) while all blocks share one
+//!   `flexcs-parallel`, folding each tile into the frame as soon as
+//!   every lower-index tile has been (index-ordered reassembly keeps
+//!   results bit-identical for any thread count, and the working set is
+//!   the frame, not every tile) while all blocks share one
 //!   [`Decoder`] (one cached `Dct2d` plan) and a bounded [`DecodePool`]
 //!   of solver workspaces instead of allocating per block.
 //! - Overlapping tiles are fused by **overlap-and-average** deblocking:
@@ -313,43 +315,104 @@ impl BlockGrid {
                 self.block_count()
             )));
         }
-        let mut sum = vec![0.0; self.rows * self.cols];
-        let mut count = vec![0u32; self.rows * self.cols];
-        for (i, tile) in tiles.iter().enumerate() {
-            if tile.shape() != (self.block, self.block) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "tile {i} has shape {:?}, expected {}x{}",
-                    tile.shape(),
-                    self.block,
-                    self.block
-                )));
+        let mut deblock = Deblocker::new(self);
+        for tile in tiles {
+            deblock.add(tile)?;
+        }
+        deblock.finish()
+    }
+}
+
+/// How many tiles cover each pixel along one axis.
+fn cover_counts(starts: &[usize], block: usize, dim: usize) -> Vec<usize> {
+    let mut cover = vec![0; dim];
+    for &s in starts {
+        for c in &mut cover[s..s + block] {
+            *c += 1;
+        }
+    }
+    cover
+}
+
+/// The one overlap-and-average implementation, folding tiles into a
+/// frame-sized sum in tile-index order: a pixel's first covering tile
+/// assigns and later ones add. Because tiles are row-major and their
+/// starts ascend, the first tile over pixel `(r, c)` is the one at
+/// (lowest tile row covering `r`, lowest tile column covering `c`), and
+/// the pixel's cover count is `row_cover[r] * col_cover[c]` — both read
+/// off the grid, so no per-pixel count is kept.
+struct Deblocker<'g> {
+    grid: &'g BlockGrid,
+    sum: Vec<f64>,
+    next: usize,
+}
+
+impl<'g> Deblocker<'g> {
+    fn new(grid: &'g BlockGrid) -> Self {
+        Deblocker {
+            grid,
+            sum: vec![0.0; grid.rows * grid.cols],
+            next: 0,
+        }
+    }
+
+    /// Folds the next tile, in tile-index order, into the frame.
+    fn add(&mut self, tile: &Matrix) -> Result<()> {
+        let index = self.next;
+        let g = self.grid;
+        let b = g.block;
+        if tile.shape() != (b, b) {
+            return Err(CoreError::InvalidConfig(format!(
+                "tile {index} has shape {:?}, expected {b}x{b}",
+                tile.shape()
+            )));
+        }
+        let gc = g.col_starts.len();
+        let (tr, tc) = (index / gc, index % gc);
+        let rect = g.rect(index);
+        // Leading rows (columns) of this tile that the previous tile row
+        // (column) also covers already hold an earlier contribution.
+        let seen = |starts: &[usize], t: usize, start: usize| {
+            if t == 0 {
+                0
+            } else {
+                (starts[t - 1] + b).saturating_sub(start)
             }
-            let rect = self.rect(i);
-            for br in 0..self.block {
-                let row = tile.row(br);
-                let base = (rect.row0 + br) * self.cols + rect.col0;
-                for (bc, &v) in row.iter().enumerate() {
-                    let p = base + bc;
-                    // First write assigns (count-1 pixels stay
-                    // bit-identical to their single tile); later writes
-                    // accumulate for the exact seam average below.
-                    if count[p] == 0 {
-                        sum[p] = v;
-                    } else {
-                        sum[p] += v;
-                    }
-                    count[p] += 1;
+        };
+        let seen_rows = seen(&g.row_starts, tr, rect.row0);
+        let seen_cols = seen(&g.col_starts, tc, rect.col0);
+        for br in 0..b {
+            let base = (rect.row0 + br) * g.cols + rect.col0;
+            let dst = &mut self.sum[base..base + b];
+            let src = tile.row(br);
+            let first = if br < seen_rows { b } else { seen_cols };
+            for (d, &v) in dst[..first].iter_mut().zip(&src[..first]) {
+                *d += v;
+            }
+            dst[first..].copy_from_slice(&src[first..]);
+        }
+        self.next += 1;
+        Ok(())
+    }
+
+    /// Divides every seam pixel by its cover count and returns the frame
+    /// and the seam-pixel count.
+    fn finish(mut self) -> Result<(Matrix, usize)> {
+        let g = self.grid;
+        debug_assert_eq!(self.next, g.block_count(), "every tile folded");
+        let row_cover = cover_counts(&g.row_starts, g.block, g.rows);
+        let col_cover = cover_counts(&g.col_starts, g.block, g.cols);
+        let mut seam = 0usize;
+        for (row, &rc) in self.sum.chunks_exact_mut(g.cols).zip(&row_cover) {
+            for (s, &cc) in row.iter_mut().zip(&col_cover) {
+                let c = rc * cc;
+                if c > 1 {
+                    seam += 1;
+                    *s /= c as f64;
                 }
             }
         }
-        let mut seam = 0usize;
-        for (s, &c) in sum.iter_mut().zip(&count) {
-            if c > 1 {
-                seam += 1;
-                *s /= c as f64;
-            }
-        }
-        let frame = Matrix::from_vec(self.rows, self.cols, sum)?;
+        let frame = Matrix::from_vec(g.rows, g.cols, self.sum)?;
         Ok((frame, seam))
     }
 }
@@ -482,25 +545,36 @@ impl BlockPipeline {
     /// pooled workspaces, overlap-and-average deblocking, and the
     /// global RPCA defect pass over the block-mean image.
     ///
-    /// The result is bit-identical for every thread count and to a
-    /// serial loop over fresh workspaces: tiles are reassembled in
-    /// index order and pooled workspaces are cleared between solves.
+    /// Each tile is folded into the frame as soon as every lower-index
+    /// tile has been, so the working set is the frame plus the few tiles
+    /// that finish ahead of a slower one. The result is bit-identical
+    /// for every thread count and to a serial loop over fresh
+    /// workspaces: tiles fold in index order whatever the scheduling,
+    /// and pooled workspaces are cleared between solves.
     ///
     /// # Errors
     ///
-    /// Propagates per-tile decode failures and tile/grid mismatches.
+    /// Propagates per-tile decode failures (the lowest failing tile's)
+    /// and tile/grid mismatches.
     pub fn decode(&self, grid: &BlockGrid, meas: &BlockMeasurements) -> Result<BlockOutcome> {
-        if meas.blocks.len() != grid.block_count() {
+        let count = grid.block_count();
+        if meas.blocks.len() != count {
             return Err(CoreError::InvalidConfig(format!(
-                "{} measured blocks for a {}-block grid",
+                "{} measured blocks for a {count}-block grid",
                 meas.blocks.len(),
-                grid.block_count()
             )));
         }
         let b = grid.block_size();
         let track = tel::enabled();
-        let decoded: Vec<Result<(Matrix, SolveReport)>> =
-            flexcs_parallel::par_map_indices_with(self.workers, meas.blocks.len(), |i| {
+        let (grid_rows, grid_cols) = grid.grid_shape();
+        let mut deblock = Deblocker::new(grid);
+        let mut reports = Vec::with_capacity(count);
+        let mut means = Vec::with_capacity(count);
+        let mut folded = Ok(());
+        flexcs_parallel::par_for_each_ordered_with(
+            self.workers,
+            count,
+            |i| -> Result<(Matrix, SolveReport)> {
                 let block = &meas.blocks[i];
                 let t0 = track.then(Instant::now);
                 let mut ws = self.pool.checkout();
@@ -523,22 +597,27 @@ impl BlockPipeline {
                     tel::histogram("blocks.block_ms", t0.elapsed().as_secs_f64() * 1e3);
                 }
                 Ok((rec.frame, rec.report))
-            });
-        let mut tiles = Vec::with_capacity(decoded.len());
-        let mut reports = Vec::with_capacity(decoded.len());
-        for result in decoded {
-            let (tile, report) = result?;
-            tiles.push(tile);
-            reports.push(report);
-        }
-        let (frame, seam_pixels) = grid.reassemble(&tiles)?;
+            },
+            // Tiles arrive in index order; after the first failure the
+            // rest are still solved but no longer folded, so the lowest
+            // failing index's error is the one returned.
+            |decoded| {
+                if folded.is_ok() {
+                    folded = decoded.and_then(|(tile, report)| {
+                        deblock.add(&tile)?;
+                        means.push(tile.mean());
+                        reports.push(report);
+                        Ok(())
+                    });
+                }
+            },
+        );
+        folded?;
+        let (frame, seam_pixels) = deblock.finish()?;
         if track {
             tel::counter("blocks.seam_px", seam_pixels as u64);
         }
-        let (grid_rows, grid_cols) = grid.grid_shape();
-        let block_means = Matrix::from_fn(grid_rows, grid_cols, |gr, gc| {
-            tiles[gr * grid_cols + gc].mean()
-        });
+        let block_means = Matrix::from_vec(grid_rows, grid_cols, means)?;
         let defect_blocks = match self.config.defect_threshold {
             // RPCA needs a genuinely 2-D mean image; a single strip of
             // blocks has no low-rank structure to separate from.

@@ -15,10 +15,11 @@ pub enum CoreError {
         /// Usable pixels available.
         available: usize,
     },
-    /// A measurement was NaN or ±Inf; no solver can decode it.
+    /// A measurement (or an RPCA input entry) was NaN or ±Inf; no
+    /// solver can decode it.
     NonFiniteMeasurement {
         /// Position of the first non-finite value in the measurement
-        /// vector.
+        /// vector, or row-major in an RPCA input matrix.
         index: usize,
     },
     /// A transform failure (shape mismatches and the like).

@@ -131,7 +131,8 @@ struct RpcaWarmStart {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] for empty input or a bad
-/// configuration, and propagates SVD failures.
+/// configuration, [`CoreError::NonFiniteMeasurement`] (row-major
+/// index) for a NaN/±Inf entry, and propagates SVD failures.
 pub fn rpca(d: &Matrix, config: &RpcaConfig) -> Result<RpcaDecomposition> {
     rpca_warm(d, config, None).map(|(dec, _)| dec)
 }
@@ -148,7 +149,8 @@ pub fn rpca(d: &Matrix, config: &RpcaConfig) -> Result<RpcaDecomposition> {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] for empty input or a bad
-/// configuration, and propagates SVD failures.
+/// configuration, [`CoreError::NonFiniteMeasurement`] (row-major
+/// index) for a NaN/±Inf entry, and propagates SVD failures.
 fn rpca_warm(
     d: &Matrix,
     config: &RpcaConfig,
@@ -157,6 +159,12 @@ fn rpca_warm(
     let (m, n) = d.shape();
     if m == 0 || n == 0 {
         return Err(CoreError::InvalidConfig("rpca: empty matrix".to_string()));
+    }
+    // The one ingress for `rpca`, `rpca_multiframe`, `RpcaStream` and
+    // the block defect pass: a NaN/±Inf entry would otherwise run the
+    // whole iteration budget and come back unconverged.
+    if let Some(index) = d.as_slice().iter().position(|v| !v.is_finite()) {
+        return Err(CoreError::NonFiniteMeasurement { index });
     }
     if config.max_iterations == 0 || !(config.tol > 0.0) {
         return Err(CoreError::InvalidConfig(
@@ -854,5 +862,30 @@ mod tests {
         cfg.lambda = Some(-1.0);
         assert!(rpca(&d, &cfg).is_err());
         assert!(rpca(&Matrix::zeros(3, 0).clone(), &RpcaConfig::default()).is_err());
+    }
+
+    #[test]
+    fn non_finite_input_is_rejected_at_ingress() {
+        let (d, _, _) = synthetic(12, 12, 2, &[]);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut frame = d.clone();
+            frame[(4, 7)] = bad;
+            let expected = CoreError::NonFiniteMeasurement { index: 4 * 12 + 7 };
+            let cfg = RpcaConfig::default();
+            assert_eq!(rpca(&frame, &cfg).err(), Some(expected.clone()), "{bad}");
+            assert_eq!(
+                RpcaStream::new(cfg.clone()).push(&frame).err(),
+                Some(expected),
+                "{bad}"
+            );
+            // Stacked as column 1 of a 144 x 2 matrix.
+            assert_eq!(
+                rpca_multiframe(&[d.clone(), frame], &cfg).err(),
+                Some(CoreError::NonFiniteMeasurement {
+                    index: (4 * 12 + 7) * 2 + 1
+                }),
+                "{bad}"
+            );
+        }
     }
 }

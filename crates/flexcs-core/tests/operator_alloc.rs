@@ -3,7 +3,8 @@
 //!
 //! A counting global allocator measures heap traffic on the calling
 //! thread (per-thread, so tests running concurrently in this binary
-//! cannot add to the count being measured). Two kinds of assertion:
+//! cannot add to the count being measured): allocation calls, and live
+//! and peak bytes. Three kinds of assertion:
 //!
 //! - an operator product through `apply_into` / `apply_transpose_into`
 //!   allocates nothing after one warm-up call, on the Lee lane codelet
@@ -13,7 +14,10 @@
 //!   delta-tier frame and a block-tiled decode allocate exactly as
 //!   often under a 10-iteration budget as under a 200-iteration one, so
 //!   their iteration loops allocate nothing (whatever they allocate is
-//!   per call, not per iteration).
+//!   per call, not per iteration);
+//! - a block-tiled decode's heap peaks near one output frame: tiles
+//!   fold into the frame as they finish, so neither every tile nor a
+//!   frame-sized count buffer is ever held.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,8 +26,12 @@ struct CountingAllocator;
 
 thread_local! {
     // `const` initialisation: no lazy-init allocation and no destructor
-    // registration, so the allocator can bump it re-entrantly.
+    // registration, so the allocator can bump them re-entrantly.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated minus bytes freed on this thread (negative when it
+    // frees memory another thread allocated), and the running maximum.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one() {
@@ -31,21 +39,32 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
 }
 
+fn track_bytes(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// thread-local `Cell` that never allocates.
+// which upholds the `GlobalAlloc` contract; the counters are
+// thread-local `Cell`s that never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        track_bytes(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track_bytes(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        track_bytes(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -58,6 +77,15 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Peak live heap bytes on the calling thread while `f` runs, above the
+/// level it started from.
+fn peak_bytes_during<R>(f: impl FnOnce() -> R) -> (i64, R) {
+    let start = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(start));
+    let out = f();
+    (PEAK_BYTES.with(Cell::get) - start, out)
 }
 
 use flexcs_core::{
@@ -246,4 +274,31 @@ fn block_decode_allocates_independently_of_budget() {
         })
         .collect();
     assert_eq!(counts[0], counts[1], "block decode allocates per iteration");
+}
+
+#[test]
+fn block_decode_heap_peaks_near_one_frame() {
+    // 512 x 512 in 32 x 32 tiles with 4-px seams: 19 x 19 = 361 tiles,
+    // whose reconstructions alone would be 1.4 x the frame's bytes.
+    let side = 512;
+    let frame = smooth_frame(side, side);
+    let grid = BlockGrid::new(side, side, BlockGridConfig::default()).unwrap();
+    assert_eq!(grid.block_count(), 361);
+    let meas = grid.measure(&frame, 0.5, &[], 5).unwrap();
+    // One worker: the fan-out runs inline, so every allocation of the
+    // decode lands on the counted thread.
+    let pipe = BlockPipeline::new(
+        Decoder::default(),
+        BlockPipelineConfig {
+            threads: Some(1),
+            ..BlockPipelineConfig::default()
+        },
+    );
+    let (peak, out) = peak_bytes_during(|| pipe.decode(&grid, &meas).unwrap());
+    assert_eq!(out.reports.len(), 361);
+    let frame_bytes = (side * side * std::mem::size_of::<f64>()) as i64;
+    assert!(
+        peak * 4 <= frame_bytes * 5,
+        "block decode peaked at {peak} heap bytes, over 1.25 x the {frame_bytes}-byte frame"
+    );
 }

@@ -10,7 +10,10 @@
 //! execution is bit-identical to the serial loop. [`par_map_indices`]
 //! provides exactly that contract: work is distributed dynamically over
 //! a small thread pool, but results are reassembled by index, so the
-//! output is independent of scheduling.
+//! output is independent of scheduling. It is built on
+//! [`par_for_each_ordered_with`], which hands each result to a sink in
+//! index order as soon as it is due, so a fan-out that folds its
+//! results away (the megapixel block decode) never holds them all.
 //!
 //! [`Pool`] is the one bounded, blocking workspace pool the fan-outs
 //! draw their per-job scratch arenas from.
@@ -30,6 +33,7 @@ mod tel;
 
 pub use pool::{Pool, Pooled};
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
 
@@ -96,13 +100,38 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    let mut out = Vec::with_capacity(count);
+    par_for_each_ordered_with(threads, count, f, |r| out.push(r));
+    out
+}
+
+/// Maps `f` over `0..count` on a scoped thread pool and hands each
+/// result to `sink` on the calling thread, in index order, as soon as
+/// every lower index has arrived.
+///
+/// Only results that finish ahead of a slower lower index are held, so
+/// a caller that folds each result away (rather than collecting them)
+/// keeps a working set of a few results, not `count`. The sink sees
+/// exactly the sequence `(0..count).map(f)`, whatever the scheduling.
+/// Falls back to the serial loop when `count < 2` or `threads == 1`.
+///
+/// # Panics
+///
+/// Propagates a panic from any invocation of `f` or `sink`.
+pub fn par_for_each_ordered_with<R, F, S>(threads: usize, count: usize, f: F, mut sink: S)
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+    S: FnMut(R),
+{
     if count == 0 {
-        return Vec::new();
+        return;
     }
     let threads = threads.min(count).max(1);
     if threads == 1 {
         tel::counter("parallel.serial_fallbacks", 1);
-        return (0..count).map(f).collect();
+        (0..count).map(f).for_each(sink);
+        return;
     }
     // Per-worker job tallies feed the load-balance telemetry; with
     // telemetry disabled the tracking (and its bookkeeping) is compiled
@@ -115,7 +144,7 @@ where
     };
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let out = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for w in 0..threads {
             let tx = tx.clone();
             let next = &next;
@@ -136,17 +165,24 @@ where
             });
         }
         drop(tx);
-        let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
+        // Results that arrived ahead of a lower index wait here; slot k
+        // holds index `due + k`. If a worker dies mid-job the channel
+        // closes early and the scope exit re-raises its panic.
+        let mut ahead: VecDeque<Option<R>> = VecDeque::new();
+        let mut due = 0;
         for (i, r) in rx {
-            slots[i] = Some(r);
+            let k = i - due;
+            if ahead.len() <= k {
+                ahead.resize_with(k + 1, || None);
+            }
+            ahead[k] = Some(r);
+            while let Some(slot) = ahead.front_mut() {
+                let Some(r) = slot.take() else { break };
+                ahead.pop_front();
+                sink(r);
+                due += 1;
+            }
         }
-        // A missing slot means a worker died mid-job; the scope exit
-        // below re-raises its panic before this unwrap is observable,
-        // except under `catch_unwind`, where the expect is accurate.
-        slots
-            .into_iter()
-            .map(|o| o.expect("parallel worker completed every index"))
-            .collect()
     });
     if track {
         let counts: Vec<u64> = worker_tasks
@@ -165,7 +201,6 @@ where
             tel::histogram("parallel.imbalance", max / mean);
         }
     }
-    out
 }
 
 /// Fallible [`par_map_indices_with`]: maps `f` over `0..count` on a
@@ -252,6 +287,25 @@ mod tests {
             i * i
         });
         assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn ordered_sink_sees_index_order_under_uneven_work() {
+        for threads in [1, 4] {
+            let mut seen = Vec::new();
+            par_for_each_ordered_with(
+                threads,
+                40,
+                |i| {
+                    if i % 7 == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    }
+                    i * 2
+                },
+                |r| seen.push(r),
+            );
+            assert_eq!(seen, (0..40).map(|i| i * 2).collect::<Vec<_>>());
+        }
     }
 
     #[test]
