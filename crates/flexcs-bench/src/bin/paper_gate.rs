@@ -376,11 +376,11 @@ fn main() {
         }
     }
 
-    // ----- Block-path equivalence: a frame tiled through the pooled
-    // block pipeline must reproduce the per-block fresh-workspace
-    // decodes exactly (zero overlap ⇒ bitwise pasting), so the block
-    // fan-out adds scale, never numerics.
-    println!("\nblock-path equivalence (pooled pipeline vs fresh decodes):\n");
+    // ----- Block-path equivalence: a frame tiled through the block
+    // pipeline must reproduce the per-block fresh-workspace decodes
+    // exactly (zero overlap ⇒ bitwise pasting), so the block fan-out
+    // adds scale, never numerics.
+    println!("\nblock-path equivalence (block pipeline vs fresh decodes):\n");
     {
         use flexcs_core::{BlockGrid, BlockGridConfig, BlockPipeline, BlockPipelineConfig};
         use flexcs_linalg::Matrix;
@@ -400,13 +400,7 @@ fn main() {
         let meas = grid
             .measure(&big, 0.5, &[], seed)
             .expect("block measurement succeeds");
-        let pipeline = BlockPipeline::new(
-            Decoder::default(),
-            BlockPipelineConfig {
-                pool_capacity: 1,
-                ..BlockPipelineConfig::default()
-            },
-        );
+        let pipeline = BlockPipeline::new(Decoder::default(), BlockPipelineConfig::default());
         let out = pipeline
             .decode(&grid, &meas)
             .expect("block decode succeeds");
@@ -428,9 +422,8 @@ fn main() {
             "block-path-identical",
             identical,
             format!(
-                "{} pooled block decodes vs fresh workspaces ({} pool reuses){}",
+                "{} tiled block decodes vs fresh workspaces{}",
                 grid.block_count(),
-                pipeline.pool().reuses(),
                 if identical {
                     " (bit-identical)"
                 } else {
@@ -481,12 +474,10 @@ fn main() {
     gate.check(
         "tel-block-counters",
         recorder.counter_value("blocks.decoded") > 0
-            && recorder.counter_value("blocks.pool.reuses") > 0
             && recorder.histogram_snapshot("blocks.block_ms").is_some(),
         format!(
-            "blocks.decoded = {}, blocks.pool.reuses = {} (block fan-out instrumented)",
-            recorder.counter_value("blocks.decoded"),
-            recorder.counter_value("blocks.pool.reuses")
+            "blocks.decoded = {} (block fan-out instrumented)",
+            recorder.counter_value("blocks.decoded")
         ),
     );
     // A tiny Monte-Carlo yield sweep exercises the circuit engine's

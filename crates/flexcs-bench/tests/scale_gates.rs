@@ -756,11 +756,10 @@ fn block_tiling_accuracy_and_megapixel_defect_map() {
     let mega_pipe = block_pipeline(THREADS);
     let out = mega_pipe.decode(&mega_grid, &mega_meas).unwrap();
     let mega_rmse = rmse(&out.frame, &mega_frame);
-    let reuses = mega_pipe.pool().reuses();
 
     println!(
         "256x256 tiled rmse {tiled_rmse:.5} (parity gap {parity:.5}); 1024x1024 rmse \
-         {mega_rmse:.5}, {} defect blocks, {reuses} pool reuses",
+         {mega_rmse:.5}, {} defect blocks",
         out.defect_blocks.len()
     );
     assert!(parity <= 0.02, "tiled-vs-untiled RMSE gap {parity} > 0.02");
@@ -773,7 +772,6 @@ fn block_tiling_accuracy_and_megapixel_defect_map() {
         !out.defect_blocks.is_empty(),
         "RPCA block-mean defect map missed the stuck-pixel patch"
     );
-    assert!(reuses > 0, "workspace pool recorded no reuse");
 }
 
 // ---------------------------------------------------------------------

@@ -34,7 +34,7 @@ use crate::basisop::SubsampledDctOperator;
 use crate::decode::{DecodeWarmState, Decoder, Reconstruction};
 use crate::error::{CoreError, Result};
 use crate::tel;
-use flexcs_linalg::vecops;
+use flexcs_linalg::{vecops, Matrix};
 use flexcs_solver::{GreedyConfig, LinearOperator, SparseSolver};
 use flexcs_transform::vectorize;
 use std::time::Instant;
@@ -194,16 +194,12 @@ impl AdaptiveConfig {
 
 /// O(M) frame-change detector over the identity-subset sampling plan.
 ///
-/// Holds the previous reconstruction's flat frame; classifying a new
-/// frame gathers it at the plan's `selected` indices (that *is*
-/// re-encoding under Φ_M) and compares against the raw measurements.
-/// No solve and no operator are built on this path.
+/// Classifying a new frame gathers the reference frame (the previous
+/// reconstruction, which the caller owns) at the plan's `selected`
+/// indices (that *is* re-encoding under Φ_M) and compares against the
+/// raw measurements. No solve and no operator are built on this path.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChangeDetector {
-    /// Flat frame of the last observed reconstruction.
-    prev_flat: Vec<f64>,
-    /// Shape of `prev_flat`; `None` until the first observation.
-    shape: Option<(usize, usize)>,
     /// Frames classified since the last full decode, for the
     /// forced-full guard.
     frames_since_full: usize,
@@ -218,30 +214,35 @@ impl ChangeDetector {
     }
 
     /// Classifies a frame's measurements `y` at pixel indices
-    /// `selected` against the previously observed reconstruction.
-    /// Counts the frame toward the forced-full guard.
+    /// `selected` against the `reference` frame (`None` before the first
+    /// reconstruction). Counts the frame toward the forced-full guard.
     pub fn classify(
         &mut self,
         rows: usize,
         cols: usize,
         selected: &[usize],
         y: &[f64],
+        reference: Option<&Matrix>,
         config: &AdaptiveConfig,
     ) -> FrameClass {
         self.frames_since_full += 1;
         let n = rows * cols;
-        if self.shape != Some((rows, cols))
-            || selected.len() != y.len()
-            || selected.iter().any(|&i| i >= n)
-        {
+        let prev = match reference {
+            Some(frame)
+                if frame.shape() == (rows, cols)
+                    && selected.len() == y.len()
+                    && selected.iter().all(|&i| i < n) =>
+            {
+                frame.as_slice()
+            }
             // No comparable previous frame (or malformed request — the
             // decode itself will produce the proper error).
-            return FrameClass::Event;
-        }
+            _ => return FrameClass::Event,
+        };
         // Φ_M applied to the previous reconstruction is a gather.
         self.residual.clear();
         self.residual
-            .extend(selected.iter().zip(y).map(|(&i, &v)| v - self.prev_flat[i]));
+            .extend(selected.iter().zip(y).map(|(&i, &v)| v - prev[i]));
         let y_norm = vecops::norm2(y).max(f64::MIN_POSITIVE);
         let rel = vecops::norm2(&self.residual) / y_norm;
         if config.force_full_every > 0 && self.frames_since_full >= config.force_full_every {
@@ -256,13 +257,6 @@ impl ChangeDetector {
         }
     }
 
-    /// Records a decoded reconstruction as the new reference frame.
-    pub fn observe(&mut self, frame: &flexcs_linalg::Matrix) {
-        self.shape = Some(frame.shape());
-        self.prev_flat.clear();
-        self.prev_flat.extend_from_slice(frame.as_slice());
-    }
-
     /// Resets the forced-full countdown (call after a full-quality
     /// decode: `event_greedy` or `event_full`).
     pub fn note_full_decode(&mut self) {
@@ -275,10 +269,8 @@ impl ChangeDetector {
         &self.residual
     }
 
-    /// Forgets the reference frame; the next frame classifies `Event`.
+    /// Restarts the forced-full countdown and drops the residual.
     pub fn reset(&mut self) {
-        self.prev_flat.clear();
-        self.shape = None;
         self.frames_since_full = 0;
         self.residual.clear();
     }
@@ -386,9 +378,10 @@ impl AdaptivePipeline {
         warm: &mut DecodeWarmState,
     ) -> Result<(Reconstruction, DecodeTier)> {
         self.config.validate()?;
+        let reference = self.prev.as_ref().map(|rec| &rec.frame);
         let class = self
             .detector
-            .classify(rows, cols, selected, y, &self.config);
+            .classify(rows, cols, selected, y, reference, &self.config);
         let tier = match class {
             FrameClass::Static => {
                 // `classify` only returns Static when a comparable
@@ -517,7 +510,6 @@ impl AdaptivePipeline {
     /// Stores the reconstruction as the new reference and counts the
     /// tier.
     fn finish(&mut self, rec: Reconstruction, tier: DecodeTier) -> DecodeTier {
-        self.detector.observe(&rec.frame);
         self.prev = Some(rec);
         self.count(tier);
         tier
@@ -588,15 +580,14 @@ mod tests {
         let plan = SamplingPlan::random_subset(64, 40, &[], 5).unwrap();
         let y = measure(&frame, &plan);
         assert_eq!(
-            det.classify(8, 8, plan.selected(), &y, &cfg),
+            det.classify(8, 8, plan.selected(), &y, None, &cfg),
             FrameClass::Event,
             "no reference frame yet"
         );
-        det.observe(&frame);
         det.note_full_decode();
         for _ in 0..5 {
             assert_eq!(
-                det.classify(8, 8, plan.selected(), &y, &cfg),
+                det.classify(8, 8, plan.selected(), &y, Some(&frame), &cfg),
                 FrameClass::Static
             );
         }
@@ -608,7 +599,6 @@ mod tests {
         let mut det = ChangeDetector::new();
         let plan = SamplingPlan::random_subset(64, 40, &[], 6).unwrap();
         let before = sparse_frame(8, 8, 1.0);
-        det.observe(&before);
         det.note_full_decode();
         // An abrupt scene change: different support, different scale.
         let dct = Dct2d::new(8, 8).unwrap();
@@ -618,7 +608,7 @@ mod tests {
         let after = dct.inverse(&coeffs).unwrap();
         let y = measure(&after, &plan);
         assert_eq!(
-            det.classify(8, 8, plan.selected(), &y, &cfg),
+            det.classify(8, 8, plan.selected(), &y, Some(&before), &cfg),
             FrameClass::Event
         );
     }
@@ -629,13 +619,12 @@ mod tests {
         let mut det = ChangeDetector::new();
         let plan = SamplingPlan::random_subset(64, 40, &[], 7).unwrap();
         let before = sparse_frame(8, 8, 1.0);
-        det.observe(&before);
         det.note_full_decode();
         // ~10 % drift on the dominant coefficient: between the static
         // and event thresholds.
         let after = sparse_frame(8, 8, 1.12);
         let y = measure(&after, &plan);
-        let class = det.classify(8, 8, plan.selected(), &y, &cfg);
+        let class = det.classify(8, 8, plan.selected(), &y, Some(&before), &cfg);
         let rel = vecops::norm2(det.residual()) / vecops::norm2(&y);
         assert_eq!(class, FrameClass::Delta, "relative residual {rel}");
     }
@@ -649,26 +638,25 @@ mod tests {
         let mut det = ChangeDetector::new();
         let plan = SamplingPlan::random_subset(64, 40, &[], 8).unwrap();
         let frame = sparse_frame(8, 8, 1.0);
-        det.observe(&frame);
         det.note_full_decode();
         let y = measure(&frame, &plan);
         assert_eq!(
-            det.classify(8, 8, plan.selected(), &y, &cfg),
+            det.classify(8, 8, plan.selected(), &y, Some(&frame), &cfg),
             FrameClass::Static
         );
         assert_eq!(
-            det.classify(8, 8, plan.selected(), &y, &cfg),
+            det.classify(8, 8, plan.selected(), &y, Some(&frame), &cfg),
             FrameClass::Static
         );
         // Third frame since the last full decode: forced Event even
         // though the measurements are unchanged.
         assert_eq!(
-            det.classify(8, 8, plan.selected(), &y, &cfg),
+            det.classify(8, 8, plan.selected(), &y, Some(&frame), &cfg),
             FrameClass::Event
         );
         det.note_full_decode();
         assert_eq!(
-            det.classify(8, 8, plan.selected(), &y, &cfg),
+            det.classify(8, 8, plan.selected(), &y, Some(&frame), &cfg),
             FrameClass::Static
         );
     }
@@ -677,12 +665,12 @@ mod tests {
     fn shape_change_resets_to_event() {
         let cfg = AdaptiveConfig::default();
         let mut det = ChangeDetector::new();
-        det.observe(&sparse_frame(8, 8, 1.0));
+        let big = sparse_frame(8, 8, 1.0);
         let plan = SamplingPlan::random_subset(16, 10, &[], 9).unwrap();
         let small = sparse_frame(4, 4, 1.0);
         let y = measure(&small, &plan);
         assert_eq!(
-            det.classify(4, 4, plan.selected(), &y, &cfg),
+            det.classify(4, 4, plan.selected(), &y, Some(&big), &cfg),
             FrameClass::Event
         );
     }

@@ -14,8 +14,9 @@
 //!   every lower-index tile has been (index-ordered reassembly keeps
 //!   results bit-identical for any thread count, and the working set is
 //!   the frame, not every tile) while all blocks share one
-//!   [`Decoder`] (one cached `Dct2d` plan) and a bounded [`DecodePool`]
-//!   of solver workspaces instead of allocating per block.
+//!   [`Decoder`] (one cached `Dct2d` plan). Each block solves cold on
+//!   its worker thread's solver workspace, so the pipeline holds no
+//!   per-block or per-worker arenas of its own.
 //! - Overlapping tiles are fused by **overlap-and-average** deblocking:
 //!   every seam pixel is the exact average of its contributing blocks,
 //!   and zero-overlap tiling is bit-identical to pasting independent
@@ -25,9 +26,9 @@
 //!   shifts its block's mean off the smooth low-rank field and shows up
 //!   in the sparse component.
 //!
-//! Telemetry (feature `telemetry`): `blocks.decoded`,
-//! `blocks.pool.reuses` and `blocks.seam_px` counters plus a
-//! `blocks.block_ms` per-block latency histogram.
+//! Telemetry (feature `telemetry`): `blocks.decoded` and
+//! `blocks.seam_px` counters plus a `blocks.block_ms` per-block latency
+//! histogram.
 
 use crate::decode::{DecodeWarmState, Decoder};
 use crate::error::{CoreError, Result};
@@ -433,12 +434,11 @@ pub struct BlockMeasurements {
     pub blocks: Vec<BlockMeasurement>,
 }
 
-/// The bounded, blocking pool of decode workspaces shared by concurrent
-/// block decodes: at most its capacity (typically the worker-thread
-/// count) of [`DecodeWarmState`]s exist, and a checkout blocks while all
-/// are out rather than allocating past the cap. [`BlockPipeline`] clears
-/// every state it checks out, so a pooled decode is bit-identical to one
-/// on a fresh workspace while skipping the allocation.
+/// A bounded, blocking pool of [`DecodeWarmState`]s. The library does
+/// not use it: [`BlockPipeline`] solves each block through a fresh state
+/// on its thread's solver workspace. The alias remains only because the
+/// benchmark's traced megapixel replay names it, and goes with that
+/// replay (ROADMAP item 3).
 pub type DecodePool = Pool<DecodeWarmState>;
 
 /// Configuration for [`BlockPipeline`].
@@ -448,9 +448,6 @@ pub struct BlockPipelineConfig {
     /// `flexcs-parallel` default pool (the `FLEXCS_THREADS` override
     /// applies). Results are bit-identical for every setting.
     pub threads: Option<usize>,
-    /// Workspace-pool capacity; `0` sizes the pool to the resolved
-    /// thread count (enough that no worker ever blocks on checkout).
-    pub pool_capacity: usize,
     /// Run the global RPCA pass on the block-mean image and flag blocks
     /// whose sparse residual exceeds this fraction of the maximum
     /// (see [`outlier_indices`]); `None` skips the defect map.
@@ -461,7 +458,6 @@ impl Default for BlockPipelineConfig {
     fn default() -> Self {
         BlockPipelineConfig {
             threads: None,
-            pool_capacity: 0,
             defect_threshold: Some(0.5),
         }
     }
@@ -484,8 +480,7 @@ pub struct BlockOutcome {
 }
 
 /// The block-tiled decode pipeline: one shared [`Decoder`] (single
-/// cached DCT plan), a bounded [`DecodePool`], and a deterministic
-/// parallel fan-out over tiles.
+/// cached DCT plan) and a deterministic parallel fan-out over tiles.
 ///
 /// # Examples
 ///
@@ -512,7 +507,6 @@ pub struct BlockPipeline {
     config: BlockPipelineConfig,
     /// Fan-out width: `config.threads`, or the default pool size.
     workers: usize,
-    pool: DecodePool,
 }
 
 impl BlockPipeline {
@@ -522,35 +516,24 @@ impl BlockPipeline {
             .threads
             .unwrap_or_else(flexcs_parallel::default_threads)
             .max(1);
-        let capacity = if config.pool_capacity == 0 {
-            workers
-        } else {
-            config.pool_capacity
-        };
         BlockPipeline {
             decoder,
             config,
             workers,
-            pool: DecodePool::with_capacity(capacity),
         }
     }
 
-    /// The shared workspace pool (its reuse counters persist across
-    /// frames decoded through this pipeline).
-    pub fn pool(&self) -> &DecodePool {
-        &self.pool
-    }
-
-    /// Decodes one tiled frame: parallel per-tile solves through the
-    /// pooled workspaces, overlap-and-average deblocking, and the
-    /// global RPCA defect pass over the block-mean image.
+    /// Decodes one tiled frame: parallel cold per-tile solves,
+    /// overlap-and-average deblocking, and the global RPCA defect pass
+    /// over the block-mean image.
     ///
     /// Each tile is folded into the frame as soon as every lower-index
     /// tile has been, so the working set is the frame plus the few tiles
     /// that finish ahead of a slower one. The result is bit-identical
-    /// for every thread count and to a serial loop over fresh
-    /// workspaces: tiles fold in index order whatever the scheduling,
-    /// and pooled workspaces are cleared between solves.
+    /// for every thread count and to a serial loop of cold
+    /// [`Decoder::reconstruct`] calls: tiles fold in index order
+    /// whatever the scheduling, and every tile starts from a fresh
+    /// [`DecodeWarmState`].
     ///
     /// # Errors
     ///
@@ -577,21 +560,13 @@ impl BlockPipeline {
             |i| -> Result<(Matrix, SolveReport)> {
                 let block = &meas.blocks[i];
                 let t0 = track.then(Instant::now);
-                let mut ws = self.pool.checkout();
-                if ws.reused() {
-                    tel::counter("blocks.pool.reuses", 1);
-                }
-                // Dropping the carried solution and cached norm (buffers
-                // kept) makes every block solve cold.
-                ws.clear();
                 let rec = self.decoder.reconstruct_warm(
                     b,
                     b,
                     block.plan.selected(),
                     &block.y,
-                    &mut ws,
+                    &mut DecodeWarmState::new(),
                 )?;
-                drop(ws);
                 if let Some(t0) = t0 {
                     tel::counter("blocks.decoded", 1);
                     tel::histogram("blocks.block_ms", t0.elapsed().as_secs_f64() * 1e3);

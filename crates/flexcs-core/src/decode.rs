@@ -12,7 +12,33 @@ use flexcs_solver::{
     IstaConfig, LinearOperator, SolveReport, SolveWorkspace, SolverError, SparseSolver, WarmStart,
 };
 use flexcs_transform::{devectorize, haar2d_full_inverse, Dct2d};
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
+
+thread_local! {
+    /// Per-thread solver arena for every decode. Scratch belongs to the
+    /// thread and carried state to the stream: a [`DecodeWarmState`]
+    /// holds only what the next solve of its stream reads, so serving
+    /// many tenants holds one arena per decoding thread, not one per
+    /// tenant. A reused workspace is bit-identical to a fresh one.
+    ///
+    /// The arena keeps the largest buffers any decode on its thread has
+    /// needed, until the thread exits: dropping a stream's state frees
+    /// none of it. IRLS rebuilds its m×m Gram matrix whenever m changes,
+    /// so streams of different M sharing a thread re-allocate it per
+    /// solve instead of each keeping its own.
+    static SOLVE_WORKSPACE: RefCell<SolveWorkspace> = RefCell::new(SolveWorkspace::new());
+}
+
+/// Runs `f` with this thread's solver workspace; the `try_borrow_mut`
+/// fallback covers re-entrant use only (a decode invoked from inside
+/// another decode's solve).
+fn with_solve_workspace<R>(f: impl FnOnce(&mut SolveWorkspace) -> R) -> R {
+    SOLVE_WORKSPACE.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut guard) => f(&mut guard),
+        Err(_) => f(&mut SolveWorkspace::new()),
+    })
+}
 
 /// A configured CS decoder.
 ///
@@ -63,23 +89,26 @@ impl Clone for Decoder {
     }
 }
 
-/// Decode-side warm-start state: a reusable solver workspace plus the
-/// previous solution's DCT coefficients and cached spectral norm.
+/// Decode-side warm-start state: the previous solution's DCT
+/// coefficients, the cached spectral norm and the warm-start counters.
 ///
 /// Passed to [`Decoder::reconstruct_warm`] across related solves —
 /// consecutive resampling rounds of one frame, or consecutive frames of
 /// a stream — so each solve after the first starts from the previous
-/// coefficients, reuses the preallocated iterate buffers, and skips the
-/// per-round power iteration. This composes with the RPCA subspace
-/// warm starts of the streaming session layer: RPCA carries the
-/// low-rank subspace across frames, this carries the sparse code.
+/// coefficients and skips the per-round power iteration. This composes
+/// with the RPCA subspace warm starts of the streaming session layer:
+/// RPCA carries the low-rank subspace across frames, this carries the
+/// sparse code.
 ///
-/// Cold solves through [`Decoder::reconstruct`] are unaffected; a
-/// shape or sampling-density change simply resets the carried state on
-/// the next solve.
+/// The state holds no solver buffers: warm solves run on one workspace
+/// per decoding thread, so a state costs one coefficient vector however
+/// many streams exist.
+///
+/// [`Decoder::reconstruct`] is a solve from a fresh state; a shape or
+/// sampling-density change simply resets the carried state on the next
+/// solve.
 #[derive(Clone, Debug, Default)]
 pub struct DecodeWarmState {
-    workspace: SolveWorkspace,
     warm: WarmStart,
 }
 
@@ -166,8 +195,8 @@ impl Decoder {
     /// # Errors
     ///
     /// Returns [`CoreError::NonFiniteMeasurement`] when `y` holds a NaN
-    /// or ±Inf, and propagates operator-construction and solver
-    /// failures.
+    /// or ±Inf, [`CoreError::MeasurementOverflow`] when ‖y‖₂ overflows,
+    /// and propagates operator-construction and solver failures.
     pub fn reconstruct(
         &self,
         rows: usize,
@@ -175,12 +204,13 @@ impl Decoder {
         selected: &[usize],
         y: &[f64],
     ) -> Result<Reconstruction> {
-        self.reconstruct_inner(rows, cols, selected, y, None, None)
+        // A fresh carried state makes the warm solve the cold one.
+        self.reconstruct_inner(rows, cols, selected, y, &mut DecodeWarmState::new(), None)
     }
 
     /// [`Decoder::reconstruct`] with cross-solve warm starting: the
     /// solver is seeded from the previous solution carried in `state`,
-    /// reuses its preallocated workspace, and serves the Lipschitz
+    /// runs on this thread's solver workspace, and serves the Lipschitz
     /// constant from the cached spectral norm instead of re-running
     /// power iteration. The first call on a fresh (or shape-changed)
     /// state is bit-identical to [`Decoder::reconstruct`].
@@ -196,7 +226,7 @@ impl Decoder {
         y: &[f64],
         state: &mut DecodeWarmState,
     ) -> Result<Reconstruction> {
-        self.reconstruct_inner(rows, cols, selected, y, Some(state), None)
+        self.reconstruct_inner(rows, cols, selected, y, state, None)
     }
 
     /// [`Decoder::reconstruct_warm`] with a per-call solver override:
@@ -218,7 +248,7 @@ impl Decoder {
         y: &[f64],
         state: &mut DecodeWarmState,
     ) -> Result<Reconstruction> {
-        self.reconstruct_inner(rows, cols, selected, y, Some(state), Some(solver))
+        self.reconstruct_inner(rows, cols, selected, y, state, Some(solver))
     }
 
     fn reconstruct_inner(
@@ -227,7 +257,7 @@ impl Decoder {
         cols: usize,
         selected: &[usize],
         y: &[f64],
-        warm: Option<&mut DecodeWarmState>,
+        state: &mut DecodeWarmState,
         solver_override: Option<&SparseSolver>,
     ) -> Result<Reconstruction> {
         if tel::enabled() {
@@ -251,15 +281,18 @@ impl Decoder {
         if let Some(index) = y.iter().position(|v| !v.is_finite()) {
             return Err(CoreError::NonFiniteMeasurement { index });
         }
+        // Finite entries can still square-sum past f64::MAX; every
+        // solver norm of such a `y` is then ±Inf or NaN, and FISTA's
+        // iterates would overflow the same way.
+        if !flexcs_linalg::vecops::norm2(y).is_finite() {
+            return Err(CoreError::MeasurementOverflow);
+        }
         // Scale λ for LASSO-type solvers relative to the measurement
         // correlations so behaviour is signal-amplitude invariant.
         let solver = self.scaled_solver(solver_override.unwrap_or(&self.solver), &op, y);
         drop(setup_span);
         let solve_span = tel::span("decode.solve");
-        let recovery = match warm {
-            Some(state) => solver.solve_warm(&op, y, &mut state.workspace, &mut state.warm)?,
-            None => solver.solve(&op, y)?,
-        };
+        let recovery = with_solve_workspace(|ws| solver.solve_warm(&op, y, ws, &mut state.warm))?;
         drop(solve_span);
         if tel::enabled() {
             tel::histogram(
@@ -428,6 +461,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn overflowing_measurement_norms_are_a_typed_error() {
+        let frame = sparse_frame(8, 8);
+        let plan = SamplingPlan::random_subset(64, 32, &[], 5).unwrap();
+        let clean = plan.measure(&frame.to_flat());
+        let decoder = Decoder::default();
+        for scale in [1e160, 1e308] {
+            let y: Vec<f64> = clean.iter().map(|v| v * scale).collect();
+            assert!(y.iter().all(|v| v.is_finite()));
+            assert_eq!(
+                decoder.reconstruct(8, 8, plan.selected(), &y).err(),
+                Some(CoreError::MeasurementOverflow),
+                "y scaled by {scale:e} accepted"
+            );
+        }
+        // Large but representable norms still decode.
+        let y: Vec<f64> = clean.iter().map(|v| v * 1e150).collect();
+        let rec = decoder.reconstruct(8, 8, plan.selected(), &y).unwrap();
+        assert!(rec.report.residual_norm.is_finite());
+        assert!(rec.frame.as_slice().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn reentrant_warm_decode_falls_back_to_a_fresh_workspace() {
+        let frame = sparse_frame(8, 8);
+        let plan = SamplingPlan::random_subset(64, 40, &[], 5).unwrap();
+        let y = plan.measure(&frame.to_flat());
+        let decoder = Decoder::default();
+        let decode = || {
+            let mut state = DecodeWarmState::new();
+            decoder
+                .reconstruct_warm(8, 8, plan.selected(), &y, &mut state)
+                .unwrap()
+        };
+        let outer = decode();
+        // With this thread's workspace already borrowed, the nested
+        // decode runs on a fresh one, and a fresh workspace gives the
+        // same bits as a reused one.
+        let nested = with_solve_workspace(|_| decode());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&nested.frame), bits(&outer.frame));
+        assert_eq!(nested.report.iterations, outer.report.iterations);
     }
 
     #[test]

@@ -22,6 +22,9 @@ pub enum CoreError {
         /// vector, or row-major in an RPCA input matrix.
         index: usize,
     },
+    /// Every measurement is finite but ‖y‖₂ overflows `f64`, so no
+    /// solver norm of it is finite.
+    MeasurementOverflow,
     /// A transform failure (shape mismatches and the like).
     Transform(flexcs_transform::TransformError),
     /// A recovery-solver failure.
@@ -46,6 +49,7 @@ impl fmt::Display for CoreError {
             CoreError::NonFiniteMeasurement { index } => {
                 write!(f, "measurement {index} is not finite")
             }
+            CoreError::MeasurementOverflow => write!(f, "measurement norm overflows f64"),
             CoreError::Transform(e) => write!(f, "transform failure: {e}"),
             CoreError::Solver(e) => write!(f, "solver failure: {e}"),
             CoreError::Linalg(e) => write!(f, "linear algebra failure: {e}"),

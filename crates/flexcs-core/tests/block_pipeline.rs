@@ -4,8 +4,8 @@
 //!   within tolerance, and seam pixels are *exact* averages of their
 //!   contributing blocks (property-tested over random geometries);
 //! - zero-overlap tiling is bit-identical to pasting independent
-//!   per-block decodes on fresh workspaces (which also proves the
-//!   pooled workspaces leak nothing between solves);
+//!   per-block decodes on fresh workspaces (which also proves a
+//!   thread's reused solver workspace leaks nothing between solves);
 //! - results are bit-identical for every thread count.
 //!
 //! The telemetry counters are checked in `block_telemetry.rs`, a binary
@@ -128,22 +128,16 @@ fn overlapping_decode_is_bit_identical_to_fresh_workspace_reassembly() {
     .unwrap();
     let meas = grid.measure(&frame, 0.6, &[], 5).unwrap();
 
-    // Pool of 1 workspace maximizes reuse: every block after the first
-    // decodes on a recycled (cleared) workspace.
+    // One worker: every block after the first decodes on the same
+    // thread's reused solver workspace.
     let pipe = BlockPipeline::new(
         Decoder::default(),
         BlockPipelineConfig {
-            pool_capacity: 1,
+            threads: Some(1),
             ..BlockPipelineConfig::default()
         },
     );
-    let pooled = pipe.decode(&grid, &meas).unwrap();
-    assert_eq!(pipe.pool().checkouts(), grid.block_count() as u64);
-    assert_eq!(
-        pipe.pool().reuses(),
-        grid.block_count() as u64 - 1,
-        "cap-1 pool must serve every block after the first by reuse"
-    );
+    let tiled = pipe.decode(&grid, &meas).unwrap();
 
     let b = grid.block_size();
     let tiles: Vec<Matrix> = meas
@@ -157,13 +151,9 @@ fn overlapping_decode_is_bit_identical_to_fresh_workspace_reassembly() {
         })
         .collect();
     let (reference, seam) = grid.reassemble(&tiles).unwrap();
-    assert_eq!(pooled.seam_pixels, seam);
-    for (a, r) in pooled.frame.as_slice().iter().zip(reference.as_slice()) {
-        assert_eq!(
-            a.to_bits(),
-            r.to_bits(),
-            "pooled decode deviates from fresh"
-        );
+    assert_eq!(tiled.seam_pixels, seam);
+    for (a, r) in tiled.frame.as_slice().iter().zip(reference.as_slice()) {
+        assert_eq!(a.to_bits(), r.to_bits(), "tiled decode deviates from fresh");
     }
 }
 

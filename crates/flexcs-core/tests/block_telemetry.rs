@@ -1,7 +1,6 @@
 //! Telemetry contract for the block-tiled decode pipeline: one
-//! `blocks.decoded` count and one latency sample per block, one
-//! `blocks.pool.reuses` count per reused pool checkout, and the seam
-//! pixel count.
+//! `blocks.decoded` count and one latency sample per block, and the
+//! seam pixel count.
 //!
 //! The recorder is process-global, so this test lives in a binary of
 //! its own: any other test decoding concurrently in the same process
@@ -32,20 +31,11 @@ fn telemetry_records_block_counters_and_latency() {
     )
     .unwrap();
     let meas = grid.measure(&frame, 0.6, &[], 9).unwrap();
-    let pipe = BlockPipeline::new(
-        Decoder::default(),
-        BlockPipelineConfig {
-            pool_capacity: 1,
-            ..BlockPipelineConfig::default()
-        },
-    );
+    let pipe = BlockPipeline::new(Decoder::default(), BlockPipelineConfig::default());
     let out = pipe.decode(&grid, &meas).unwrap();
 
     let blocks = grid.block_count() as u64;
     assert_eq!(recorder.counter_value("blocks.decoded"), blocks);
-    // A capacity-1 pool mints one workspace; every later block reuses it.
-    assert_eq!(recorder.counter_value("blocks.pool.reuses"), blocks - 1);
-    assert_eq!(pipe.pool().reuses(), blocks - 1);
     assert_eq!(
         recorder.counter_value("blocks.seam_px"),
         out.seam_pixels as u64

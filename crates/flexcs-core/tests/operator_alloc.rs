@@ -17,7 +17,9 @@
 //!   per call, not per iteration);
 //! - a block-tiled decode's heap peaks near one output frame: tiles
 //!   fold into the frame as they finish, so neither every tile nor a
-//!   frame-sized count buffer is ever held.
+//!   frame-sized count buffer is ever held;
+//! - a `DecodeWarmState` keeps no solver buffers between solves: its
+//!   stream's carried solution, nothing of the per-thread workspace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,7 +96,8 @@ use flexcs_core::{
 };
 use flexcs_linalg::Matrix;
 use flexcs_solver::{
-    fista, power_iteration_norm, IstaConfig, LinearOperator, SolveWorkspace, SparseSolver,
+    fista, power_iteration_norm, GreedyConfig, IstaConfig, LinearOperator, SolveWorkspace,
+    SparseSolver,
 };
 
 /// A random ascending half-density selection over a `rows x cols` frame.
@@ -264,7 +267,6 @@ fn block_decode_allocates_independently_of_budget() {
                 BlockPipelineConfig {
                     threads: Some(1),
                     defect_threshold: None,
-                    ..BlockPipelineConfig::default()
                 },
             );
             pipe.decode(&grid, &meas).unwrap();
@@ -301,4 +303,42 @@ fn block_decode_heap_peaks_near_one_frame() {
         peak * 4 <= frame_bytes * 5,
         "block decode peaked at {peak} heap bytes, over 1.25 x the {frame_bytes}-byte frame"
     );
+}
+
+#[test]
+fn warm_states_keep_no_solver_buffers() {
+    // 32 streams (serve tenants, say) each run one FISTA and one OMP
+    // decode of a 32x32 frame. Each state may keep its carried
+    // coefficients and little else: 2 x N f64 per state is the bound.
+    let (rows, cols) = (32, 32);
+    let n = rows * cols;
+    let plan = SamplingPlan::random_subset(n, n / 2, &[], 23).unwrap();
+    let y = plan.measure(smooth_frame(rows, cols).as_slice());
+    let decoder = Decoder::default();
+    let omp = SparseSolver::Omp(GreedyConfig::with_sparsity(24));
+    let decode = |state: &mut DecodeWarmState| {
+        decoder
+            .reconstruct_warm(rows, cols, plan.selected(), &y, state)
+            .unwrap();
+        decoder
+            .reconstruct_with_solver(&omp, rows, cols, plan.selected(), &y, state)
+            .unwrap();
+    };
+    // Warm-up: fills the plan cache and sizes this thread's scratch.
+    decode(&mut DecodeWarmState::new());
+    const STATES: usize = 32;
+    let mut states = Vec::with_capacity(STATES);
+    let start = LIVE_BYTES.with(Cell::get);
+    for _ in 0..STATES {
+        let mut state = DecodeWarmState::new();
+        decode(&mut state);
+        states.push(state);
+    }
+    let kept = LIVE_BYTES.with(Cell::get) - start;
+    let bound = (STATES * 2 * n * std::mem::size_of::<f64>()) as i64;
+    assert!(
+        kept <= bound,
+        "{STATES} warm states keep {kept} heap bytes, over the {bound}-byte bound"
+    );
+    assert_eq!(states.len(), STATES);
 }

@@ -154,71 +154,53 @@ fn codelet_len(len: usize, w: usize, twiddles: usize, kernel: &str) -> usize {
     n
 }
 
-/// Forward-transforms the `L` lanes starting at column `j`: one load,
-/// every level in `level`, one store scaled by `s0` (row 0) and `sk`
-/// (the other rows).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn forward_strip<const N: usize, const L: usize>(
-    v: &mut [f64],
-    w: usize,
-    j: usize,
-    tw: &[f64],
-    s0: f64,
-    sk: f64,
-    level: impl Fn(&mut [Lanes<L>; N], &[f64]),
-) {
-    let mut x = [[0.0; L]; N];
-    for (r, xr) in x.iter_mut().enumerate() {
-        xr.copy_from_slice(&v[r * w + j..r * w + j + L]);
-    }
-    level(&mut x, tw);
-    for (r, xr) in x.iter().enumerate() {
-        let s = if r == 0 { s0 } else { sk };
-        for (d, &e) in v[r * w + j..r * w + j + L].iter_mut().zip(xr) {
-            *d = e * s;
+/// Transforms the `$l` lanes starting at column `$j` with the
+/// length-`$n` `$level`. Forward: one load, every level, one store
+/// scaled by `$s0` (row 0) and `$sk` (the other rows). Inverse: one load
+/// scaled the same way, every level, one store. The level is called in
+/// this body, not passed in as a closure: a closure call goes through a
+/// `Fn::call` shim compiled apart from the `#[target_feature]` wrapper,
+/// so it never sees the wrapper's vector extensions.
+macro_rules! strip {
+    (forward, $level:ident, $n:literal, $l:expr, $v:ident, $w:ident, $j:ident, $tw:ident, $s0:ident, $sk:ident) => {{
+        let mut x = [[0.0; $l]; $n];
+        for (r, xr) in x.iter_mut().enumerate() {
+            xr.copy_from_slice(&$v[r * $w + $j..r * $w + $j + $l]);
         }
-    }
+        $level(&mut x, $tw);
+        for (r, xr) in x.iter().enumerate() {
+            let s = if r == 0 { $s0 } else { $sk };
+            for (d, &e) in $v[r * $w + $j..r * $w + $j + $l].iter_mut().zip(xr) {
+                *d = e * s;
+            }
+        }
+    }};
+    (inverse, $level:ident, $n:literal, $l:expr, $v:ident, $w:ident, $j:ident, $tw:ident, $s0:ident, $sk:ident) => {{
+        let mut x = [[0.0; $l]; $n];
+        for (r, xr) in x.iter_mut().enumerate() {
+            let s = if r == 0 { $s0 } else { $sk };
+            for (e, &src) in xr.iter_mut().zip(&$v[r * $w + $j..r * $w + $j + $l]) {
+                *e = src * s;
+            }
+        }
+        $level(&mut x, $tw);
+        for (r, xr) in x.iter().enumerate() {
+            $v[r * $w + $j..r * $w + $j + $l].copy_from_slice(xr);
+        }
+    }};
 }
 
-/// Inverse-transforms the `L` lanes starting at column `j`: one load
-/// scaled by `s0` (row 0) and `sk` (the other rows), every level in
-/// `level`, one store.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn inverse_strip<const N: usize, const L: usize>(
-    v: &mut [f64],
-    w: usize,
-    j: usize,
-    tw: &[f64],
-    s0: f64,
-    sk: f64,
-    level: impl Fn(&mut [Lanes<L>; N], &[f64]),
-) {
-    let mut x = [[0.0; L]; N];
-    for (r, xr) in x.iter_mut().enumerate() {
-        let s = if r == 0 { s0 } else { sk };
-        for (e, &src) in xr.iter_mut().zip(&v[r * w + j..r * w + j + L]) {
-            *e = src * s;
-        }
-    }
-    level(&mut x, tw);
-    for (r, xr) in x.iter().enumerate() {
-        v[r * w + j..r * w + j + L].copy_from_slice(xr);
-    }
-}
-
-/// Runs `$strip` with the length-`$n` level over every lane: whole
-/// strips of [`STRIP`] lanes, then the leftover lanes one by one.
+/// Runs the length-`$n` `$level` over every lane in direction `$dir`:
+/// whole strips of [`STRIP`] lanes, then the leftover lanes one by one.
 macro_rules! sweep_strips {
-    ($strip:ident, $level:ident, $n:literal, $v:ident, $w:ident, $tw:ident, $s0:ident, $sk:ident) => {{
+    ($dir:ident, $level:ident, $n:literal, $v:ident, $w:ident, $tw:ident, $s0:ident, $sk:ident) => {{
         let mut j = 0;
         while j + STRIP <= $w {
-            $strip::<$n, STRIP>($v, $w, j, $tw, $s0, $sk, $level::<STRIP>);
+            strip!($dir, $level, $n, STRIP, $v, $w, j, $tw, $s0, $sk);
             j += STRIP;
         }
         while j < $w {
-            $strip::<$n, 1>($v, $w, j, $tw, $s0, $sk, $level::<1>);
+            strip!($dir, $level, $n, 1, $v, $w, j, $tw, $s0, $sk);
             j += 1;
         }
     }};
@@ -231,12 +213,12 @@ macro_rules! sweep_strips {
 #[inline(always)]
 pub fn forward(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
     match codelet_len(v.len(), w, twiddles.len(), "lee_forward_lanes") {
-        1 => sweep_strips!(forward_strip, level1, 1, v, w, twiddles, s0, sk),
-        2 => sweep_strips!(forward_strip, forward2, 2, v, w, twiddles, s0, sk),
-        4 => sweep_strips!(forward_strip, forward4, 4, v, w, twiddles, s0, sk),
-        8 => sweep_strips!(forward_strip, forward8, 8, v, w, twiddles, s0, sk),
-        16 => sweep_strips!(forward_strip, forward16, 16, v, w, twiddles, s0, sk),
-        _ => sweep_strips!(forward_strip, forward32, 32, v, w, twiddles, s0, sk),
+        1 => sweep_strips!(forward, level1, 1, v, w, twiddles, s0, sk),
+        2 => sweep_strips!(forward, forward2, 2, v, w, twiddles, s0, sk),
+        4 => sweep_strips!(forward, forward4, 4, v, w, twiddles, s0, sk),
+        8 => sweep_strips!(forward, forward8, 8, v, w, twiddles, s0, sk),
+        16 => sweep_strips!(forward, forward16, 16, v, w, twiddles, s0, sk),
+        _ => sweep_strips!(forward, forward32, 32, v, w, twiddles, s0, sk),
     }
 }
 
@@ -247,11 +229,11 @@ pub fn forward(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
 #[inline(always)]
 pub fn inverse(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
     match codelet_len(v.len(), w, twiddles.len(), "lee_inverse_lanes") {
-        1 => sweep_strips!(inverse_strip, level1, 1, v, w, twiddles, s0, sk),
-        2 => sweep_strips!(inverse_strip, inverse2, 2, v, w, twiddles, s0, sk),
-        4 => sweep_strips!(inverse_strip, inverse4, 4, v, w, twiddles, s0, sk),
-        8 => sweep_strips!(inverse_strip, inverse8, 8, v, w, twiddles, s0, sk),
-        16 => sweep_strips!(inverse_strip, inverse16, 16, v, w, twiddles, s0, sk),
-        _ => sweep_strips!(inverse_strip, inverse32, 32, v, w, twiddles, s0, sk),
+        1 => sweep_strips!(inverse, level1, 1, v, w, twiddles, s0, sk),
+        2 => sweep_strips!(inverse, inverse2, 2, v, w, twiddles, s0, sk),
+        4 => sweep_strips!(inverse, inverse4, 4, v, w, twiddles, s0, sk),
+        8 => sweep_strips!(inverse, inverse8, 8, v, w, twiddles, s0, sk),
+        16 => sweep_strips!(inverse, inverse16, 16, v, w, twiddles, s0, sk),
+        _ => sweep_strips!(inverse, inverse32, 32, v, w, twiddles, s0, sk),
     }
 }

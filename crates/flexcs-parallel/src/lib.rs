@@ -15,8 +15,8 @@
 //! index order as soon as it is due, so a fan-out that folds its
 //! results away (the megapixel block decode) never holds them all.
 //!
-//! [`Pool`] is the one bounded, blocking workspace pool the fan-outs
-//! draw their per-job scratch arenas from.
+//! [`Pool`] is the one bounded, blocking workspace pool; the Monte-Carlo
+//! fan-out draws its per-job scratch arenas from it.
 //!
 //! ## Example
 //!

@@ -18,7 +18,8 @@
 //! load spreads without losing per-tenant locality. A token grants
 //! exclusive access to the tenant's [`Session`]; the holder drains up
 //! to `max_batch` *same-shape* frames in one claim (amortizing the
-//! session's cached DCT plan, solver workspace, and warm-start state)
+//! session's cached DCT plan and warm-start state, and the worker's
+//! solver workspace)
 //! and re-enqueues the token if frames remain, so no tenant can starve
 //! the others on its worker.
 //!

@@ -3,21 +3,23 @@
 //! A long-running, std-only **multi-tenant batched decode engine** for
 //! the flexcs stack — the throughput tier that turns the per-frame
 //! decode optimizations (cached `Dct2d` plans, zero-allocation
-//! `SolveWorkspace` arenas, cross-frame warm starts) into sustained
-//! frames-per-second under concurrent load from many sensor arrays.
+//! per-thread `SolveWorkspace` arenas, cross-frame warm starts) into
+//! sustained frames-per-second under concurrent load from many sensor
+//! arrays.
 //!
 //! ## Architecture
 //!
 //! - **[`Session`]** — per-tenant state: the tenant's [`Decoder`]
-//!   (plan cache included) plus its [`DecodeWarmState`] (workspace +
-//!   previous solution + cached spectral norm). Owned exclusively by
+//!   (plan cache included) plus its [`DecodeWarmState`] (previous
+//!   solution + cached spectral norm; the solver workspace belongs to
+//!   the worker thread, so it is not per tenant). Owned exclusively by
 //!   one worker at a time; frames decode in FIFO submission order, so
 //!   per-tenant results are bit-identical to a serial decode of the
 //!   same stream.
 //! - **[`Engine`]** — bounded per-tenant queues with backpressure
 //!   ([`Submit::Rejected`] when full), a work-stealing scheduler over
 //!   `flexcs-parallel`-sized worker threads, and same-shape batching
-//!   that amortizes plan/workspace reuse across consecutive frames.
+//!   that amortizes plan reuse across consecutive frames.
 //! - **[`FrameHandle`]** — completion handle routed back to the
 //!   submitter; drop-safe on the worker side (a lost worker resolves
 //!   its claimed frames with [`ServeError::WorkerLost`] instead of

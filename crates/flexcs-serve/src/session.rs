@@ -1,14 +1,16 @@
 //! Per-tenant decode sessions and the pluggable decode backend.
 //!
-//! A [`Session`] owns everything expensive a tenant's decodes can
-//! amortize: the tenant's [`Decoder`] (whose internal `Dct2d` plan
+//! A [`Session`] owns the state a tenant's stream carries from frame
+//! to frame: the tenant's [`Decoder`] (whose internal `Dct2d` plan
 //! cache persists across frames), and a [`DecodeWarmState`] carrying
-//! the solver workspace arena plus the previous solution and cached
-//! spectral norm. The engine guarantees exclusive access — a session
-//! is locked by exactly one worker at a time and its frames are
-//! decoded in FIFO submission order — so per-tenant results are
-//! bit-identical to running the same sequence serially, regardless of
-//! how many workers the engine runs or which worker stole the batch.
+//! the previous solution and cached spectral norm. Solver scratch is
+//! not per tenant: warm decodes run on the worker thread's workspace,
+//! so the session holds no solver buffers. The engine guarantees
+//! exclusive access — a session is locked by exactly one worker at a
+//! time and its frames are decoded in FIFO submission order — so
+//! per-tenant results are bit-identical to running the same sequence
+//! serially, regardless of how many workers the engine runs or which
+//! worker stole the batch.
 
 use crate::error::ServeError;
 use crate::tel;
@@ -234,9 +236,11 @@ impl Session {
         self.frames_decoded += 1;
     }
 
-    /// Called after a decode panic: the workspace, carried solution and
-    /// adaptive reference frame may be mid-update, so the next solve
-    /// must run cold on fresh buffers rather than inherit torn state.
+    /// Called after a decode panic: the carried solution and adaptive
+    /// reference frame may be mid-update, so the next solve must run
+    /// cold rather than inherit torn state. The worker thread's solver
+    /// workspace needs no reset: every solver reinitializes what it
+    /// reads.
     pub(crate) fn reset_after_panic(&mut self) {
         self.warm = DecodeWarmState::new();
         if let LiveMode::Adaptive(pipeline) = &mut self.mode {

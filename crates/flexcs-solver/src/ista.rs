@@ -185,7 +185,10 @@ fn run_in(
             let obj = config.lambda * vecops::norm1(&ws.x) + 0.5 * rn * rn;
             tel::iteration(solver_name, iterations, obj, rn, step);
         }
-        if change <= config.tol * scale {
+        // An overflowed norm makes the rule `∞ ≤ ∞` (or `x ≤ ∞`), which
+        // holds without the iterates having settled: only a finite norm
+        // may stop the solve. Finite-norm solves are unaffected.
+        if nrm.is_finite() && change <= config.tol * scale {
             converged = true;
             break;
         }
@@ -376,6 +379,29 @@ mod tests {
             matches!(err, SolverError::Diverged { iteration: 73 }),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn overflowed_norms_never_report_convergence() {
+        // Measurements near 1e200 make ‖x_next‖ and ‖x_next − x‖ both
+        // overflow to +∞ on the first iteration while every entry stays
+        // finite; `∞ ≤ tol·∞` must not count as convergence.
+        let op = gaussian_operator(20, 40, 7);
+        let b: Vec<f64> = op
+            .apply(&sparse_signal(40, 3, 8))
+            .iter()
+            .map(|v| v * 1e200)
+            .collect();
+        let cfg = IstaConfig::with_lambda(1e-3);
+        match fista(&op, &b, &cfg, &mut SolveWorkspace::new(), None) {
+            Ok(rec) => assert!(
+                !rec.report.converged || rec.report.residual_norm.is_finite(),
+                "converged after {} iterations with residual {}",
+                rec.report.iterations,
+                rec.report.residual_norm
+            ),
+            Err(e) => assert!(matches!(e, SolverError::Diverged { .. }), "{e:?}"),
+        }
     }
 
     #[test]
