@@ -291,7 +291,8 @@ fn submit_with_retry(engine: &Engine, tenant: usize, req: &FrameRequest) -> Fram
 
 /// Drives every stream through a 4-worker engine, round-robin across
 /// tenants so per-tenant frames arrive in order, and waits for every
-/// frame. Asserts the run's completion and latency invariants and
+/// frame. Asserts the run's completion and latency invariants (p50/p99
+/// by nearest rank over every frame's own `DecodedFrame::latency`) and
 /// returns frames per second.
 fn engine_fps(streams: &[Vec<FrameRequest>]) -> f64 {
     let engine = Engine::new(EngineConfig {
@@ -303,21 +304,31 @@ fn engine_fps(streams: &[Vec<FrameRequest>]) -> f64 {
         .map(|i| engine.register_tenant(SessionConfig::named(format!("s{i}"))))
         .collect();
     let total: usize = streams.iter().map(Vec::len).sum();
-    let (secs, ()) = median_secs(1, || {
+    let (secs, mut latencies) = median_secs(1, || {
         let mut handles = Vec::with_capacity(total);
         for f in 0..FRAMES_PER_STREAM {
             for (stream, &tenant) in streams.iter().zip(&tenants) {
                 handles.push(submit_with_retry(&engine, tenant, &stream[f]));
             }
         }
-        for handle in handles {
-            black_box(handle.wait().expect("decode succeeds").report.iterations);
-        }
+        handles
+            .into_iter()
+            .map(|handle| {
+                let frame = handle.wait().expect("decode succeeds");
+                black_box(frame.report.iterations);
+                frame.latency
+            })
+            .collect::<Vec<Duration>>()
     });
     let metrics = engine.metrics();
     engine.shutdown();
     let fps = total as f64 / secs;
-    let (p50, p99) = (metrics.p50_ms.unwrap_or(0.0), metrics.p99_ms.unwrap_or(0.0));
+    latencies.sort_unstable();
+    let rank_ms = |q: f64| {
+        let rank = ((latencies.len() - 1) as f64 * q).round() as usize;
+        latencies[rank].as_secs_f64() * 1e3
+    };
+    let (p50, p99) = (rank_ms(0.50), rank_ms(0.99));
     println!("engine {fps:.0} fps, p50 {p50:.2} ms, p99 {p99:.2} ms");
     assert_eq!(metrics.completed() as usize, total, "every frame completes");
     assert_eq!(metrics.failed, 0, "no frame fails");

@@ -11,6 +11,7 @@
 
 use crate::cells::CellLibrary;
 use crate::error::{CircuitError, Result};
+use crate::mc::Rng;
 use crate::netlist::{Circuit, NodeId};
 use crate::scan::{ArrayScanResult, ScanSchedule};
 use crate::scan_driver::build_column_scanner_flushed;
@@ -109,35 +110,6 @@ impl Default for ActiveMatrixConfig {
             gain_mismatch: 0.005,
             readout_noise: 0.002,
         }
-    }
-}
-
-/// Small deterministic RNG so the array's mismatch/defect pattern and
-/// readout noise are reproducible without external dependencies.
-#[derive(Debug, Clone)]
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_add(0x9e3779b97f4a7c15))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn gaussian(&mut self) -> f64 {
-        let u1 = self.uniform().max(1e-300);
-        let u2 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 }
 

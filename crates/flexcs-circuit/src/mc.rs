@@ -68,7 +68,8 @@ use flexcs_parallel::Pool;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Deterministic SplitMix64 RNG used for per-trial variation draws.
+/// Deterministic SplitMix64 RNG: per-trial variation draws here, and
+/// the active-matrix mismatch, defect and readout-noise patterns.
 #[derive(Debug, Clone)]
 pub(crate) struct Rng(u64);
 
@@ -77,7 +78,7 @@ impl Rng {
         Rng(seed.wrapping_add(0x9e3779b97f4a7c15))
     }
 
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);

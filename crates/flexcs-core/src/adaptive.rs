@@ -169,12 +169,14 @@ impl Default for AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// Rejects threshold orderings that can never classify a frame.
+    /// Rejects threshold orderings that can never classify a frame and
+    /// frame budgets the latency governor cannot act on.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] when thresholds are negative, NaN or
-    /// inverted.
+    /// inverted, or when `frame_budget_us` is set but not a finite
+    /// positive number.
     pub fn validate(&self) -> Result<()> {
         if !(self.static_threshold >= 0.0) || !(self.delta_threshold >= self.static_threshold) {
             return Err(CoreError::InvalidConfig(format!(
@@ -187,6 +189,13 @@ impl AdaptiveConfig {
                 "greedy_kappa must lie in (0, 1], got {}",
                 self.greedy_kappa
             )));
+        }
+        if let Some(budget) = self.frame_budget_us {
+            if !(budget.is_finite() && budget > 0.0) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "frame_budget_us must be finite and > 0, got {budget}"
+                )));
+            }
         }
         Ok(())
     }
@@ -794,6 +803,13 @@ mod tests {
         let decoder = Decoder::default();
         let plan = SamplingPlan::random_subset(64, 40, &[], 21).unwrap();
         let y = measure(&sparse_frame(8, 8, 1.0), &plan);
+        // A frame budget the latency governor cannot act on: a
+        // non-positive one would pin the delta tier at its floor, a NaN
+        // one would silently disable the governor.
+        let bad_budgets = [-1.0, 0.0, f64::NAN, f64::INFINITY].map(|b| AdaptiveConfig {
+            frame_budget_us: Some(b),
+            ..AdaptiveConfig::default()
+        });
         for cfg in [
             AdaptiveConfig {
                 static_threshold: 0.5,
@@ -808,8 +824,14 @@ mod tests {
                 greedy_kappa: 0.0,
                 ..AdaptiveConfig::default()
             },
-        ] {
-            assert!(cfg.validate().is_err());
+        ]
+        .into_iter()
+        .chain(bad_budgets)
+        {
+            assert!(
+                matches!(cfg.validate(), Err(CoreError::InvalidConfig(_))),
+                "{cfg:?} accepted"
+            );
             let mut warm = DecodeWarmState::new();
             let mut pipeline = AdaptivePipeline::new(cfg);
             for _ in 0..2 {

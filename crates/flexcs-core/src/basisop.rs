@@ -8,7 +8,7 @@
 
 use crate::error::{CoreError, Result};
 use flexcs_linalg::Matrix;
-use flexcs_solver::{power_iteration_norm, LinearOperator, NormCache};
+use flexcs_solver::LinearOperator;
 use flexcs_transform::{devectorize, haar2d_full_forward, haar2d_full_inverse, Dct2d};
 use std::sync::Arc;
 
@@ -49,7 +49,6 @@ pub struct SubsampledDctOperator {
     /// read and write ([`Dct2d::sample_positions`]); empty for Haar.
     positions: Vec<usize>,
     basis: BasisKind,
-    norm_cache: NormCache,
 }
 
 impl SubsampledDctOperator {
@@ -145,7 +144,6 @@ impl SubsampledDctOperator {
             selected,
             positions,
             basis,
-            norm_cache: NormCache::new(),
         })
     }
 
@@ -231,13 +229,6 @@ impl LinearOperator for SubsampledDctOperator {
                 out.copy_from_slice(coeffs.as_slice());
             }
         }
-    }
-
-    fn spectral_norm_estimate(&self, iterations: usize) -> f64 {
-        // Each power iteration costs two 2-D transforms; ISTA asks for
-        // the Lipschitz constant on every solve, so cache it.
-        self.norm_cache
-            .get_or_compute(iterations, || power_iteration_norm(self, iterations))
     }
 }
 
@@ -381,11 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn spectral_norm_is_cached_across_calls() {
+    fn spectral_norm_is_deterministic() {
         let op = SubsampledDctOperator::new(8, 8, (0..32).collect()).unwrap();
         let first = op.spectral_norm_estimate(40);
         assert_eq!(op.spectral_norm_estimate(40).to_bits(), first.to_bits());
-        assert_eq!(op.spectral_norm_estimate(10).to_bits(), first.to_bits());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use crate::error::ServeError;
 use crate::handle::{completion_pair, Completion, DecodedFrame, FrameHandle, FrameResult};
-use crate::metrics::{EngineMetrics, LatencyReservoir, TenantMetrics};
+use crate::metrics::{EngineMetrics, TenantMetrics};
 use crate::session::{DecodeBackend, FrameRequest, Session, SessionConfig, WarmDecodeBackend};
 use crate::tel;
 use std::collections::VecDeque;
@@ -52,9 +52,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Maximum frames drained into one same-shape batch.
     pub max_batch: usize,
-    /// Global latency-reservoir capacity (per-tenant reservoirs hold
-    /// 1/16th, minimum 1024).
-    pub latency_reservoir: usize,
 }
 
 impl Default for EngineConfig {
@@ -63,7 +60,6 @@ impl Default for EngineConfig {
             workers: 0,
             queue_capacity: 64,
             max_batch: 16,
-            latency_reservoir: 1 << 17,
         }
     }
 }
@@ -108,6 +104,8 @@ struct TenantQueue {
     /// True while a token for this tenant sits in a deque or a worker
     /// holds the claim; guarantees at most one token per tenant.
     scheduled: bool,
+    /// Sequence number of the next accepted frame, which is also the
+    /// count of frames accepted so far.
     next_sequence: u64,
 }
 
@@ -117,16 +115,12 @@ struct Tenant {
     home: usize,
     queue: Mutex<TenantQueue>,
     session: Mutex<Session>,
-    submitted: AtomicU64,
     rejected: AtomicU64,
     completed: AtomicU64,
-    latency: LatencyReservoir,
 }
 
 #[derive(Default)]
 struct Counters {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
     decoded: AtomicU64,
     failed: AtomicU64,
     panicked: AtomicU64,
@@ -152,8 +146,6 @@ struct Inner {
     tenants: RwLock<Vec<Arc<Tenant>>>,
     sched: Sched,
     counters: Counters,
-    latency: LatencyReservoir,
-    tenant_reservoir: usize,
 }
 
 /// The long-running multi-tenant decode engine.
@@ -223,8 +215,6 @@ impl Engine {
                 running: AtomicBool::new(true),
             },
             counters: Counters::default(),
-            latency: LatencyReservoir::new(config.latency_reservoir.max(1024)),
-            tenant_reservoir: (config.latency_reservoir / 16).max(1024),
         });
         let worker_handles = (0..workers)
             .map(|w| {
@@ -263,10 +253,8 @@ impl Engine {
             home: id % self.inner.workers,
             queue: Mutex::new(TenantQueue::default()),
             session: Mutex::new(Session::new(config)),
-            submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            latency: LatencyReservoir::new(self.inner.tenant_reservoir),
         }));
         id
     }
@@ -293,7 +281,6 @@ impl Engine {
                 let depth = q.jobs.len();
                 drop(q);
                 tenant.rejected.fetch_add(1, Ordering::Relaxed);
-                self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 tel::counter("serve.rejected", 1);
                 return Ok(Submit::Rejected { queue_depth: depth });
             }
@@ -313,11 +300,6 @@ impl Engine {
             };
             (q.jobs.len(), needs_token)
         };
-        tenant.submitted.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
         if tel::enabled() {
             tel::counter("serve.submitted", 1);
             tel::histogram("serve.queue_depth", depth as f64);
@@ -328,8 +310,8 @@ impl Engine {
         Ok(Submit::Accepted(handle))
     }
 
-    /// Point-in-time metrics snapshot (queue depths, throughput
-    /// counters, latency percentiles).
+    /// Point-in-time metrics snapshot (queue depths and throughput
+    /// counters). Per-frame latency is on each [`DecodedFrame`].
     pub fn metrics(&self) -> EngineMetrics {
         self.inner.metrics()
     }
@@ -540,16 +522,11 @@ impl Inner {
             }
         };
         tenant.completed.fetch_add(1, Ordering::Relaxed);
-        let nanos = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
-        tenant.latency.record(nanos);
-        self.latency.record(nanos);
         if tel::enabled() {
+            let ms = latency.as_nanos() as f64 / 1e6;
             tel::counter("serve.frames", 1);
-            tel::histogram("serve.latency_ms", nanos as f64 / 1e6);
-            tel::histogram(
-                &format!("serve.tenant.{}.latency_ms", tenant.name),
-                nanos as f64 / 1e6,
-            );
+            tel::histogram("serve.latency_ms", ms);
+            tel::histogram(&format!("serve.tenant.{}.latency_ms", tenant.name), ms);
         }
         completion.complete(outcome);
     }
@@ -558,30 +535,32 @@ impl Inner {
         let tenants = self.tenants.read().unwrap_or_else(|e| e.into_inner());
         let per_tenant: Vec<TenantMetrics> = tenants
             .iter()
-            .map(|t| TenantMetrics {
-                tenant: t.id,
-                name: t.name.clone(),
-                submitted: t.submitted.load(Ordering::Relaxed),
-                rejected: t.rejected.load(Ordering::Relaxed),
-                completed: t.completed.load(Ordering::Relaxed),
-                queue_depth: t.queue.lock().unwrap_or_else(|e| e.into_inner()).jobs.len(),
-                p50_ms: t.latency.percentile_ms(0.50),
-                p99_ms: t.latency.percentile_ms(0.99),
+            .map(|t| {
+                let (submitted, queue_depth) = {
+                    let q = t.queue.lock().unwrap_or_else(|e| e.into_inner());
+                    (q.next_sequence, q.jobs.len())
+                };
+                TenantMetrics {
+                    tenant: t.id,
+                    name: t.name.clone(),
+                    submitted,
+                    rejected: t.rejected.load(Ordering::Relaxed),
+                    completed: t.completed.load(Ordering::Relaxed),
+                    queue_depth,
+                }
             })
             .collect();
         let batches = self.counters.batches.load(Ordering::Relaxed);
         let batch_frames = self.counters.batch_frames.load(Ordering::Relaxed);
         EngineMetrics {
-            submitted: self.counters.submitted.load(Ordering::Relaxed),
-            rejected: self.counters.rejected.load(Ordering::Relaxed),
+            submitted: per_tenant.iter().map(|t| t.submitted).sum(),
+            rejected: per_tenant.iter().map(|t| t.rejected).sum(),
             decoded: self.counters.decoded.load(Ordering::Relaxed),
             failed: self.counters.failed.load(Ordering::Relaxed),
             panicked: self.counters.panicked.load(Ordering::Relaxed),
             batches,
             steals: self.counters.steals.load(Ordering::Relaxed),
             mean_batch_occupancy: (batches > 0).then(|| batch_frames as f64 / batches as f64),
-            p50_ms: self.latency.percentile_ms(0.50),
-            p99_ms: self.latency.percentile_ms(0.99),
             tenants: per_tenant,
         }
     }
@@ -646,7 +625,7 @@ mod tests {
         let m = engine.metrics();
         assert_eq!(m.decoded, 1);
         assert_eq!(m.failed, 0);
-        assert!(m.p50_ms.is_some());
+        assert!(decoded.latency > Duration::ZERO);
     }
 
     #[test]
@@ -701,7 +680,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 1,
                 max_batch: 1,
-                ..EngineConfig::default()
             },
             Arc::new(GatedBackend {
                 gate: Arc::clone(&gate),
@@ -733,6 +711,70 @@ mod tests {
     }
 
     #[test]
+    fn engine_totals_are_sums_of_tenant_counts() {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let engine = Engine::with_backend(
+            EngineConfig {
+                workers: 1,
+                queue_capacity: 1,
+                max_batch: 1,
+            },
+            Arc::new(GatedBackend {
+                gate: Arc::clone(&gate),
+            }),
+        );
+        let a = engine.register_tenant(SessionConfig::named("a"));
+        let b = engine.register_tenant(SessionConfig::named("b"));
+        let frame = sparse_frame(4, 4);
+        let mut handles = vec![engine
+            .submit(a, request(&frame, 10, 1))
+            .unwrap()
+            .accepted()
+            .expect("empty queue accepts")];
+        // The single worker parks on tenant a's first frame, so every
+        // later submit meets a queue the worker cannot drain.
+        while engine.metrics().tenants[a].queue_depth > 0 {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        let mut accepted = [1u64, 0];
+        for (tenant, seed) in [(a, 2), (a, 3), (b, 4), (b, 5), (b, 6)] {
+            match engine.submit(tenant, request(&frame, 10, seed)).unwrap() {
+                Submit::Accepted(handle) => {
+                    accepted[tenant] += 1;
+                    handles.push(handle);
+                }
+                Submit::Rejected { queue_depth } => assert_eq!(queue_depth, 1),
+            }
+        }
+        assert_eq!(accepted, [2, 1], "capacity-1 queues take one frame each");
+        let check = |m: &EngineMetrics| {
+            let tenants = &m.tenants;
+            assert_eq!(
+                m.submitted,
+                tenants.iter().map(|t| t.submitted).sum::<u64>()
+            );
+            assert_eq!(m.rejected, tenants.iter().map(|t| t.rejected).sum::<u64>());
+            for t in tenants {
+                assert_eq!(t.submitted, accepted[t.tenant], "tenant {}", t.name);
+            }
+            assert_eq!((m.submitted, m.rejected), (3, 3));
+        };
+        check(&engine.metrics());
+        {
+            let (lock, cv) = &*gate;
+            *lock.lock().unwrap() = true;
+            cv.notify_all();
+        }
+        for h in handles {
+            assert!(h.wait().is_ok());
+        }
+        let m = engine.metrics();
+        check(&m);
+        assert_eq!(m.completed(), 3);
+        assert!(m.tenants.iter().all(|t| t.completed == t.submitted));
+    }
+
+    #[test]
     fn same_shape_frames_batch_together() {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let engine = Engine::with_backend(
@@ -740,7 +782,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 16,
                 max_batch: 8,
-                ..EngineConfig::default()
             },
             Arc::new(GatedBackend {
                 gate: Arc::clone(&gate),

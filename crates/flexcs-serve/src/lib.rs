@@ -24,10 +24,12 @@
 //!   submitter; drop-safe on the worker side (a lost worker resolves
 //!   its claimed frames with [`ServeError::WorkerLost`] instead of
 //!   stranding waiters).
-//! - **Metrics** — engine-native throughput counters and latency
-//!   percentile reservoirs ([`EngineMetrics`]); with the `telemetry`
-//!   feature the same events also flow to the installed
-//!   `flexcs_telemetry::Recorder` (`serve.*` counters/histograms).
+//! - **Metrics** — engine-native throughput counters and queue depths
+//!   ([`EngineMetrics`]; engine totals are sums of the per-tenant
+//!   counts). Each frame's submit-to-completion latency is on its
+//!   [`DecodedFrame`]. With the `telemetry` feature the same events
+//!   also flow to the installed `flexcs_telemetry::Recorder` (`serve.*`
+//!   counters/histograms, latency included).
 //!
 //! Decodes are panic-guarded: a panicking solver fails only its own
 //! frame (and resets the tenant's warm state) — the worker, the queue,

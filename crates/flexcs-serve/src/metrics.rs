@@ -1,67 +1,13 @@
-//! Engine-native metrics: throughput counters and latency percentile
-//! reservoirs.
+//! Engine-native metrics: throughput counters and queue depths.
 //!
-//! The engine keeps its own latency accounting (independent of the
-//! optional `telemetry` feature) so the sustained-throughput bench can
-//! read p50/p99 without a recorder installed. Samples land in a fixed
-//! capacity reservoir that degrades to a ring buffer once full — a
-//! bounded-memory approximation that stays exact until overflow and
-//! then tracks the most recent window.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Bounded latency sample store (nanoseconds).
-#[derive(Debug)]
-pub(crate) struct LatencyReservoir {
-    samples: Mutex<Vec<u64>>,
-    total: AtomicU64,
-    cap: usize,
-}
-
-impl LatencyReservoir {
-    pub(crate) fn new(cap: usize) -> Self {
-        LatencyReservoir {
-            samples: Mutex::new(Vec::new()),
-            total: AtomicU64::new(0),
-            cap: cap.max(1),
-        }
-    }
-
-    pub(crate) fn record(&self, nanos: u64) {
-        let n = self.total.fetch_add(1, Ordering::Relaxed);
-        let mut samples = self.samples.lock().unwrap_or_else(|e| e.into_inner());
-        if samples.len() < self.cap {
-            samples.push(nanos);
-        } else {
-            // Ring overwrite: keeps the most recent `cap` samples.
-            samples[(n as usize) % self.cap] = nanos;
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Percentile over the held samples, in milliseconds; `None` when
-    /// no sample has been recorded.
-    pub(crate) fn percentile_ms(&self, q: f64) -> Option<f64> {
-        let samples = self.samples.lock().unwrap_or_else(|e| e.into_inner());
-        percentile_ns(&samples, q).map(|ns| ns / 1e6)
-    }
-}
-
-/// Nearest-rank percentile of `samples` (unsorted, nanoseconds).
-pub(crate) fn percentile_ns(samples: &[u64], q: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<u64> = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    Some(sorted[rank] as f64)
-}
+//! The engine counts frames independently of the optional `telemetry`
+//! feature, so callers can read throughput and backpressure without a
+//! recorder installed. Each fact has one record: a frame's
+//! submit-to-completion latency lives on its
+//! [`DecodedFrame::latency`](crate::DecodedFrame::latency) (callers
+//! that want percentiles compute them from the frames they waited on),
+//! and engine-wide `submitted`/`rejected` are sums of the per-tenant
+//! counts.
 
 /// Point-in-time metrics for one tenant.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,18 +24,16 @@ pub struct TenantMetrics {
     pub completed: u64,
     /// Current queue depth.
     pub queue_depth: usize,
-    /// Median submit-to-completion latency, ms.
-    pub p50_ms: Option<f64>,
-    /// 99th-percentile submit-to-completion latency, ms.
-    pub p99_ms: Option<f64>,
 }
 
 /// Point-in-time metrics for the whole engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineMetrics {
-    /// Frames accepted across all tenants.
+    /// Frames accepted across all tenants (the sum of the tenants'
+    /// `submitted`).
     pub submitted: u64,
-    /// Frames rejected by backpressure across all tenants.
+    /// Frames rejected by backpressure across all tenants (the sum of
+    /// the tenants' `rejected`).
     pub rejected: u64,
     /// Frames completed successfully.
     pub decoded: u64,
@@ -103,10 +47,6 @@ pub struct EngineMetrics {
     pub steals: u64,
     /// Mean frames per batch (`None` before the first batch).
     pub mean_batch_occupancy: Option<f64>,
-    /// Median submit-to-completion latency across tenants, ms.
-    pub p50_ms: Option<f64>,
-    /// 99th-percentile submit-to-completion latency across tenants, ms.
-    pub p99_ms: Option<f64>,
     /// Per-tenant breakdown, indexed by tenant id.
     pub tenants: Vec<TenantMetrics>,
 }
@@ -115,41 +55,5 @@ impl EngineMetrics {
     /// Frames completed in total (success + failure).
     pub fn completed(&self) -> u64 {
         self.decoded + self.failed
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_ns(&samples, 0.0), Some(1.0));
-        assert_eq!(percentile_ns(&samples, 1.0), Some(100.0));
-        assert_eq!(percentile_ns(&samples, 0.5), Some(51.0));
-        assert_eq!(percentile_ns(&[], 0.5), None);
-    }
-
-    #[test]
-    fn reservoir_rings_after_capacity() {
-        let r = LatencyReservoir::new(4);
-        for ns in 0..10u64 {
-            r.record(ns);
-        }
-        assert_eq!(r.total(), 10);
-        // Ring holds the last window (6..10 overwrote 0..4 mod 4, the
-        // exact layout is an implementation detail; the percentile must
-        // come from recent samples only).
-        let p100 = r.percentile_ms(1.0).unwrap();
-        assert!(p100 <= 10.0 / 1e6);
-        assert!(p100 >= 6.0 / 1e6);
-    }
-
-    #[test]
-    fn empty_reservoir_has_no_percentiles() {
-        let r = LatencyReservoir::new(8);
-        assert_eq!(r.percentile_ms(0.5), None);
-        assert_eq!(r.total(), 0);
     }
 }

@@ -76,7 +76,7 @@ pub use ista::{fista, ista, IstaConfig};
 pub use lp::{lp_basis_pursuit, LpConfig};
 pub use op::{
     check_measurements, dense_submatrix, dense_submatrix_into, power_iteration_norm, DenseOperator,
-    LinearOperator, NormCache,
+    LinearOperator,
 };
 pub use report::{Recovery, SolveReport};
 pub use reweighted::{reweighted_l1, ReweightedConfig};

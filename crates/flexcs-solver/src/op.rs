@@ -7,7 +7,6 @@
 
 use crate::error::{Result, SolverError};
 use flexcs_linalg::Matrix;
-use std::sync::Mutex;
 
 /// A real linear operator `A : R^n -> R^m`.
 ///
@@ -102,20 +101,19 @@ pub trait LinearOperator {
 
     /// Estimates the spectral norm `‖A‖₂` by power iteration on `AᵀA`.
     ///
-    /// ISTA/FISTA use `1/‖A‖₂²` as a safe step size. Operators that are
-    /// solved repeatedly should override this to consult a [`NormCache`]
-    /// (as [`DenseOperator`] does) so each ISTA run after the first gets
-    /// the Lipschitz constant for free.
+    /// ISTA/FISTA use `1/‖A‖₂²` as a safe step size. Streams of related
+    /// solves carry the estimate across solves in their
+    /// [`WarmStart`](crate::WarmStart) instead of on the operator.
     fn spectral_norm_estimate(&self, iterations: usize) -> f64 {
         power_iteration_norm(self, iterations)
     }
 }
 
-/// Power iteration on `AᵀA`: the uncached computation behind
+/// Power iteration on `AᵀA`: the default
 /// [`LinearOperator::spectral_norm_estimate`].
 ///
-/// Exposed so operators overriding the trait method with a cache can
-/// still reach the reference algorithm without recursing.
+/// Exposed so operators overriding the trait method can still reach
+/// the reference algorithm without recursing.
 pub fn power_iteration_norm<O: LinearOperator + ?Sized>(op: &O, iterations: usize) -> f64 {
     let n = op.cols();
     if n == 0 || op.rows() == 0 {
@@ -141,47 +139,6 @@ pub fn power_iteration_norm<O: LinearOperator + ?Sized>(op: &O, iterations: usiz
         }
     }
     norm
-}
-
-/// Interior-mutable cache for spectral-norm estimates.
-///
-/// Stores the estimate together with the iteration count that produced
-/// it; a request for at most that many iterations is served from the
-/// cache, a request for more recomputes and replaces it. Cloning copies
-/// the cached value (it describes the same operator).
-#[derive(Debug, Default)]
-pub struct NormCache {
-    cell: Mutex<Option<(usize, f64)>>,
-}
-
-impl NormCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        NormCache::default()
-    }
-
-    /// Returns the cached estimate when it was computed with at least
-    /// `iterations` power iterations, otherwise runs `compute` and
-    /// caches its result under `iterations`.
-    pub fn get_or_compute(&self, iterations: usize, compute: impl FnOnce() -> f64) -> f64 {
-        let mut cell = self.cell.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((cached_iters, value)) = *cell {
-            if cached_iters >= iterations {
-                return value;
-            }
-        }
-        let value = compute();
-        *cell = Some((iterations, value));
-        value
-    }
-}
-
-impl Clone for NormCache {
-    fn clone(&self) -> Self {
-        NormCache {
-            cell: Mutex::new(*self.cell.lock().unwrap_or_else(|e| e.into_inner())),
-        }
-    }
 }
 
 /// Validates that a measurement vector matches the operator's output
@@ -218,16 +175,12 @@ pub fn check_measurements(op: &dyn LinearOperator, b: &[f64]) -> Result<()> {
 #[derive(Debug, Clone)]
 pub struct DenseOperator {
     a: Matrix,
-    norm_cache: NormCache,
 }
 
 impl DenseOperator {
     /// Wraps a dense matrix.
     pub fn new(a: Matrix) -> Self {
-        DenseOperator {
-            a,
-            norm_cache: NormCache::new(),
-        }
+        DenseOperator { a }
     }
 
     /// Borrows the underlying matrix.
@@ -285,11 +238,6 @@ impl LinearOperator for DenseOperator {
 
     fn to_dense(&self) -> Matrix {
         self.a.clone()
-    }
-
-    fn spectral_norm_estimate(&self, iterations: usize) -> f64 {
-        self.norm_cache
-            .get_or_compute(iterations, || power_iteration_norm(self, iterations))
     }
 }
 
@@ -420,36 +368,14 @@ mod tests {
     }
 
     #[test]
-    fn spectral_norm_cache_serves_and_upgrades() {
+    fn spectral_norm_is_deterministic() {
         let op = sample_op();
-        let est60 = op.spectral_norm_estimate(60);
-        // Fewer iterations than cached: served verbatim from the cache.
-        assert_eq!(op.spectral_norm_estimate(10).to_bits(), est60.to_bits());
-        // More iterations: recomputed, still the converged value.
-        let est200 = op.spectral_norm_estimate(200);
-        let exact = flexcs_linalg::spectral_norm_estimate(op.matrix(), 200);
-        assert!((est200 - exact).abs() / exact < 1e-9);
-        // Clones carry the cached value along.
-        let copy = op.clone();
-        assert_eq!(copy.spectral_norm_estimate(1).to_bits(), est200.to_bits());
-    }
-
-    #[test]
-    fn norm_cache_recomputes_only_on_upgrade() {
-        let cache = NormCache::new();
-        let mut calls = 0;
-        let run = |iters: usize, cache: &NormCache, calls: &mut usize| {
-            cache.get_or_compute(iters, || {
-                *calls += 1;
-                7.25
-            })
-        };
-        assert_eq!(run(30, &cache, &mut calls), 7.25);
-        assert_eq!(run(30, &cache, &mut calls), 7.25);
-        assert_eq!(run(5, &cache, &mut calls), 7.25);
-        assert_eq!(calls, 1, "served from cache");
-        run(31, &cache, &mut calls);
-        assert_eq!(calls, 2, "upgrade recomputes");
+        let est = op.spectral_norm_estimate(60);
+        assert_eq!(op.spectral_norm_estimate(60).to_bits(), est.to_bits());
+        assert_eq!(
+            op.clone().spectral_norm_estimate(60).to_bits(),
+            est.to_bits()
+        );
     }
 
     #[test]

@@ -16,14 +16,14 @@
 //! and a reused workspace gives bit-identical results to a fresh one.
 //!
 //! [`WarmStart`] carries state *between* related solves: the previous
-//! solution (used to seed the next solve's iterate) and a [`NormCache`]
-//! holding the spectral-norm estimate so later rounds skip power
-//! iteration entirely. It also keeps the `solver.warm_starts` /
+//! solution (used to seed the next solve's iterate) and the
+//! spectral-norm estimate, so later rounds skip power iteration
+//! entirely. It also keeps the `solver.warm_starts` /
 //! `solver.restarts` / `solver.warm.saved_iterations` telemetry
 //! counters.
 
 use crate::greedy::GreedyWorkspace;
-use crate::op::{LinearOperator, NormCache};
+use crate::op::LinearOperator;
 use crate::tel;
 use flexcs_linalg::Matrix;
 
@@ -114,7 +114,7 @@ impl SolveWorkspace {
 pub struct WarmStart {
     x0: Option<Vec<f64>>,
     shape: Option<(usize, usize)>,
-    norm_cache: NormCache,
+    norm: Option<f64>,
     baseline_iterations: Option<usize>,
     warm_starts: u64,
     restarts: u64,
@@ -131,7 +131,7 @@ impl WarmStart {
     pub fn clear(&mut self) {
         self.x0 = None;
         self.shape = None;
-        self.norm_cache = NormCache::new();
+        self.norm = None;
         self.baseline_iterations = None;
     }
 
@@ -165,17 +165,19 @@ impl WarmStart {
     ///
     /// First call per shape runs the same 30-step power iteration as
     /// the cold path (1.02 safety margin, bit-identical `L`); later
-    /// calls serve the cached norm through [`NormCache`] with a wider
-    /// 1.05 margin, because row-resampled operators of the same shape
-    /// have slightly varying norms and a too-small `L` diverges.
+    /// calls reuse the cached norm with a wider 1.05 margin, because
+    /// row-resampled operators of the same shape have slightly varying
+    /// norms and a too-small `L` diverges.
     pub(crate) fn lipschitz(&mut self, op: &dyn LinearOperator) -> f64 {
         self.prepare(op);
-        let mut fresh = false;
-        let s = self.norm_cache.get_or_compute(30, || {
-            fresh = true;
-            op.spectral_norm_estimate(30)
-        });
-        let margin = if fresh { 1.02 } else { 1.05 };
+        let (s, margin) = match self.norm {
+            Some(s) => (s, 1.05),
+            None => {
+                let s = op.spectral_norm_estimate(30);
+                self.norm = Some(s);
+                (s, 1.02)
+            }
+        };
         (s * s * margin).max(1e-12)
     }
 

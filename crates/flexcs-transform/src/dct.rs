@@ -928,81 +928,6 @@ fn with_frame_scratch<R>(f: impl FnOnce(&mut Dct2dScratch) -> R) -> R {
     })
 }
 
-/// Unscaled DCT-II by Lee's recursive algorithm, valid for power-of-two
-/// lengths. Computes `X_k = Σ_t x_t · cos(π (2t + 1) k / (2n))` in
-/// O(n log n).
-///
-/// # Errors
-///
-/// Returns [`TransformError::InvalidLength`] unless `x.len()` is a
-/// positive power of two.
-pub fn fast_dct2_unscaled(x: &[f64]) -> Result<Vec<f64>> {
-    let n = x.len();
-    if n == 0 || !n.is_power_of_two() {
-        return Err(TransformError::InvalidLength {
-            len: n,
-            reason: "fast dct requires a positive power-of-two length",
-        });
-    }
-    let mut v = x.to_vec();
-    let mut s = vec![0.0; n];
-    let inv_levels: Vec<Vec<f64>> = twiddle_levels(n)
-        .iter()
-        .map(|l| l.iter().map(|c| 0.5 / c).collect())
-        .collect();
-    lee_forward(&mut v, &mut s, &inv_levels);
-    Ok(v)
-}
-
-/// Orthonormal DCT-II for power-of-two lengths, via the fast Lee
-/// recursion; numerically equivalent to [`DctPlan::forward`].
-///
-/// # Errors
-///
-/// Returns [`TransformError::InvalidLength`] unless `x.len()` is a
-/// positive power of two.
-pub fn fast_dct2_orthonormal(x: &[f64]) -> Result<Vec<f64>> {
-    let n = x.len() as f64;
-    let mut v = fast_dct2_unscaled(x)?;
-    let a0 = (1.0 / n).sqrt();
-    let ak = (2.0 / n).sqrt();
-    if let Some(first) = v.first_mut() {
-        *first *= a0;
-    }
-    for item in v.iter_mut().skip(1) {
-        *item *= ak;
-    }
-    Ok(v)
-}
-
-/// Orthonormal DCT-III (the inverse of [`fast_dct2_orthonormal`]) for
-/// power-of-two lengths, via the inverse Lee recursion; numerically
-/// equivalent to [`DctPlan::inverse`].
-///
-/// # Errors
-///
-/// Returns [`TransformError::InvalidLength`] unless `x.len()` is a
-/// positive power of two.
-pub fn fast_dct3_orthonormal(x: &[f64]) -> Result<Vec<f64>> {
-    let n = x.len();
-    if n == 0 || !n.is_power_of_two() {
-        return Err(TransformError::InvalidLength {
-            len: n,
-            reason: "fast dct requires a positive power-of-two length",
-        });
-    }
-    let nf = n as f64;
-    let mut v = x.to_vec();
-    v[0] /= (1.0 / nf).sqrt();
-    let ak = (2.0 / nf).sqrt();
-    for item in v.iter_mut().skip(1) {
-        *item /= ak;
-    }
-    let mut s = vec![0.0; n];
-    lee_inverse(&mut v, &mut s, &twiddle_levels(n));
-    Ok(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1244,45 +1169,28 @@ mod tests {
     }
 
     #[test]
-    fn fast_matches_naive_unscaled() {
-        for &n in &[2usize, 4, 8, 16, 32, 64] {
+    fn plan_matches_naive_orthonormal() {
+        for n in 2usize..=64 {
             let x: Vec<f64> = (0..n).map(|i| ((i * i) as f64 * 0.13).sin()).collect();
-            let fast = fast_dct2_unscaled(&x).unwrap();
+            let plan = DctPlan::new(n).unwrap().forward(&x).unwrap();
+            let (a0, ak) = ((1.0 / n as f64).sqrt(), (2.0 / n as f64).sqrt());
             let naive = naive_dct2_unscaled(&x);
-            for (a, b) in fast.iter().zip(&naive) {
-                assert!((a - b).abs() < 1e-9, "n={n}: {a} vs {b}");
+            for (k, (a, b)) in plan.iter().zip(&naive).enumerate() {
+                let b = b * if k == 0 { a0 } else { ak };
+                assert!((a - b).abs() < 1e-9, "n={n} k={k}: {a} vs {b}");
             }
         }
     }
 
     #[test]
-    fn fast_orthonormal_matches_dense_plan() {
-        let n = 32;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).sqrt()).collect();
-        let fast = fast_dct2_orthonormal(&x).unwrap();
-        let plan = DctPlan::with_dense(n).unwrap().forward(&x).unwrap();
-        for (a, b) in fast.iter().zip(&plan) {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn fast_dct3_inverts_fast_dct2() {
+    fn plan_inverse_round_trips() {
         for n in [1usize, 4, 32, 128] {
             let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
-            let y = fast_dct2_orthonormal(&x).unwrap();
-            let back = fast_dct3_orthonormal(&y).unwrap();
+            let plan = DctPlan::new(n).unwrap();
+            let back = plan.inverse(&plan.forward(&x).unwrap()).unwrap();
             for (a, b) in back.iter().zip(&x) {
                 assert!((a - b).abs() < 1e-12, "n={n}");
             }
         }
-    }
-
-    #[test]
-    fn fast_rejects_non_power_of_two() {
-        assert!(fast_dct2_unscaled(&[1.0; 12]).is_err());
-        assert!(fast_dct2_unscaled(&[]).is_err());
-        assert!(fast_dct3_orthonormal(&[1.0; 12]).is_err());
-        assert!(fast_dct3_orthonormal(&[]).is_err());
     }
 }

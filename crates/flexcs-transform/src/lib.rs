@@ -10,8 +10,7 @@
 //! recovery. This crate provides:
 //!
 //! - [`DctPlan`] / [`Dct2d`]: orthonormal DCT-II and inverse for any size,
-//!   plus [`fast_dct2_orthonormal`] (Lee recursion) for power-of-two
-//!   lengths.
+//!   taking the fast Lee recursion for power-of-two lengths.
 //! - [`psi_matrix`]: the dense basis Ψ of paper Eq. 4/5, with
 //!   [`vectorize`]/[`devectorize`] helpers and [`mutual_coherence`].
 //! - [`sparsity`] statistics: sorted magnitudes (Fig. 2a), significant
@@ -49,7 +48,7 @@ pub mod sparsity;
 pub mod zigzag;
 
 pub use basis::{devectorize, mutual_coherence, psi_matrix, vectorize};
-pub use dct::{fast_dct2_orthonormal, fast_dct2_unscaled, fast_dct3_orthonormal, Dct2d, DctPlan};
+pub use dct::{Dct2d, DctPlan};
 pub use dwt::{haar2d_full_forward, haar2d_full_inverse};
 pub use error::{Result, TransformError};
 pub use sparsity::{

@@ -1,7 +1,7 @@
 //! Property-based tests for the transform layer.
 
 use flexcs_linalg::Matrix;
-use flexcs_transform::{dwt, fast_dct2_orthonormal, psi_matrix, sparsity, zigzag, Dct2d, DctPlan};
+use flexcs_transform::{dwt, psi_matrix, sparsity, zigzag, Dct2d, DctPlan};
 use proptest::prelude::*;
 
 fn frame_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -37,7 +37,7 @@ proptest! {
     fn fast_dct_agrees_with_dense_plan(v in proptest::collection::vec(-5.0..5.0f64, 64)) {
         // DctPlan::new(64) already takes the fast kernel, so the dense
         // reference must be requested explicitly.
-        let fast = fast_dct2_orthonormal(&v).unwrap();
+        let fast = DctPlan::new(64).unwrap().forward(&v).unwrap();
         let dense = DctPlan::with_dense(64).unwrap().forward(&v).unwrap();
         for (a, b) in fast.iter().zip(&dense) {
             prop_assert!((a - b).abs() < 1e-10);
