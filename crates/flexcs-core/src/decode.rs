@@ -24,9 +24,7 @@ thread_local! {
     ///
     /// The arena keeps the largest buffers any decode on its thread has
     /// needed, until the thread exits: dropping a stream's state frees
-    /// none of it. IRLS rebuilds its m×m Gram matrix whenever m changes,
-    /// so streams of different M sharing a thread re-allocate it per
-    /// solve instead of each keeping its own.
+    /// none of it.
     static SOLVE_WORKSPACE: RefCell<SolveWorkspace> = RefCell::new(SolveWorkspace::new());
 }
 
@@ -337,13 +335,9 @@ impl Decoder {
         op: &SubsampledDctOperator,
         y: &[f64],
     ) -> SparseSolver {
-        let correlation_scale = || {
-            let aty = op.apply_transpose(y);
-            flexcs_linalg::vecops::norm_inf(&aty)
-        };
         match base {
             SparseSolver::Fista(cfg) | SparseSolver::Ista(cfg) => {
-                let scale = correlation_scale();
+                let scale = flexcs_linalg::vecops::norm_inf(&op.apply_transpose(y));
                 let mut scaled = cfg.clone();
                 if scale > 0.0 {
                     scaled.lambda = cfg.lambda * scale;
@@ -352,14 +346,6 @@ impl Decoder {
                     SparseSolver::Fista(_) => SparseSolver::Fista(scaled),
                     _ => SparseSolver::Ista(scaled),
                 }
-            }
-            SparseSolver::ReweightedL1(cfg) => {
-                let scale = correlation_scale();
-                let mut scaled = cfg.clone();
-                if scale > 0.0 {
-                    scaled.inner.lambda = cfg.inner.lambda * scale;
-                }
-                SparseSolver::ReweightedL1(scaled)
             }
             other => other.clone(),
         }
@@ -381,7 +367,7 @@ impl Default for Decoder {
 mod tests {
     use super::*;
     use crate::sampling::SamplingPlan;
-    use flexcs_solver::{AdmmConfig, GreedyConfig, IrlsConfig};
+    use flexcs_solver::{GreedyConfig, LpConfig};
 
     /// A frame that is exactly K-sparse in the DCT domain.
     fn sparse_frame(rows: usize, cols: usize) -> Matrix {
@@ -444,8 +430,7 @@ mod tests {
         let solvers = [
             SparseSolver::Fista(IstaConfig::default()),
             SparseSolver::Omp(GreedyConfig::with_sparsity(5)),
-            SparseSolver::AdmmBpdn(AdmmConfig::default()),
-            SparseSolver::Irls(IrlsConfig::default()),
+            SparseSolver::LpBasisPursuit(LpConfig::default()),
         ];
         for solver in solvers {
             let decoder = Decoder::new(solver);
@@ -541,16 +526,11 @@ mod tests {
     }
 
     #[test]
-    fn admm_bp_decoder_works() {
+    fn lp_decoder_works() {
         let frame = sparse_frame(8, 8);
         let plan = SamplingPlan::random_subset(64, 40, &[], 8).unwrap();
         let y = plan.measure(&frame.to_flat());
-        let cfg = AdmmConfig {
-            rho: 5.0,
-            max_iterations: 2000,
-            ..AdmmConfig::default()
-        };
-        let decoder = Decoder::new(SparseSolver::AdmmBasisPursuit(cfg));
+        let decoder = Decoder::new(SparseSolver::LpBasisPursuit(LpConfig::default()));
         let rec = decoder.reconstruct(8, 8, plan.selected(), &y).unwrap();
         assert!(
             rec.frame.max_abs_diff(&frame).unwrap() < 0.01,

@@ -26,7 +26,7 @@ mod imp {
         flexcs_telemetry::histogram(name, value);
     }
 
-    /// Emits one RPCA ADMM sweep.
+    /// Emits one RPCA inexact-ALM sweep.
     #[inline]
     pub(crate) fn rpca_sweep(
         iteration: usize,

@@ -1,8 +1,8 @@
 //! Cholesky factorization for symmetric positive-definite systems.
 //!
-//! The CS solvers form small Gram systems `AᵀA x = Aᵀ b` on the active
-//! support (OMP/CoSaMP least squares) and ADMM forms `(AᵀA + ρI)`; both are
-//! SPD and solved fastest by Cholesky.
+//! The LP basis-pursuit solver's interior-point Newton steps reduce to
+//! `m x m` normal equations, and least squares forms Gram systems
+//! `AᵀA x = Aᵀ b`; both are SPD and solved fastest by Cholesky.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
@@ -93,27 +93,6 @@ impl Cholesky {
         let mut y = b.to_vec();
         self.solve_in_place(&mut y);
         Ok(y)
-    }
-
-    /// [`Cholesky::solve`] into a caller-owned buffer (resized to fit):
-    /// the allocation-free variant used inside solver iteration loops.
-    /// Results are bit-identical to [`Cholesky::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] for a wrong-length rhs.
-    pub fn solve_into(&self, b: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "cholesky solve: expected rhs of length {n}, got {}",
-                b.len()
-            )));
-        }
-        out.clear();
-        out.extend_from_slice(b);
-        self.solve_in_place(out);
-        Ok(())
     }
 
     fn solve_in_place(&self, y: &mut [f64]) {

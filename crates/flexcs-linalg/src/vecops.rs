@@ -1,6 +1,6 @@
 //! Free functions on `&[f64]` vectors.
 //!
-//! Solver inner loops (ISTA/FISTA, ADMM, OMP) operate on plain slices for
+//! Solver inner loops (ISTA/FISTA, OMP, the LP) operate on plain slices for
 //! zero-overhead interop with [`crate::Matrix`] storage. These helpers keep
 //! that code readable without committing to a heavier `Vector` newtype.
 //!
@@ -136,7 +136,7 @@ pub fn momentum_into(y: &mut [f64], xn: &[f64], xo: &[f64], beta: f64) {
 /// `sign(v) * max(|v| - t, 0)`.
 ///
 /// This is the proximal operator of `t * ||.||_1` and the core of
-/// ISTA/FISTA and ADMM L1 solvers.
+/// the ISTA/FISTA L1 solvers.
 pub fn soft_threshold(a: &[f64], t: f64) -> Vec<f64> {
     let mut out = a.to_vec();
     soft_threshold_mut(&mut out, t);

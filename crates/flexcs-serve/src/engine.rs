@@ -31,8 +31,11 @@
 use crate::error::ServeError;
 use crate::handle::{completion_pair, Completion, DecodedFrame, FrameHandle, FrameResult};
 use crate::metrics::{EngineMetrics, TenantMetrics};
-use crate::session::{DecodeBackend, FrameRequest, Session, SessionConfig, WarmDecodeBackend};
+use crate::session::{
+    DecodeBackend, DecodeMode, FrameRequest, Session, SessionConfig, WarmDecodeBackend,
+};
 use crate::tel;
+use flexcs_core::CoreError;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -115,6 +118,9 @@ struct Tenant {
     home: usize,
     queue: Mutex<TenantQueue>,
     session: Mutex<Session>,
+    /// Why the tenant's configuration cannot decode any frame, found
+    /// once at registration; every submit returns it.
+    invalid: Option<CoreError>,
     rejected: AtomicU64,
     completed: AtomicU64,
 }
@@ -240,7 +246,16 @@ impl Engine {
     /// Registers a tenant and returns its id. Sessions live for the
     /// engine's lifetime; ids are dense and assigned in registration
     /// order.
+    ///
+    /// A [`DecodeMode::Adaptive`] configuration is validated here, once:
+    /// a tenant whose config fails [`flexcs_core::AdaptiveConfig::validate`]
+    /// still gets an id, but [`Engine::submit`] rejects each of its
+    /// frames with that error before it takes a queue slot.
     pub fn register_tenant(&self, config: SessionConfig) -> usize {
+        let invalid = match &config.mode {
+            DecodeMode::Adaptive(cfg) => cfg.validate().err(),
+            DecodeMode::Cold | DecodeMode::Warm => None,
+        };
         let mut tenants = self
             .inner
             .tenants
@@ -253,6 +268,7 @@ impl Engine {
             home: id % self.inner.workers,
             queue: Mutex::new(TenantQueue::default()),
             session: Mutex::new(Session::new(config)),
+            invalid,
             rejected: AtomicU64::new(0),
             completed: AtomicU64::new(0),
         }));
@@ -266,14 +282,19 @@ impl Engine {
     /// # Errors
     ///
     /// [`ServeError::UnknownTenant`] for an unregistered id,
-    /// [`ServeError::BadRequest`] for malformed requests, and
-    /// [`ServeError::EngineStopped`] after shutdown.
+    /// [`ServeError::BadRequest`] for malformed requests,
+    /// [`ServeError::Decode`] with the registration-time
+    /// [`CoreError::InvalidConfig`] for a tenant whose configuration
+    /// cannot decode, and [`ServeError::EngineStopped`] after shutdown.
     pub fn submit(&self, tenant: usize, req: FrameRequest) -> Result<Submit, ServeError> {
         if !self.inner.sched.running.load(Ordering::Acquire) {
             return Err(ServeError::EngineStopped);
         }
         req.validate()?;
         let tenant = self.inner.tenant(tenant)?;
+        if let Some(e) = &tenant.invalid {
+            return Err(ServeError::Decode(e.clone()));
+        }
         let (handle, completion) = completion_pair();
         let (depth, needs_token) = {
             let mut q = tenant.queue.lock().unwrap_or_else(|e| e.into_inner());

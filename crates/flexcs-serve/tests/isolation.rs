@@ -164,10 +164,11 @@ fn shape_switch_within_a_tenant_stays_serial_exact() {
 
 #[test]
 fn invalid_adaptive_tenant_fails_alone() {
-    // Inverted thresholds can never classify a frame: every frame of
-    // that tenant fails with a typed error (no panic, no silent
-    // fallback), while a tenant sharing the workers keeps serving
-    // frames identical to a direct decode.
+    // A config that can never decode a frame — inverted thresholds, or
+    // a zero per-frame budget — is found once, at registration: every
+    // submit to that tenant returns the typed error before it takes a
+    // queue slot or a worker, while a tenant sharing the workers keeps
+    // serving frames identical to a direct decode.
     let stream_a = stream(10, 10, 4, 7);
     let stream_b = stream(8, 8, 4, 13);
     let reqs_a = requests(&stream_a, 0.6, 300);
@@ -178,37 +179,31 @@ fn invalid_adaptive_tenant_fails_alone() {
         workers: 2,
         ..EngineConfig::default()
     });
-    let broken = engine.register_tenant(SessionConfig::named("broken").with_adaptive(
+    let inverted = engine.register_tenant(SessionConfig::named("inverted").with_adaptive(
         AdaptiveConfig {
             static_threshold: 0.5,
             delta_threshold: 0.1,
             ..AdaptiveConfig::default()
         },
     ));
+    let zero_budget =
+        engine.register_tenant(SessionConfig::named("zero-budget").with_frame_budget_us(0.0));
     let bystander = engine.register_tenant(SessionConfig::named("bystander"));
-    let mut handles_a = Vec::new();
     let mut handles_b = Vec::new();
     for (ra, rb) in reqs_a.iter().zip(&reqs_b) {
-        handles_a.push(
-            engine
-                .submit(broken, ra.clone())
-                .unwrap()
-                .accepted()
-                .unwrap(),
-        );
+        for broken in [inverted, zero_budget] {
+            let result = engine.submit(broken, ra.clone());
+            assert!(
+                matches!(result, Err(ServeError::Decode(CoreError::InvalidConfig(_)))),
+                "tenant {broken}: {result:?}"
+            );
+        }
         handles_b.push(
             engine
                 .submit(bystander, rb.clone())
                 .unwrap()
                 .accepted()
                 .unwrap(),
-        );
-    }
-    for handle in handles_a {
-        let result = handle.wait();
-        assert!(
-            matches!(result, Err(ServeError::Decode(CoreError::InvalidConfig(_)))),
-            "{result:?}"
         );
     }
     for (t, (handle, expected)) in handles_b.into_iter().zip(&serial_b).enumerate() {
@@ -220,6 +215,9 @@ fn invalid_adaptive_tenant_fails_alone() {
     }
     let metrics = engine.metrics();
     assert_eq!(metrics.panicked, 0);
-    assert_eq!(metrics.failed, 4);
+    assert_eq!(metrics.failed, 0);
     assert_eq!(metrics.decoded, 4);
+    assert_eq!(metrics.submitted, 4, "no broken frame took a queue slot");
+    assert_eq!(metrics.tenants[inverted].submitted, 0);
+    assert_eq!(metrics.tenants[zero_budget].submitted, 0);
 }

@@ -8,15 +8,13 @@
 //! `min ‖x‖₁ s.t. Φ·y = Φ·Ψ·x`, "through convex optimization or …
 //! re-formulated as a linear programming problem". Rust has no mature CS
 //! solver ecosystem, so this crate implements the full stack from
-//! scratch:
+//! scratch, keeping only the solvers the pipeline or the paper uses:
 //!
-//! | family | functions | problem |
-//! |---|---|---|
-//! | greedy | [`omp`], [`cosamp`], [`subspace_pursuit`] | K-sparse least squares |
-//! | proximal | [`ista`], [`fista`] | LASSO `λ‖x‖₁ + ½‖Ax−b‖₂²` |
-//! | splitting | [`admm_bpdn`], [`admm_basis_pursuit`] | LASSO / exact BP |
-//! | reweighting | [`irls`] | exact BP |
-//! | interior point | [`lp_basis_pursuit`] | exact BP as an LP |
+//! | family | functions | problem | used by |
+//! |---|---|---|---|
+//! | greedy | [`omp`] | K-sparse least squares | the adaptive greedy tier |
+//! | proximal | [`ista`], [`fista`] | LASSO `λ‖x‖₁ + ½‖Ax−b‖₂²` | every decode (FISTA) |
+//! | interior point | [`lp_basis_pursuit`] | exact BP as an LP | the paper's reference |
 //!
 //! Each algorithm has exactly one entry point: a function under its
 //! bare name that takes the caller's [`SolveWorkspace`] (ISTA and FISTA
@@ -28,8 +26,8 @@
 //!
 //! All solvers work through the [`LinearOperator`] abstraction so the
 //! flexcs pipeline can keep `A = Φ·Ψ` implicit (separable DCT transforms)
-//! — only the dense-only solvers (flagged by
-//! [`SparseSolver::requires_dense`]) materialize `A`.
+//! — only the LP (flagged by [`SparseSolver::requires_dense`])
+//! materializes `A`.
 //!
 //! ## Example
 //!
@@ -55,31 +53,22 @@
 // through.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-mod admm;
 mod error;
 mod greedy;
-mod irls;
 mod ista;
 mod lp;
 mod op;
 mod report;
-mod reweighted;
 mod select;
 mod tel;
 mod workspace;
 
-pub use admm::{admm_basis_pursuit, admm_bpdn, AdmmConfig};
 pub use error::{Result, SolverError};
-pub use greedy::{cosamp, omp, subspace_pursuit, GreedyConfig};
-pub use irls::{irls, IrlsConfig};
+pub use greedy::{omp, GreedyConfig};
 pub use ista::{fista, ista, IstaConfig};
 pub use lp::{lp_basis_pursuit, LpConfig};
-pub use op::{
-    check_measurements, dense_submatrix, dense_submatrix_into, power_iteration_norm, DenseOperator,
-    LinearOperator,
-};
+pub use op::{check_measurements, power_iteration_norm, DenseOperator, LinearOperator};
 pub use report::{Recovery, SolveReport};
-pub use reweighted::{reweighted_l1, ReweightedConfig};
 pub use select::SparseSolver;
 pub use workspace::{SolveWorkspace, WarmStart};
 

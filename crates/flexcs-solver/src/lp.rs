@@ -293,22 +293,4 @@ mod tests {
         let op = gaussian_operator(8, 16, 141);
         assert!(lp_basis_pursuit(&op, &[1.0; 7], &LpConfig::default()).is_err());
     }
-
-    #[test]
-    fn agrees_with_irls() {
-        let (m, n, k) = (30, 60, 4);
-        let op = gaussian_operator(m, n, 151);
-        let x_true = sparse_signal(n, k, 152);
-        let b = op.apply(&x_true);
-        let r_lp = lp_basis_pursuit(&op, &b, &LpConfig::default()).unwrap();
-        let r_irls = crate::irls(
-            &op,
-            &b,
-            &crate::IrlsConfig::default(),
-            &mut crate::SolveWorkspace::new(),
-        )
-        .unwrap();
-        let diff = vecops::norm2(&vecops::sub(&r_lp.x, &r_irls.x));
-        assert!(diff < 1e-3 * vecops::norm2(&x_true).max(1.0));
-    }
 }

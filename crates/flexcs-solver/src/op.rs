@@ -84,7 +84,7 @@ pub trait LinearOperator {
     /// Materializes the dense `m x n` matrix row by row via the adjoint.
     ///
     /// Cost is `m` adjoint applications; intended for the dense-only
-    /// solvers (IRLS, ADMM with cached factorization, LP) and for tests.
+    /// solver (the LP) and for tests.
     fn to_dense(&self) -> Matrix {
         let m = self.rows();
         let n = self.cols();
@@ -241,37 +241,6 @@ impl LinearOperator for DenseOperator {
     }
 }
 
-/// Extracts the dense sub-matrix of `op` restricted to `support` columns.
-///
-/// Used by the greedy solvers for least-squares refits.
-pub fn dense_submatrix(op: &dyn LinearOperator, support: &[usize]) -> Matrix {
-    let mut sub = Matrix::zeros(0, 0);
-    let mut basis = Vec::new();
-    let mut col = Vec::new();
-    dense_submatrix_into(op, support, &mut sub, &mut basis, &mut col);
-    sub
-}
-
-/// [`dense_submatrix`] into caller-provided storage: `sub` is reshaped
-/// to `m x support.len()` and `basis`/`col` are the column extraction
-/// scratch, all reused across calls. Entries are identical.
-pub fn dense_submatrix_into(
-    op: &dyn LinearOperator,
-    support: &[usize],
-    sub: &mut Matrix,
-    basis: &mut Vec<f64>,
-    col: &mut Vec<f64>,
-) {
-    let m = op.rows();
-    sub.reset_zeros(m, support.len());
-    for (sj, &j) in support.iter().enumerate() {
-        op.column_into(j, basis, col);
-        for i in 0..m {
-            sub[(i, sj)] = col[i];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,15 +358,5 @@ mod tests {
                 got: 1
             })
         ));
-    }
-
-    #[test]
-    fn dense_submatrix_selects_columns() {
-        let op = sample_op();
-        let sub = dense_submatrix(&op, &[2, 0]);
-        assert_eq!(
-            sub,
-            Matrix::from_rows(&[&[0.0, 1.0], &[-1.0, 0.0]]).unwrap()
-        );
     }
 }

@@ -3,15 +3,12 @@
 //! The flexcs decoder lets callers pick any recovery algorithm through a
 //! single enum — the knob the `solver_ablation` bench sweeps.
 
-use crate::admm::{admm_basis_pursuit, admm_bpdn, AdmmConfig};
 use crate::error::Result;
-use crate::greedy::{cosamp, omp, subspace_pursuit, GreedyConfig};
-use crate::irls::{irls, IrlsConfig};
+use crate::greedy::{omp, GreedyConfig};
 use crate::ista::{fista, ista, IstaConfig};
 use crate::lp::{lp_basis_pursuit, LpConfig};
 use crate::op::LinearOperator;
 use crate::report::Recovery;
-use crate::reweighted::{reweighted_l1, ReweightedConfig};
 use crate::workspace::{SolveWorkspace, WarmStart};
 use std::fmt;
 
@@ -34,26 +31,14 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum SparseSolver {
-    /// Orthogonal Matching Pursuit.
+    /// Orthogonal Matching Pursuit — the adaptive pipeline's greedy tier.
     Omp(GreedyConfig),
-    /// CoSaMP.
-    Cosamp(GreedyConfig),
-    /// Subspace Pursuit.
-    SubspacePursuit(GreedyConfig),
     /// Plain ISTA (LASSO).
     Ista(IstaConfig),
     /// FISTA (accelerated LASSO) — the pipeline default.
     Fista(IstaConfig),
-    /// ADMM basis-pursuit denoising (LASSO form).
-    AdmmBpdn(AdmmConfig),
-    /// ADMM exact basis pursuit (`A·x = b` enforced).
-    AdmmBasisPursuit(AdmmConfig),
-    /// IRLS basis pursuit.
-    Irls(IrlsConfig),
     /// Interior-point LP basis pursuit (the paper's Eq. 9 reformulation).
     LpBasisPursuit(LpConfig),
-    /// Iteratively reweighted L1 (Candès–Wakin–Boyd) over FISTA.
-    ReweightedL1(ReweightedConfig),
 }
 
 impl SparseSolver {
@@ -97,39 +82,26 @@ impl SparseSolver {
     ) -> Result<Recovery> {
         match self {
             SparseSolver::Omp(c) => omp(op, b, c, ws),
-            SparseSolver::Cosamp(c) => cosamp(op, b, c, ws),
-            SparseSolver::SubspacePursuit(c) => subspace_pursuit(op, b, c, ws),
             SparseSolver::Ista(c) => ista(op, b, c, ws, warm),
             SparseSolver::Fista(c) => fista(op, b, c, ws, warm),
-            SparseSolver::AdmmBpdn(c) => admm_bpdn(op, b, c, ws),
-            SparseSolver::AdmmBasisPursuit(c) => admm_basis_pursuit(op, b, c, ws),
-            SparseSolver::Irls(c) => irls(op, b, c, ws),
             SparseSolver::LpBasisPursuit(c) => lp_basis_pursuit(op, b, c),
-            SparseSolver::ReweightedL1(c) => reweighted_l1(op, b, c, ws),
         }
     }
 
     /// Returns a copy of this solver with its iteration budget capped at
-    /// `budget` (outer rounds for reweighted L1). The adaptive decode
-    /// tier uses this to derive a cheap partial-decode solver for
-    /// `Delta` frames from the session's full-decode configuration.
+    /// `budget`. The adaptive decode tier uses this to derive a cheap
+    /// partial-decode solver for `Delta` frames from the session's
+    /// full-decode configuration.
     #[must_use]
     pub fn with_iteration_budget(&self, budget: usize) -> Self {
         let budget = budget.max(1);
         let mut capped = self.clone();
         match &mut capped {
-            SparseSolver::Omp(c) | SparseSolver::Cosamp(c) | SparseSolver::SubspacePursuit(c) => {
-                c.max_iterations = c.max_iterations.min(budget);
-            }
+            SparseSolver::Omp(c) => c.max_iterations = c.max_iterations.min(budget),
             SparseSolver::Ista(c) | SparseSolver::Fista(c) => {
                 c.max_iterations = c.max_iterations.min(budget);
             }
-            SparseSolver::AdmmBpdn(c) | SparseSolver::AdmmBasisPursuit(c) => {
-                c.max_iterations = c.max_iterations.min(budget);
-            }
-            SparseSolver::Irls(c) => c.max_iterations = c.max_iterations.min(budget),
             SparseSolver::LpBasisPursuit(c) => c.max_iterations = c.max_iterations.min(budget),
-            SparseSolver::ReweightedL1(c) => c.rounds = c.rounds.min(budget),
         }
         capped
     }
@@ -138,29 +110,17 @@ impl SparseSolver {
     pub fn name(&self) -> &'static str {
         match self {
             SparseSolver::Omp(_) => "omp",
-            SparseSolver::Cosamp(_) => "cosamp",
-            SparseSolver::SubspacePursuit(_) => "sp",
             SparseSolver::Ista(_) => "ista",
             SparseSolver::Fista(_) => "fista",
-            SparseSolver::AdmmBpdn(_) => "admm-bpdn",
-            SparseSolver::AdmmBasisPursuit(_) => "admm-bp",
-            SparseSolver::Irls(_) => "irls",
             SparseSolver::LpBasisPursuit(_) => "lp-bp",
-            SparseSolver::ReweightedL1(_) => "rw-l1",
         }
     }
 
     /// `true` for solvers that materialize the dense measurement matrix
-    /// (IRLS, ADMM, LP); implicit-operator pipelines may prefer the
-    /// others at large `N`.
+    /// (the LP); implicit-operator pipelines may prefer the others at
+    /// large `N`.
     pub fn requires_dense(&self) -> bool {
-        matches!(
-            self,
-            SparseSolver::AdmmBpdn(_)
-                | SparseSolver::AdmmBasisPursuit(_)
-                | SparseSolver::Irls(_)
-                | SparseSolver::LpBasisPursuit(_)
-        )
+        matches!(self, SparseSolver::LpBasisPursuit(_))
     }
 }
 
@@ -192,27 +152,10 @@ mod tests {
         let mut fista_cfg = IstaConfig::with_lambda(1e-5);
         fista_cfg.max_iterations = 4000;
         fista_cfg.tol = 1e-10;
-        let mut admm_cfg = AdmmConfig::with_lambda(1e-4);
-        admm_cfg.max_iterations = 12000;
-        admm_cfg.tol = 1e-11;
-        let bp_cfg = AdmmConfig {
-            max_iterations: 3000,
-            rho: 5.0,
-            ..AdmmConfig::default()
-        };
-        let mut rw_cfg = ReweightedConfig::default();
-        rw_cfg.inner.lambda = 1e-5;
-        rw_cfg.inner.max_iterations = 2000;
         let solvers = [
             SparseSolver::Omp(GreedyConfig::with_sparsity(k)),
-            SparseSolver::Cosamp(GreedyConfig::with_sparsity(k)),
-            SparseSolver::SubspacePursuit(GreedyConfig::with_sparsity(k)),
             SparseSolver::Fista(fista_cfg),
-            SparseSolver::AdmmBpdn(admm_cfg),
-            SparseSolver::AdmmBasisPursuit(bp_cfg),
-            SparseSolver::Irls(IrlsConfig::default()),
             SparseSolver::LpBasisPursuit(LpConfig::default()),
-            SparseSolver::ReweightedL1(rw_cfg),
         ];
         for solver in &solvers {
             let rec = solver.solve(&op, &b).unwrap();
@@ -225,15 +168,9 @@ mod tests {
     fn names_are_unique() {
         let names = [
             SparseSolver::Omp(GreedyConfig::default()).name(),
-            SparseSolver::Cosamp(GreedyConfig::default()).name(),
-            SparseSolver::SubspacePursuit(GreedyConfig::default()).name(),
             SparseSolver::Ista(IstaConfig::default()).name(),
             SparseSolver::Fista(IstaConfig::default()).name(),
-            SparseSolver::AdmmBpdn(AdmmConfig::default()).name(),
-            SparseSolver::AdmmBasisPursuit(AdmmConfig::default()).name(),
-            SparseSolver::Irls(IrlsConfig::default()).name(),
             SparseSolver::LpBasisPursuit(LpConfig::default()).name(),
-            SparseSolver::ReweightedL1(ReweightedConfig::default()).name(),
         ];
         let mut set = std::collections::HashSet::new();
         for n in names {
@@ -244,8 +181,8 @@ mod tests {
     #[test]
     fn dense_requirement_flags() {
         assert!(!SparseSolver::default().requires_dense());
+        assert!(!SparseSolver::Omp(GreedyConfig::default()).requires_dense());
         assert!(SparseSolver::LpBasisPursuit(LpConfig::default()).requires_dense());
-        assert!(SparseSolver::Irls(IrlsConfig::default()).requires_dense());
     }
 
     #[test]

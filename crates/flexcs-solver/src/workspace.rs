@@ -8,10 +8,10 @@
 //! and the power-iteration Lipschitz estimate — are pure waste after
 //! the first round.
 //!
-//! [`SolveWorkspace`] is a buffer arena borrowed by every solver that
-//! iterates ([`crate::fista`], [`crate::admm_bpdn`], [`crate::omp`],
-//! …): all iterate/gradient/residual vectors live here and are recycled
-//! across solves, so the inner loops perform zero heap allocation.
+//! [`SolveWorkspace`] is a buffer arena borrowed by the solvers that
+//! iterate ([`crate::ista`], [`crate::fista`], [`crate::omp`]): all
+//! iterate/gradient/residual vectors live here and are recycled across
+//! solves, so the inner loops perform zero heap allocation.
 //! [`crate::SparseSolver::solve`] simply creates a throwaway workspace,
 //! and a reused workspace gives bit-identical results to a fresh one.
 //!
@@ -25,7 +25,6 @@
 use crate::greedy::GreedyWorkspace;
 use crate::op::LinearOperator;
 use crate::tel;
-use flexcs_linalg::Matrix;
 
 /// Preallocated buffer arena for the iterative solvers.
 ///
@@ -62,26 +61,12 @@ pub struct SolveWorkspace {
     pub(crate) x_next: Vec<f64>,
     /// Gradient `Aᵀr` (`n`).
     pub(crate) grad: Vec<f64>,
-    /// ADMM splitting variable (`n`).
-    pub(crate) z: Vec<f64>,
-    /// ADMM previous splitting variable, double-buffered (`n`).
-    pub(crate) z_old: Vec<f64>,
-    /// ADMM scaled dual variable (`n`).
-    pub(crate) u: Vec<f64>,
-    /// ADMM x-update right-hand side (`n`).
-    pub(crate) q: Vec<f64>,
-    /// IRLS / reweighting weight vector (`n`).
-    pub(crate) weights: Vec<f64>,
     /// Operator output `A·x` (measurement length `m`).
     pub(crate) ax: Vec<f64>,
     /// Residual `A·x − b` (`m`).
     pub(crate) r: Vec<f64>,
-    /// Secondary measurement-length scratch (`m`).
-    pub(crate) w_m: Vec<f64>,
-    /// Dense `m×m` Gram system reused by IRLS across outer iterations.
-    pub(crate) gram: Option<Matrix>,
-    /// Arena for the greedy solvers (support mask, correlation buffer,
-    /// refit scratch), so OMP/CoSaMP/SP run allocation-free too.
+    /// Arena for OMP (support mask, correlation buffer, refit scratch),
+    /// so the greedy solver runs allocation-free too.
     pub(crate) greedy: GreedyWorkspace,
 }
 

@@ -1,4 +1,4 @@
-//! Proof that the greedy solvers are allocation-free after warm-up.
+//! Proof that the greedy solver (OMP) is allocation-free after warm-up.
 //!
 //! A counting global allocator measures heap traffic around a second
 //! solve through an already-warmed `SolveWorkspace`. The count is kept
@@ -6,7 +6,7 @@
 //! add their allocations to the one being measured. The only
 //! allocations allowed are the ones that build the returned `Recovery`
 //! (the scattered solution vector and its support metadata) — the inner
-//! loop itself (correlation scan, merges, QR refits) must not touch the
+//! loop itself (correlation scan, column appends, QR refits) must not touch the
 //! allocator once the arena has grown to the problem's high-water mark.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -50,10 +50,7 @@ fn allocations() -> u64 {
 }
 
 use flexcs_linalg::Matrix;
-use flexcs_solver::{
-    cosamp, omp, subspace_pursuit, DenseOperator, GreedyConfig, LinearOperator, Recovery, Result,
-    SolveWorkspace,
-};
+use flexcs_solver::{omp, DenseOperator, GreedyConfig, LinearOperator, SolveWorkspace};
 
 fn gaussian_op(m: usize, n: usize, seed: u64) -> DenseOperator {
     let mut state = seed.wrapping_add(0x9e3779b97f4a7c15);
@@ -93,13 +90,12 @@ fn sparse_truth(n: usize, k: usize, seed: u64) -> Vec<f64> {
     x
 }
 
-/// Allocation count of a warmed repeat solve. The result `Recovery`
-/// accounts for a handful of allocations (solution vector, report
-/// plumbing); anything beyond that budget means the inner loop leaked
-/// per-iteration allocations.
-fn warmed_allocations(
-    solver: fn(&dyn LinearOperator, &[f64], &GreedyConfig, &mut SolveWorkspace) -> Result<Recovery>,
-) -> u64 {
+/// Counts the allocations of a warmed repeat solve. The result
+/// `Recovery` accounts for a handful of allocations (solution vector,
+/// report plumbing); anything beyond that budget means the inner loop
+/// leaked per-iteration allocations.
+#[test]
+fn omp_is_allocation_free_after_warmup() {
     let (m, n, k) = (40, 100, 5);
     let op = gaussian_op(m, n, 9);
     let x = sparse_truth(n, k, 10);
@@ -107,31 +103,10 @@ fn warmed_allocations(
     let cfg = GreedyConfig::with_sparsity(k);
     let mut ws = SolveWorkspace::new();
     // Warm-up: grows every buffer to the high-water mark.
-    let warm = solver(&op, &b, &cfg, &mut ws).unwrap();
+    let warm = omp(&op, &b, &cfg, &mut ws).unwrap();
     let before = allocations();
-    let repeat = solver(&op, &b, &cfg, &mut ws).unwrap();
-    let during = allocations() - before;
+    let repeat = omp(&op, &b, &cfg, &mut ws).unwrap();
+    let allocs = allocations() - before;
     assert_eq!(warm.x, repeat.x, "warmed repeat must be bit-identical");
-    during
-}
-
-#[test]
-fn omp_is_allocation_free_after_warmup() {
-    let allocs = warmed_allocations(omp);
     assert!(allocs <= 4, "omp allocated {allocs} times after warm-up");
-}
-
-#[test]
-fn cosamp_is_allocation_free_after_warmup() {
-    let allocs = warmed_allocations(cosamp);
-    assert!(allocs <= 4, "cosamp allocated {allocs} times after warm-up");
-}
-
-#[test]
-fn subspace_pursuit_is_allocation_free_after_warmup() {
-    let allocs = warmed_allocations(subspace_pursuit);
-    assert!(
-        allocs <= 4,
-        "subspace_pursuit allocated {allocs} times after warm-up"
-    );
 }

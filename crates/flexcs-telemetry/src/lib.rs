@@ -53,10 +53,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One solver iterate: emitted from every `flexcs-solver` iteration
-/// loop (ISTA/FISTA, ADMM, IRLS, reweighted L1, greedy, LP).
+/// loop (ISTA/FISTA, OMP, LP).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverIteration {
-    /// Solver name (`"fista"`, `"admm_bpdn"`, `"omp"`, ...).
+    /// Solver name (`"fista"`, `"ista"`, `"omp"` or `"lp"`).
     pub solver: &'static str,
     /// Zero-based iteration index within one solve.
     pub iteration: usize,
@@ -65,8 +65,8 @@ pub struct SolverIteration {
     pub objective: f64,
     /// Convergence residual at this iterate (solver-specific norm).
     pub residual: f64,
-    /// Step size / penalty in effect (1/L for ISTA, ρ for ADMM, μ for
-    /// the LP barrier, support size for greedy solvers).
+    /// Step size in effect (1/L for ISTA/FISTA, μ for the LP barrier,
+    /// support size for OMP).
     pub step_size: f64,
 }
 

@@ -14,7 +14,7 @@ fi
 # flexcs-linalg/src/simd/mod.rs for the dispatch contract). The grep
 # ignores mentions of the `unsafe_code` lint name, which is how the
 # rest of the workspace *denies* unsafe. Test-only exceptions: the
-# allocation-counting tests (greedy solvers, Φ·Ψ operator) must
+# allocation-counting tests (OMP solver, Φ·Ψ operator) must
 # `unsafe impl GlobalAlloc` (an inherently unsafe trait) to count heap
 # traffic; they only forward to `System` and never ship in a library.
 unsafe_leaks=$(grep -rn 'unsafe' --include='*.rs' crates \

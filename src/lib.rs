@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | [`linalg`] | `flexcs-linalg` | dense matrices, LU/QR/Cholesky/SVD, complex solves |
 //! | [`transform`] | `flexcs-transform` | 1-D/2-D DCT, Haar DWT, Ψ basis, sparsity statistics |
-//! | [`solver`] | `flexcs-solver` | OMP, CoSaMP, SP, ISTA/FISTA, ADMM, IRLS, interior-point LP |
+//! | [`solver`] | `flexcs-solver` | ISTA/FISTA, OMP, interior-point LP |
 //! | [`circuit`] | `flexcs-circuit` | CNT-TFT model, MNA simulator, pseudo-CMOS cells, shift register, amplifier, active matrix |
 //! | [`datasets`] | `flexcs-datasets` | synthetic thermal / tactile / ultrasound generators |
 //! | [`nn`] | `flexcs-nn` | from-scratch ResNet, Adam, training loop |

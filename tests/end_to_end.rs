@@ -65,9 +65,7 @@ fn dataset_transform_solver_roundtrip() {
 
     let plan = SamplingPlan::random_subset(256, 154, &[], 1).unwrap();
     let y = plan.measure(&frame.to_flat());
-    let decoder = Decoder::new(SparseSolver::SubspacePursuit(GreedyConfig::with_sparsity(
-        k90.min(70),
-    )));
+    let decoder = Decoder::new(SparseSolver::Omp(GreedyConfig::with_sparsity(k90.min(70))));
     let rec = decoder.reconstruct(16, 16, plan.selected(), &y).unwrap();
     assert!(
         rmse(&rec.frame, &frame) < 0.08,
