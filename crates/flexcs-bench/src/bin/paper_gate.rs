@@ -192,7 +192,6 @@ fn main() {
     println!("\nrpca engine equivalence (exact Jacobi vs randomized truncated SVD):\n");
     let exact_cfg = RpcaConfig {
         svd: SvdPolicy::Exact,
-        ..RpcaConfig::default()
     };
     let auto_cfg = RpcaConfig::default();
     for (k, frame) in frames.iter().enumerate() {

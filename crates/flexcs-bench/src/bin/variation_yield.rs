@@ -6,7 +6,7 @@
 
 use flexcs_bench::{f4, print_table};
 use flexcs_circuit::{
-    amplifier_gain_spread, inverter_yield_mc, ring_frequency_spread, McEngine, VariationModel,
+    amplifier_gain_spread_mc, inverter_yield_mc, ring_frequency_spread_mc, McEngine, VariationModel,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             vth_sigma,
             kp_rel_sigma: kp_sigma,
         };
-        let stats = amplifier_gain_spread(&variation, 30e3, 20.0, trials, seed)?;
+        let stats = amplifier_gain_spread_mc(&engine, &variation, 30e3, 20.0, trials, seed)?.stats;
         table.push(vec![
             format!("{:.0} mV", vth_sigma * 1000.0),
             format!("{:.0}%", kp_sigma * 100.0),
@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             vth_sigma,
             kp_rel_sigma: kp_sigma,
         };
-        let stats = ring_frequency_spread(&variation, 20, seed)?;
+        let stats = ring_frequency_spread_mc(&engine, &variation, 20, seed)?.stats;
         table.push(vec![
             format!("{:.0} mV", vth_sigma * 1000.0),
             format!("{:.0}%", kp_sigma * 100.0),

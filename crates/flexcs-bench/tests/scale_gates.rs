@@ -120,7 +120,6 @@ fn decode_kernels_rpca_and_warm_resample() {
     }
     let exact_cfg = RpcaConfig {
         svd: SvdPolicy::Exact,
-        ..RpcaConfig::default()
     };
     let rsvd_cfg = RpcaConfig::default(); // Auto: randomized at 64x64
     assert!(rpca(&frame64, &exact_cfg).unwrap().converged);

@@ -96,8 +96,7 @@ pub use shift_register::{build_shift_register, ShiftRegister};
 pub use solver::{SolverPolicy, SymbolicShare, SPARSE_CROSSOVER};
 pub use transient::{TransientConfig, TransientResult};
 pub use variation::{
-    amplifier_gain_spread, amplifier_gain_spread_mc, inverter_yield, inverter_yield_mc,
-    ring_frequency_spread, ring_frequency_spread_mc, scan_chain_yield, scan_chain_yield_mc,
+    amplifier_gain_spread_mc, inverter_yield_mc, ring_frequency_spread_mc, scan_chain_yield_mc,
     MonteCarloStats, VariationModel,
 };
 pub use waveform::{Trace, Waveform};

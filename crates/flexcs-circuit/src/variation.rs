@@ -12,9 +12,8 @@ use crate::amplifier::{build_self_biased_amplifier, AmplifierConfig};
 use crate::cells::CellLibrary;
 use crate::device::CntTftModel;
 use crate::error::Result;
-use crate::mc::{McEngine, McEngineConfig, McReport, McSample, McTrial};
+use crate::mc::{McEngine, McReport, McSample, McTrial};
 use crate::netlist::{Circuit, NodeId};
-use crate::solver::SolverPolicy;
 use crate::transient::TransientConfig;
 use crate::waveform::Waveform;
 
@@ -174,8 +173,14 @@ fn varied_inverter(
     Ok((ckt, out))
 }
 
-/// [`inverter_yield`] on an explicit [`McEngine`], returning the full
-/// engine report.
+/// Monte-Carlo yield of the pseudo-CMOS inverter's static logic levels:
+/// a trial passes when `V_out(0) > vdd − margin` and
+/// `V_out(vdd) < margin`. The metric recorded per trial is the *static
+/// noise margin proxy* `min(V_out(0) − vdd/2, vdd/2 − V_out(vdd))`.
+///
+/// Trials run on `engine` (its fan-out, solver policy, shared symbolic
+/// analysis and warm starts); the report carries the statistics and
+/// the engine's solver counts.
 ///
 /// # Errors
 ///
@@ -202,29 +207,13 @@ pub fn inverter_yield_mc(
     })
 }
 
-/// Monte-Carlo yield of the pseudo-CMOS inverter's static logic levels:
-/// a trial passes when `V_out(0) > vdd − margin` and
-/// `V_out(vdd) < margin`. The metric recorded per trial is the *static
-/// noise margin proxy* `min(V_out(0) − vdd/2, vdd/2 − V_out(vdd))`.
+/// Monte-Carlo spread of the self-biased amplifier's mid-band gain (dB
+/// at `freq`); a trial passes when the gain exceeds `min_gain_db`.
 ///
-/// Runs on the default [`McEngine`] (parallel, `SolverPolicy::Auto`,
-/// shared symbolic analysis, warm starts).
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn inverter_yield(
-    variation: &VariationModel,
-    vdd: f64,
-    margin: f64,
-    trials: usize,
-    seed: u64,
-) -> Result<MonteCarloStats> {
-    inverter_yield_mc(&McEngine::default(), variation, vdd, margin, trials, seed).map(|r| r.stats)
-}
-
-/// [`amplifier_gain_spread`] on an explicit [`McEngine`], returning the
-/// full engine report.
+/// Device variation is applied to the library model per trial (all nine
+/// TFTs share the draw — the paper's amplifier is small enough that
+/// systematic variation dominates). Trials fan out on `engine`; the AC
+/// sweep linearizes about an auto-policy DC operating point.
 ///
 /// # Errors
 ///
@@ -252,41 +241,16 @@ pub fn amplifier_gain_spread_mc(
     })
 }
 
-/// Monte-Carlo spread of the self-biased amplifier's mid-band gain (dB
-/// at `freq`); a trial passes when the gain exceeds `min_gain_db`.
-///
-/// Device variation is applied to the library model per trial (all nine
-/// TFTs share the draw — the paper's amplifier is small enough that
-/// systematic variation dominates). Runs on the default [`McEngine`];
-/// the AC sweep linearizes about an auto-policy DC operating point.
+/// Monte-Carlo spread of the five-stage ring-oscillator frequency — the
+/// paper's own process monitor ("44 five-stage ring oscillators"),
+/// reproduced statistically. Records frequency samples in hertz; a
+/// trial passes when the ring oscillates at all. Trials fan out on
+/// `engine`; the ring transient itself uses the auto-policy solver.
 ///
 /// # Errors
 ///
-/// Propagates simulation failures.
-pub fn amplifier_gain_spread(
-    variation: &VariationModel,
-    freq: f64,
-    min_gain_db: f64,
-    trials: usize,
-    seed: u64,
-) -> Result<MonteCarloStats> {
-    amplifier_gain_spread_mc(
-        &McEngine::default(),
-        variation,
-        freq,
-        min_gain_db,
-        trials,
-        seed,
-    )
-    .map(|r| r.stats)
-}
-
-/// [`ring_frequency_spread`] on an explicit [`McEngine`], returning the
-/// full engine report.
-///
-/// # Errors
-///
-/// See [`ring_frequency_spread`].
+/// Propagates simulation failures unrelated to oscillation (a ring that
+/// fails to oscillate counts as a failed trial, not an error).
 pub fn ring_frequency_spread_mc(
     engine: &McEngine,
     variation: &VariationModel,
@@ -310,29 +274,26 @@ pub fn ring_frequency_spread_mc(
     })
 }
 
-/// Monte-Carlo spread of the five-stage ring-oscillator frequency — the
-/// paper's own process monitor ("44 five-stage ring oscillators"),
-/// reproduced statistically. Returns frequency samples in hertz; a
-/// trial passes when the ring oscillates at all. Runs on the default
-/// [`McEngine`] (trials fan out across threads; the ring transient
-/// itself uses the auto-policy solver).
+/// Monte-Carlo yield of the one-hot column-scan chain under device
+/// variation: each trial builds a `cols`-stage scan register whose
+/// library model carries a fresh variation draw, runs the full scan
+/// transient (under `engine`'s solver policy, so large chains can use
+/// the sparse engine), and passes when every scan cycle has its own
+/// select — and only it — above `VDD/2` at the sample point. The metric is the
+/// worst-cycle one-hot margin, `min(v_sel − VDD/2, VDD/2 − max
+/// v_other)` in volts.
 ///
-/// # Errors
+/// The trial starts from the power-up state rather than a DC solve: the
+/// flip-flops' cross-coupled latches are bistable, so their DC problem
+/// has multiple solutions and Newton's basin boundaries are chaotically
+/// sensitive to the variation draw. As in real scan-chain bring-up, the
+/// register is instead *flushed* — clocked with zeros for `cols` cycles
+/// to shift out the power-up garbage — before the token is injected, so
+/// the one-hot march is judged on cycles `cols..2·cols`.
 ///
-/// Propagates simulation failures unrelated to oscillation (a ring that
-/// fails to oscillate counts as a failed trial, not an error).
-pub fn ring_frequency_spread(
-    variation: &VariationModel,
-    trials: usize,
-    seed: u64,
-) -> Result<MonteCarloStats> {
-    ring_frequency_spread_mc(&McEngine::default(), variation, trials, seed).map(|r| r.stats)
-}
-
-/// [`scan_chain_yield`] on an explicit [`McEngine`], returning the full
-/// engine report. The scan transient runs through the engine's pooled
-/// workspaces, so with symbolic sharing only the first trial on each
-/// workspace pays the sparse pattern analysis.
+/// The scan transient runs through the engine's pooled workspaces, so
+/// with symbolic sharing only the first trial on each workspace pays the
+/// sparse pattern analysis.
 ///
 /// # Errors
 ///
@@ -395,43 +356,11 @@ pub fn scan_chain_yield_mc(
     })
 }
 
-/// Monte-Carlo yield of the one-hot column-scan chain under device
-/// variation: each trial builds a `cols`-stage scan register whose
-/// library model carries a fresh variation draw, runs the full scan
-/// transient (under `policy`, so large chains can use the sparse
-/// engine), and passes when every scan cycle has its own select — and
-/// only it — above `VDD/2` at the sample point. The metric is the
-/// worst-cycle one-hot margin, `min(v_sel − VDD/2, VDD/2 − max
-/// v_other)` in volts.
-///
-/// The trial starts from the power-up state rather than a DC solve: the
-/// flip-flops' cross-coupled latches are bistable, so their DC problem
-/// has multiple solutions and Newton's basin boundaries are chaotically
-/// sensitive to the variation draw. As in real scan-chain bring-up, the
-/// register is instead *flushed* — clocked with zeros for `cols` cycles
-/// to shift out the power-up garbage — before the token is injected, so
-/// the one-hot march is judged on cycles `cols..2·cols`.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn scan_chain_yield(
-    variation: &VariationModel,
-    cols: usize,
-    trials: usize,
-    seed: u64,
-    policy: SolverPolicy,
-) -> Result<MonteCarloStats> {
-    let engine = McEngine::new(McEngineConfig {
-        policy,
-        ..McEngineConfig::default()
-    });
-    scan_chain_yield_mc(&engine, variation, cols, trials, seed).map(|r| r.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mc::McEngineConfig;
+    use crate::solver::SolverPolicy;
 
     #[test]
     fn zero_variation_gives_full_yield() {
@@ -439,7 +368,9 @@ mod tests {
             vth_sigma: 0.0,
             kp_rel_sigma: 0.0,
         };
-        let stats = inverter_yield(&none, 3.0, 0.6, 5, 1).unwrap();
+        let stats = inverter_yield_mc(&McEngine::default(), &none, 3.0, 0.6, 5, 1)
+            .unwrap()
+            .stats;
         assert_eq!(stats.yield_fraction(), 1.0);
         // All trials identical.
         assert!(stats.std_dev() < 1e-9);
@@ -447,7 +378,10 @@ mod tests {
 
     #[test]
     fn nominal_variation_keeps_high_yield() {
-        let stats = inverter_yield(&VariationModel::default(), 3.0, 0.6, 25, 2).unwrap();
+        let nominal = VariationModel::default();
+        let stats = inverter_yield_mc(&McEngine::default(), &nominal, 3.0, 0.6, 25, 2)
+            .unwrap()
+            .stats;
         assert!(
             stats.yield_fraction() >= 0.9,
             "inverter yield {} under nominal variation",
@@ -457,19 +391,27 @@ mod tests {
 
     #[test]
     fn extreme_variation_degrades_yield_and_widens_spread() {
-        let mild = inverter_yield(&VariationModel::default(), 3.0, 0.6, 20, 3).unwrap();
+        let nominal = VariationModel::default();
+        let mild = inverter_yield_mc(&McEngine::default(), &nominal, 3.0, 0.6, 20, 3)
+            .unwrap()
+            .stats;
         let wild = VariationModel {
             vth_sigma: 0.8,
             kp_rel_sigma: 0.5,
         };
-        let bad = inverter_yield(&wild, 3.0, 0.6, 20, 3).unwrap();
+        let bad = inverter_yield_mc(&McEngine::default(), &wild, 3.0, 0.6, 20, 3)
+            .unwrap()
+            .stats;
         assert!(bad.yield_fraction() <= mild.yield_fraction());
         assert!(bad.std_dev() > mild.std_dev());
     }
 
     #[test]
     fn amplifier_gain_spread_is_reported() {
-        let stats = amplifier_gain_spread(&VariationModel::default(), 30e3, 20.0, 10, 4).unwrap();
+        let nominal = VariationModel::default();
+        let stats = amplifier_gain_spread_mc(&McEngine::default(), &nominal, 30e3, 20.0, 10, 4)
+            .unwrap()
+            .stats;
         assert_eq!(stats.trials, 10);
         assert!(stats.mean() > 20.0, "mean gain {}", stats.mean());
         assert!(stats.min() <= stats.mean() && stats.mean() <= stats.max());
@@ -478,7 +420,10 @@ mod tests {
 
     #[test]
     fn ring_monitor_spread() {
-        let stats = ring_frequency_spread(&VariationModel::default(), 6, 5).unwrap();
+        let nominal = VariationModel::default();
+        let stats = ring_frequency_spread_mc(&McEngine::default(), &nominal, 6, 5)
+            .unwrap()
+            .stats;
         assert_eq!(stats.trials, 6);
         assert!(
             stats.yield_fraction() > 0.8,
@@ -496,14 +441,23 @@ mod tests {
 
     #[test]
     fn scan_chain_survives_nominal_variation() {
-        let stats =
-            scan_chain_yield(&VariationModel::default(), 2, 2, 11, SolverPolicy::Auto).unwrap();
+        let nominal = VariationModel::default();
+        let engine = |policy| {
+            McEngine::new(McEngineConfig {
+                policy,
+                ..McEngineConfig::default()
+            })
+        };
+        let stats = scan_chain_yield_mc(&engine(SolverPolicy::Auto), &nominal, 2, 2, 11)
+            .unwrap()
+            .stats;
         assert_eq!(stats.trials, 2);
         assert_eq!(stats.yield_fraction(), 1.0, "margins {:?}", stats.values);
         assert!(stats.min() > 0.5, "worst margin {}", stats.min());
         // The sparse backend reproduces the same pass on a forced run.
-        let sparse =
-            scan_chain_yield(&VariationModel::default(), 2, 1, 11, SolverPolicy::Sparse).unwrap();
+        let sparse = scan_chain_yield_mc(&engine(SolverPolicy::Sparse), &nominal, 2, 1, 11)
+            .unwrap()
+            .stats;
         assert_eq!(sparse.yield_fraction(), 1.0);
         assert!(
             (sparse.values[0] - stats.values[0]).abs() < 1e-3,
@@ -566,10 +520,21 @@ mod tests {
     fn seeded_runs_are_reproducible() {
         // Same seed => bit-identical stats (values, passes, everything);
         // different seed => different draw stream.
-        let a = inverter_yield(&VariationModel::default(), 3.0, 0.6, 6, 77).unwrap();
-        let b = inverter_yield(&VariationModel::default(), 3.0, 0.6, 6, 77).unwrap();
-        assert_eq!(a, b);
-        let c = inverter_yield(&VariationModel::default(), 3.0, 0.6, 6, 78).unwrap();
+        let run = |seed| {
+            inverter_yield_mc(
+                &McEngine::default(),
+                &VariationModel::default(),
+                3.0,
+                0.6,
+                6,
+                seed,
+            )
+            .unwrap()
+            .stats
+        };
+        let a = run(77);
+        assert_eq!(a, run(77));
+        let c = run(78);
         assert_ne!(a.values, c.values);
     }
 }

@@ -43,17 +43,24 @@ use std::time::Instant;
 /// shrinks it.
 const MIN_DELTA_ITERATIONS: usize = 5;
 
-/// Greedy-tier stall guard: an OMP iteration that leaves more than this
-/// fraction of the previous residual counts as stalled. A dense scene
-/// where each atom explains only ~1/K_true of the remaining energy
-/// shrinks the residual by roughly `sqrt(1 − 1/K_true)` per pick
-/// (≈ 0.97 for K_true ≈ 100, as in the adaptive-video scale gate's
-/// dense event), while greedy-recoverable sparse events progress at
-/// 0.45–0.87 per atom — 0.95 separates the two with margin on both sides.
-const GREEDY_STALL_FACTOR: f64 = 0.95;
+/// Relative measurement residual at or below which a frame is `Static`.
+const STATIC_THRESHOLD: f64 = 0.05;
 
-/// Consecutive stalled iterations before the greedy attempt gives up
-/// and the event falls through to the full solver.
+/// Relative measurement residual at or below which a frame is `Delta`
+/// (above: `Event`).
+const DELTA_THRESHOLD: f64 = 0.30;
+
+/// Relative correlation cut for the greedy tier's sparsity estimate:
+/// residual-spectrum entries with `|c| ≥ κ·max|c|` count toward K.
+const GREEDY_KAPPA: f64 = 0.15;
+
+/// Relative residual at which the greedy tier declares convergence; a
+/// non-converged greedy decode falls back to the full solver.
+const GREEDY_RESIDUAL_TOL: f64 = 1e-4;
+
+/// Consecutive stalled iterations (see [`GreedyConfig::stall_patience`])
+/// before the greedy attempt gives up and the event falls through to the
+/// full solver.
 const GREEDY_STALL_PATIENCE: usize = 4;
 
 /// Change-detector verdict for one incoming frame.
@@ -123,12 +130,6 @@ impl TierCounts {
 /// capped at zero atoms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Relative measurement residual at or below which a frame is
-    /// `Static`.
-    pub static_threshold: f64,
-    /// Relative measurement residual at or below which a frame is
-    /// `Delta` (above: `Event`).
-    pub delta_threshold: f64,
     /// Decode every Nth frame in full regardless of classification, so
     /// partial-decode drift cannot accumulate unboundedly. `0` disables
     /// the guard.
@@ -140,12 +141,6 @@ pub struct AdaptiveConfig {
     /// Largest estimated total sparsity still routed to the greedy
     /// tier; denser events go straight to the full solver.
     pub greedy_max_sparsity: usize,
-    /// Relative correlation cut for the sparsity estimate: residual
-    /// spectrum entries with `|c| ≥ κ·max|c|` count toward K.
-    pub greedy_kappa: f64,
-    /// Relative residual at which the greedy tier declares convergence;
-    /// a non-converged greedy decode falls back to the full solver.
-    pub greedy_residual_tol: f64,
     /// Per-frame latency budget in microseconds. When set, an EMA of
     /// delta-tier decode time steers the delta iteration budget:
     /// over-budget halves it, comfortably under-budget grows it back
@@ -156,40 +151,22 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
-            static_threshold: 0.05,
-            delta_threshold: 0.30,
             force_full_every: 64,
             delta_iteration_budget: 60,
             greedy_max_sparsity: 64,
-            greedy_kappa: 0.15,
-            greedy_residual_tol: 1e-4,
             frame_budget_us: None,
         }
     }
 }
 
 impl AdaptiveConfig {
-    /// Rejects threshold orderings that can never classify a frame and
-    /// frame budgets the latency governor cannot act on.
+    /// Rejects frame budgets the latency governor cannot act on.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when thresholds are negative, NaN or
-    /// inverted, or when `frame_budget_us` is set but not a finite
-    /// positive number.
+    /// [`CoreError::InvalidConfig`] when `frame_budget_us` is set but not
+    /// a finite positive number.
     pub fn validate(&self) -> Result<()> {
-        if !(self.static_threshold >= 0.0) || !(self.delta_threshold >= self.static_threshold) {
-            return Err(CoreError::InvalidConfig(format!(
-                "adaptive thresholds must satisfy 0 <= static ({}) <= delta ({})",
-                self.static_threshold, self.delta_threshold
-            )));
-        }
-        if !(self.greedy_kappa > 0.0 && self.greedy_kappa <= 1.0) {
-            return Err(CoreError::InvalidConfig(format!(
-                "greedy_kappa must lie in (0, 1], got {}",
-                self.greedy_kappa
-            )));
-        }
         if let Some(budget) = self.frame_budget_us {
             if !(budget.is_finite() && budget > 0.0) {
                 return Err(CoreError::InvalidConfig(format!(
@@ -257,9 +234,9 @@ impl ChangeDetector {
         if config.force_full_every > 0 && self.frames_since_full >= config.force_full_every {
             return FrameClass::Event;
         }
-        if rel <= config.static_threshold {
+        if rel <= STATIC_THRESHOLD {
             FrameClass::Static
-        } else if rel <= config.delta_threshold {
+        } else if rel <= DELTA_THRESHOLD {
             FrameClass::Delta
         } else {
             FrameClass::Event
@@ -322,6 +299,9 @@ impl ChangeDetector {
 #[derive(Debug, Clone)]
 pub struct AdaptivePipeline {
     config: AdaptiveConfig,
+    /// Why `config` cannot decode, found once by [`AdaptivePipeline::new`];
+    /// every decode returns it.
+    invalid: Option<CoreError>,
     detector: ChangeDetector,
     prev: Option<Reconstruction>,
     tiers: TierCounts,
@@ -334,11 +314,13 @@ pub struct AdaptivePipeline {
 }
 
 impl AdaptivePipeline {
-    /// Builds a pipeline. An invalid configuration is reported by every
-    /// [`AdaptivePipeline::decode`] call (see [`AdaptiveConfig::validate`]).
+    /// Builds a pipeline, validating `config` once: an invalid
+    /// configuration (see [`AdaptiveConfig::validate`]) is reported by
+    /// every [`AdaptivePipeline::decode`] call.
     pub fn new(config: AdaptiveConfig) -> Self {
         let delta_budget = config.delta_iteration_budget.max(MIN_DELTA_ITERATIONS);
         AdaptivePipeline {
+            invalid: config.validate().err(),
             config,
             detector: ChangeDetector::new(),
             prev: None,
@@ -375,8 +357,8 @@ impl AdaptivePipeline {
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] when the pipeline's configuration
-    /// fails [`AdaptiveConfig::validate`]; otherwise propagates decode
-    /// failures, see [`Decoder::reconstruct`].
+    /// failed [`AdaptiveConfig::validate`] at construction; otherwise
+    /// propagates decode failures, see [`Decoder::reconstruct`].
     pub fn decode(
         &mut self,
         decoder: &Decoder,
@@ -386,7 +368,9 @@ impl AdaptivePipeline {
         y: &[f64],
         warm: &mut DecodeWarmState,
     ) -> Result<(Reconstruction, DecodeTier)> {
-        self.config.validate()?;
+        if let Some(e) = &self.invalid {
+            return Err(e.clone());
+        }
         let reference = self.prev.as_ref().map(|rec| &rec.frame);
         let class = self
             .detector
@@ -433,16 +417,16 @@ impl AdaptivePipeline {
         warm: &mut DecodeWarmState,
     ) -> Result<DecodeTier> {
         if let Some(sparsity) = self.greedy_sparsity(decoder, rows, cols, selected, y) {
-            let mut cfg = GreedyConfig::with_sparsity(sparsity);
-            cfg.residual_tol = self.config.greedy_residual_tol;
             // A scene that is not greedy-recoverable (K badly
             // under-estimated, e.g. a dense event aliasing down to a
             // small correlation count) must fail in a handful of
             // iterations, not after `sparsity` O(m·K²) refits — the
             // full solver is waiting right behind this attempt.
-            cfg.stall_factor = GREEDY_STALL_FACTOR;
-            cfg.stall_patience = GREEDY_STALL_PATIENCE;
-            let solver = SparseSolver::Omp(cfg);
+            let solver = SparseSolver::Omp(GreedyConfig {
+                sparsity,
+                residual_tol: GREEDY_RESIDUAL_TOL,
+                stall_patience: GREEDY_STALL_PATIENCE,
+            });
             let rec = decoder.reconstruct_with_solver(&solver, rows, cols, selected, y, warm)?;
             if rec.report.converged {
                 // Seed the next warm FISTA solve from the greedy
@@ -495,7 +479,7 @@ impl AdaptivePipeline {
             // atom is plenty.
             return Some(1);
         }
-        let cut = self.config.greedy_kappa * peak;
+        let cut = GREEDY_KAPPA * peak;
         let k_residual = self.corr.iter().filter(|c| c.abs() >= cut).count();
         let k_prev = self.prev.as_ref().map_or(0, |rec| {
             let coeffs = rec.coefficients.as_slice();
@@ -810,24 +794,7 @@ mod tests {
             frame_budget_us: Some(b),
             ..AdaptiveConfig::default()
         });
-        for cfg in [
-            AdaptiveConfig {
-                static_threshold: 0.5,
-                delta_threshold: 0.1, // inverted
-                ..AdaptiveConfig::default()
-            },
-            AdaptiveConfig {
-                static_threshold: f64::NAN,
-                ..AdaptiveConfig::default()
-            },
-            AdaptiveConfig {
-                greedy_kappa: 0.0,
-                ..AdaptiveConfig::default()
-            },
-        ]
-        .into_iter()
-        .chain(bad_budgets)
-        {
+        for cfg in bad_budgets {
             assert!(
                 matches!(cfg.validate(), Err(CoreError::InvalidConfig(_))),
                 "{cfg:?} accepted"

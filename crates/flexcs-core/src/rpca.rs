@@ -61,29 +61,27 @@ const RSVD_SEED: u64 = 0x00f1_e6c5;
 /// Cold-start rank prediction for the adaptive randomized L-update.
 const RSVD_START_RANK: usize = 5;
 
+/// Convergence tolerance on `‖D − L − S‖_F / ‖D‖_F`.
+const TOL: f64 = 1e-7;
+
+/// ALM sweep budget.
+const MAX_ITERATIONS: usize = 200;
+
 /// Which SVD engine the ALM L-update uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SvdPolicy {
     /// Exact Jacobi below [`RSVD_CROSSOVER`] (bit-exact with the
     /// historical solver), randomized at and above it.
     Auto,
-    /// Always the exact one-sided Jacobi SVD.
+    /// Always the exact one-sided Jacobi SVD: the reference the
+    /// randomized path is checked against.
     Exact,
-    /// Always the randomized engine (still falls back to the exact SVD
-    /// when the error certificate fails).
-    Randomized,
 }
 
-/// RPCA configuration.
+/// RPCA configuration. The sparsity weight is the standard
+/// `λ = 1/√max(rows, cols)` of the paper's ref. \[29\].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RpcaConfig {
-    /// Sparsity weight λ; `None` uses the standard
-    /// `1/√max(rows, cols)`.
-    pub lambda: Option<f64>,
-    /// Convergence tolerance on `‖D − L − S‖_F / ‖D‖_F`.
-    pub tol: f64,
-    /// Iteration budget.
-    pub max_iterations: usize,
     /// SVD engine for the L-update (default [`SvdPolicy::Auto`]).
     pub svd: SvdPolicy,
 }
@@ -91,9 +89,6 @@ pub struct RpcaConfig {
 impl Default for RpcaConfig {
     fn default() -> Self {
         RpcaConfig {
-            lambda: None,
-            tol: 1e-7,
-            max_iterations: 200,
             svd: SvdPolicy::Auto,
         }
     }
@@ -130,9 +125,9 @@ struct RpcaWarmStart {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidConfig`] for empty input or a bad
-/// configuration, [`CoreError::NonFiniteMeasurement`] (row-major
-/// index) for a NaN/±Inf entry, and propagates SVD failures.
+/// Returns [`CoreError::InvalidConfig`] for empty input,
+/// [`CoreError::NonFiniteMeasurement`] (row-major index) for a NaN/±Inf
+/// entry, and propagates SVD failures.
 pub fn rpca(d: &Matrix, config: &RpcaConfig) -> Result<RpcaDecomposition> {
     rpca_warm(d, config, None).map(|(dec, _)| dec)
 }
@@ -144,13 +139,13 @@ pub fn rpca(d: &Matrix, config: &RpcaConfig) -> Result<RpcaDecomposition> {
 ///
 /// Warm starting changes the iteration trajectory (fewer sweeps on
 /// slowly varying sequences), not the fixed point: both cold and warm
-/// solves converge to the same decomposition within `config.tol`.
+/// solves converge to the same decomposition within the tolerance.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidConfig`] for empty input or a bad
-/// configuration, [`CoreError::NonFiniteMeasurement`] (row-major
-/// index) for a NaN/±Inf entry, and propagates SVD failures.
+/// Returns [`CoreError::InvalidConfig`] for empty input,
+/// [`CoreError::NonFiniteMeasurement`] (row-major index) for a NaN/±Inf
+/// entry, and propagates SVD failures.
 fn rpca_warm(
     d: &Matrix,
     config: &RpcaConfig,
@@ -166,17 +161,7 @@ fn rpca_warm(
     if let Some(index) = d.as_slice().iter().position(|v| !v.is_finite()) {
         return Err(CoreError::NonFiniteMeasurement { index });
     }
-    if config.max_iterations == 0 || !(config.tol > 0.0) {
-        return Err(CoreError::InvalidConfig(
-            "rpca: need positive tolerance and iterations".to_string(),
-        ));
-    }
-    let lambda = config.lambda.unwrap_or(1.0 / (m.max(n) as f64).sqrt());
-    if !(lambda > 0.0) {
-        return Err(CoreError::InvalidConfig(format!(
-            "rpca: lambda must be positive, got {lambda}"
-        )));
-    }
+    let lambda = 1.0 / (m.max(n) as f64).sqrt();
     let d_norm = d.norm_fro();
     if d_norm == 0.0 {
         let dec = RpcaDecomposition {
@@ -227,7 +212,7 @@ fn rpca_warm(
     // loops on every tier); the dual-update residual is a reduction
     // (≤ 1e-12 relative across tiers, scalar tier exact).
     let kern = simd::kernels();
-    for _ in 0..config.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         iterations += 1;
         let inv_mu = 1.0 / mu;
         // L-update: singular-value shrinkage of D − S + Y/μ.
@@ -268,7 +253,7 @@ fn rpca_warm(
             tel::rpca_sweep(iterations, rank, sparse_count, residual_ratio, mu);
         }
         mu = (mu * rho).min(mu_max);
-        if residual_ratio < config.tol {
+        if residual_ratio < TOL {
             converged = true;
             break;
         }
@@ -300,7 +285,6 @@ impl LUpdater {
     fn new(policy: SvdPolicy, m: usize, n: usize, warm: Option<&RpcaWarmStart>) -> Self {
         let randomized = match policy {
             SvdPolicy::Exact => false,
-            SvdPolicy::Randomized => true,
             SvdPolicy::Auto => m.min(n) >= RSVD_CROSSOVER,
         };
         let subspace = warm
@@ -669,7 +653,6 @@ mod tests {
             &d,
             &RpcaConfig {
                 svd: SvdPolicy::Exact,
-                ..RpcaConfig::default()
             },
         )
         .unwrap();
@@ -701,7 +684,6 @@ mod tests {
             &d,
             &RpcaConfig {
                 svd: SvdPolicy::Exact,
-                ..RpcaConfig::default()
             },
         )
         .unwrap();
@@ -711,10 +693,8 @@ mod tests {
     #[test]
     fn randomized_path_is_deterministic() {
         let (d, _, _) = synthetic(36, 32, 3, &[(5, 5, 6.0), (17, 20, -6.0)]);
-        let cfg = RpcaConfig {
-            svd: SvdPolicy::Randomized,
-            ..RpcaConfig::default()
-        };
+        // 36x32 is above the crossover: Auto takes the randomized path.
+        let cfg = RpcaConfig::default();
         let a = rpca(&d, &cfg).unwrap();
         let b = rpca(&d, &cfg).unwrap();
         // PartialEq on Matrix is exact f64 equality: bit-identical.
@@ -848,20 +828,8 @@ mod tests {
     }
 
     #[test]
-    fn invalid_configs_rejected() {
-        let d = Matrix::zeros(3, 3);
-        let mut cfg = RpcaConfig {
-            max_iterations: 0,
-            ..RpcaConfig::default()
-        };
-        assert!(rpca(&d, &cfg).is_err());
-        cfg.max_iterations = 10;
-        cfg.tol = 0.0;
-        assert!(rpca(&d, &cfg).is_err());
-        cfg.tol = 1e-6;
-        cfg.lambda = Some(-1.0);
-        assert!(rpca(&d, &cfg).is_err());
-        assert!(rpca(&Matrix::zeros(3, 0).clone(), &RpcaConfig::default()).is_err());
+    fn empty_input_rejected() {
+        assert!(rpca(&Matrix::zeros(3, 0), &RpcaConfig::default()).is_err());
     }
 
     #[test]

@@ -5,28 +5,26 @@
 //!                                  │  (full ⇒ Submit::Rejected)
 //!                  tenant token ──►│
 //!        ┌─────────────────────────┴──────────────────────────┐
-//!        │ work-stealing workers: pop own deque, steal others │
+//!        │ workers: pop the front of one shared ready queue   │
 //!        │ claim tenant session ─► drain same-shape batch     │
 //!        │ decode (warm, panic-guarded) ─► complete handles   │
 //!        └────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Scheduling model: each registered tenant has a *home* worker; when a
-//! frame lands in an empty (unscheduled) tenant queue, a tenant token
-//! is pushed onto the home worker's deque. Workers pop their own deque
-//! FIFO and steal from the back of other workers' deques when idle, so
-//! load spreads without losing per-tenant locality. A token grants
-//! exclusive access to the tenant's [`Session`]; the holder drains up
-//! to `max_batch` *same-shape* frames in one claim (amortizing the
-//! session's cached DCT plan and warm-start state, and the worker's
-//! solver workspace)
-//! and re-enqueues the token if frames remain, so no tenant can starve
-//! the others on its worker.
+//! Scheduling model: when a frame lands in an empty (unscheduled)
+//! tenant queue, a tenant token is pushed onto the back of the engine's
+//! one ready queue. Idle workers pop tokens from its front, so any free
+//! worker takes the oldest ready tenant. A token grants exclusive access
+//! to the tenant's [`Session`]; the holder drains up to `max_batch`
+//! *same-shape* frames in one claim (amortizing the session's cached DCT
+//! plan and warm-start state, and the worker's solver workspace) and
+//! re-enqueues the token at the back if frames remain, so no tenant can
+//! starve the others.
 //!
 //! Per-tenant decode order is always FIFO submission order and the
 //! session is held by one worker at a time, so results are bit-identical
 //! to decoding the tenant's stream serially — regardless of worker
-//! count or stealing.
+//! count or which worker claims a token.
 
 use crate::error::ServeError;
 use crate::handle::{completion_pair, Completion, DecodedFrame, FrameHandle, FrameResult};
@@ -104,8 +102,8 @@ struct Job {
 #[derive(Default)]
 struct TenantQueue {
     jobs: VecDeque<Job>,
-    /// True while a token for this tenant sits in a deque or a worker
-    /// holds the claim; guarantees at most one token per tenant.
+    /// True while a token for this tenant sits in the ready queue or a
+    /// worker holds the claim; guarantees at most one token per tenant.
     scheduled: bool,
     /// Sequence number of the next accepted frame, which is also the
     /// count of frames accepted so far.
@@ -115,7 +113,6 @@ struct TenantQueue {
 struct Tenant {
     id: usize,
     name: String,
-    home: usize,
     queue: Mutex<TenantQueue>,
     session: Mutex<Session>,
     /// Why the tenant's configuration cannot decode any frame, found
@@ -132,14 +129,13 @@ struct Counters {
     panicked: AtomicU64,
     batches: AtomicU64,
     batch_frames: AtomicU64,
-    steals: AtomicU64,
 }
 
 struct Sched {
-    /// One ready-token deque per worker, all behind a single lock (the
+    /// Ready tenant tokens in FIFO order, shared by every worker (the
     /// critical sections are a few pointer moves; decodes dominate by
     /// orders of magnitude).
-    deques: Mutex<Vec<VecDeque<usize>>>,
+    ready: Mutex<VecDeque<usize>>,
     available: Condvar,
     running: AtomicBool,
 }
@@ -216,7 +212,7 @@ impl Engine {
             backend,
             tenants: RwLock::new(Vec::new()),
             sched: Sched {
-                deques: Mutex::new(vec![VecDeque::new(); workers]),
+                ready: Mutex::new(VecDeque::new()),
                 available: Condvar::new(),
                 running: AtomicBool::new(true),
             },
@@ -227,7 +223,7 @@ impl Engine {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("flexcs-serve-{w}"))
-                    .spawn(move || inner.worker_loop(w))
+                    .spawn(move || inner.worker_loop())
                     .expect("spawn engine worker")
             })
             .collect();
@@ -265,7 +261,6 @@ impl Engine {
         tenants.push(Arc::new(Tenant {
             id,
             name: config.name.clone(),
-            home: id % self.inner.workers,
             queue: Mutex::new(TenantQueue::default()),
             session: Mutex::new(Session::new(config)),
             invalid,
@@ -326,7 +321,7 @@ impl Engine {
             tel::histogram("serve.queue_depth", depth as f64);
         }
         if needs_token {
-            self.inner.push_token(tenant.home, tenant.id);
+            self.inner.push_token(tenant.id);
         }
         Ok(Submit::Accepted(handle))
     }
@@ -346,13 +341,13 @@ impl Engine {
         }
         self.inner.sched.running.store(false, Ordering::Release);
         // Lock-step with waiting workers: once we hold (and release)
-        // the deque lock, every worker has either observed
+        // the ready-queue lock, every worker has either observed
         // `running == false` or is parked in `wait` where `notify_all`
         // reaches it — no lost-wakeup window.
         drop(
             self.inner
                 .sched
-                .deques
+                .ready
                 .lock()
                 .unwrap_or_else(|e| e.into_inner()),
         );
@@ -406,58 +401,44 @@ impl Inner {
             .ok_or(ServeError::UnknownTenant(id))
     }
 
-    fn push_token(&self, worker: usize, tenant: usize) {
-        {
-            let mut deques = self.sched.deques.lock().unwrap_or_else(|e| e.into_inner());
-            deques[worker].push_back(tenant);
-        }
+    fn push_token(&self, tenant: usize) {
+        self.sched
+            .ready
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push_back(tenant);
         self.sched.available.notify_one();
     }
 
-    fn worker_loop(&self, w: usize) {
+    fn worker_loop(&self) {
         loop {
             let claimed = {
-                let mut deques = self.sched.deques.lock().unwrap_or_else(|e| e.into_inner());
+                let mut ready = self.sched.ready.lock().unwrap_or_else(|e| e.into_inner());
                 loop {
-                    if let Some(t) = deques[w].pop_front() {
-                        break Some((t, false));
-                    }
-                    // Steal from the back of the first non-empty peer
-                    // deque (scanning round-robin from our right-hand
-                    // neighbour): the back is the peer's coldest work,
-                    // so its own locality is disturbed least.
-                    let n = deques.len();
-                    let stolen = (1..n)
-                        .map(|k| (w + k) % n)
-                        .find_map(|v| deques[v].pop_back());
-                    if let Some(t) = stolen {
-                        break Some((t, true));
+                    if let Some(t) = ready.pop_front() {
+                        break Some(t);
                     }
                     if !self.sched.running.load(Ordering::Acquire) {
                         break None;
                     }
-                    deques = self
+                    ready = self
                         .sched
                         .available
-                        .wait(deques)
+                        .wait(ready)
                         .unwrap_or_else(|e| e.into_inner());
                 }
             };
-            let Some((tenant_id, stolen)) = claimed else {
+            let Some(tenant_id) = claimed else {
                 return;
             };
-            if stolen {
-                self.counters.steals.fetch_add(1, Ordering::Relaxed);
-                tel::counter("serve.steals", 1);
-            }
-            self.process_tenant(tenant_id, w);
+            self.process_tenant(tenant_id);
         }
     }
 
     /// Claims the tenant's session, drains one same-shape batch, and
     /// decodes it. Re-enqueues the tenant token if frames remain so
     /// deep queues interleave fairly with other tenants.
-    fn process_tenant(&self, tenant_id: usize, w: usize) {
+    fn process_tenant(&self, tenant_id: usize) {
         let Ok(tenant) = self.tenant(tenant_id) else {
             return;
         };
@@ -502,7 +483,7 @@ impl Inner {
             }
         };
         if more {
-            self.push_token(w, tenant_id);
+            self.push_token(tenant_id);
         }
     }
 
@@ -580,7 +561,6 @@ impl Inner {
             failed: self.counters.failed.load(Ordering::Relaxed),
             panicked: self.counters.panicked.load(Ordering::Relaxed),
             batches,
-            steals: self.counters.steals.load(Ordering::Relaxed),
             mean_batch_occupancy: (batches > 0).then(|| batch_frames as f64 / batches as f64),
             tenants: per_tenant,
         }

@@ -17,9 +17,10 @@
 //!   per-tenant results are bit-identical to a serial decode of the
 //!   same stream.
 //! - **[`Engine`]** — bounded per-tenant queues with backpressure
-//!   ([`Submit::Rejected`] when full), a work-stealing scheduler over
-//!   `flexcs-parallel`-sized worker threads, and same-shape batching
-//!   that amortizes plan reuse across consecutive frames.
+//!   ([`Submit::Rejected`] when full), one FIFO ready queue of tenant
+//!   tokens shared by `flexcs-parallel`-sized worker threads, and
+//!   same-shape batching that amortizes plan reuse across consecutive
+//!   frames.
 //! - **[`FrameHandle`]** — completion handle routed back to the
 //!   submitter; drop-safe on the worker side (a lost worker resolves
 //!   its claimed frames with [`ServeError::WorkerLost`] instead of

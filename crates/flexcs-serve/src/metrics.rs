@@ -43,8 +43,6 @@ pub struct EngineMetrics {
     pub panicked: u64,
     /// Batches dispatched by the scheduler.
     pub batches: u64,
-    /// Batches a worker claimed from another worker's deque.
-    pub steals: u64,
     /// Mean frames per batch (`None` before the first batch).
     pub mean_batch_occupancy: Option<f64>,
     /// Per-tenant breakdown, indexed by tenant id.

@@ -8,7 +8,7 @@
 //! mutable state between sessions (a bled workspace buffer, a reused
 //! previous-solution seed, a swapped DCT plan) breaks exact equality.
 
-use flexcs_core::{AdaptiveConfig, CoreError, DecodeWarmState, Decoder, SamplingPlan};
+use flexcs_core::{CoreError, DecodeWarmState, Decoder, SamplingPlan};
 use flexcs_linalg::Matrix;
 use flexcs_serve::{Engine, EngineConfig, FrameRequest, ServeError, SessionConfig};
 use flexcs_transform::Dct2d;
@@ -164,8 +164,8 @@ fn shape_switch_within_a_tenant_stays_serial_exact() {
 
 #[test]
 fn invalid_adaptive_tenant_fails_alone() {
-    // A config that can never decode a frame — inverted thresholds, or
-    // a zero per-frame budget — is found once, at registration: every
+    // A config that can never decode a frame — a NaN or a zero
+    // per-frame budget — is found once, at registration: every
     // submit to that tenant returns the typed error before it takes a
     // queue slot or a worker, while a tenant sharing the workers keeps
     // serving frames identical to a direct decode.
@@ -179,19 +179,14 @@ fn invalid_adaptive_tenant_fails_alone() {
         workers: 2,
         ..EngineConfig::default()
     });
-    let inverted = engine.register_tenant(SessionConfig::named("inverted").with_adaptive(
-        AdaptiveConfig {
-            static_threshold: 0.5,
-            delta_threshold: 0.1,
-            ..AdaptiveConfig::default()
-        },
-    ));
+    let nan_budget =
+        engine.register_tenant(SessionConfig::named("nan-budget").with_frame_budget_us(f64::NAN));
     let zero_budget =
         engine.register_tenant(SessionConfig::named("zero-budget").with_frame_budget_us(0.0));
     let bystander = engine.register_tenant(SessionConfig::named("bystander"));
     let mut handles_b = Vec::new();
     for (ra, rb) in reqs_a.iter().zip(&reqs_b) {
-        for broken in [inverted, zero_budget] {
+        for broken in [nan_budget, zero_budget] {
             let result = engine.submit(broken, ra.clone());
             assert!(
                 matches!(result, Err(ServeError::Decode(CoreError::InvalidConfig(_)))),
@@ -218,6 +213,6 @@ fn invalid_adaptive_tenant_fails_alone() {
     assert_eq!(metrics.failed, 0);
     assert_eq!(metrics.decoded, 4);
     assert_eq!(metrics.submitted, 4, "no broken frame took a queue slot");
-    assert_eq!(metrics.tenants[inverted].submitted, 0);
+    assert_eq!(metrics.tenants[nan_budget].submitted, 0);
     assert_eq!(metrics.tenants[zero_budget].submitted, 0);
 }

@@ -19,26 +19,26 @@ use crate::tel;
 use flexcs_linalg::vecops;
 use flexcs_linalg::{Cholesky, Matrix};
 
+/// Duality-gap tolerance: stop when `μ = zᵀs / 2n` falls below this.
+const GAP_TOL: f64 = 1e-9;
+
+/// Infeasibility tolerance on the primal/dual residual norms.
+const FEAS_TOL: f64 = 1e-8;
+
+/// Centering parameter σ in (0, 1).
+const SIGMA: f64 = 0.2;
+
 /// Configuration for [`lp_basis_pursuit`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpConfig {
     /// Iteration budget (interior-point iterations).
     pub max_iterations: usize,
-    /// Duality-gap tolerance: stop when `μ = zᵀs / 2n` falls below this.
-    pub gap_tol: f64,
-    /// Infeasibility tolerance on primal/dual residual norms.
-    pub feas_tol: f64,
-    /// Centering parameter σ in (0, 1).
-    pub sigma: f64,
 }
 
 impl Default for LpConfig {
     fn default() -> Self {
         LpConfig {
             max_iterations: 100,
-            gap_tol: 1e-9,
-            feas_tol: 1e-8,
-            sigma: 0.2,
         }
     }
 }
@@ -49,12 +49,6 @@ impl LpConfig {
             return Err(SolverError::InvalidParameter(
                 "max_iterations must be positive".to_string(),
             ));
-        }
-        if !(self.sigma > 0.0 && self.sigma < 1.0) {
-            return Err(SolverError::InvalidParameter(format!(
-                "sigma must lie in (0, 1), got {}",
-                self.sigma
-            )));
         }
         Ok(())
     }
@@ -121,7 +115,6 @@ pub fn lp_basis_pursuit(op: &dyn LinearOperator, b: &[f64], config: &LpConfig) -
 
     let mut iterations = 0;
     let mut converged = false;
-    let mut mu = 1.0;
     for _ in 0..config.max_iterations {
         iterations += 1;
         // Residuals.
@@ -130,7 +123,7 @@ pub fn lp_basis_pursuit(op: &dyn LinearOperator, b: &[f64], config: &LpConfig) -
         let aeqt_y = apply_aeq_t(&y);
         // r_d = c − A_eqᵀy − s with c = 1.
         let r_d: Vec<f64> = (0..n2).map(|i| 1.0 - aeqt_y[i] - s[i]).collect();
-        mu = vecops::dot(&z, &s) / n2 as f64;
+        let mu = vecops::dot(&z, &s) / n2 as f64;
         let rp_norm = vecops::norm2(&r_p);
         let rd_norm = vecops::norm2(&r_d);
         if tel::enabled() {
@@ -144,15 +137,15 @@ pub fn lp_basis_pursuit(op: &dyn LinearOperator, b: &[f64], config: &LpConfig) -
                 mu,
             );
         }
-        if mu < config.gap_tol
-            && rp_norm < config.feas_tol * (1.0 + b_norm)
-            && rd_norm < config.feas_tol * (n2 as f64).sqrt()
+        if mu < GAP_TOL
+            && rp_norm < FEAS_TOL * (1.0 + b_norm)
+            && rd_norm < FEAS_TOL * (n2 as f64).sqrt()
         {
             converged = true;
             break;
         }
         // Complementarity target: r_c = σμ·1 − ZS·1.
-        let target = config.sigma * mu;
+        let target = SIGMA * mu;
         // Scaling D = Z S⁻¹, split as d_plus/d_minus per original column.
         let d: Vec<f64> = (0..n2).map(|i| z[i] / s[i]).collect();
         // Normal matrix M = A (D⁺ + D⁻) Aᵀ.
@@ -222,7 +215,6 @@ pub fn lp_basis_pursuit(op: &dyn LinearOperator, b: &[f64], config: &LpConfig) -
     let x: Vec<f64> = (0..n).map(|j| z[j] - z[n + j]).collect();
     let ax = op.apply(&x);
     let residual = vecops::norm2(&vecops::sub(&ax, b));
-    let _ = mu;
     Ok(Recovery::new(
         x.clone(),
         SolveReport::new(iterations, residual, converged, vecops::norm1(&x)),
@@ -278,13 +270,7 @@ mod tests {
     fn config_validation() {
         let op = gaussian_operator(5, 10, 131);
         let b = vec![1.0; 5];
-        let mut cfg = LpConfig {
-            sigma: 1.5,
-            ..LpConfig::default()
-        };
-        assert!(lp_basis_pursuit(&op, &b, &cfg).is_err());
-        cfg.sigma = 0.2;
-        cfg.max_iterations = 0;
+        let cfg = LpConfig { max_iterations: 0 };
         assert!(lp_basis_pursuit(&op, &b, &cfg).is_err());
     }
 

@@ -89,7 +89,8 @@ impl SparseSolver {
     }
 
     /// Returns a copy of this solver with its iteration budget capped at
-    /// `budget`. The adaptive decode tier uses this to derive a cheap
+    /// `budget` (for OMP, whose budget is its sparsity, the sparsity is
+    /// capped). The adaptive decode tier uses this to derive a cheap
     /// partial-decode solver for `Delta` frames from the session's
     /// full-decode configuration.
     #[must_use]
@@ -97,7 +98,7 @@ impl SparseSolver {
         let budget = budget.max(1);
         let mut capped = self.clone();
         match &mut capped {
-            SparseSolver::Omp(c) => c.max_iterations = c.max_iterations.min(budget),
+            SparseSolver::Omp(c) => c.sparsity = c.sparsity.min(budget),
             SparseSolver::Ista(c) | SparseSolver::Fista(c) => {
                 c.max_iterations = c.max_iterations.min(budget);
             }

@@ -22,7 +22,7 @@
 //! | [`datasets`] | `flexcs-datasets` | synthetic thermal / tactile / ultrasound generators |
 //! | [`nn`] | `flexcs-nn` | from-scratch ResNet, Adam, training loop |
 //! | [`core`] | `flexcs-core` | sampling Φ, error injection, decoder, RPCA, strategies, Fig. 7 pipeline |
-//! | [`serve`] | `flexcs-serve` | multi-tenant batched decode engine: sessions, work-stealing scheduler, backpressure, latency metrics |
+//! | [`serve`] | `flexcs-serve` | multi-tenant batched decode engine: sessions, shared-ready-queue scheduler, backpressure, latency metrics |
 //!
 //! ## Quickstart
 //!
