@@ -1,14 +1,18 @@
 //! Circuit netlist construction.
 //!
-//! A [`Circuit`] is a flat element list over named nodes — the level of
-//! abstraction a SPICE deck provides. Subcircuit builders (pseudo-CMOS
-//! cells, shift registers, the sensor pixel, the amplifier) live in
-//! sibling modules and expand into these primitives.
+//! A [`Circuit`] is a flat element list over numbered nodes — the level
+//! of abstraction a SPICE deck provides. A node is either named (made by
+//! [`Circuit::node`], found again by name) or anonymous (made by
+//! [`Circuit::fresh_node`] for a builder's internal net: it keeps only an
+//! interned prefix, and its display name is built on demand). Subcircuit
+//! builders (pseudo-CMOS cells, shift registers, the sensor pixel, the
+//! amplifier) live in sibling modules and expand into these primitives.
 
 use crate::device::CntTftModel;
 use crate::error::{CircuitError, Result};
 use crate::waveform::Waveform;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
 /// A node handle. Node 0 is always ground.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -83,7 +87,7 @@ pub enum Element {
     },
 }
 
-/// A flat netlist over named nodes.
+/// A flat netlist over numbered nodes, some of them named.
 ///
 /// # Examples
 ///
@@ -103,19 +107,38 @@ pub enum Element {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Circuit {
-    node_names: Vec<String>,
+    nodes: Vec<NodeSlot>,
     name_to_id: HashMap<String, usize>,
+    /// Interned fresh-node prefixes, in order of first use.
+    prefixes: Vec<Box<str>>,
     elements: Vec<Element>,
+}
+
+/// What a node keeps of its name.
+#[derive(Debug, Clone)]
+enum NodeSlot {
+    /// Ground or a node made by [`Circuit::node`].
+    Named(Box<str>),
+    /// A node made by [`Circuit::fresh_node`]: its prefix's index in
+    /// `Circuit::prefixes`.
+    Fresh(usize),
+}
+
+impl Default for Circuit {
+    fn default() -> Self {
+        Circuit::new()
+    }
 }
 
 impl Circuit {
     /// Creates an empty circuit (ground pre-registered as node `"0"`).
     pub fn new() -> Self {
         let mut c = Circuit {
-            node_names: vec!["0".to_string()],
+            nodes: vec![NodeSlot::Named("0".into())],
             name_to_id: HashMap::new(),
+            prefixes: Vec::new(),
             elements: Vec::new(),
         };
         c.name_to_id.insert("0".to_string(), 0);
@@ -123,7 +146,8 @@ impl Circuit {
     }
 
     /// Returns the node with the given name, creating it if necessary.
-    /// The names `"0"` and `"gnd"` refer to ground.
+    /// The names `"0"` and `"gnd"` refer to ground. A fresh node is never
+    /// found by name, whatever [`Circuit::node_name`] displays for it.
     pub fn node(&mut self, name: &str) -> NodeId {
         if name == "0" || name.eq_ignore_ascii_case("gnd") {
             return NodeId::GROUND;
@@ -131,25 +155,29 @@ impl Circuit {
         if let Some(&id) = self.name_to_id.get(name) {
             return NodeId(id);
         }
-        let id = self.node_names.len();
-        self.node_names.push(name.to_string());
+        let id = self.nodes.len();
+        self.nodes.push(NodeSlot::Named(name.into()));
         self.name_to_id.insert(name.to_string(), id);
         NodeId(id)
     }
 
-    /// Creates a fresh anonymous node (unique generated name).
+    /// Creates a fresh anonymous node, distinct from every other node.
     ///
-    /// The name is `{prefix}#{id}` for the new node's id unless a named
-    /// node already took it, in which case the suffix advances to the
-    /// next unused number: a fresh node never aliases an existing one.
+    /// The node keeps only `prefix`, interned, so a repeated prefix
+    /// allocates nothing beyond the node vector's amortized growth. No
+    /// name is formatted, hashed or entered in the name map, so
+    /// [`Circuit::find_node`] cannot find the node; [`Circuit::node_name`]
+    /// builds its display name when asked.
     pub fn fresh_node(&mut self, prefix: &str) -> NodeId {
-        let mut suffix = self.node_names.len();
-        let mut name = format!("{prefix}#{suffix}");
-        while self.name_to_id.contains_key(&name) {
-            suffix += 1;
-            name = format!("{prefix}#{suffix}");
-        }
-        self.node(&name)
+        let p = match self.prefixes.iter().rposition(|q| **q == *prefix) {
+            Some(p) => p,
+            None => {
+                self.prefixes.push(prefix.into());
+                self.prefixes.len() - 1
+            }
+        };
+        self.nodes.push(NodeSlot::Fresh(p));
+        NodeId(self.nodes.len() - 1)
     }
 
     /// Looks up an existing node by name.
@@ -168,13 +196,39 @@ impl Circuit {
     }
 
     /// Name of a node.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.0]
+    ///
+    /// A named node returns its name. A fresh node's name is built here:
+    /// `{prefix}#{n}` for the first `n` at or above its id that no named
+    /// node and no earlier fresh node of the same prefix holds. So every
+    /// node displays a distinct name; a fresh one costs a pass over the
+    /// nodes before it.
+    pub fn node_name(&self, node: NodeId) -> Cow<'_, str> {
+        let p = match &self.nodes[node.0] {
+            NodeSlot::Named(name) => return Cow::Borrowed(name),
+            NodeSlot::Fresh(p) => *p,
+        };
+        let prefix = &self.prefixes[p];
+        let mut held = HashSet::new();
+        let mut name = String::new();
+        for (id, slot) in self.nodes[..=node.0].iter().enumerate() {
+            if !matches!(slot, NodeSlot::Fresh(q) if *q == p) {
+                continue;
+            }
+            let mut n = id;
+            loop {
+                name = format!("{prefix}#{n}");
+                if !self.name_to_id.contains_key(&name) && held.insert(n) {
+                    break;
+                }
+                n += 1;
+            }
+        }
+        Cow::Owned(name)
     }
 
     /// Total node count including ground.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.nodes.len()
     }
 
     /// Borrows the element list.
@@ -192,7 +246,7 @@ impl Circuit {
     }
 
     fn check_node(&self, n: NodeId) -> Result<()> {
-        if n.0 >= self.node_names.len() {
+        if n.0 >= self.nodes.len() {
             return Err(CircuitError::UnknownNode(format!("#{}", n.0)));
         }
         Ok(())
@@ -356,6 +410,62 @@ mod tests {
         let next = c.fresh_node("b");
         assert_eq!(c.node_name(next), format!("b#{}", next.0));
         assert_eq!(c.node_count(), 4);
+    }
+
+    #[test]
+    fn named_node_never_aliases_a_fresh_one() {
+        let mut c = Circuit::new();
+        let fresh = c.fresh_node("out");
+        assert_eq!(c.node_name(fresh), "out#1");
+        let named = c.node("out#1");
+        assert_ne!(named, fresh, "named node shorted onto a fresh one");
+        assert_eq!(c.find_node("out#1").unwrap(), named);
+        // The fresh node's display name steps past the named one.
+        assert_eq!(c.node_name(fresh), "out#2");
+        assert_eq!(c.node_count(), 3);
+    }
+
+    #[test]
+    fn node_ids_follow_call_order() {
+        let mut c = Circuit::new();
+        let ids = [
+            c.node("a"),
+            c.fresh_node("x"),
+            c.fresh_node("y"),
+            c.node("b"),
+            c.fresh_node("x"),
+            c.node("a"),
+            c.node("c"),
+        ];
+        let raw: Vec<usize> = ids.iter().map(|n| n.index()).collect();
+        assert_eq!(raw, [1, 2, 3, 4, 5, 1, 6]);
+        assert_eq!(c.node_count(), 7);
+    }
+
+    #[test]
+    fn fresh_names_stay_distinct_around_named_lookalikes() {
+        let mut c = Circuit::new();
+        let f1 = c.fresh_node("a");
+        let f2 = c.fresh_node("a");
+        c.node("a#1");
+        c.node("a#2");
+        let names: Vec<String> = (0..c.node_count())
+            .map(|i| c.node_name(NodeId(i)).into_owned())
+            .collect();
+        assert_eq!(names, ["0", "a#3", "a#4", "a#1", "a#2"]);
+        assert!(
+            c.find_node("a#3").is_err(),
+            "fresh nodes are not found by name"
+        );
+        assert_ne!(f1, f2);
+    }
+
+    #[test]
+    fn default_circuit_has_ground() {
+        let mut c = Circuit::default();
+        assert_ne!(c.node("a"), NodeId::GROUND);
+        assert_eq!(c.node_count(), 2);
+        assert_eq!(c.find_node("0").unwrap(), NodeId::GROUND);
     }
 
     #[test]

@@ -14,13 +14,16 @@ fi
 # flexcs-linalg/src/simd/mod.rs for the dispatch contract). The grep
 # ignores mentions of the `unsafe_code` lint name, which is how the
 # rest of the workspace *denies* unsafe. Test-only exceptions: the
-# allocation-counting tests (OMP solver, Φ·Ψ operator) must
-# `unsafe impl GlobalAlloc` (an inherently unsafe trait) to count heap
-# traffic; they only forward to `System` and never ship in a library.
+# allocation-counting tests (OMP solver, Φ·Ψ operator, fresh circuit
+# nodes) must `unsafe impl GlobalAlloc` (an inherently unsafe trait) to
+# count heap traffic; they only forward to `System` and never ship in a
+# library. The circuit one is an integration test, a crate of its own,
+# so flexcs-circuit's forbid(unsafe_code) does not reach it.
 unsafe_leaks=$(grep -rn 'unsafe' --include='*.rs' crates \
   | grep -v 'crates/flexcs-linalg/src/simd/' \
   | grep -v 'crates/flexcs-solver/tests/greedy_alloc.rs' \
   | grep -v 'crates/flexcs-core/tests/operator_alloc.rs' \
+  | grep -v 'crates/flexcs-circuit/tests/netlist_alloc.rs' \
   | grep -v 'unsafe_code' || true)
 if [[ -n "$unsafe_leaks" ]]; then
   echo "check.sh: 'unsafe' outside crates/flexcs-linalg/src/simd/:" >&2
