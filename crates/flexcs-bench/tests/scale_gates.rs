@@ -206,6 +206,36 @@ fn decode_kernels_rpca_and_warm_resample() {
     let top3 = &speedups[speedups.len() - 3..];
     let tier = simd::tier_name();
 
+    // The Lee lane codelets on a 32x32 frame (32 lanes of length 32, the
+    // decode path's block size), each transforming its buffer in place.
+    // Orthonormal scales keep the repeated transforms bounded, so no
+    // timed call meets an infinity or NaN.
+    let (n, w) = (32usize, 32usize);
+    let (inv_tw, cos_tw) = lee_twiddles(n);
+    let (a0, ak) = ((1.0 / n as f64).sqrt(), (2.0 / n as f64).sqrt());
+    let frame: Vec<f64> = (0..n * w).map(|i| ((i as f64) * 0.37).sin()).collect();
+    let (mut fs, mut fd) = (frame.clone(), frame.clone());
+    let (mut is, mut id) = (frame.clone(), frame);
+    let codelet_rows = [
+        (
+            "lee_forward_lanes",
+            kernel_ns(
+                inner,
+                || (scal.lee_forward_lanes)(black_box(&mut fs[..]), w, &inv_tw, a0, ak),
+                || (disp.lee_forward_lanes)(black_box(&mut fd[..]), w, &inv_tw, a0, ak),
+            ),
+        ),
+        (
+            "lee_inverse_lanes",
+            kernel_ns(
+                inner,
+                || (scal.lee_inverse_lanes)(black_box(&mut is[..]), w, &cos_tw, 1.0 / a0, 1.0 / ak),
+                || (disp.lee_inverse_lanes)(black_box(&mut id[..]), w, &cos_tw, 1.0 / a0, 1.0 / ak),
+            ),
+        ),
+    ];
+    let lee_forward_speedup = codelet_rows[0].1 .0 / codelet_rows[0].1 .1;
+
     println!(
         "warm resample {warm_speedup:.2}x ({:.1} -> {:.1} ms), rpca rsvd {rpca_speedup:.2}x \
          ({:.2} -> {:.2} ms), tier {tier}",
@@ -214,7 +244,7 @@ fn decode_kernels_rpca_and_warm_resample() {
         exact_s * 1e3,
         rsvd_s * 1e3
     );
-    for (name, (s, d)) in &rows {
+    for (name, (s, d)) in rows.iter().chain(&codelet_rows) {
         println!(
             "kernel {name}: scalar {s:.1} ns, dispatched {d:.1} ns, {:.2}x",
             s / d
@@ -233,7 +263,33 @@ fn decode_kernels_rpca_and_warm_resample() {
             top3.iter().all(|&s| s >= 2.0),
             "tier {tier}: top kernel speedups {top3:?} (need 3 kernels >= 2.0x)"
         );
+        assert!(
+            lee_forward_speedup >= LEE_FORWARD_FLOOR,
+            "tier {tier}: lee_forward_lanes {lee_forward_speedup:.2}x over scalar \
+             (need >= {LEE_FORWARD_FLOOR}x)"
+        );
     }
+}
+
+/// Least speedup over the scalar tier that the 32-point forward lane
+/// codelet must show on a vector tier.
+const LEE_FORWARD_FLOOR: f64 = 2.0;
+
+/// Codelet twiddles for length `n`, level by level from `m = n` down to
+/// `m = 2`: reciprocal twiddles `0.5 / cos((i + 0.5)·π / m)` (forward)
+/// and doubled cosines `2·cos((i + 0.5)·π / m)` (inverse).
+fn lee_twiddles(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let (mut inv, mut twice_cos) = (Vec::new(), Vec::new());
+    let mut m = n;
+    while m >= 2 {
+        for i in 0..m / 2 {
+            let c = ((i as f64 + 0.5) * std::f64::consts::PI / m as f64).cos();
+            inv.push(0.5 / c);
+            twice_cos.push(2.0 * c);
+        }
+        m /= 2;
+    }
+    (inv, twice_cos)
 }
 
 // ---------------------------------------------------------------------

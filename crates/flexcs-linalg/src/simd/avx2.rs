@@ -21,10 +21,14 @@
 //!   `diff_norm2_sq` share one accumulation structure, so
 //!   `diff_norm2_sq(a, b)` stays bit-identical to `dot(d, d)` of the
 //!   materialized difference *within this tier*.
-//! - The Lee lane codelets compile the shared plain-Rust body in
-//!   [`super::codelet`] inside `#[target_feature(enable = "avx2")]`
-//!   wrappers (AVX2 only, so no FMA can appear); the 4×4 transpose only
-//!   moves data. Both are bit-identical to the scalar tier.
+//! - The Lee lane codelets run the shared recursion body in
+//!   [`super::codelet`] on [`Ymm`] lanes, one `__m256d` each, inside
+//!   `#[target_feature(enable = "avx2")]` wrappers. Every level
+//!   operation is one `_mm256_add_pd`, `_mm256_sub_pd` or
+//!   `_mm256_mul_pd` (never FMA), so each lane repeats the scalar tier's
+//!   `[f64; 4]` arithmetic and the results are bit-identical to it, NaN
+//!   bits included. The 4×4 transpose only moves data, so it is
+//!   identical too.
 //! - Soft-threshold branches are mirrored with a blend sequence whose
 //!   last write corresponds to the scalar `v > t` arm, reproducing the
 //!   scalar branch priority bit for bit (including `t < 0` and NaN
@@ -493,31 +497,101 @@ unsafe fn sub_add_scaled_shrink_inner(
     }
 }
 
-/// Lee DCT-II lane codelet: the shared [`super::codelet`] body compiled
-/// for AVX2 (no FMA), so it is bit-identical to the scalar tier.
+/// Four adjacent codelet lanes in one AVX2 register: the
+/// [`super::codelet::Lane`] the codelet wrappers below run the shared
+/// recursion body on. The type is private to this module, and only the
+/// `#[target_feature(enable = "avx2")]` codelet wrappers build values of
+/// it, so every method runs on a CPU that passed AVX2 detection at tier
+/// selection. `add`, `sub` and `mul` are one intrinsic each (never FMA),
+/// so each lane rounds exactly as the scalar tier's `[f64; 4]` lanes do.
+#[derive(Clone, Copy)]
+struct Ymm(__m256d);
+
+impl super::codelet::Lane for Ymm {
+    const WIDTH: usize = 4;
+
+    #[inline(always)]
+    fn zero() -> Self {
+        // SAFETY: AVX2 verified at tier selection (see the type docs).
+        Ymm(unsafe { _mm256_setzero_pd() })
+    }
+
+    #[inline(always)]
+    fn load(src: &[f64]) -> Self {
+        assert_eq!(src.len(), 4, "lee lanes: strip load length");
+        // SAFETY: AVX2 verified at tier selection (see the type docs);
+        // `src` holds the four values read, and `loadu` takes any
+        // alignment.
+        Ymm(unsafe { _mm256_loadu_pd(src.as_ptr()) })
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f64]) {
+        assert_eq!(dst.len(), 4, "lee lanes: strip store length");
+        // SAFETY: AVX2 verified at tier selection (see the type docs);
+        // `dst` holds the four values written, and `storeu` takes any
+        // alignment.
+        unsafe { _mm256_storeu_pd(dst.as_mut_ptr(), self.0) }
+    }
+
+    #[inline(always)]
+    fn add(self, b: Self) -> Self {
+        // SAFETY: AVX2 verified at tier selection (see the type docs).
+        Ymm(unsafe { _mm256_add_pd(self.0, b.0) })
+    }
+
+    #[inline(always)]
+    fn sub(self, b: Self) -> Self {
+        // SAFETY: AVX2 verified at tier selection (see the type docs).
+        Ymm(unsafe { _mm256_sub_pd(self.0, b.0) })
+    }
+
+    #[inline(always)]
+    fn mul(self, s: f64) -> Self {
+        // SAFETY: AVX2 verified at tier selection (see the type docs).
+        Ymm(unsafe { _mm256_mul_pd(self.0, _mm256_set1_pd(s)) })
+    }
+
+    #[inline(always)]
+    fn any_nan(self) -> bool {
+        // SAFETY: AVX2 verified at tier selection (see the type docs).
+        unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_UNORD_Q>(self.0, self.0)) != 0 }
+    }
+
+    #[inline(always)]
+    fn canonical_nan(self) -> Self {
+        // SAFETY: AVX2 verified at tier selection (see the type docs).
+        Ymm(unsafe {
+            let nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(self.0, self.0);
+            _mm256_blendv_pd(self.0, _mm256_set1_pd(f64::NAN), nan)
+        })
+    }
+}
+
+/// Lee DCT-II lane codelet: the shared [`super::codelet`] body run on
+/// [`Ymm`] lanes (no FMA), so it is bit-identical to the scalar tier.
 pub fn lee_forward_lanes(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
-    // SAFETY: AVX2 verified at tier selection; the body is safe code
-    // that checks its own lengths.
+    // SAFETY: AVX2 verified at tier selection; the body checks its own
+    // lengths.
     unsafe { lee_forward_lanes_inner(v, w, twiddles, s0, sk) }
 }
 
 #[target_feature(enable = "avx2")]
 unsafe fn lee_forward_lanes_inner(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
-    super::codelet::forward(v, w, twiddles, s0, sk);
+    super::codelet::forward_with::<Ymm>(v, w, twiddles, s0, sk);
 }
 
-/// Lee DCT-III lane codelet: the shared [`super::codelet`] body
-/// compiled for AVX2 (no FMA), so it is bit-identical to the scalar
-/// tier.
+/// Lee DCT-III lane codelet: the shared [`super::codelet`] body run on
+/// [`Ymm`] lanes (no FMA), so it is bit-identical to the scalar tier.
 pub fn lee_inverse_lanes(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
-    // SAFETY: AVX2 verified at tier selection; the body is safe code
-    // that checks its own lengths.
+    // SAFETY: AVX2 verified at tier selection; the body checks its own
+    // lengths.
     unsafe { lee_inverse_lanes_inner(v, w, twiddles, s0, sk) }
 }
 
 #[target_feature(enable = "avx2")]
 unsafe fn lee_inverse_lanes_inner(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
-    super::codelet::inverse(v, w, twiddles, s0, sk);
+    super::codelet::inverse_with::<Ymm>(v, w, twiddles, s0, sk);
 }
 
 /// Out-of-place transpose (`rows x cols` → `cols x rows`) in

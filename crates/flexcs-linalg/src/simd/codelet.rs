@@ -4,53 +4,128 @@
 //!
 //! The buffer is a row-major `n x w` frame holding `w` independent
 //! length-`n` lanes (one per column), `n` a power of two `≤`
-//! [`CODELET_MAX`]. A strip of [`STRIP`] adjacent lanes is loaded once,
-//! runs every Lee recursion level in registers, spilling to the stack
-//! where it must (fixed-size levels for n = 2, 4, 8, 16, 32), and is
-//! stored once; lanes left over at the right edge run the same body one
-//! at a time. Each lane performs exactly the arithmetic of the
-//! single-lane recursion in `flexcs-transform` (same operations, same
-//! order, no fused multiply-add), so results are bit-identical to it
-//! and across tiers.
+//! [`CODELET_MAX`]. A strip of adjacent lanes is loaded once, runs every
+//! Lee recursion level in registers, spilling to the stack where it must
+//! (fixed-size levels for n = 2, 4, 8, 16, 32), and is stored once;
+//! lanes left over at the right edge run the same body one at a time.
+//! Each lane performs exactly the arithmetic of the single-lane
+//! recursion in `flexcs-transform` (same operations, same order, no
+//! fused multiply-add), so results are bit-identical to it and across
+//! tiers.
 //!
-//! This file is plain safe Rust. The scalar tier calls it as is; the
-//! vector tiers call it from inside `#[target_feature]` wrappers, so the
-//! compiler maps each `[f64; STRIP]` operation onto vector registers.
+//! One recursion body serves two lane kinds: the levels are generic over
+//! a [`Lane`], one element of a strip. [`forward`] and [`inverse`] run
+//! them on `[f64; 4]` arrays; the scalar tier calls these as is, and the
+//! NEON tier from inside its `#[target_feature]` wrappers, where the
+//! compiler maps the array operations onto vector registers. The AVX2
+//! tier runs the same levels through [`forward_with`] / [`inverse_with`]
+//! on a lane type of its own that holds one `__m256d`: on `[f64; 4]`
+//! arrays the 32-point codelet compiled for AVX2 kept a 3 KiB stack
+//! frame busy with general-register moves, and the register lane type
+//! (with the row walk of [`next_row`]) about halves the forward
+//! codelet's time and cuts the inverse's by a fifth. This file is safe
+//! Rust; the intrinsics and their `unsafe` stay in `avx2.rs`.
+//!
+//! NaN payloads are pinned too. When two NaNs meet in an add, IEEE 754
+//! leaves open which one the result carries, and the compiler may swap
+//! an add's operands differently per tier. Every output of a lane mixes
+//! every input of it through adds, subtracts and multiplies, so a lane
+//! with a NaN input has a NaN in row 0 of its unscaled output; such
+//! lanes have every NaN replaced by `f64::NAN` before the store (whose
+//! finite forward scales keep it `f64::NAN`). Any
+//! other NaN was made by an invalid operation such as `∞ − ∞`, and the
+//! platform's one default NaN then meets only copies of itself. So the
+//! tiers agree on every input bit for bit, NaN bits included, given
+//! finite twiddles and scales.
 
 /// Longest transform a codelet runs in one piece.
 pub const CODELET_MAX: usize = 32;
 
-/// Lanes per register block (one AVX2 register, two NEON registers).
+/// Lanes per `[f64; STRIP]` strip (one AVX2 register, two NEON
+/// registers).
 const STRIP: usize = 4;
 
-/// One register block: the same element of `L` adjacent lanes.
-type Lanes<const L: usize> = [f64; L];
-
-#[inline(always)]
-fn add<const L: usize>(a: Lanes<L>, b: Lanes<L>) -> Lanes<L> {
-    let mut out = a;
-    for l in 0..L {
-        out[l] = a[l] + b[l];
-    }
-    out
+/// The same element of [`Lane::WIDTH`] adjacent lanes, with the
+/// operations a Lee level performs on it. Every implementation rounds
+/// each lane exactly as one scalar `f64` operation does (never a fused
+/// multiply-add), which keeps all lane types bit-identical.
+pub(super) trait Lane: Copy {
+    /// Adjacent lanes one value holds.
+    const WIDTH: usize;
+    /// Every lane `0.0`.
+    fn zero() -> Self;
+    /// Lane `l` from `src[l]`; `src` holds exactly `WIDTH` values.
+    fn load(src: &[f64]) -> Self;
+    /// Lane `l` into `dst[l]`; `dst` holds exactly `WIDTH` values.
+    fn store(self, dst: &mut [f64]);
+    /// Lanewise `self + b`.
+    fn add(self, b: Self) -> Self;
+    /// Lanewise `self − b`.
+    fn sub(self, b: Self) -> Self;
+    /// Every lane times `s`.
+    fn mul(self, s: f64) -> Self;
+    /// Whether any lane is NaN.
+    fn any_nan(self) -> bool;
+    /// Every NaN lane replaced by `f64::NAN`; the other lanes unchanged.
+    fn canonical_nan(self) -> Self;
 }
 
-#[inline(always)]
-fn sub<const L: usize>(a: Lanes<L>, b: Lanes<L>) -> Lanes<L> {
-    let mut out = a;
-    for l in 0..L {
-        out[l] = a[l] - b[l];
-    }
-    out
-}
+impl<const L: usize> Lane for [f64; L] {
+    const WIDTH: usize = L;
 
-#[inline(always)]
-fn mul<const L: usize>(a: Lanes<L>, s: f64) -> Lanes<L> {
-    let mut out = a;
-    for l in 0..L {
-        out[l] = a[l] * s;
+    #[inline(always)]
+    fn zero() -> Self {
+        [0.0; L]
     }
-    out
+
+    #[inline(always)]
+    fn load(src: &[f64]) -> Self {
+        let mut out = [0.0; L];
+        out.copy_from_slice(src);
+        out
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f64]) {
+        dst.copy_from_slice(&self);
+    }
+
+    #[inline(always)]
+    fn add(self, b: Self) -> Self {
+        let mut out = self;
+        for l in 0..L {
+            out[l] = self[l] + b[l];
+        }
+        out
+    }
+
+    #[inline(always)]
+    fn sub(self, b: Self) -> Self {
+        let mut out = self;
+        for l in 0..L {
+            out[l] = self[l] - b[l];
+        }
+        out
+    }
+
+    #[inline(always)]
+    fn mul(self, s: f64) -> Self {
+        let mut out = self;
+        for l in 0..L {
+            out[l] = self[l] * s;
+        }
+        out
+    }
+
+    #[inline(always)]
+    fn any_nan(self) -> bool {
+        self.iter().fold(false, |any, e| any | e.is_nan())
+    }
+
+    #[inline(always)]
+    fn canonical_nan(self) -> Self {
+        self.map(|e| if e.is_nan() { f64::NAN } else { e })
+    }
 }
 
 // The levels below index with literals only (the `[$i]` lists), so the
@@ -67,19 +142,19 @@ fn mul<const L: usize>(a: Lanes<L>, s: f64) -> Lanes<L> {
 macro_rules! forward_level {
     ($name:ident, $n:literal, $half:literal, $sub:ident, [$($i:literal)*], [$($j:literal)*]) => {
         #[inline(always)]
-        fn $name<const L: usize>(x: &mut [Lanes<L>; $n], tw: &[f64]) {
+        fn $name<T: Lane>(x: &mut [T; $n], tw: &[f64]) {
             let (t, rest) = tw.split_at($half);
-            let mut a = [[0.0; L]; $half];
-            let mut b = [[0.0; L]; $half];
+            let mut a = [T::zero(); $half];
+            let mut b = [T::zero(); $half];
             $(
-                a[$i] = add(x[$i], x[$n - 1 - $i]);
-                b[$i] = mul(sub(x[$i], x[$n - 1 - $i]), t[$i]);
+                a[$i] = x[$i].add(x[$n - 1 - $i]);
+                b[$i] = x[$i].sub(x[$n - 1 - $i]).mul(t[$i]);
             )*
             $sub(&mut a, rest);
             $sub(&mut b, rest);
             $(
                 x[2 * $j] = a[$j];
-                x[2 * $j + 1] = add(b[$j], b[$j + 1]);
+                x[2 * $j + 1] = b[$j].add(b[$j + 1]);
             )*
             x[$n - 2] = a[$half - 1];
             x[$n - 1] = b[$half - 1];
@@ -95,23 +170,23 @@ macro_rules! forward_level {
 macro_rules! inverse_level {
     ($name:ident, $n:literal, $half:literal, $sub:ident, [$($i:literal)*], [$($j:literal)*]) => {
         #[inline(always)]
-        fn $name<const L: usize>(x: &mut [Lanes<L>; $n], tw: &[f64]) {
+        fn $name<T: Lane>(x: &mut [T; $n], tw: &[f64]) {
             let (t, rest) = tw.split_at($half);
-            let mut a = [[0.0; L]; $half];
-            let mut b = [[0.0; L]; $half];
+            let mut a = [T::zero(); $half];
+            let mut b = [T::zero(); $half];
             $(
                 a[$i] = x[2 * $i];
             )*
             b[$half - 1] = x[$n - 1];
             $(
-                b[$j] = sub(x[2 * $j + 1], b[$j + 1]);
+                b[$j] = x[2 * $j + 1].sub(b[$j + 1]);
             )*
             $sub(&mut a, rest);
             $sub(&mut b, rest);
             $(
-                let diff = mul(b[$i], t[$i]);
-                x[$i] = mul(add(a[$i], diff), 0.5);
-                x[$n - 1 - $i] = mul(sub(a[$i], diff), 0.5);
+                let diff = b[$i].mul(t[$i]);
+                x[$i] = a[$i].add(diff).mul(0.5);
+                x[$n - 1 - $i] = a[$i].sub(diff).mul(0.5);
             )*
         }
     };
@@ -119,7 +194,7 @@ macro_rules! inverse_level {
 
 /// Length-1 transform: the identity.
 #[inline(always)]
-fn level1<const L: usize>(_: &mut [Lanes<L>; 1], _: &[f64]) {}
+fn level1<T: Lane>(_: &mut [T; 1], _: &[f64]) {}
 
 forward_level!(forward2, 2, 1, level1, [0], []);
 forward_level!(forward4, 4, 2, forward2, [0 1], [0]);
@@ -154,56 +229,114 @@ fn codelet_len(len: usize, w: usize, twiddles: usize, kernel: &str) -> usize {
     n
 }
 
-/// Transforms the `$l` lanes starting at column `$j` with the
-/// length-`$n` `$level`. Forward: one load, every level, one store
-/// scaled by `$s0` (row 0) and `$sk` (the other rows). Inverse: one load
-/// scaled the same way, every level, one store. The level is called in
-/// this body, not passed in as a closure: a closure call goes through a
-/// `Fn::call` shim compiled apart from the `#[target_feature]` wrapper,
-/// so it never sees the wrapper's vector extensions.
+/// Splits the next `w`-long row off the front of `rest`.
+#[inline(always)]
+fn next_row<'a>(rest: &mut &'a [f64], w: usize) -> &'a [f64] {
+    let (row, tail) = rest.split_at(w);
+    *rest = tail;
+    row
+}
+
+/// [`next_row`] for a mutable buffer.
+#[inline(always)]
+fn next_row_mut<'a>(rest: &mut &'a mut [f64], w: usize) -> &'a mut [f64] {
+    let (row, tail) = std::mem::take(rest).split_at_mut(w);
+    *rest = tail;
+    row
+}
+
+/// Transforms the `$lane::WIDTH` lanes starting at column `$j` with the
+/// length-`$n` `$level`, whose rows are `$r`. Forward: one load, every
+/// level, one store scaled by `$s0` (row 0) and `$sk` (the other rows).
+/// Inverse: one load scaled the same way, every level, one store. Before
+/// the store, a lane whose row 0 is NaN gets canonical NaNs (see the
+/// module docs).
+///
+/// Rows are listed, not looped over, and walked with [`next_row`], so the
+/// strip is straight-line code whose only bounds check per row is the
+/// split (the column range provably fits a `w`-long row). The level is
+/// called in this body, not passed in as a closure: a closure may be
+/// compiled apart from the `#[target_feature]` wrapper, where it never
+/// sees the wrapper's vector extensions.
 macro_rules! strip {
-    (forward, $level:ident, $n:literal, $l:expr, $v:ident, $w:ident, $j:ident, $tw:ident, $s0:ident, $sk:ident) => {{
-        let mut x = [[0.0; $l]; $n];
-        for (r, xr) in x.iter_mut().enumerate() {
-            xr.copy_from_slice(&$v[r * $w + $j..r * $w + $j + $l]);
-        }
+    (forward, $lane:ty, $level:ident, $n:literal, [$($r:literal)*], $v:ident, $w:ident, $j:ident, $tw:ident, $s0:ident, $sk:ident) => {{
+        let cols = $j..$j + <$lane as Lane>::WIDTH;
+        let mut x = [<$lane as Lane>::zero(); $n];
+        let mut rest: &[f64] = $v;
+        $(
+            x[$r] = <$lane as Lane>::load(&next_row(&mut rest, $w)[cols.clone()]);
+        )*
         $level(&mut x, $tw);
-        for (r, xr) in x.iter().enumerate() {
-            let s = if r == 0 { $s0 } else { $sk };
-            for (d, &e) in $v[r * $w + $j..r * $w + $j + $l].iter_mut().zip(xr) {
-                *d = e * s;
-            }
+        if x[0].any_nan() {
+            $(
+                x[$r] = x[$r].canonical_nan();
+            )*
         }
+        let mut rest: &mut [f64] = $v;
+        $(
+            let s = if $r == 0 { $s0 } else { $sk };
+            x[$r].mul(s).store(&mut next_row_mut(&mut rest, $w)[cols.clone()]);
+        )*
     }};
-    (inverse, $level:ident, $n:literal, $l:expr, $v:ident, $w:ident, $j:ident, $tw:ident, $s0:ident, $sk:ident) => {{
-        let mut x = [[0.0; $l]; $n];
-        for (r, xr) in x.iter_mut().enumerate() {
-            let s = if r == 0 { $s0 } else { $sk };
-            for (e, &src) in xr.iter_mut().zip(&$v[r * $w + $j..r * $w + $j + $l]) {
-                *e = src * s;
-            }
-        }
+    (inverse, $lane:ty, $level:ident, $n:literal, [$($r:literal)*], $v:ident, $w:ident, $j:ident, $tw:ident, $s0:ident, $sk:ident) => {{
+        let cols = $j..$j + <$lane as Lane>::WIDTH;
+        let mut x = [<$lane as Lane>::zero(); $n];
+        let mut rest: &[f64] = $v;
+        $(
+            let s = if $r == 0 { $s0 } else { $sk };
+            x[$r] = <$lane as Lane>::load(&next_row(&mut rest, $w)[cols.clone()]).mul(s);
+        )*
         $level(&mut x, $tw);
-        for (r, xr) in x.iter().enumerate() {
-            $v[r * $w + $j..r * $w + $j + $l].copy_from_slice(xr);
+        if x[0].any_nan() {
+            $(
+                x[$r] = x[$r].canonical_nan();
+            )*
+        }
+        let mut rest: &mut [f64] = $v;
+        $(
+            x[$r].store(&mut next_row_mut(&mut rest, $w)[cols.clone()]);
+        )*
+    }};
+}
+
+/// Runs the length-`$n` `$level` (rows `$rows`) over every lane in
+/// direction `$dir`: whole strips of `$strip` lanes, then the leftover
+/// lanes one by one.
+macro_rules! sweep_strips {
+    ($dir:ident, $strip:ty, $level:ident, $n:literal, $rows:tt, $v:ident, $w:ident, $tw:ident, $s0:ident, $sk:ident) => {{
+        let mut j = 0;
+        while j + <$strip as Lane>::WIDTH <= $w {
+            strip!($dir, $strip, $level, $n, $rows, $v, $w, j, $tw, $s0, $sk);
+            j += <$strip as Lane>::WIDTH;
+        }
+        while j < $w {
+            strip!($dir, [f64; 1], $level, $n, $rows, $v, $w, j, $tw, $s0, $sk);
+            j += 1;
         }
     }};
 }
 
-/// Runs the length-`$n` `$level` over every lane in direction `$dir`:
-/// whole strips of [`STRIP`] lanes, then the leftover lanes one by one.
-macro_rules! sweep_strips {
-    ($dir:ident, $level:ident, $n:literal, $v:ident, $w:ident, $tw:ident, $s0:ident, $sk:ident) => {{
-        let mut j = 0;
-        while j + STRIP <= $w {
-            strip!($dir, $level, $n, STRIP, $v, $w, j, $tw, $s0, $sk);
-            j += STRIP;
+/// Runs the length-`$n` codelet in direction `$dir` over strips of
+/// `$strip`; `$levels` names the levels for n = 1, 2, 4, 8, 16 and 32.
+macro_rules! sweep_len {
+    ($dir:ident, $strip:ty, $n:expr, [$l1:ident $l2:ident $l4:ident $l8:ident $l16:ident $l32:ident], $v:ident, $w:ident, $tw:ident, $s0:ident, $sk:ident) => {
+        match $n {
+            1 => sweep_strips!($dir, $strip, $l1, 1, [0], $v, $w, $tw, $s0, $sk),
+            2 => sweep_strips!($dir, $strip, $l2, 2, [0 1], $v, $w, $tw, $s0, $sk),
+            4 => sweep_strips!($dir, $strip, $l4, 4, [0 1 2 3], $v, $w, $tw, $s0, $sk),
+            8 => sweep_strips!($dir, $strip, $l8, 8, [0 1 2 3 4 5 6 7], $v, $w, $tw, $s0, $sk),
+            16 => sweep_strips!(
+                $dir, $strip, $l16, 16,
+                [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15],
+                $v, $w, $tw, $s0, $sk
+            ),
+            _ => sweep_strips!(
+                $dir, $strip, $l32, 32,
+                [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31],
+                $v, $w, $tw, $s0, $sk
+            ),
         }
-        while j < $w {
-            strip!($dir, $level, $n, 1, $v, $w, j, $tw, $s0, $sk);
-            j += 1;
-        }
-    }};
+    };
 }
 
 /// Unscaled Lee DCT-II of every lane, then row 0 scaled by `s0` and the
@@ -212,14 +345,18 @@ macro_rules! sweep_strips {
 /// from `m = n` down to `m = 2`.
 #[inline(always)]
 pub fn forward(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
-    match codelet_len(v.len(), w, twiddles.len(), "lee_forward_lanes") {
-        1 => sweep_strips!(forward, level1, 1, v, w, twiddles, s0, sk),
-        2 => sweep_strips!(forward, forward2, 2, v, w, twiddles, s0, sk),
-        4 => sweep_strips!(forward, forward4, 4, v, w, twiddles, s0, sk),
-        8 => sweep_strips!(forward, forward8, 8, v, w, twiddles, s0, sk),
-        16 => sweep_strips!(forward, forward16, 16, v, w, twiddles, s0, sk),
-        _ => sweep_strips!(forward, forward32, 32, v, w, twiddles, s0, sk),
-    }
+    forward_with::<[f64; STRIP]>(v, w, twiddles, s0, sk);
+}
+
+/// [`forward`] over strips of lane type `S`.
+#[inline(always)]
+pub(super) fn forward_with<S: Lane>(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    let n = codelet_len(v.len(), w, twiddles.len(), "lee_forward_lanes");
+    sweep_len!(
+        forward, S, n,
+        [level1 forward2 forward4 forward8 forward16 forward32],
+        v, w, twiddles, s0, sk
+    );
 }
 
 /// Row 0 scaled by `s0` and the other rows by `sk` on the load, then the
@@ -228,12 +365,16 @@ pub fn forward(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
 /// level by level from `m = n` down to `m = 2`.
 #[inline(always)]
 pub fn inverse(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
-    match codelet_len(v.len(), w, twiddles.len(), "lee_inverse_lanes") {
-        1 => sweep_strips!(inverse, level1, 1, v, w, twiddles, s0, sk),
-        2 => sweep_strips!(inverse, inverse2, 2, v, w, twiddles, s0, sk),
-        4 => sweep_strips!(inverse, inverse4, 4, v, w, twiddles, s0, sk),
-        8 => sweep_strips!(inverse, inverse8, 8, v, w, twiddles, s0, sk),
-        16 => sweep_strips!(inverse, inverse16, 16, v, w, twiddles, s0, sk),
-        _ => sweep_strips!(inverse, inverse32, 32, v, w, twiddles, s0, sk),
-    }
+    inverse_with::<[f64; STRIP]>(v, w, twiddles, s0, sk);
+}
+
+/// [`inverse`] over strips of lane type `S`.
+#[inline(always)]
+pub(super) fn inverse_with<S: Lane>(v: &mut [f64], w: usize, twiddles: &[f64], s0: f64, sk: f64) {
+    let n = codelet_len(v.len(), w, twiddles.len(), "lee_inverse_lanes");
+    sweep_len!(
+        inverse, S, n,
+        [level1 inverse2 inverse4 inverse8 inverse16 inverse32],
+        v, w, twiddles, s0, sk
+    );
 }

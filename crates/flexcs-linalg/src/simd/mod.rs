@@ -23,9 +23,11 @@
 //! - *Elementwise* kernels (axpy, scale, sub/add, soft-threshold,
 //!   prox-grad step, momentum, DCT butterflies and lane codelets, RPCA
 //!   shrink targets) are **bit-identical** across tiers: vector tiers
-//!   use explicit mul/add/sub intrinsics, or compile the shared codelet
-//!   body with FMA disabled — never fused multiply-add — so each lane
-//!   performs the exact scalar rounding sequence.
+//!   use explicit mul/add/sub intrinsics — never fused multiply-add —
+//!   so each lane performs the exact scalar rounding sequence. The lane
+//!   codelets share one recursion body, run on register lanes (AVX2) or
+//!   on `[f64; 4]` arrays compiled with FMA disabled (scalar, NEON), and
+//!   also agree on NaN bits.
 //! - *Reductions* (`dot`, `diff_norm2_sq`, the RPCA dual residual) may
 //!   **re-associate** (wide accumulators, FMA) and are pinned to the
 //!   scalar tier at ≤ 1e-12 relative error by property tests

@@ -14,9 +14,10 @@
 //! sub-vector-width remainders, and full vector blocks of every tier
 //! (4/8-wide AVX2, 2/4-wide NEON, 4-wide scalar unrolling). The Lee
 //! lane codelets draw 1..=68 lanes (whole 4-lane strips plus 1–3
-//! leftover lanes) at every codelet length, and the transpose draws
-//! shapes up to 69 x 69 (ragged 4×4 blocks on both edges, several
-//! cache tiles).
+//! leftover lanes) at every codelet length, with up to five special
+//! values planted per frame (`SPECIALS`: NaN bits must agree too), and
+//! the transpose draws shapes up to 69 x 69 (ragged 4×4 blocks on both
+//! edges, several cache tiles).
 
 use flexcs_linalg::simd;
 use proptest::prelude::*;
@@ -216,9 +217,15 @@ proptest! {
         log_n in 0usize..6,
         s0 in -2.0..2.0f64,
         sk in -2.0..2.0f64,
+        plant_at in proptest::collection::vec(0usize..simd::CODELET_MAX * MAX_LEN, 0..6),
+        plant_kind in proptest::collection::vec(0usize..SPECIALS.len(), 6),
     ) {
         let n = 1usize << log_n;
-        let v = &vals[..n * w];
+        let mut v = vals[..n * w].to_vec();
+        for (&at, &kind) in plant_at.iter().zip(&plant_kind) {
+            v[at % (n * w)] = SPECIALS[kind];
+        }
+        let v = &v[..];
         let (inv, twice_cos) = lee_twiddles(n);
         let k = simd::kernels();
         let s = simd::scalar_kernels();
@@ -250,6 +257,23 @@ proptest! {
         }
     }
 }
+
+/// Values the codelet bit test plants in its drawn frames: signed
+/// zeros, subnormals, magnitudes that overflow inside a level, infinities
+/// and NaNs (the quiet default, its negation and one with a payload).
+const SPECIALS: [f64; 11] = [
+    0.0,
+    -0.0,
+    f64::MIN_POSITIVE / 4.0,
+    -5e-324,
+    1e300,
+    -1e300,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    f64::from_bits(0x7ff8_0000_0000_1234),
+];
 
 /// Codelet twiddles for length `n`, level by level from `m = n` down to
 /// `m = 2`: reciprocal twiddles `0.5 / cos((i + 0.5)·π / m)` (forward)
