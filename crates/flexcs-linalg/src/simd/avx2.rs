@@ -117,7 +117,7 @@ unsafe fn sub_inner(out: &mut [f64], a: &[f64], b: &[f64]) {
     }
 }
 
-/// `out = a + b`, bit-identical to the scalar tier.
+/// `out = a + b`, bit-identical to the scalar tier (NaN sums included).
 pub fn add(out: &mut [f64], a: &[f64], b: &[f64]) {
     assert_eq!(a.len(), b.len(), "add: length mismatch");
     assert_eq!(out.len(), a.len(), "add: length mismatch");
@@ -134,11 +134,11 @@ unsafe fn add_inner(out: &mut [f64], a: &[f64], b: &[f64]) {
     while i + 4 <= n {
         let va = _mm256_loadu_pd(ap.add(i));
         let vb = _mm256_loadu_pd(bp.add(i));
-        _mm256_storeu_pd(op.add(i), _mm256_add_pd(va, vb));
+        _mm256_storeu_pd(op.add(i), canonical_nan(_mm256_add_pd(va, vb)));
         i += 4;
     }
     while i < n {
-        *op.add(i) = *ap.add(i) + *bp.add(i);
+        *op.add(i) = super::scalar::canonical_nan(*ap.add(i) + *bp.add(i));
         i += 1;
     }
 }
@@ -376,7 +376,7 @@ unsafe fn butterfly_split_inner(
 }
 
 /// DCT inverse butterfly merge lane loop, bit-identical to the scalar
-/// tier.
+/// tier (NaN outputs included).
 pub fn butterfly_merge(
     top: &mut [f64],
     bottom: &mut [f64],
@@ -414,15 +414,17 @@ unsafe fn butterfly_merge_inner(
     while j + 4 <= w {
         let va = _mm256_loadu_pd(ap.add(j));
         let diff = _mm256_mul_pd(vc, _mm256_loadu_pd(btp.add(j)));
-        _mm256_storeu_pd(tp.add(j), _mm256_mul_pd(vh, _mm256_add_pd(va, diff)));
-        _mm256_storeu_pd(bp.add(j), _mm256_mul_pd(vh, _mm256_sub_pd(va, diff)));
+        let top = _mm256_mul_pd(vh, _mm256_add_pd(va, diff));
+        let bottom = _mm256_mul_pd(vh, _mm256_sub_pd(va, diff));
+        _mm256_storeu_pd(tp.add(j), canonical_nan(top));
+        _mm256_storeu_pd(bp.add(j), canonical_nan(bottom));
         j += 4;
     }
     while j < w {
         let diff = twice_cos * *btp.add(j);
         let av = *ap.add(j);
-        *tp.add(j) = 0.5 * (av + diff);
-        *bp.add(j) = 0.5 * (av - diff);
+        *tp.add(j) = super::scalar::canonical_nan(0.5 * (av + diff));
+        *bp.add(j) = super::scalar::canonical_nan(0.5 * (av - diff));
         j += 1;
     }
 }
@@ -561,11 +563,21 @@ impl super::codelet::Lane for Ymm {
     #[inline(always)]
     fn canonical_nan(self) -> Self {
         // SAFETY: AVX2 verified at tier selection (see the type docs).
-        Ymm(unsafe {
-            let nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(self.0, self.0);
-            _mm256_blendv_pd(self.0, _mm256_set1_pd(f64::NAN), nan)
-        })
+        Ymm(unsafe { canonical_nan(self.0) })
     }
+}
+
+/// Every NaN lane of `v` replaced by `f64::NAN`, the vector form of
+/// [`super::scalar::canonical_nan`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2, as tier selection checked before any
+/// caller runs.
+#[inline(always)]
+unsafe fn canonical_nan(v: __m256d) -> __m256d {
+    let nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(v, v);
+    _mm256_blendv_pd(v, _mm256_set1_pd(f64::NAN), nan)
 }
 
 /// Lee DCT-II lane codelet: the shared [`super::codelet`] body run on

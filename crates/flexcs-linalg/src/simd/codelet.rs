@@ -124,7 +124,7 @@ impl<const L: usize> Lane for [f64; L] {
 
     #[inline(always)]
     fn canonical_nan(self) -> Self {
-        self.map(|e| if e.is_nan() { f64::NAN } else { e })
+        self.map(super::scalar::canonical_nan)
     }
 }
 

@@ -27,7 +27,9 @@
 //!   so each lane performs the exact scalar rounding sequence. The lane
 //!   codelets share one recursion body, run on register lanes (AVX2) or
 //!   on `[f64; 4]` arrays compiled with FMA disabled (scalar, NEON), and
-//!   also agree on NaN bits.
+//!   also agree on NaN bits. So do the Lee sweep kernels: `add` and
+//!   `butterfly_merge`, whose adds may meet two NaNs, return `f64::NAN`
+//!   for every NaN output on every tier.
 //! - *Reductions* (`dot`, `diff_norm2_sq`, the RPCA dual residual) may
 //!   **re-associate** (wide accumulators, FMA) and are pinned to the
 //!   scalar tier at ≤ 1e-12 relative error by property tests
@@ -124,7 +126,8 @@ pub struct Kernels {
     pub scale: fn(a: &mut [f64], s: f64),
     /// `out = a - b` (elementwise, bit-identical across tiers).
     pub sub: fn(out: &mut [f64], a: &[f64], b: &[f64]),
-    /// `out = a + b` (elementwise, bit-identical across tiers).
+    /// `out = a + b`, every NaN sum `f64::NAN` (elementwise,
+    /// bit-identical across tiers).
     pub add: fn(out: &mut [f64], a: &[f64], b: &[f64]),
     /// Dot product (reduction, ≤ 1e-12 relative across tiers).
     pub dot: fn(a: &[f64], b: &[f64]) -> f64,
@@ -143,7 +146,8 @@ pub struct Kernels {
     /// `beta = (x − y)·inv` (elementwise, bit-identical).
     pub butterfly_split: ButterflyFn,
     /// Lee-DCT inverse butterfly lane loop: `top = 0.5·(alpha + c·beta)`,
-    /// `bottom = 0.5·(alpha − c·beta)` (elementwise, bit-identical).
+    /// `bottom = 0.5·(alpha − c·beta)`, every NaN output `f64::NAN`
+    /// (elementwise, bit-identical).
     pub butterfly_merge: ButterflyFn,
     /// Lee-DCT forward lane codelet: the unscaled DCT-II of every lane
     /// (`n − 1` reciprocal twiddles `0.5 / cos`, level by level), row 0

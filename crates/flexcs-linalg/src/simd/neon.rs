@@ -99,7 +99,7 @@ unsafe fn sub_inner(out: &mut [f64], a: &[f64], b: &[f64]) {
     }
 }
 
-/// `out = a + b`, bit-identical to the scalar tier.
+/// `out = a + b`, bit-identical to the scalar tier (NaN sums included).
 pub fn add(out: &mut [f64], a: &[f64], b: &[f64]) {
     assert_eq!(a.len(), b.len(), "add: length mismatch");
     assert_eq!(out.len(), a.len(), "add: length mismatch");
@@ -114,14 +114,12 @@ unsafe fn add_inner(out: &mut [f64], a: &[f64], b: &[f64]) {
     let mut i = 0;
     // SAFETY: i + 2 <= n on all three equal-length slices.
     while i + 2 <= n {
-        vst1q_f64(
-            op.add(i),
-            vaddq_f64(vld1q_f64(ap.add(i)), vld1q_f64(bp.add(i))),
-        );
+        let sum = vaddq_f64(vld1q_f64(ap.add(i)), vld1q_f64(bp.add(i)));
+        vst1q_f64(op.add(i), canonical_nan(sum));
         i += 2;
     }
     while i < n {
-        *op.add(i) = *ap.add(i) + *bp.add(i);
+        *op.add(i) = super::scalar::canonical_nan(*ap.add(i) + *bp.add(i));
         i += 1;
     }
 }
@@ -339,7 +337,7 @@ unsafe fn butterfly_split_inner(
 }
 
 /// DCT inverse butterfly merge lane loop, bit-identical to the scalar
-/// tier.
+/// tier (NaN outputs included).
 pub fn butterfly_merge(
     top: &mut [f64],
     bottom: &mut [f64],
@@ -377,17 +375,31 @@ unsafe fn butterfly_merge_inner(
     while j + 2 <= w {
         let va = vld1q_f64(ap.add(j));
         let diff = vmulq_f64(vc, vld1q_f64(btp.add(j)));
-        vst1q_f64(tp.add(j), vmulq_f64(vh, vaddq_f64(va, diff)));
-        vst1q_f64(bp.add(j), vmulq_f64(vh, vsubq_f64(va, diff)));
+        let top = vmulq_f64(vh, vaddq_f64(va, diff));
+        let bottom = vmulq_f64(vh, vsubq_f64(va, diff));
+        vst1q_f64(tp.add(j), canonical_nan(top));
+        vst1q_f64(bp.add(j), canonical_nan(bottom));
         j += 2;
     }
     while j < w {
         let diff = twice_cos * *btp.add(j);
         let av = *ap.add(j);
-        *tp.add(j) = 0.5 * (av + diff);
-        *bp.add(j) = 0.5 * (av - diff);
+        *tp.add(j) = super::scalar::canonical_nan(0.5 * (av + diff));
+        *bp.add(j) = super::scalar::canonical_nan(0.5 * (av - diff));
         j += 1;
     }
+}
+
+/// Every NaN lane of `v` replaced by `f64::NAN`, the vector form of
+/// [`super::scalar::canonical_nan`].
+///
+/// # Safety
+///
+/// The CPU must support NEON, as tier selection checked before any
+/// caller runs.
+#[inline(always)]
+unsafe fn canonical_nan(v: float64x2_t) -> float64x2_t {
+    vbslq_f64(vceqq_f64(v, v), v, vdupq_n_f64(f64::NAN))
 }
 
 /// Fused RPCA L-update target `out = (a − b) + c·k`, bit-identical to

@@ -41,12 +41,27 @@ pub fn sub(out: &mut [f64], a: &[f64], b: &[f64]) {
     }
 }
 
-/// `out = a + b` entrywise (reference for [`super::Kernels::add`]).
+/// `out = a + b` entrywise, every NaN sum `f64::NAN` (reference for
+/// [`super::Kernels::add`]).
 pub fn add(out: &mut [f64], a: &[f64], b: &[f64]) {
     assert_eq!(a.len(), b.len(), "add: length mismatch");
     assert_eq!(out.len(), a.len(), "add: length mismatch");
     for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x + y;
+        *o = canonical_nan(x + y);
+    }
+}
+
+/// `v`, or `f64::NAN` when `v` is any NaN. When both operands of an add
+/// are NaNs, IEEE 754 leaves open which one the sum carries, and the
+/// compiler may swap the operands of `x + y` differently per tier; the
+/// kernels whose adds can meet two NaNs (`add`, `butterfly_merge`)
+/// return this one NaN instead, as the lane codelets do.
+#[inline(always)]
+pub(super) fn canonical_nan(v: f64) -> f64 {
+    if v.is_nan() {
+        f64::NAN
+    } else {
+        v
     }
 }
 
@@ -175,9 +190,9 @@ pub fn butterfly_split(alpha: &mut [f64], beta: &mut [f64], x: &[f64], y: &[f64]
 }
 
 /// DCT inverse butterfly merge `top = 0.5·(alpha + c·beta)`,
-/// `bottom = 0.5·(alpha − c·beta)` with `c = twice_cos` (reference for
-/// [`super::Kernels::butterfly_merge`]): the lane loop of the
-/// multi-lane Lee inverse recursion.
+/// `bottom = 0.5·(alpha − c·beta)` with `c = twice_cos`, every NaN
+/// output `f64::NAN` (reference for [`super::Kernels::butterfly_merge`]):
+/// the lane loop of the multi-lane Lee inverse recursion.
 pub fn butterfly_merge(
     top: &mut [f64],
     bottom: &mut [f64],
@@ -191,8 +206,8 @@ pub fn butterfly_merge(
     assert_eq!(beta.len(), w, "butterfly_merge: length mismatch");
     for j in 0..w {
         let diff = twice_cos * beta[j];
-        top[j] = 0.5 * (alpha[j] + diff);
-        bottom[j] = 0.5 * (alpha[j] - diff);
+        top[j] = canonical_nan(0.5 * (alpha[j] + diff));
+        bottom[j] = canonical_nan(0.5 * (alpha[j] - diff));
     }
 }
 

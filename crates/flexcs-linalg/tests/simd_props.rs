@@ -15,9 +15,11 @@
 //! (4/8-wide AVX2, 2/4-wide NEON, 4-wide scalar unrolling). The Lee
 //! lane codelets draw 1..=68 lanes (whole 4-lane strips plus 1–3
 //! leftover lanes) at every codelet length, with up to five special
-//! values planted per frame (`SPECIALS`: NaN bits must agree too), and
-//! the transpose draws shapes up to 69 x 69 (ragged 4×4 blocks on both
-//! edges, several cache tiles).
+//! values planted per frame (`SPECIALS`: NaN bits must agree too); the
+//! Lee sweep kernels `add`/`sub` and `butterfly_merge` get up to five
+//! planted pairs, so two NaNs meet in one add. The transpose draws
+//! shapes up to 69 x 69 (ragged 4×4 blocks on both edges, several cache
+//! tiles).
 
 use flexcs_linalg::simd;
 use proptest::prelude::*;
@@ -40,7 +42,9 @@ fn assert_bits_eq(dispatched: &[f64], scalar: &[f64], kernel: &str) {
         assert_eq!(
             d.to_bits(),
             s.to_bits(),
-            "{kernel}[{i}]: {d:?} vs scalar {s:?}"
+            "{kernel}[{i}]: {d:?} ({:#x}) vs scalar {s:?} ({:#x})",
+            d.to_bits(),
+            s.to_bits()
         );
     }
 }
@@ -78,8 +82,15 @@ proptest! {
     }
 
     #[test]
-    fn sub_and_add_bit_identical(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN) {
-        let (a, b) = (va[..n].to_vec(), vb[..n].to_vec());
+    fn sub_and_add_bit_identical(
+        va in full_vec(),
+        vb in full_vec(),
+        n in 0usize..MAX_LEN,
+        plant_at in proptest::collection::vec(0usize..MAX_LEN, 0..6),
+        kinds_a in proptest::collection::vec(0usize..SPECIALS.len(), 6),
+        kinds_b in proptest::collection::vec(0usize..SPECIALS.len(), 6),
+    ) {
+        let (a, b) = planted_pair(&va[..n], &vb[..n], &plant_at, &kinds_a, &kinds_b);
         let k = simd::kernels();
         let s = simd::scalar_kernels();
         let n = a.len();
@@ -134,8 +145,16 @@ proptest! {
     }
 
     #[test]
-    fn butterfly_merge_bit_identical(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN, c in -2.0..2.0f64) {
-        let (alpha, beta) = (va[..n].to_vec(), vb[..n].to_vec());
+    fn butterfly_merge_bit_identical(
+        va in full_vec(),
+        vb in full_vec(),
+        n in 0usize..MAX_LEN,
+        c in -2.0..2.0f64,
+        plant_at in proptest::collection::vec(0usize..MAX_LEN, 0..6),
+        kinds_a in proptest::collection::vec(0usize..SPECIALS.len(), 6),
+        kinds_b in proptest::collection::vec(0usize..SPECIALS.len(), 6),
+    ) {
+        let (alpha, beta) = planted_pair(&va[..n], &vb[..n], &plant_at, &kinds_a, &kinds_b);
         let w = alpha.len();
         let (mut td, mut bd) = (vec![0.0; w], vec![0.0; w]);
         let (mut ts, mut bs) = (vec![0.0; w], vec![0.0; w]);
@@ -258,9 +277,10 @@ proptest! {
     }
 }
 
-/// Values the codelet bit test plants in its drawn frames: signed
-/// zeros, subnormals, magnitudes that overflow inside a level, infinities
-/// and NaNs (the quiet default, its negation and one with a payload).
+/// Values the codelet, `add`/`sub` and `butterfly_merge` bit tests
+/// plant in their drawn inputs: signed zeros, subnormals, magnitudes
+/// that overflow inside a level, infinities and NaNs (the quiet default,
+/// its negation and one with a payload).
 const SPECIALS: [f64; 11] = [
     0.0,
     -0.0,
@@ -274,6 +294,27 @@ const SPECIALS: [f64; 11] = [
     -f64::NAN,
     f64::from_bits(0x7ff8_0000_0000_1234),
 ];
+
+/// Copies of `a` and `b` with [`SPECIALS`] planted at each position of
+/// `at` (modulo the length): `kinds_a[i]` and `kinds_b[i]` pick the
+/// values planted at `at[i]` in `a` and in `b`, so special values meet
+/// each other in the kernels' two-operand adds, not only finite values.
+fn planted_pair(
+    a: &[f64],
+    b: &[f64],
+    at: &[usize],
+    kinds_a: &[usize],
+    kinds_b: &[usize],
+) -> (Vec<f64>, Vec<f64>) {
+    let (mut a, mut b, n) = (a.to_vec(), b.to_vec(), a.len());
+    if n > 0 {
+        for ((&i, &ka), &kb) in at.iter().zip(kinds_a).zip(kinds_b) {
+            a[i % n] = SPECIALS[ka];
+            b[i % n] = SPECIALS[kb];
+        }
+    }
+    (a, b)
+}
 
 /// Codelet twiddles for length `n`, level by level from `m = n` down to
 /// `m = 2`: reciprocal twiddles `0.5 / cos((i + 0.5)·π / m)` (forward)

@@ -1,12 +1,14 @@
 //! Orthonormal DCT-II / DCT-III (inverse) transforms, 1-D and 2-D.
 //!
 //! The paper expresses sensor frames in the 2-D DCT basis (Eqs. 3–7) and
-//! reconstructs with the IDCT. [`DctPlan`] dispatches between two
-//! kernels: an O(n log n) in-place Lee recursion for power-of-two
-//! lengths (forward DCT-II and a matching exact inverse DCT-III) and a
+//! reconstructs with the IDCT. [`DctPlan`] is the one place that picks
+//! a kernel: an O(n log n) in-place Lee recursion for power-of-two
+//! lengths (forward DCT-II and a matching exact inverse DCT-III) or a
 //! precomputed dense cosine matrix for every other size. [`Dct2d`]
-//! applies the 1-D plans separably and keeps per-thread scratch storage so
-//! repeated frames do not reallocate.
+//! applies the 1-D plans separably, every pass a multi-lane transform
+//! over one transposed staging layout whatever kernel each axis runs,
+//! and keeps per-thread scratch storage so repeated frames do not
+//! reallocate.
 
 use crate::error::{Result, TransformError};
 use flexcs_linalg::simd::{self, CODELET_MAX};
@@ -23,9 +25,8 @@ thread_local! {
     /// one allocation per transform. Thread-local scratch is contention-
     /// free and allocation-free once each worker's buffer is warm.
     static PLAN_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread 2-D frame workspace (transpose staging, multi-lane
-    /// recursion scratch, dense-fallback strips), shared by every
-    /// [`Dct2d`] the thread applies.
+    /// Per-thread 2-D frame workspace (transpose staging and multi-lane
+    /// scratch), shared by every [`Dct2d`] the thread applies.
     static FRAME_SCRATCH: RefCell<Dct2dScratch> = RefCell::new(Dct2dScratch::default());
 }
 
@@ -262,27 +263,30 @@ impl DctPlan {
         Ok(())
     }
 
+    /// The fast kernel runs the single-lane Lee recursion, the reference
+    /// the multi-lane codelets are pinned to; the dense kernel runs its
+    /// lane transform on one lane.
     fn forward_unchecked(&self, x: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(x);
         match self.kernel {
             DctKernel::Fast => {
-                out.copy_from_slice(x);
                 self.with_scratch(|s| lee_forward(out, s, &self.inv_levels));
                 out[0] *= self.a0;
                 (simd::kernels().scale)(&mut out[1..], self.ak);
             }
-            DctKernel::Dense => dense_matvec(self.matrix(), x, out),
+            DctKernel::Dense => self.with_scratch(|s| self.dense_lanes(out, s, 1, true)),
         }
     }
 
     fn inverse_unchecked(&self, x: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(x);
         match self.kernel {
             DctKernel::Fast => {
-                out.copy_from_slice(x);
                 out[0] *= self.inv_a0;
                 (simd::kernels().scale)(&mut out[1..], self.inv_ak);
                 self.with_scratch(|s| lee_inverse(out, s, &self.levels));
             }
-            DctKernel::Dense => dense_matvec_transpose(self.matrix(), x, out),
+            DctKernel::Dense => self.with_scratch(|s| self.dense_lanes(out, s, 1, false)),
         }
     }
 
@@ -304,10 +308,12 @@ impl DctPlan {
     /// `n x w` buffer `v` (one lane per column). Up to the codelet length
     /// the whole transform is one codelet call that scales on its store;
     /// longer lanes sweep the upper levels and scale afterwards. `s` is
-    /// the sweep scratch (same size as `v`), unused by the codelet.
+    /// the scratch (same size as `v`), unused by the codelet.
     fn forward_lanes(&self, v: &mut [f64], s: &mut [f64], w: usize) {
         let kern = simd::kernels();
-        if self.n <= CODELET_MAX {
+        if self.kernel == DctKernel::Dense {
+            self.dense_lanes(v, s, w, true);
+        } else if self.n <= CODELET_MAX {
             (kern.lee_forward_lanes)(v, w, &self.codelet_inv, self.a0, self.ak);
         } else {
             lee_forward_cols(v, s, w, &self.inv_levels, &self.codelet_inv);
@@ -319,13 +325,34 @@ impl DctPlan {
     /// Inverse of [`DctPlan::forward_lanes`], in place.
     fn inverse_lanes(&self, v: &mut [f64], s: &mut [f64], w: usize) {
         let kern = simd::kernels();
-        if self.n <= CODELET_MAX {
+        if self.kernel == DctKernel::Dense {
+            self.dense_lanes(v, s, w, false);
+        } else if self.n <= CODELET_MAX {
             (kern.lee_inverse_lanes)(v, w, &self.codelet_twice_cos, self.inv_a0, self.inv_ak);
         } else {
             (kern.scale)(&mut v[..w], self.inv_a0);
             (kern.scale)(&mut v[w..], self.inv_ak);
             lee_inverse_cols(v, s, w, &self.levels, &self.codelet_twice_cos);
         }
+    }
+
+    /// Dense kernel over the lanes of `v`, in place: output row `k` is
+    /// `Σ_t C[k][t]·v_t` forward (`C[t][k]` inverse) for the cosine
+    /// matrix `C`, built in `s` by one dispatched `axpy` per coefficient,
+    /// so every tier rounds each lane alike. The forward sum starts from
+    /// `-0.0` and runs in `t` order, as the scalar tier's `dot` does, so
+    /// it keeps that dot product's bits, signed zeros included.
+    fn dense_lanes(&self, v: &mut [f64], s: &mut [f64], w: usize, forward: bool) {
+        let (c, kern) = (self.matrix(), simd::kernels());
+        let s = &mut s[..v.len()];
+        for (k, out) in s.chunks_exact_mut(w).enumerate() {
+            out.fill(if forward { -0.0 } else { 0.0 });
+            for (t, x) in v.chunks_exact(w).enumerate() {
+                let coef = if forward { c[(k, t)] } else { c[(t, k)] };
+                (kern.axpy)(coef, x, out);
+            }
+        }
+        v.copy_from_slice(s);
     }
 
     fn check(&self, len: usize) -> Result<()> {
@@ -336,28 +363,6 @@ impl DctPlan {
             });
         }
         Ok(())
-    }
-}
-
-fn dense_matvec(c: &Matrix, x: &[f64], out: &mut [f64]) {
-    // Dispatched per-row dot (a reduction: vector tiers re-associate
-    // within ≤ 1e-12 relative; the scalar tier matches history exactly).
-    let kern = simd::kernels();
-    for (k, o) in out.iter_mut().enumerate() {
-        *o = (kern.dot)(c.row(k), x);
-    }
-}
-
-fn dense_matvec_transpose(c: &Matrix, x: &[f64], out: &mut [f64]) {
-    out.fill(0.0);
-    // Dispatched per-row axpy (elementwise, bit-identical across tiers),
-    // keeping the historical zero-coefficient skip.
-    let kern = simd::kernels();
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        (kern.axpy)(xi, c.row(i), out);
     }
 }
 
@@ -527,20 +532,21 @@ fn lee_inverse_cols(v: &mut [f64], s: &mut [f64], w: usize, levels: &[Vec<f64>],
 
 /// Scratch buffers reused across [`Dct2d`] applications on the same
 /// thread: two frame-sized buffers that take turns as the staging frame
-/// and the multi-lane recursion scratch (the dense column pass takes its
-/// two strips from `aux`), and one strip for the dense row pass.
+/// and the multi-lane scratch.
 #[derive(Debug, Default)]
 struct Dct2dScratch {
     aux: Vec<f64>,
     aux2: Vec<f64>,
-    strip: Vec<f64>,
 }
 
 /// A 2-D separable orthonormal DCT for `rows x cols` frames.
 ///
-/// Each axis runs through a [`DctPlan`] (fast Lee kernel on
-/// power-of-two extents), and intermediate row/column buffers live in
-/// per-thread scratch storage, so the slice entry points
+/// Each axis runs through a [`DctPlan`], which alone picks its kernel
+/// (fast Lee on power-of-two extents, dense otherwise); both passes are
+/// multi-lane transforms, the row pass over the frame staged transposed
+/// (`cols x rows`) and the column pass over the row-major frame.
+/// Intermediate buffers live in per-thread scratch storage, so the
+/// slice entry points
 /// ([`Dct2d::forward_into`], [`Dct2d::inverse_into`] and the sampled
 /// [`Dct2d::inverse_gather`] / [`Dct2d::scatter_forward`]) allocate
 /// nothing once the thread's scratch is warm — even when many worker
@@ -646,11 +652,7 @@ impl Dct2d {
         self.check_len(out.len())?;
         let (rows, cols) = self.shape();
         self.forward_staged(out, |staged| {
-            if self.row_plan.is_fast() {
-                (simd::kernels().transpose)(frame, staged, rows, cols);
-            } else {
-                staged.copy_from_slice(frame);
-            }
+            (simd::kernels().transpose)(frame, staged, rows, cols);
         });
         Ok(())
     }
@@ -667,21 +669,15 @@ impl Dct2d {
         self.check_len(out.len())?;
         let (rows, cols) = self.shape();
         self.inverse_staged(coeffs, |staged| {
-            if self.row_plan.is_fast() {
-                (simd::kernels().transpose)(staged, out, cols, rows);
-            } else {
-                out.copy_from_slice(staged);
-            }
+            (simd::kernels().transpose)(staged, out, cols, rows);
         });
         Ok(())
     }
 
-    /// Maps row-major pixel indices to their positions in the staging
-    /// layout [`Dct2d::inverse_gather`] reads and
-    /// [`Dct2d::scatter_forward`] writes: transposed (`cols x rows`)
-    /// when the row axis runs the fast kernel, row-major otherwise.
-    /// Compute once per sampling pattern; the per-apply loops then do
-    /// no index arithmetic.
+    /// Maps row-major pixel indices to their positions in the transposed
+    /// (`cols x rows`) staging layout [`Dct2d::inverse_gather`] reads and
+    /// [`Dct2d::scatter_forward`] writes. Compute once per sampling
+    /// pattern; the per-apply loops then do no index arithmetic.
     ///
     /// # Errors
     ///
@@ -694,24 +690,18 @@ impl Dct2d {
                 "sample index {i} outside the {rows}x{cols} frame"
             )));
         }
-        if !self.row_plan.is_fast() {
-            return Ok(selected.to_vec());
-        }
-        // A fast row kernel means `cols` is a power of two, so the
-        // row/column split is a shift and a mask.
-        let shift = cols.trailing_zeros();
         Ok(selected
             .iter()
-            .map(|&i| (i & (cols - 1)) * rows + (i >> shift))
+            .map(|&i| (i % cols) * rows + i / cols)
             .collect())
     }
 
     /// Sampled synthesis `Φ·Ψ`: the inverse 2-D DCT of row-major
     /// `coeffs`, gathered at `positions` (from
     /// [`Dct2d::sample_positions`] on this plan) into `out`.
-    /// Bit-identical to [`Dct2d::inverse`] followed by a gather, but on
-    /// the fast row kernel the samples are read straight from the
-    /// transposed staging buffer, skipping the final transpose.
+    /// Bit-identical to [`Dct2d::inverse`] followed by a gather, but the
+    /// samples are read straight from the transposed staging buffer,
+    /// skipping the final transpose.
     ///
     /// # Errors
     ///
@@ -740,9 +730,9 @@ impl Dct2d {
     /// Sampled analysis `Ψᵀ·Φᵀ`: scatters `values` at `positions` (from
     /// [`Dct2d::sample_positions`] on this plan) into an otherwise zero
     /// frame and writes its forward 2-D DCT to `out` (row-major).
-    /// Bit-identical to a scatter followed by [`Dct2d::forward`], but on
-    /// the fast row kernel the values land straight in the zeroed
-    /// transposed staging buffer, skipping the first transpose.
+    /// Bit-identical to a scatter followed by [`Dct2d::forward`], but the
+    /// values land straight in the zeroed transposed staging buffer,
+    /// skipping the first transpose.
     ///
     /// # Errors
     ///
@@ -770,8 +760,7 @@ impl Dct2d {
     }
 
     /// Forward transform into row-major `out` of the frame that `stage`
-    /// writes into the staging buffer (see [`Dct2d::sample_positions`]
-    /// for its layout).
+    /// writes into the transposed staging buffer.
     ///
     /// Separable transform: rows then columns here, columns then rows
     /// in the inverse (order only matters for matching the adjoint
@@ -781,98 +770,30 @@ impl Dct2d {
     fn forward_staged(&self, out: &mut [f64], stage: impl FnOnce(&mut [f64])) {
         let (rows, cols) = self.shape();
         with_frame_scratch(|s| {
-            if self.row_plan.is_fast() {
-                let t = lanes(&mut s.aux, rows * cols);
-                stage(t);
-                self.row_plan
-                    .forward_lanes(t, lanes(&mut s.aux2, rows * cols), rows);
-                (simd::kernels().transpose)(t, out, cols, rows);
-            } else {
-                let frame = lanes(&mut s.aux2, rows * cols);
-                stage(frame);
-                self.dense_row_forward(frame, out);
-            }
-            self.col_pass(out, &mut s.aux, true);
+            let t = lanes(&mut s.aux, rows * cols);
+            stage(t);
+            self.row_plan
+                .forward_lanes(t, lanes(&mut s.aux2, rows * cols), rows);
+            (simd::kernels().transpose)(t, out, cols, rows);
+            self.col_plan
+                .forward_lanes(out, lanes(&mut s.aux, rows * cols), cols);
         });
     }
 
     /// Inverse transform of row-major `coeffs`, handing `finish` the
-    /// result in the staging layout (see [`Dct2d::sample_positions`]).
+    /// result in the transposed staging layout.
     fn inverse_staged(&self, coeffs: &[f64], finish: impl FnOnce(&[f64])) {
         let (rows, cols) = self.shape();
         with_frame_scratch(|s| {
-            let Dct2dScratch { aux, aux2, strip } = s;
-            let data = lanes(aux2, rows * cols);
+            let data = lanes(&mut s.aux2, rows * cols);
             data.copy_from_slice(coeffs);
-            self.col_pass(data, aux, false);
-            if self.row_plan.is_fast() {
-                let t = lanes(aux, rows * cols);
-                (simd::kernels().transpose)(data, t, rows, cols);
-                self.row_plan.inverse_lanes(t, data, rows);
-                finish(t);
-            } else {
-                self.dense_row_inverse(data, strip);
-                finish(data);
-            }
+            self.col_plan
+                .inverse_lanes(data, lanes(&mut s.aux, rows * cols), cols);
+            let t = lanes(&mut s.aux, rows * cols);
+            (simd::kernels().transpose)(data, t, rows, cols);
+            self.row_plan.inverse_lanes(t, data, rows);
+            finish(t);
         });
-    }
-
-    /// Dense-kernel row pass of the forward transform: one matvec per
-    /// row of the row-major `frame`.
-    fn dense_row_forward(&self, frame: &[f64], out: &mut [f64]) {
-        let cols = self.row_plan.len();
-        let c = self.row_plan.matrix();
-        for (src, dst) in frame.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
-            dense_matvec(c, src, dst);
-        }
-    }
-
-    /// Dense-kernel row pass of the inverse transform, in place on the
-    /// row-major `frame`.
-    fn dense_row_inverse(&self, frame: &mut [f64], strip: &mut Vec<f64>) {
-        let cols = self.row_plan.len();
-        let c = self.row_plan.matrix();
-        for v in frame.chunks_exact_mut(cols) {
-            strip.clear();
-            strip.extend_from_slice(v);
-            dense_matvec_transpose(c, strip, v);
-        }
-    }
-
-    /// Column pass over a row-major frame: a multi-lane Lee recursion
-    /// over whole rows when the column plan is fast (contiguous memory,
-    /// no per-column gather), dense per-column matvecs otherwise.
-    /// `scratch` is the recursion workspace, or the two column strips.
-    fn col_pass(&self, data: &mut [f64], scratch: &mut Vec<f64>, forward: bool) {
-        let (rows, cols) = self.shape();
-        let plan = &self.col_plan;
-        match plan.kernel {
-            DctKernel::Fast => {
-                let scratch = lanes(scratch, rows * cols);
-                if forward {
-                    plan.forward_lanes(data, scratch, cols);
-                } else {
-                    plan.inverse_lanes(data, scratch, cols);
-                }
-            }
-            DctKernel::Dense => {
-                let (strip, strip_out) = lanes(scratch, 2 * rows).split_at_mut(rows);
-                let c = plan.matrix();
-                for j in 0..cols {
-                    for i in 0..rows {
-                        strip[i] = data[i * cols + j];
-                    }
-                    if forward {
-                        dense_matvec(c, strip, strip_out);
-                    } else {
-                        dense_matvec_transpose(c, strip, strip_out);
-                    }
-                    for i in 0..rows {
-                        data[i * cols + j] = strip_out[i];
-                    }
-                }
-            }
-        }
     }
 
     fn check(&self, frame: &Matrix) -> Result<()> {
@@ -909,9 +830,8 @@ fn check_samples(len: usize, positions: usize) -> Result<()> {
 }
 
 /// The first `len` values of `buf`, growing it as needed but never
-/// shrinking it, so plans of different shapes (or a dense column pass
-/// between fast row passes) sharing one thread's scratch do not re-zero
-/// the buffer on every call.
+/// shrinking it, so plans of different shapes sharing one thread's
+/// scratch do not re-zero the buffer on every call.
 fn lanes(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
     if buf.len() < len {
         buf.resize(len, 0.0);
@@ -1119,13 +1039,13 @@ mod tests {
                 .unwrap(),
             vec![0, 4, 5]
         );
-        // Dense row kernel: row-major.
+        // Dense row kernel: the same transposed layout.
         assert_eq!(
             Dct2d::new(4, 6)
                 .unwrap()
                 .sample_positions(&[0, 1, 9])
                 .unwrap(),
-            vec![0, 1, 9]
+            vec![0, 4, 13]
         );
     }
 

@@ -17,7 +17,6 @@
 //!   coefficient counts at the paper's `1e-4` threshold (Fig. 2b),
 //!   best-K approximation and the Eq. 1 measurement estimate.
 //! - Haar [`dwt`] as the alternative basis the paper mentions.
-//! - [`zigzag`] ordering utilities.
 //!
 //! ## Example
 //!
@@ -45,7 +44,6 @@ mod dct;
 pub mod dwt;
 mod error;
 pub mod sparsity;
-pub mod zigzag;
 
 pub use basis::{devectorize, mutual_coherence, psi_matrix, vectorize};
 pub use dct::{Dct2d, DctPlan};

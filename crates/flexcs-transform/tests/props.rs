@@ -1,7 +1,7 @@
 //! Property-based tests for the transform layer.
 
 use flexcs_linalg::Matrix;
-use flexcs_transform::{dwt, psi_matrix, sparsity, zigzag, Dct2d, DctPlan};
+use flexcs_transform::{dwt, psi_matrix, sparsity, Dct2d, DctPlan};
 use proptest::prelude::*;
 
 fn frame_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -155,24 +155,6 @@ proptest! {
             prop_assert!(m >= 1);
         }
     }
-
-    #[test]
-    fn zigzag_is_a_permutation(rows in 1usize..8, cols in 1usize..8) {
-        let order = zigzag::zigzag_order(rows, cols);
-        prop_assert_eq!(order.len(), rows * cols);
-        let mut seen = vec![false; rows * cols];
-        for (i, j) in order {
-            prop_assert!(!seen[i * cols + j]);
-            seen[i * cols + j] = true;
-        }
-    }
-
-    #[test]
-    fn zigzag_scan_roundtrip(frame in frame_strategy(4, 6)) {
-        let v = zigzag::zigzag_scan(&frame);
-        let back = zigzag::zigzag_unscan(&v, 4, 6);
-        prop_assert_eq!(back, frame);
-    }
 }
 
 /// Deterministic pseudo-random values in `[-8, 8)` from a seed
@@ -248,13 +230,13 @@ proptest! {
     fn dct2d_entry_points_match_separable_single_lane_plans_bitwise(seed in 0u64..1_000_000) {
         // Every power-of-two shape up to 128 x 128 (sweep levels above
         // the 32-point codelet, the codelet alone, and 1-lane edges),
-        // plus shapes with one dense (non-power-of-two) axis.
+        // plus shapes with one or both axes dense (non-power-of-two).
         let pow2 = [1usize, 2, 4, 8, 16, 32, 64, 128];
         let mut shapes: Vec<(usize, usize)> = pow2
             .iter()
             .flat_map(|&r| pow2.iter().map(move |&c| (r, c)))
             .collect();
-        shapes.extend([(12, 32), (32, 12), (6, 64)]);
+        shapes.extend([(12, 32), (32, 12), (6, 64), (64, 12), (12, 6), (24, 40)]);
         for (rows, cols) in shapes {
             let n = rows * cols;
             let what = |entry: &str| format!("{rows}x{cols} {entry}");
@@ -292,4 +274,45 @@ proptest! {
             assert_bits(&out, &want_scatter, &what("scatter_forward"));
         }
     }
+}
+
+/// FNV-1a over the bit patterns of `values`.
+fn bit_hash(values: &[f64]) -> u64 {
+    values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        v.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+#[test]
+fn dense_axis_transforms_keep_their_recorded_bits_on_every_tier() {
+    // Recorded on the scalar tier. Every tier must reproduce them: the
+    // dense kernel is elementwise `axpy` work, and the fast axis of
+    // 12 x 32 runs the bit-identical Lee codelets. Each hash covers a
+    // seeded frame and an all `-0.0` frame, whose outputs pin the signs
+    // of zero sums.
+    let recorded: [(usize, usize, u64, u64); 3] = [
+        (24, 40, 0x957fd426fef78749, 0xc42e95e4ddf7551f),
+        (12, 12, 0xfdfc40b57f1bb686, 0x3864c83624ad0b41),
+        (12, 32, 0x9849c15c0f1cffec, 0x099f7bdd1467c348),
+    ];
+    let got: Vec<(usize, usize, u64, u64)> = recorded
+        .iter()
+        .map(|&(rows, cols, _, _)| {
+            let n = rows * cols;
+            let dct = Dct2d::new(rows, cols).unwrap();
+            let (mut fwd, mut inv) = (Vec::new(), Vec::new());
+            for frame in [seeded_values(n as u64, n), vec![-0.0; n]] {
+                let mut out = vec![0.0; n];
+                dct.forward_into(&frame, &mut out).unwrap();
+                fwd.extend_from_slice(&out);
+                dct.inverse_into(&frame, &mut out).unwrap();
+                inv.extend_from_slice(&out);
+            }
+            (rows, cols, bit_hash(&fwd), bit_hash(&inv))
+        })
+        .collect();
+    assert_eq!(got, recorded, "(rows, cols, forward hash, inverse hash)");
 }
