@@ -165,23 +165,29 @@ fn decode_kernels_rpca_and_warm_resample() {
             ),
         ),
         (
-            "diff_norm2_sq",
+            "fista_step",
             kernel_ns(
                 inner,
                 || {
-                    black_box((scal.diff_norm2_sq)(black_box(&ka), black_box(&kb)));
+                    black_box((scal.fista_step)(
+                        black_box(&mut ps[..]),
+                        &ka,
+                        &kb,
+                        &kc,
+                        0.05,
+                        0.01,
+                    ));
                 },
                 || {
-                    black_box((disp.diff_norm2_sq)(black_box(&ka), black_box(&kb)));
+                    black_box((disp.fista_step)(
+                        black_box(&mut pd[..]),
+                        &ka,
+                        &kb,
+                        &kc,
+                        0.05,
+                        0.01,
+                    ));
                 },
-            ),
-        ),
-        (
-            "prox_grad_step",
-            kernel_ns(
-                inner,
-                || (scal.prox_grad_step)(black_box(&mut ps[..]), &ka, &kb, 0.05, 0.01),
-                || (disp.prox_grad_step)(black_box(&mut pd[..]), &ka, &kb, 0.05, 0.01),
             ),
         ),
         (

@@ -15,12 +15,13 @@
 //!   multiply-add — so every lane performs exactly the scalar tier's
 //!   rounding sequence and results are bit-identical to
 //!   [`super::scalar`].
-//! - **Reductions** (`dot`, `diff_norm2_sq`, the dual-update residual)
-//!   run four/eight-wide FMA accumulators and therefore re-associate;
-//!   they agree with the scalar tier to ≤ 1e-12 relative. `dot` and
-//!   `diff_norm2_sq` share one accumulation structure, so
-//!   `diff_norm2_sq(a, b)` stays bit-identical to `dot(d, d)` of the
-//!   materialized difference *within this tier*.
+//! - **Reductions** (`dot`, the dual-update residual, `fista_step`'s
+//!   norm and change) run four/eight-wide FMA accumulators and therefore
+//!   re-associate; they agree with the scalar tier to ≤ 1e-12 relative.
+//!   `fista_step` accumulates its norm and change on `dot`'s structure,
+//!   so each stays bit-identical to `dot` of the written `x⁺` (or of the
+//!   materialized `x⁺ − x`) with itself *within this tier*. Its restart
+//!   sums add the same no-FMA products by lane.
 //! - The Lee lane codelets run the shared recursion body in
 //!   [`super::codelet`] on [`Ymm`] lanes, one `__m256d` each, inside
 //!   `#[target_feature(enable = "avx2")]` wrappers. Every level
@@ -193,47 +194,6 @@ unsafe fn dot_inner(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// `Σ (a_i − b_i)²` with the same accumulator structure as [`dot`], so
-/// the fused form matches `dot(d, d)` of the materialized difference
-/// bit for bit within this tier (re-associated vs scalar, ≤ 1e-12).
-pub fn diff_norm2_sq(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "diff_norm2_sq: length mismatch");
-    // SAFETY: AVX2+FMA verified at tier selection; lengths checked.
-    unsafe { diff_norm2_sq_inner(a, b) }
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn diff_norm2_sq_inner(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len();
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc0 = _mm256_setzero_pd();
-    let mut acc1 = _mm256_setzero_pd();
-    let mut i = 0;
-    // SAFETY: i + 8 <= n on both equal-length slices.
-    while i + 8 <= n {
-        let d0 = _mm256_sub_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)));
-        acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-        let d1 = _mm256_sub_pd(
-            _mm256_loadu_pd(ap.add(i + 4)),
-            _mm256_loadu_pd(bp.add(i + 4)),
-        );
-        acc1 = _mm256_fmadd_pd(d1, d1, acc1);
-        i += 8;
-    }
-    if i + 4 <= n {
-        let d0 = _mm256_sub_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)));
-        acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-        i += 4;
-    }
-    let mut s = hsum(_mm256_add_pd(acc0, acc1));
-    while i < n {
-        let d = *ap.add(i) - *bp.add(i);
-        s += d * d;
-        i += 1;
-    }
-    s
-}
-
 /// Four-lane soft threshold mirroring the scalar branch priority: start
 /// from zero, blend in the `v < -t` arm, then let the `v > t` arm
 /// overwrite — identical to `if v > t {v-t} else if v < -t {v+t} else
@@ -272,35 +232,115 @@ unsafe fn soft_threshold_inner(a: &mut [f64], t: f64) {
     }
 }
 
-/// Fused proximal-gradient step, bit-identical to the scalar tier
-/// (`y − step·g` as mul-then-sub, then the shrink blend).
-pub fn prox_grad_step(out: &mut [f64], y: &[f64], g: &[f64], step: f64, t: f64) {
-    assert_eq!(out.len(), y.len(), "prox_grad_step: length mismatch");
-    assert_eq!(out.len(), g.len(), "prox_grad_step: length mismatch");
+/// One FISTA vector pass: the prox step as mul-then-sub and the shrink
+/// blend (so `x⁺` is bit-identical to the scalar tier), with `‖x⁺‖²` and
+/// `‖x⁺ − x‖²` on [`dot`]'s accumulator structure (so each is
+/// bit-identical to this tier's `dot` of `x⁺`, or of the materialized
+/// difference, with itself). The restart products are two subtractions
+/// and a multiply, as the scalar tier's, summed by lane.
+pub fn fista_step(
+    xn: &mut [f64],
+    y: &[f64],
+    g: &[f64],
+    x: &[f64],
+    step: f64,
+    t: f64,
+) -> super::FistaSums {
+    let n = xn.len();
+    assert_eq!(y.len(), n, "fista_step: length mismatch");
+    assert_eq!(g.len(), n, "fista_step: length mismatch");
+    assert_eq!(x.len(), n, "fista_step: length mismatch");
     // SAFETY: AVX2+FMA verified at tier selection; lengths checked.
-    unsafe { prox_grad_step_inner(out, y, g, step, t) }
+    unsafe { fista_step_inner(xn, y, g, x, step, t) }
 }
 
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn prox_grad_step_inner(out: &mut [f64], y: &[f64], g: &[f64], step: f64, t: f64) {
-    let n = out.len();
-    let (op, yp, gp) = (out.as_mut_ptr(), y.as_ptr(), g.as_ptr());
-    let vs = _mm256_set1_pd(step);
-    let vt = _mm256_set1_pd(t);
-    let vnt = _mm256_set1_pd(-t);
+unsafe fn fista_step_inner(
+    xn: &mut [f64],
+    y: &[f64],
+    g: &[f64],
+    x: &[f64],
+    step: f64,
+    t: f64,
+) -> super::FistaSums {
+    let n = xn.len();
+    let ptrs = (xn.as_mut_ptr(), y.as_ptr(), g.as_ptr(), x.as_ptr());
+    let consts = (_mm256_set1_pd(step), _mm256_set1_pd(t), _mm256_set1_pd(-t));
+    let sign = _mm256_set1_pd(-0.0);
+    let (mut n0, mut n1) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+    let (mut c0, mut c1) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+    let (mut ps, mut pa) = (_mm256_setzero_pd(), _mm256_setzero_pd());
     let mut i = 0;
-    // SAFETY: i + 4 <= n on all three equal-length slices.
-    while i + 4 <= n {
-        let vy = _mm256_loadu_pd(yp.add(i));
-        let vg = _mm256_loadu_pd(gp.add(i));
-        let v = _mm256_sub_pd(vy, _mm256_mul_pd(vs, vg));
-        _mm256_storeu_pd(op.add(i), shrink_pd(v, vt, vnt));
+    // SAFETY (all `fista_lanes` calls): i + 4 <= n on all four
+    // equal-length slices.
+    while i + 8 <= n {
+        let (v0, d0, p0) = fista_lanes(ptrs, i, consts);
+        n0 = _mm256_fmadd_pd(v0, v0, n0);
+        c0 = _mm256_fmadd_pd(d0, d0, c0);
+        let (v1, d1, p1) = fista_lanes(ptrs, i + 4, consts);
+        n1 = _mm256_fmadd_pd(v1, v1, n1);
+        c1 = _mm256_fmadd_pd(d1, d1, c1);
+        ps = _mm256_add_pd(ps, _mm256_add_pd(p0, p1));
+        let (a0, a1) = (_mm256_andnot_pd(sign, p0), _mm256_andnot_pd(sign, p1));
+        pa = _mm256_add_pd(pa, _mm256_add_pd(a0, a1));
+        i += 8;
+    }
+    if i + 4 <= n {
+        let (v0, d0, p0) = fista_lanes(ptrs, i, consts);
+        n0 = _mm256_fmadd_pd(v0, v0, n0);
+        c0 = _mm256_fmadd_pd(d0, d0, c0);
+        ps = _mm256_add_pd(ps, p0);
+        pa = _mm256_add_pd(pa, _mm256_andnot_pd(sign, p0));
         i += 4;
     }
+    let mut norm_sq = hsum(_mm256_add_pd(n0, n1));
+    let mut change_sq = hsum(_mm256_add_pd(c0, c1));
+    let (mut restart, mut restart_abs) = (hsum(ps), hsum(pa));
+    let (op, yp, gp, xp) = ptrs;
     while i < n {
-        *op.add(i) = super::scalar::shrink(*yp.add(i) - step * *gp.add(i), t);
+        let yi = *yp.add(i);
+        let v = super::scalar::shrink(yi - step * *gp.add(i), t);
+        *op.add(i) = v;
+        norm_sq += v * v;
+        let d = v - *xp.add(i);
+        change_sq += d * d;
+        let p = (yi - v) * d;
+        restart += p;
+        restart_abs += p.abs();
         i += 1;
     }
+    super::FistaSums {
+        norm_sq,
+        change_sq,
+        restart,
+        restart_abs,
+    }
+}
+
+/// Four lanes of [`fista_step`] at offset `i` of `(x⁺, y, g, x)`: stores
+/// `x⁺ = shrink(y − step·g, t)` and returns `(x⁺, x⁺ − x, (y − x⁺)·(x⁺ − x))`,
+/// given `(step, t, −t)` broadcast.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, as tier selection checked before any
+/// caller runs, and `i + 4` must not exceed the length of any of the
+/// four slices behind the pointers.
+#[inline(always)]
+unsafe fn fista_lanes(
+    (op, yp, gp, xp): (*mut f64, *const f64, *const f64, *const f64),
+    i: usize,
+    (vs, vt, vnt): (__m256d, __m256d, __m256d),
+) -> (__m256d, __m256d, __m256d) {
+    let vy = _mm256_loadu_pd(yp.add(i));
+    let v = shrink_pd(
+        _mm256_sub_pd(vy, _mm256_mul_pd(vs, _mm256_loadu_pd(gp.add(i)))),
+        vt,
+        vnt,
+    );
+    _mm256_storeu_pd(op.add(i), v);
+    let d = _mm256_sub_pd(v, _mm256_loadu_pd(xp.add(i)));
+    (v, d, _mm256_mul_pd(_mm256_sub_pd(vy, v), d))
 }
 
 /// FISTA momentum extrapolation, bit-identical to the scalar tier.

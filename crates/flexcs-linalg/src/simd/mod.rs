@@ -21,22 +21,27 @@
 //! ## Tolerance policy
 //!
 //! - *Elementwise* kernels (axpy, scale, sub/add, soft-threshold,
-//!   prox-grad step, momentum, DCT butterflies and lane codelets, RPCA
-//!   shrink targets) are **bit-identical** across tiers: vector tiers
-//!   use explicit mul/add/sub intrinsics — never fused multiply-add —
-//!   so each lane performs the exact scalar rounding sequence. The lane
-//!   codelets share one recursion body, run on register lanes (AVX2) or
-//!   on `[f64; 4]` arrays compiled with FMA disabled (scalar, NEON), and
-//!   also agree on NaN bits. So do the Lee sweep kernels: `add` and
-//!   `butterfly_merge`, whose adds may meet two NaNs, return `f64::NAN`
-//!   for every NaN output on every tier.
-//! - *Reductions* (`dot`, `diff_norm2_sq`, the RPCA dual residual) may
-//!   **re-associate** (wide accumulators, FMA) and are pinned to the
-//!   scalar tier at ≤ 1e-12 relative error by property tests
-//!   (`flexcs-linalg/tests/simd_props.rs`). Within one tier,
-//!   `diff_norm2_sq(a, b)` is still bit-identical to `dot(d, d)` of the
-//!   materialized difference — callers rely on that for fused-vs-staged
-//!   equivalence.
+//!   momentum, the `x⁺` that `fista_step` writes, DCT butterflies and
+//!   lane codelets, RPCA shrink targets) are **bit-identical** across
+//!   tiers: vector tiers use explicit mul/add/sub intrinsics — never
+//!   fused multiply-add — so each lane performs the exact scalar
+//!   rounding sequence. The lane codelets share one recursion body, run
+//!   on register lanes (AVX2) or on `[f64; 4]` arrays compiled with FMA
+//!   disabled (scalar, NEON), and also agree on NaN bits. So do the Lee
+//!   sweep kernels: `add` and `butterfly_merge`, whose adds may meet two
+//!   NaNs, return `f64::NAN` for every NaN output on every tier.
+//! - *Reductions* (`dot`, the RPCA dual residual, `fista_step`'s norm
+//!   and change) may **re-associate** (wide accumulators, FMA) and are
+//!   pinned to the scalar tier at ≤ 1e-12 relative error by property
+//!   tests (`flexcs-linalg/tests/simd_props.rs`). Within one tier,
+//!   `fista_step`'s `‖x⁺‖²` and `‖x⁺ − x‖²` are still bit-identical to
+//!   that tier's `dot` of the written `x⁺` with itself and of the
+//!   materialized difference with itself: FISTA's stop rule reads them,
+//!   and it keeps the bits it had when they were separate passes.
+//! - `fista_step`'s restart sums `Σ pᵢ` and `Σ |pᵢ|` take any order on
+//!   any tier. FISTA uses them only to certify the sign of the
+//!   index-order sum of the same products, and re-runs that sum when the
+//!   rounding bound cannot (see `flexcs_solver::fista`).
 //!
 //! ## Adding a kernel
 //!
@@ -111,6 +116,27 @@ pub type SubAddScaledShrinkFn = fn(&mut [f64], &[f64], &[f64], &[f64], f64, f64)
 /// RPCA dual update `y += mu·(d − l − s)`, returning the residual `Σ z²`.
 pub type DualUpdateFn = fn(&mut [f64], &[f64], &[f64], &[f64], f64) -> f64;
 
+/// One FISTA vector pass `(x_next, y, g, x, step, t)`, see
+/// [`Kernels::fista_step`].
+pub type FistaStepFn = fn(&mut [f64], &[f64], &[f64], &[f64], f64, f64) -> FistaSums;
+
+/// The reductions one [`Kernels::fista_step`] pass returns beside the
+/// `x⁺` it writes. `pᵢ = (yᵢ − x⁺ᵢ)·(x⁺ᵢ − xᵢ)` is the adaptive-restart
+/// product, computed as two subtractions and a multiply (no FMA), so
+/// every order of summation adds the same values.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FistaSums {
+    /// `‖x⁺‖²`, bit-identical to the tier's `dot(x⁺, x⁺)`.
+    pub norm_sq: f64,
+    /// `‖x⁺ − x‖²`, bit-identical to the tier's `dot(d, d)` of the
+    /// materialized difference `d = x⁺ − x`.
+    pub change_sq: f64,
+    /// `Σ pᵢ` in a tier-chosen order.
+    pub restart: f64,
+    /// `Σ |pᵢ|` in a tier-chosen order.
+    pub restart_abs: f64,
+}
+
 /// Table of micro-kernel entry points for one tier.
 ///
 /// All fields are safe `fn` pointers; the vector tiers do their own
@@ -131,14 +157,14 @@ pub struct Kernels {
     pub add: fn(out: &mut [f64], a: &[f64], b: &[f64]),
     /// Dot product (reduction, ≤ 1e-12 relative across tiers).
     pub dot: fn(a: &[f64], b: &[f64]) -> f64,
-    /// `Σ (a_i − b_i)²` (reduction, ≤ 1e-12 relative across tiers;
-    /// bit-identical to `dot(d, d)` within a tier).
-    pub diff_norm2_sq: fn(a: &[f64], b: &[f64]) -> f64,
     /// In-place soft threshold (elementwise, bit-identical).
     pub soft_threshold: fn(a: &mut [f64], t: f64),
-    /// `out[i] = shrink(y[i] − step·g[i], t)` (elementwise,
-    /// bit-identical).
-    pub prox_grad_step: fn(out: &mut [f64], y: &[f64], g: &[f64], step: f64, t: f64),
+    /// The FISTA vector tail in one pass: writes
+    /// `x_next[i] = shrink(y[i] − step·g[i], t)` (elementwise,
+    /// bit-identical) and returns its [`FistaSums`] against the previous
+    /// iterate `x` (reductions; norm and change bit-identical to `dot`
+    /// within a tier).
+    pub fista_step: FistaStepFn,
     /// `y[i] = xn[i] + beta·(xn[i] − xo[i])` (elementwise,
     /// bit-identical).
     pub momentum: fn(y: &mut [f64], xn: &[f64], xo: &[f64], beta: f64),
@@ -180,9 +206,8 @@ static SCALAR: Kernels = Kernels {
     sub: scalar::sub,
     add: scalar::add,
     dot: scalar::dot,
-    diff_norm2_sq: scalar::diff_norm2_sq,
     soft_threshold: scalar::soft_threshold,
-    prox_grad_step: scalar::prox_grad_step,
+    fista_step: scalar::fista_step,
     momentum: scalar::momentum,
     butterfly_split: scalar::butterfly_split,
     butterfly_merge: scalar::butterfly_merge,
@@ -202,9 +227,8 @@ static AVX2_FMA: Kernels = Kernels {
     sub: avx2::sub,
     add: avx2::add,
     dot: avx2::dot,
-    diff_norm2_sq: avx2::diff_norm2_sq,
     soft_threshold: avx2::soft_threshold,
-    prox_grad_step: avx2::prox_grad_step,
+    fista_step: avx2::fista_step,
     momentum: avx2::momentum,
     butterfly_split: avx2::butterfly_split,
     butterfly_merge: avx2::butterfly_merge,
@@ -224,9 +248,8 @@ static NEON: Kernels = Kernels {
     sub: neon::sub,
     add: neon::add,
     dot: neon::dot,
-    diff_norm2_sq: neon::diff_norm2_sq,
     soft_threshold: neon::soft_threshold,
-    prox_grad_step: neon::prox_grad_step,
+    fista_step: neon::fista_step,
     momentum: neon::momentum,
     butterfly_split: neon::butterfly_split,
     butterfly_merge: neon::butterfly_merge,
@@ -332,10 +355,11 @@ mod tests {
         (s.axpy)(0.75, &a, &mut y1);
         assert_eq!(y0, y1);
 
+        let c: Vec<f64> = (0..n).map(|i| ((i * 29 + 3) % 17) as f64 - 8.0).collect();
         let mut o0 = vec![0.0; n];
         let mut o1 = vec![0.0; n];
-        (k.prox_grad_step)(&mut o0, &a, &b, 0.3, 1.5);
-        (s.prox_grad_step)(&mut o1, &a, &b, 0.3, 1.5);
+        (k.fista_step)(&mut o0, &a, &b, &c, 0.3, 1.5);
+        (s.fista_step)(&mut o1, &a, &b, &c, 0.3, 1.5);
         assert_eq!(o0, o1);
 
         let mut t0 = a.clone();
@@ -354,20 +378,26 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).cos()).collect();
         let (d0, d1) = ((k.dot)(&a, &b), (s.dot)(&a, &b));
         assert!((d0 - d1).abs() <= 1e-12 * d1.abs().max(1.0));
-        let (n0, n1) = ((k.diff_norm2_sq)(&a, &b), (s.diff_norm2_sq)(&a, &b));
-        assert!((n0 - n1).abs() <= 1e-12 * n1.abs().max(1.0));
+        let c: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin()).collect();
+        let (mut x0, mut x1) = (vec![0.0; n], vec![0.0; n]);
+        let f0 = (k.fista_step)(&mut x0, &a, &b, &c, 0.5, 0.01);
+        let f1 = (s.fista_step)(&mut x1, &a, &b, &c, 0.5, 0.01);
+        assert!((f0.norm_sq - f1.norm_sq).abs() <= 1e-12 * f1.norm_sq.abs().max(1.0));
+        assert!((f0.change_sq - f1.change_sq).abs() <= 1e-12 * f1.change_sq.abs().max(1.0));
     }
 
     #[test]
-    fn diff_norm2_sq_bit_identical_to_dot_of_difference_within_tier() {
+    fn fista_step_norms_bit_identical_to_dot_within_tier() {
         let k = kernels();
         let n = 37;
-        let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.71).sin() * 3.0).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos() * 2.0).collect();
+        let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.71).sin() * 3.0).collect();
+        let g: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).cos()).collect();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos() * 2.0).collect();
+        let mut xn = vec![0.0; n];
+        let sums = (k.fista_step)(&mut xn, &y, &g, &x, 0.4, 0.2);
         let mut d = vec![0.0; n];
-        (k.sub)(&mut d, &a, &b);
-        let fused = (k.diff_norm2_sq)(&a, &b);
-        let staged = (k.dot)(&d, &d);
-        assert_eq!(fused.to_bits(), staged.to_bits());
+        (k.sub)(&mut d, &xn, &x);
+        assert_eq!(sums.norm_sq.to_bits(), (k.dot)(&xn, &xn).to_bits());
+        assert_eq!(sums.change_sq.to_bits(), (k.dot)(&d, &d).to_bits());
     }
 }

@@ -8,12 +8,13 @@
 //! - Elementwise kernels use separate `vmulq_f64` + `vaddq_f64`/
 //!   `vsubq_f64` (never `vfmaq_f64`) so every lane performs the scalar
 //!   tier's exact rounding sequence — bit-identical results.
-//! - Reductions (`dot`, `diff_norm2_sq`, the dual-update residual) use
-//!   two 2-lane `vfmaq_f64` accumulators (four elements per iteration)
-//!   with a fixed horizontal-sum order, re-associating vs scalar within
-//!   the documented ≤ 1e-12 relative tolerance; `dot` and
-//!   `diff_norm2_sq` share one accumulation structure so the fused form
-//!   matches `dot(d, d)` bit for bit within this tier.
+//! - Reductions (`dot`, the dual-update residual, `fista_step`'s norm
+//!   and change) use two 2-lane `vfmaq_f64` accumulators (four elements
+//!   per iteration) with a fixed horizontal-sum order, re-associating vs
+//!   scalar within the documented ≤ 1e-12 relative tolerance.
+//!   `fista_step` runs the prox step, [`dot`] and the difference norm as
+//!   three passes, so its norm and change match `dot` bit for bit within
+//!   this tier.
 //! - The soft-threshold blend applies the `v < -t` arm first and lets
 //!   the `v > t` arm overwrite, reproducing the scalar branch priority
 //!   for every input (including `t < 0` and NaN).
@@ -165,15 +166,8 @@ unsafe fn dot_inner(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// `Σ (a_i − b_i)²` with the same accumulator structure as [`dot`]
-/// (re-associated vs scalar, ≤ 1e-12; bit-identical to `dot(d, d)`
-/// within this tier).
-pub fn diff_norm2_sq(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "diff_norm2_sq: length mismatch");
-    // SAFETY: NEON verified at tier selection; lengths checked.
-    unsafe { diff_norm2_sq_inner(a, b) }
-}
-
+/// `Σ (a_i − b_i)²` with the same accumulator structure as [`dot`], so it
+/// is bit-identical to `dot(d, d)` of the materialized difference.
 #[target_feature(enable = "neon")]
 unsafe fn diff_norm2_sq_inner(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len();
@@ -237,14 +231,42 @@ unsafe fn soft_threshold_inner(a: &mut [f64], t: f64) {
     }
 }
 
-/// Fused proximal-gradient step, bit-identical to the scalar tier.
-pub fn prox_grad_step(out: &mut [f64], y: &[f64], g: &[f64], step: f64, t: f64) {
-    assert_eq!(out.len(), y.len(), "prox_grad_step: length mismatch");
-    assert_eq!(out.len(), g.len(), "prox_grad_step: length mismatch");
+/// One FISTA vector pass as three: the prox step (bit-identical to the
+/// scalar tier), then this tier's [`dot`] of `x⁺` with itself and its
+/// difference norm against `x`, then the restart sums in index order.
+pub fn fista_step(
+    xn: &mut [f64],
+    y: &[f64],
+    g: &[f64],
+    x: &[f64],
+    step: f64,
+    t: f64,
+) -> super::FistaSums {
+    let n = xn.len();
+    assert_eq!(y.len(), n, "fista_step: length mismatch");
+    assert_eq!(g.len(), n, "fista_step: length mismatch");
+    assert_eq!(x.len(), n, "fista_step: length mismatch");
     // SAFETY: NEON verified at tier selection; lengths checked.
-    unsafe { prox_grad_step_inner(out, y, g, step, t) }
+    unsafe { prox_grad_step_inner(xn, y, g, step, t) };
+    let xn: &[f64] = xn;
+    // SAFETY: NEON verified at tier selection; lengths checked.
+    let (norm_sq, change_sq) = unsafe { (dot_inner(xn, xn), diff_norm2_sq_inner(xn, x)) };
+    let (mut restart, mut restart_abs) = (0.0, 0.0);
+    for ((yi, vi), xi) in y.iter().zip(xn).zip(x) {
+        let p = (yi - vi) * (vi - xi);
+        restart += p;
+        restart_abs += p.abs();
+    }
+    super::FistaSums {
+        norm_sq,
+        change_sq,
+        restart,
+        restart_abs,
+    }
 }
 
+/// `out[i] = shrink(y[i] − step·g[i], t)`, bit-identical to the scalar
+/// tier.
 #[target_feature(enable = "neon")]
 unsafe fn prox_grad_step_inner(out: &mut [f64], y: &[f64], g: &[f64], step: f64, t: f64) {
     let n = out.len();

@@ -72,34 +72,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `Σ (a_i − b_i)²` (reference for [`super::Kernels::diff_norm2_sq`]).
-///
-/// Accumulates strictly in index order from `-0.0`, so the result is
-/// bit-identical to [`dot`] of the materialized difference with itself.
-pub fn diff_norm2_sq(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "diff_norm2_sq: length mismatch");
-    // -0.0 is `Sum for f64`'s identity; starting there keeps even the
-    // empty case bit-identical to `dot(&sub(a, b), &sub(a, b))`.
-    let mut s = -0.0;
-    let mut ac = a.chunks_exact(4);
-    let mut bc = b.chunks_exact(4);
-    for (ak, bk) in ac.by_ref().zip(bc.by_ref()) {
-        let d0 = ak[0] - bk[0];
-        s += d0 * d0;
-        let d1 = ak[1] - bk[1];
-        s += d1 * d1;
-        let d2 = ak[2] - bk[2];
-        s += d2 * d2;
-        let d3 = ak[3] - bk[3];
-        s += d3 * d3;
-    }
-    for (x, y) in ac.remainder().iter().zip(bc.remainder()) {
-        let d = x - y;
-        s += d * d;
-    }
-    s
-}
-
 /// Soft-threshold shrinkage `sign(v)·max(|v| − t, 0)`.
 #[inline(always)]
 pub fn shrink(v: f64, t: f64) -> f64 {
@@ -127,27 +99,64 @@ pub fn soft_threshold(a: &mut [f64], t: f64) {
     }
 }
 
-/// Fused proximal-gradient step `out[i] = shrink(y[i] − step·g[i], t)`
-/// (reference for [`super::Kernels::prox_grad_step`]).
-pub fn prox_grad_step(out: &mut [f64], y: &[f64], g: &[f64], step: f64, t: f64) {
-    assert_eq!(out.len(), y.len(), "prox_grad_step: length mismatch");
-    assert_eq!(out.len(), g.len(), "prox_grad_step: length mismatch");
-    let mut oc = out.chunks_exact_mut(4);
-    let mut yc = y.chunks_exact(4);
-    let mut gc = g.chunks_exact(4);
-    for ((ok, yk), gk) in oc.by_ref().zip(yc.by_ref()).zip(gc.by_ref()) {
-        ok[0] = shrink(yk[0] - step * gk[0], t);
-        ok[1] = shrink(yk[1] - step * gk[1], t);
-        ok[2] = shrink(yk[2] - step * gk[2], t);
-        ok[3] = shrink(yk[3] - step * gk[3], t);
-    }
-    for ((o, yi), gi) in oc
-        .into_remainder()
-        .iter_mut()
-        .zip(yc.remainder())
-        .zip(gc.remainder())
+/// One FISTA vector pass (reference for [`super::Kernels::fista_step`]):
+/// writes `xn[i] = shrink(y[i] − step·g[i], t)` and returns its sums
+/// against the previous iterate `x`.
+///
+/// `‖x⁺‖²` and `‖x⁺ − x‖²` accumulate in index order from `-0.0`, so
+/// they are bit-identical to [`dot`] of `x⁺` and of the materialized
+/// difference with themselves. The restart sums `Σ pᵢ` and `Σ |pᵢ|`,
+/// `pᵢ = (yᵢ − x⁺ᵢ)·(x⁺ᵢ − xᵢ)`, run as four interleaved partial sums
+/// (element `i` into lane `i % 4`) joined as `(l0 + l2) + (l1 + l3)`, so
+/// no one chain of dependent adds spans the vector.
+pub fn fista_step(
+    xn: &mut [f64],
+    y: &[f64],
+    g: &[f64],
+    x: &[f64],
+    step: f64,
+    t: f64,
+) -> super::FistaSums {
+    let n = xn.len();
+    assert_eq!(y.len(), n, "fista_step: length mismatch");
+    assert_eq!(g.len(), n, "fista_step: length mismatch");
+    assert_eq!(x.len(), n, "fista_step: length mismatch");
+    let (mut norm_sq, mut change_sq) = (-0.0, -0.0);
+    let (mut p, mut a) = ([0.0; 4], [0.0; 4]);
+    let mut lane = |l: usize, o: &mut f64, yi: f64, gi: f64, xi: f64| {
+        let v = shrink(yi - step * gi, t);
+        *o = v;
+        norm_sq += v * v;
+        let d = v - xi;
+        change_sq += d * d;
+        let pi = (yi - v) * d;
+        p[l] += pi;
+        a[l] += pi.abs();
+    };
+    let mut oc = xn.chunks_exact_mut(4);
+    let (mut yc, mut gc, mut xc) = (y.chunks_exact(4), g.chunks_exact(4), x.chunks_exact(4));
+    for (((ok, yk), gk), xk) in oc
+        .by_ref()
+        .zip(yc.by_ref())
+        .zip(gc.by_ref())
+        .zip(xc.by_ref())
     {
-        *o = shrink(yi - step * gi, t);
+        for l in 0..4 {
+            lane(l, &mut ok[l], yk[l], gk[l], xk[l]);
+        }
+    }
+    let tail = oc.into_remainder().iter_mut().zip(yc.remainder());
+    for (l, ((o, &yi), (&gi, &xi))) in tail
+        .zip(gc.remainder().iter().zip(xc.remainder()))
+        .enumerate()
+    {
+        lane(l, o, yi, gi, xi);
+    }
+    super::FistaSums {
+        norm_sq,
+        change_sq,
+        restart: (p[0] + p[2]) + (p[1] + p[3]),
+        restart_abs: (a[0] + a[2]) + (a[1] + a[3]),
     }
 }
 

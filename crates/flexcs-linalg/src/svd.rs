@@ -66,87 +66,14 @@ impl Svd {
     /// One-sided Jacobi on a tall (m >= n) matrix.
     fn compute_tall(a: &Matrix) -> Result<Self> {
         let (m, n) = a.shape();
-        // Work on columns of a copy of A; accumulate rotations in V.
-        let mut w = a.clone();
-        let mut v = Matrix::identity(n);
-        let eps = 1e-14;
-        let max_sweeps = 60;
-        let mut converged = false;
-        let mut off = 0.0;
-        // Columns with negligible norm relative to the matrix are
-        // numerically null; rotating them only churns rounding noise.
-        let fro2: f64 = w.iter().map(|v| v * v).sum();
-        let null_tol = fro2 * 1e-28;
-        for _sweep in 0..max_sweeps {
-            off = 0.0_f64;
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    // Gram entries for columns p, q.
-                    let mut app = 0.0;
-                    let mut aqq = 0.0;
-                    let mut apq = 0.0;
-                    for i in 0..m {
-                        let wp = w[(i, p)];
-                        let wq = w[(i, q)];
-                        app += wp * wp;
-                        aqq += wq * wq;
-                        apq += wp * wq;
-                    }
-                    if app <= null_tol || aqq <= null_tol {
-                        continue;
-                    }
-                    let denom = (app * aqq).sqrt();
-                    if denom > 0.0 {
-                        off = off.max(apq.abs() / denom);
-                    }
-                    if apq.abs() <= eps * denom || denom == 0.0 {
-                        continue;
-                    }
-                    // Jacobi rotation zeroing the (p, q) Gram entry.
-                    let tau = (aqq - app) / (2.0 * apq);
-                    let t = if tau >= 0.0 {
-                        1.0 / (tau + (1.0 + tau * tau).sqrt())
-                    } else {
-                        -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = c * t;
-                    for i in 0..m {
-                        let wp = w[(i, p)];
-                        let wq = w[(i, q)];
-                        w[(i, p)] = c * wp - s * wq;
-                        w[(i, q)] = s * wp + c * wq;
-                    }
-                    for i in 0..n {
-                        let vp = v[(i, p)];
-                        let vq = v[(i, q)];
-                        v[(i, p)] = c * vp - s * vq;
-                        v[(i, q)] = s * vp + c * vq;
-                    }
-                }
-            }
-            if off <= eps * 8.0 {
-                converged = true;
-                break;
-            }
-        }
-        if !converged && off > 1e-7 {
-            return Err(LinalgError::NotConverged {
-                iterations: max_sweeps,
-                residual: off,
-            });
-        }
+        let (wt, vt, _sweeps) = jacobi_sweeps(a)?;
         // Singular values are the column norms; U columns are normalized
         // columns of W.
+        let sig: Vec<f64> = wt
+            .chunks_exact(m)
+            .map(|col| col.iter().fold(0.0, |s, w| s + w * w).sqrt())
+            .collect();
         let mut order: Vec<usize> = (0..n).collect();
-        let mut sig = vec![0.0; n];
-        for (j, s) in sig.iter_mut().enumerate() {
-            let mut norm = 0.0;
-            for i in 0..m {
-                norm += w[(i, j)] * w[(i, j)];
-            }
-            *s = norm.sqrt();
-        }
         order.sort_by(|&p, &q| {
             sig[q]
                 .partial_cmp(&sig[p])
@@ -158,17 +85,15 @@ impl Svd {
         for (new_j, &old_j) in order.iter().enumerate() {
             let s = sig[old_j];
             sigma[new_j] = s;
+            // A zero column stays zero; callers treat rank-deficient
+            // tails via sigma == 0.
             if s > 0.0 {
-                for i in 0..m {
-                    u[(i, new_j)] = w[(i, old_j)] / s;
+                for (i, w) in wt[old_j * m..(old_j + 1) * m].iter().enumerate() {
+                    u[(i, new_j)] = w / s;
                 }
-            } else {
-                // Leave a zero column; callers treat rank-deficient tails
-                // via sigma == 0.
-                u[(new_j.min(m - 1), new_j)] = 0.0;
             }
-            for i in 0..n {
-                vo[(i, new_j)] = v[(i, old_j)];
+            for (i, v) in vt[old_j * n..(old_j + 1) * n].iter().enumerate() {
+                vo[(i, new_j)] = *v;
             }
         }
         Ok(Svd { u, sigma, v: vo })
@@ -259,6 +184,92 @@ impl Svd {
     }
 }
 
+/// The one-sided Jacobi sweeps of a tall `m x n` matrix `A`: rotates
+/// column pairs `(p, q)`, `p < q`, in row-major pair order until every
+/// pair is orthogonal to `1e-14` relative. Returns `(wt, vt, sweeps)`:
+/// the rotations run on transposed copies so each streams two contiguous
+/// rows, row `p` of `wt` (`n x m`) is column `p` of `W = A·V`, row `p`
+/// of `vt` (`n x n`) is column `p` of `V`, and `sweeps` counts the
+/// sweeps run, the converging one included.
+fn jacobi_sweeps(a: &Matrix) -> Result<(Vec<f64>, Vec<f64>, usize)> {
+    let (m, n) = a.shape();
+    let mut wt = a.transpose().into_vec();
+    let mut vt = Matrix::identity(n).into_vec();
+    let eps = 1e-14;
+    let max_sweeps = 60;
+    let mut converged = false;
+    let mut off = 0.0;
+    let mut sweeps = 0;
+    // Columns with negligible norm relative to the matrix are
+    // numerically null; rotating them only churns rounding noise.
+    let fro2: f64 = a.iter().map(|v| v * v).sum();
+    let null_tol = fro2 * 1e-28;
+    while sweeps < max_sweeps {
+        sweeps += 1;
+        off = 0.0_f64;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                // Gram entries for columns p, q.
+                let (wp, wq) = row_pair(&mut wt, m, p, q);
+                let (mut app, mut aqq, mut apq) = (0.0, 0.0, 0.0);
+                for (&x, &y) in wp.iter().zip(wq.iter()) {
+                    app += x * x;
+                    aqq += y * y;
+                    apq += x * y;
+                }
+                if app <= null_tol || aqq <= null_tol {
+                    continue;
+                }
+                let denom = (app * aqq).sqrt();
+                if denom > 0.0 {
+                    off = off.max(apq.abs() / denom);
+                }
+                if apq.abs() <= eps * denom || denom == 0.0 {
+                    continue;
+                }
+                // Jacobi rotation zeroing the (p, q) Gram entry.
+                let tau = (aqq - app) / (2.0 * apq);
+                let t = if tau >= 0.0 {
+                    1.0 / (tau + (1.0 + tau * tau).sqrt())
+                } else {
+                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+                };
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = c * t;
+                rotate(wp, wq, c, s);
+                let (vp, vq) = row_pair(&mut vt, n, p, q);
+                rotate(vp, vq, c, s);
+            }
+        }
+        if off <= eps * 8.0 {
+            converged = true;
+            break;
+        }
+    }
+    if !converged && off > 1e-7 {
+        return Err(LinalgError::NotConverged {
+            iterations: max_sweeps,
+            residual: off,
+        });
+    }
+    Ok((wt, vt, sweeps))
+}
+
+/// Rows `p < q` of a row-major buffer with rows of length `len`.
+fn row_pair(buf: &mut [f64], len: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+    let (head, tail) = buf.split_at_mut(q * len);
+    (&mut head[p * len..(p + 1) * len], &mut tail[..len])
+}
+
+/// Applies the plane rotation `(xp, xq) ← (c·xp − s·xq, s·xp + c·xq)`.
+fn rotate(xp: &mut [f64], xq: &mut [f64], c: f64, s: f64) {
+    for (a, b) in xp.iter_mut().zip(xq.iter_mut()) {
+        let (wp, wq) = (*a, *b);
+        *a = c * wp - s * wq;
+        *b = s * wp + c * wq;
+    }
+}
+
 /// Largest singular value of `a`, via a handful of power iterations on
 /// `AᵀA`. Cheaper than a full SVD when only the operator norm is needed
 /// (e.g. for ISTA/FISTA step sizes).
@@ -297,6 +308,68 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
         }
+    }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn bit_hash(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn jacobi_sweeps_keep_their_recorded_bits() {
+        // Recorded when the sweep rotated columns of the row-major W and
+        // V in place: W and V hashed column by column, then σ and the
+        // sweep count.
+        let mut r = lcg(11);
+        let square = Matrix::from_fn(37, 37, |_, _| r());
+        let tall = Matrix::from_fn(50, 20, |_, _| r());
+        let factor = Matrix::from_fn(37, 3, |_, _| r());
+        let low_rank = factor.matmul(&Matrix::from_fn(3, 37, |_, _| r())).unwrap();
+        let mut deficient = Matrix::from_fn(30, 12, |_, _| r());
+        for i in 0..30 {
+            deficient[(i, 4)] = 0.0;
+            deficient[(i, 9)] = deficient[(i, 2)];
+        }
+        let got: Vec<(u64, u64, u64, usize)> = [square, tall, low_rank, deficient]
+            .iter()
+            .map(|a| {
+                let (wt, vt, sweeps) = jacobi_sweeps(a).unwrap();
+                let svd = Svd::compute(a).unwrap();
+                (bit_hash(&wt), bit_hash(&vt), bit_hash(svd.sigma()), sweeps)
+            })
+            .collect();
+        let recorded = [
+            (
+                0x207b_046e_3048_0cc7,
+                0xd53e_ee27_6cb0_2b4d,
+                0x53c8_6243_241f_138f,
+                9,
+            ),
+            (
+                0x6272_1fbe_71e8_37cb,
+                0xa4dc_ca0c_0b87_2775,
+                0x811b_1130_1999_02dc,
+                7,
+            ),
+            (
+                0x82be_ad2b_1034_32fd,
+                0x2d13_041b_d4f0_d386,
+                0x01be_0252_1f3f_c489,
+                6,
+            ),
+            (
+                0x0b71_c78a_f7c5_e27e,
+                0xa80f_8706_81eb_27b4,
+                0x8138_18e1_3b77_f221,
+                7,
+            ),
+        ];
+        assert_eq!(got, recorded, "(W hash, V hash, sigma hash, sweeps)");
     }
 
     #[test]

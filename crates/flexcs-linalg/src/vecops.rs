@@ -4,7 +4,7 @@
 //! zero-overhead interop with [`crate::Matrix`] storage. These helpers keep
 //! that code readable without committing to a heavier `Vector` newtype.
 //!
-//! The hot kernels (axpy, dot, fused prox/momentum steps, shrinkage)
+//! The hot kernels (axpy, dot, the fused FISTA step, momentum, shrinkage)
 //! delegate to the runtime-dispatched tier in [`crate::simd`]:
 //! elementwise results are bit-identical across tiers, reductions agree
 //! to ≤ 1e-12 relative (see the tolerance policy there).
@@ -90,35 +90,32 @@ pub fn sub_into(out: &mut Vec<f64>, a: &[f64], b: &[f64]) {
     (simd::kernels().sub)(out, a, b);
 }
 
-/// `‖a − b‖₂` without materializing the difference vector.
+/// The FISTA vector tail in one pass: writes the proximal-gradient step
+/// `x_next[i] = soft(y[i] − step·g[i], t)` (gradient descent at the
+/// momentum point followed by shrinkage) and returns, against the
+/// previous iterate `x`, `‖x⁺‖²`, `‖x⁺ − x‖²` and the adaptive-restart
+/// sums `Σ pᵢ`, `Σ |pᵢ|` with `pᵢ = (yᵢ − x⁺ᵢ)·(x⁺ᵢ − xᵢ)`.
 ///
-/// Dispatched reduction: every tier accumulates `(a_i − b_i)²` with the
-/// exact same structure as its [`dot`] kernel, so the result stays
-/// bit-identical to `norm2(&sub(a, b))` — solvers rely on that for
-/// reproducible stopping decisions. Across tiers the value agrees to
-/// ≤ 1e-12 relative (see [`crate::simd`]).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn diff_norm2(a: &[f64], b: &[f64]) -> f64 {
-    (simd::kernels().diff_norm2_sq)(a, b).sqrt()
-}
-
-/// Fused proximal-gradient step: `out[i] = soft(y[i] − step·g[i], t)`,
-/// the ISTA/FISTA inner-loop kernel (gradient descent at the momentum
-/// point followed by shrinkage) in one pass with no temporaries.
-///
-/// Per-element arithmetic matches the open-coded
-/// `y − step·g` + [`soft_threshold_mut`] sequence exactly, so results
-/// are bit-identical on every tier (dispatched elementwise kernel, see
-/// [`crate::simd`]).
+/// `x_next` is bit-identical on every tier to the open-coded
+/// `y − step·g` + [`soft_threshold_mut`] sequence. `‖x⁺‖²` and
+/// `‖x⁺ − x‖²` are bit-identical to [`dot`] of `x_next`, and of the
+/// materialized difference, with itself, so the solver's stopping
+/// decisions keep their bits; across tiers they agree to ≤ 1e-12
+/// relative. The restart sums are added in a tier-chosen order (see
+/// [`crate::simd::FistaSums`]).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn prox_grad_step_into(out: &mut [f64], y: &[f64], g: &[f64], step: f64, t: f64) {
-    (simd::kernels().prox_grad_step)(out, y, g, step, t)
+pub fn fista_step(
+    x_next: &mut [f64],
+    y: &[f64],
+    g: &[f64],
+    x: &[f64],
+    step: f64,
+    t: f64,
+) -> simd::FistaSums {
+    (simd::kernels().fista_step)(x_next, y, g, x, step, t)
 }
 
 /// FISTA momentum extrapolation:
@@ -310,29 +307,35 @@ mod tests {
     }
 
     #[test]
-    fn diff_norm2_bit_identical_to_sub_then_norm2() {
-        for n in [0, 1, 3, 4, 7, 16, 33, 100] {
-            let a = ramp(n, 0.3);
-            let b = ramp(n, 2.7);
-            let fused = diff_norm2(&a, &b);
-            let reference = norm2(&sub(&a, &b));
-            assert_eq!(fused.to_bits(), reference.to_bits(), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn prox_grad_step_bit_identical_to_open_coded() {
-        for n in [0, 1, 3, 4, 7, 16, 33] {
+    fn fista_step_matches_open_coded_passes() {
+        for n in [0, 1, 3, 4, 7, 8, 16, 33, 100] {
             let y = ramp(n, 0.5);
             let g = ramp(n, 1.1);
+            let x = ramp(n, 2.7);
             let (step, t) = (0.37, 0.25);
             let mut fused = vec![0.0; n];
-            prox_grad_step_into(&mut fused, &y, &g, step, t);
+            let sums = fista_step(&mut fused, &y, &g, &x, step, t);
             let mut reference: Vec<f64> = y.iter().zip(&g).map(|(yi, gi)| yi - step * gi).collect();
             soft_threshold_mut(&mut reference, t);
             for (a, b) in fused.iter().zip(&reference) {
                 assert_eq!(a.to_bits(), b.to_bits(), "n = {n}");
             }
+            let d = sub(&reference, &x);
+            assert_eq!(
+                sums.norm_sq.to_bits(),
+                dot(&reference, &reference).to_bits()
+            );
+            assert_eq!(sums.change_sq.to_bits(), dot(&d, &d).to_bits());
+            let products: Vec<f64> = y
+                .iter()
+                .zip(&reference)
+                .zip(&x)
+                .map(|((yi, vi), xi)| (yi - vi) * (vi - xi))
+                .collect();
+            let exact: f64 = products.iter().sum();
+            let abs: f64 = products.iter().map(|p| p.abs()).sum();
+            assert!((sums.restart - exact).abs() <= 2.0 * n as f64 * f64::EPSILON * abs);
+            assert!((sums.restart_abs - abs).abs() <= 2.0 * n as f64 * f64::EPSILON * abs);
         }
     }
 

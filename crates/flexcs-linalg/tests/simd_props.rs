@@ -19,7 +19,8 @@
 //! Lee sweep kernels `add`/`sub` and `butterfly_merge` get up to five
 //! planted pairs, so two NaNs meet in one add. The transpose draws
 //! shapes up to 69 x 69 (ragged 4×4 blocks on both edges, several cache
-//! tiles).
+//! tiles). `fista_step` runs every length 0..=67 in each case, with up to
+//! five special values planted in each of `y`, `g` and `x`.
 
 use flexcs_linalg::simd;
 use proptest::prelude::*;
@@ -113,16 +114,6 @@ proptest! {
     }
 
     #[test]
-    fn prox_grad_step_bit_identical(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN, step in 0.0..2.0f64, t in 0.0..10.0f64) {
-        let (y, g) = (va[..n].to_vec(), vb[..n].to_vec());
-        let n = y.len();
-        let (mut od, mut os) = (vec![0.0; n], vec![0.0; n]);
-        (simd::kernels().prox_grad_step)(&mut od, &y, &g, step, t);
-        (simd::scalar_kernels().prox_grad_step)(&mut os, &y, &g, step, t);
-        assert_bits_eq(&od, &os, "prox_grad_step");
-    }
-
-    #[test]
     fn momentum_bit_identical(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN, beta in 0.0..1.0f64) {
         let (xn, xo) = (va[..n].to_vec(), vb[..n].to_vec());
         let n = xn.len();
@@ -193,14 +184,6 @@ proptest! {
     }
 
     #[test]
-    fn diff_norm2_sq_within_reduction_tolerance(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN) {
-        let (a, b) = (va[..n].to_vec(), vb[..n].to_vec());
-        let d = (simd::kernels().diff_norm2_sq)(&a, &b);
-        let s = (simd::scalar_kernels().diff_norm2_sq)(&a, &b);
-        assert_rel_close(d, s, "diff_norm2_sq");
-    }
-
-    #[test]
     fn dual_update_residual_consistent(va in full_vec(), vb in full_vec(), vc in full_vec(), n in 0usize..MAX_LEN, mu in 0.1..10.0f64) {
         let (d, l, s) = (va[..n].to_vec(), vb[..n].to_vec(), vc[..n].to_vec());
         // y starts from d (any equal-length buffer works); the updated
@@ -215,20 +198,25 @@ proptest! {
     }
 
     #[test]
-    fn diff_norm2_sq_matches_staged_dot_within_tier(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN) {
-        let (a, b) = (va[..n].to_vec(), vb[..n].to_vec());
-        // Cross-kernel invariant solvers rely on: the fused reduction is
-        // bit-identical to dot(d, d) of the materialized difference
-        // *within the selected tier* (both tiers share one accumulation
-        // structure per table).
-        let k = simd::kernels();
-        let mut d = vec![0.0; a.len()];
-        (k.sub)(&mut d, &a, &b);
-        let fused = (k.diff_norm2_sq)(&a, &b);
-        let staged = (k.dot)(&d, &d);
-        prop_assert_eq!(fused.to_bits(), staged.to_bits());
+    fn fista_step_matches_staged_kernels_at_every_length(
+        vy in full_vec(),
+        vg in full_vec(),
+        vx in full_vec(),
+        step in 0.0..2.0f64,
+        t in 0.0..10.0f64,
+        plant_at in proptest::collection::vec(0usize..MAX_LEN, 0..6),
+        kinds_y in proptest::collection::vec(0usize..SPECIALS.len(), 6),
+        kinds_x in proptest::collection::vec(0usize..SPECIALS.len(), 6),
+    ) {
+        let (y, x) = planted_pair(&vy, &vx, &plant_at, &kinds_y, &kinds_x);
+        let mut g = vg.clone();
+        for (&at, &kind) in plant_at.iter().zip(&kinds_x).skip(1) {
+            g[(at * 7 + 3) % MAX_LEN] = SPECIALS[kind];
+        }
+        for n in 0..MAX_LEN {
+            check_fista_step(&y[..n], &g[..n], &x[..n], step, t);
+        }
     }
-
     #[test]
     fn lee_lanes_bit_identical(
         vals in proptest::collection::vec(-100.0..100.0f64, simd::CODELET_MAX * MAX_LEN),
@@ -273,6 +261,69 @@ proptest! {
             for j in 0..cols {
                 prop_assert_eq!(ts[j * rows + i].to_bits(), src[i * cols + j].to_bits());
             }
+        }
+    }
+}
+
+/// `fista_step` on the dispatched and on the scalar tier against the
+/// staged kernels it replaces: `x⁺` bit for bit against the scalar
+/// `shrink(y − step·g, t)`, `‖x⁺‖²` and `‖x⁺ − x‖²` bit for bit against
+/// the same tier's `dot` of `x⁺`, and of `sub(x⁺, x)`, with itself. The
+/// two norms may both be NaN with different payloads (IEEE 754 leaves
+/// open which NaN a sum of two carries); any NaN counts as equal there.
+/// The restart sums lie within `n·ε·Σ|pᵢ|` of the index-order sums of
+/// the same products when those are finite.
+fn check_fista_step(y: &[f64], g: &[f64], x: &[f64], step: f64, t: f64) {
+    let n = y.len();
+    let want: Vec<f64> = y
+        .iter()
+        .zip(g)
+        .map(|(yi, gi)| simd::scalar::shrink(yi - step * gi, t))
+        .collect();
+    for k in [simd::kernels(), simd::scalar_kernels()] {
+        let what = |part: &str| format!("fista_step {part} on {:?}, n = {n}", k.tier);
+        let mut xn = vec![f64::NAN; n];
+        let sums = (k.fista_step)(&mut xn, y, g, x, step, t);
+        assert_bits_eq(&xn, &want, &what("x_next"));
+        let mut d = vec![0.0; n];
+        (k.sub)(&mut d, &xn, x);
+        for (got, staged, part) in [
+            (sums.norm_sq, (k.dot)(&xn, &xn), "norm"),
+            (sums.change_sq, (k.dot)(&d, &d), "change"),
+        ] {
+            let same = got.to_bits() == staged.to_bits() || (got.is_nan() && staged.is_nan());
+            assert!(same, "{}: {got:?} vs staged {staged:?}", what(part));
+        }
+        let products: Vec<f64> = y
+            .iter()
+            .zip(&xn)
+            .zip(x)
+            .map(|((yi, vi), xi)| (yi - vi) * (vi - xi))
+            .collect();
+        let sequential = products.iter().fold(0.0, |s, p| s + p);
+        let abs = products.iter().fold(0.0, |s, p| s + p.abs());
+        if abs.is_finite() {
+            let tol = n as f64 * f64::EPSILON * abs;
+            assert!(
+                (sums.restart - sequential).abs() <= tol,
+                "{}",
+                what("restart")
+            );
+            assert!(
+                (sums.restart_abs - abs).abs() <= tol,
+                "{}",
+                what("restart_abs")
+            );
+        } else {
+            // A NaN product makes both sums NaN; ±∞ products without a
+            // NaN make `Σ|pᵢ|` +∞.
+            assert_eq!(
+                sums.restart_abs.is_nan(),
+                abs.is_nan(),
+                "{}",
+                what("restart_abs")
+            );
+            assert!(!sums.restart_abs.is_finite(), "{}", what("restart_abs"));
         }
     }
 }

@@ -10,6 +10,7 @@ use crate::op::{check_measurements, LinearOperator};
 use crate::report::{Recovery, SolveReport};
 use crate::tel;
 use crate::workspace::{SolveWorkspace, WarmStart};
+use flexcs_linalg::simd::FistaSums;
 use flexcs_linalg::vecops;
 
 /// Configuration for [`ista`] / [`fista`].
@@ -81,6 +82,50 @@ fn lasso_objective_in(
     (lambda * vecops::norm1(x) + 0.5 * rn * rn, rn)
 }
 
+/// Whether the adaptive restart fires: whether the index-order sum
+/// `Σ (yᵢ − x⁺ᵢ)·(x⁺ᵢ − xᵢ)`, taken from `0.0`, is positive.
+///
+/// `sums` holds the same products summed in another order. Its sign is
+/// taken when [`certified_sign`] proves the index-order sum shares it;
+/// otherwise the index-order loop runs here and `fallbacks` counts it.
+/// Either way the decision is the index-order sum's, bit for bit.
+fn restart_fires(
+    sums: &FistaSums,
+    y: &[f64],
+    x_next: &[f64],
+    x: &[f64],
+    fallbacks: &mut u64,
+) -> bool {
+    if let Some(positive) = certified_sign(sums.restart, sums.restart_abs, y.len()) {
+        return positive;
+    }
+    *fallbacks += 1;
+    let mut s = 0.0;
+    for ((yi, xni), xi) in y.iter().zip(x_next).zip(x) {
+        s += (yi - xni) * (xni - xi);
+    }
+    s > 0.0
+}
+
+/// `Some(sum > 0)` when every summation order of the `n` products behind
+/// `sum` (one order) and `abs_sum` (`Σ |pᵢ|`, any order) yields a sum of
+/// the same strict sign; `None` when that is not certain.
+///
+/// Each order of `n − 1` floating-point additions lands within
+/// `γ_{n−1}·Σ|pᵢ|` of the exact sum, `γ_k = k·u/(1 − k·u)` with
+/// `u = ε/2` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+/// §4.2), so two orders differ by less than `n·ε·Σ|pᵢ|`. A sum beyond
+/// `4·n·ε·abs_sum` therefore has its sign in every order; the factor 4
+/// also covers the rounding of `abs_sum` and of the bound itself. The
+/// range check keeps partial sums clear of overflow and the bound clear
+/// of subnormal rounding. NaN, ±∞ and all-zero products fail it or the
+/// strict comparison, and get `None`.
+fn certified_sign(sum: f64, abs_sum: f64, n: usize) -> Option<bool> {
+    let in_range = (f64::MIN_POSITIVE..=f64::MAX / 4.0).contains(&abs_sum);
+    let bound = 4.0 * n as f64 * f64::EPSILON * abs_sum;
+    (in_range && sum.abs() > bound).then_some(sum > 0.0)
+}
+
 fn run_in(
     op: &dyn LinearOperator,
     b: &[f64],
@@ -132,6 +177,7 @@ fn run_in(
     let mut iterations = 0;
     let mut converged = false;
     let mut restarts = 0u64;
+    let mut fallbacks = 0u64;
     for iter in 0..config.max_iterations {
         iterations = iter + 1;
         // Gradient step at y: y - step * Aᵀ(Ay - b).
@@ -139,18 +185,18 @@ fn run_in(
         vecops::sub_into(&mut ws.r, &ws.ax, b);
         op.apply_transpose_into(&ws.r, &mut ws.grad);
         ws.x_next.resize(n, 0.0);
-        vecops::prox_grad_step_into(&mut ws.x_next, &ws.y, &ws.grad, step, thresh);
+        let sums = vecops::fista_step(&mut ws.x_next, &ws.y, &ws.grad, &ws.x, step, thresh);
         // A NaN or infinite entry makes the norm non-finite, so the
         // entry scan runs only then; it tells divergence from a norm
         // that merely overflowed. Checked before `max`, which drops NaN.
-        let nrm = vecops::norm2(&ws.x_next);
+        let nrm = sums.norm_sq.sqrt();
         if !nrm.is_finite() && ws.x_next.iter().any(|v| !v.is_finite()) {
             return Err(SolverError::Diverged {
                 iteration: iterations,
             });
         }
         // Relative-change stopping rule.
-        let change = vecops::diff_norm2(&ws.x_next, &ws.x);
+        let change = sums.change_sq.sqrt();
         let scale = nrm.max(1e-12);
         if accelerated {
             // Gradient-scheme adaptive restart (O'Donoghue & Candès):
@@ -158,15 +204,9 @@ fn run_in(
             // direction. Only active on warm-started solves so the cold
             // iterate sequence stays bit-identical to the historical
             // implementation.
-            if warmed {
-                let mut s = 0.0;
-                for ((yi, xni), xi) in ws.y.iter().zip(&ws.x_next).zip(&ws.x) {
-                    s += (yi - xni) * (xni - xi);
-                }
-                if s > 0.0 {
-                    t = 1.0;
-                    restarts += 1;
-                }
+            if warmed && restart_fires(&sums, &ws.y, &ws.x_next, &ws.x, &mut fallbacks) {
+                t = 1.0;
+                restarts += 1;
             }
             let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
             let beta = (t - 1.0) / t_next;
@@ -195,7 +235,7 @@ fn run_in(
     }
     tel::solve_done(solver_name, iterations, converged);
     if let Some(w) = warm {
-        w.note_restarts(restarts);
+        w.note_restarts(restarts, fallbacks);
         w.finish_solve(&ws.x, iterations, warmed);
     }
     let (objective, residual) =
@@ -402,6 +442,103 @@ mod tests {
             ),
             Err(e) => assert!(matches!(e, SolverError::Diverged { .. }), "{e:?}"),
         }
+    }
+
+    /// The restart decision for products `p` on `kernels`, beside the
+    /// index-order sum and whether the sequential loop ran. With
+    /// `y = 1`, `x = −p`, step 1 and threshold 0 the kernel writes
+    /// `x⁺ = shrink(1 − 1, 0) = 0`, so `(yᵢ − x⁺ᵢ)·(x⁺ᵢ − xᵢ)` is `1·pᵢ`,
+    /// exactly `pᵢ`.
+    fn decide(p: &[f64], kernels: &flexcs_linalg::simd::Kernels) -> (bool, f64, bool) {
+        let n = p.len();
+        let (y, g) = (vec![1.0; n], vec![1.0; n]);
+        let x: Vec<f64> = p.iter().map(|v| -v).collect();
+        let mut x_next = vec![f64::NAN; n];
+        let sums = (kernels.fista_step)(&mut x_next, &y, &g, &x, 1.0, 0.0);
+        assert!(x_next.iter().all(|&v| v == 0.0));
+        let mut fallbacks = 0;
+        let fires = restart_fires(&sums, &y, &x_next, &x, &mut fallbacks);
+        let sequential = p.iter().fold(0.0, |s, v| s + v);
+        (fires, sequential, fallbacks == 1)
+    }
+
+    /// Runs [`decide`] on the dispatched and the scalar tier, checks the
+    /// decision is the index-order sum's, and returns whether each tier
+    /// fell back to the sequential loop.
+    fn check_restart(p: &[f64]) -> [bool; 2] {
+        let tiers = [
+            flexcs_linalg::simd::kernels(),
+            flexcs_linalg::simd::scalar_kernels(),
+        ];
+        tiers.map(|k| {
+            let (fires, sequential, fell_back) = decide(p, k);
+            assert_eq!(fires, sequential > 0.0, "{p:?} on {:?}", k.tier);
+            fell_back
+        })
+    }
+
+    #[test]
+    fn certified_restart_sign_follows_the_sequential_sum() {
+        // Ordinary products: the reordered sum certifies its sign.
+        let mixed: Vec<f64> = (0..1024)
+            .map(|i| ((i * 37 % 101) as f64 - 48.0) * 1e-3)
+            .collect();
+        let negated: Vec<f64> = mixed.iter().map(|v| -v).collect();
+        assert_eq!(check_restart(&mixed), [false; 2]);
+        assert_eq!(check_restart(&negated), [false; 2]);
+
+        // Products that cancel to exactly 0, at lengths that are not a
+        // multiple of 8 (the AVX2 block) or 4 (the scalar lanes).
+        assert_eq!(
+            check_restart(&[3.0, -3.0, 0.25, -0.25, 1.0, -1.0, 2.0, -2.0]),
+            [true; 2]
+        );
+        assert_eq!(
+            check_restart(&[1.5, 2.5, -4.0, 0.5, -0.5, 7.0, -7.0, 1.0, -1.0, 0.0, -0.0]),
+            [true; 2]
+        );
+        // All zero.
+        assert_eq!(check_restart(&[0.0; 13]), [true; 2]);
+        assert_eq!(check_restart(&[]), [true; 2]);
+
+        // `|s|` just above and just below the bound `4·n·ε·Σ|pᵢ|`, n = 13:
+        // six cancelling pairs of ±1 and one residue r. The bound is
+        // 39·2⁻⁴⁸ (plus 52·ε·r); r = 40·2⁻⁴⁸ or 38·2⁻⁴⁸ keeps every
+        // partial sum exact, so every order sums to r.
+        let with_residue = |r: f64| {
+            let mut p = vec![
+                1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0,
+            ];
+            p.push(r);
+            p
+        };
+        let unit = 2f64.powi(-48);
+        assert_eq!(4.0 * 13.0 * f64::EPSILON * 12.0, 39.0 * unit);
+        assert_eq!(check_restart(&with_residue(40.0 * unit)), [false; 2]);
+        assert_eq!(check_restart(&with_residue(-40.0 * unit)), [false; 2]);
+        assert_eq!(check_restart(&with_residue(38.0 * unit)), [true; 2]);
+        assert_eq!(check_restart(&with_residue(-38.0 * unit)), [true; 2]);
+
+        // Orders disagree: index order rounds 1e16 + 1 back to 1e16 and
+        // ends at 0, while lanes {1e16, 1, −1e16} end at 1. The bound
+        // refuses the reordered sign, and the decision stays "no restart".
+        let split = [1e16, 1.0, -1e16, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+        let scalar = flexcs_linalg::simd::scalar_kernels();
+        let mut x_next = vec![0.0; split.len()];
+        let x: Vec<f64> = split.iter().map(|v| -v).collect();
+        let ones = vec![1.0; split.len()];
+        let sums = (scalar.fista_step)(&mut x_next, &ones, &ones, &x, 1.0, 0.0);
+        assert_eq!((sums.restart, decide(&split, scalar).1), (1.0, 0.0));
+        assert_eq!(check_restart(&split), [true; 2]);
+
+        // NaN and ±∞ products always take the sequential loop.
+        let mut special = mixed[..21].to_vec();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            special[5] = v;
+            assert_eq!(check_restart(&special), [true; 2]);
+        }
+        special[7] = f64::INFINITY; // −∞ + ∞: NaN
+        assert_eq!(check_restart(&special), [true; 2]);
     }
 
     #[test]

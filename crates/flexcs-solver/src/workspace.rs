@@ -19,8 +19,8 @@
 //! solution (used to seed the next solve's iterate) and the
 //! spectral-norm estimate, so later rounds skip power iteration
 //! entirely. It also keeps the `solver.warm_starts` /
-//! `solver.restarts` / `solver.warm.saved_iterations` telemetry
-//! counters.
+//! `solver.restarts` / `solver.restart_fallbacks` /
+//! `solver.warm.saved_iterations` telemetry counters.
 
 use crate::greedy::GreedyWorkspace;
 use crate::op::LinearOperator;
@@ -192,11 +192,16 @@ impl WarmStart {
         tel::counter("solver.warm_starts", 1);
     }
 
-    /// Records adaptive restarts taken during a solve.
-    pub(crate) fn note_restarts(&mut self, restarts: u64) {
+    /// Records adaptive restarts taken during a solve, and how many
+    /// restart tests re-ran the index-order sum because the reordered
+    /// one could not certify its sign (`solver.restart_fallbacks`).
+    pub(crate) fn note_restarts(&mut self, restarts: u64, fallbacks: u64) {
         if restarts > 0 {
             self.restarts += restarts;
             tel::counter("solver.restarts", restarts);
+        }
+        if fallbacks > 0 {
+            tel::counter("solver.restart_fallbacks", fallbacks);
         }
     }
 
@@ -262,7 +267,7 @@ mod tests {
     fn counters_survive_clear() {
         let mut warm = WarmStart::new();
         warm.note_warm_start();
-        warm.note_restarts(3);
+        warm.note_restarts(3, 1);
         warm.clear();
         assert_eq!(warm.warm_starts(), 1);
         assert_eq!(warm.restarts(), 3);
