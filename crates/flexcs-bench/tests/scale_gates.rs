@@ -67,21 +67,25 @@ fn bits(frame: &Matrix) -> Vec<u64> {
 
 /// Times one kernel under the scalar table and the dispatched table;
 /// returns ns/call as `(scalar, dispatched)`. Each sample runs `inner`
-/// calls so sub-microsecond kernels stay measurable.
+/// calls so sub-microsecond kernels stay measurable, and the two sides'
+/// samples alternate, so a slow spell of a shared host lands on both.
 fn kernel_ns(inner: usize, mut scalar: impl FnMut(), mut dispatched: impl FnMut()) -> (f64, f64) {
     // Page in buffers and settle the dispatch table.
     scalar();
     dispatched();
-    let per_call = |f: &mut dyn FnMut()| {
-        median_secs(15, || {
-            for _ in 0..inner {
-                f();
-            }
-        })
-        .0 / inner as f64
-            * 1e9
+    let sample = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        for _ in 0..inner {
+            f();
+        }
+        t0.elapsed().as_secs_f64() / inner as f64 * 1e9
     };
-    (per_call(&mut scalar), per_call(&mut dispatched))
+    let (mut s, mut d) = (Vec::new(), Vec::new());
+    for _ in 0..15 {
+        s.push(sample(&mut scalar));
+        d.push(sample(&mut dispatched));
+    }
+    (median(&mut s), median(&mut d))
 }
 
 #[test]
@@ -207,40 +211,44 @@ fn decode_kernels_rpca_and_warm_resample() {
             ),
         ),
     ];
-    let mut speedups: Vec<f64> = rows.iter().map(|(_, (s, d))| s / d).collect();
-    speedups.sort_by(f64::total_cmp);
-    let top3 = &speedups[speedups.len() - 3..];
     let tier = simd::tier_name();
 
     // The Lee lane codelets on a 32x32 frame (32 lanes of length 32, the
-    // decode path's block size), each transforming its buffer in place.
+    // decode path's block size), each transforming its buffer in place,
+    // on every vector table the host can run: on an AVX-512 host both
+    // the 8-lane codelets the process selects and the 4-lane AVX2 ones.
     // Orthonormal scales keep the repeated transforms bounded, so no
     // timed call meets an infinity or NaN.
     let (n, w) = (32usize, 32usize);
     let (inv_tw, cos_tw) = lee_twiddles(n);
     let (a0, ak) = ((1.0 / n as f64).sqrt(), (2.0 / n as f64).sqrt());
     let frame: Vec<f64> = (0..n * w).map(|i| ((i as f64) * 0.37).sin()).collect();
-    let (mut fs, mut fd) = (frame.clone(), frame.clone());
-    let (mut is, mut id) = (frame.clone(), frame);
-    let codelet_rows = [
-        (
-            "lee_forward_lanes",
+    let mut codelet_rows = Vec::new();
+    for k in simd::host_kernel_tables() {
+        if k.tier == scal.tier {
+            continue;
+        }
+        let (mut fs, mut fd) = (frame.clone(), frame.clone());
+        let (mut is, mut id) = (frame.clone(), frame.clone());
+        codelet_rows.push((
+            format!("lee_forward_lanes ({} lanes)", k.codelet_lanes),
+            LEE_FORWARD_FLOOR,
             kernel_ns(
                 inner,
                 || (scal.lee_forward_lanes)(black_box(&mut fs[..]), w, &inv_tw, a0, ak),
-                || (disp.lee_forward_lanes)(black_box(&mut fd[..]), w, &inv_tw, a0, ak),
+                || (k.lee_forward_lanes)(black_box(&mut fd[..]), w, &inv_tw, a0, ak),
             ),
-        ),
-        (
-            "lee_inverse_lanes",
+        ));
+        codelet_rows.push((
+            format!("lee_inverse_lanes ({} lanes)", k.codelet_lanes),
+            LEE_INVERSE_FLOOR,
             kernel_ns(
                 inner,
                 || (scal.lee_inverse_lanes)(black_box(&mut is[..]), w, &cos_tw, 1.0 / a0, 1.0 / ak),
-                || (disp.lee_inverse_lanes)(black_box(&mut id[..]), w, &cos_tw, 1.0 / a0, 1.0 / ak),
+                || (k.lee_inverse_lanes)(black_box(&mut id[..]), w, &cos_tw, 1.0 / a0, 1.0 / ak),
             ),
-        ),
-    ];
-    let lee_forward_speedup = codelet_rows[0].1 .0 / codelet_rows[0].1 .1;
+        ));
+    }
 
     println!(
         "warm resample {warm_speedup:.2}x ({:.1} -> {:.1} ms), rpca rsvd {rpca_speedup:.2}x \
@@ -250,12 +258,6 @@ fn decode_kernels_rpca_and_warm_resample() {
         exact_s * 1e3,
         rsvd_s * 1e3
     );
-    for (name, (s, d)) in rows.iter().chain(&codelet_rows) {
-        println!(
-            "kernel {name}: scalar {s:.1} ns, dispatched {d:.1} ns, {:.2}x",
-            s / d
-        );
-    }
     assert!(
         rpca_speedup >= 1.0,
         "rsvd/exact RPCA speedup {rpca_speedup:.2} < 1.0"
@@ -264,22 +266,55 @@ fn decode_kernels_rpca_and_warm_resample() {
         warm_speedup >= 1.0,
         "warm/cold resample speedup {warm_speedup:.2} < 1.0"
     );
-    if tier != "scalar" {
-        assert!(
-            top3.iter().all(|&s| s >= 2.0),
-            "tier {tier}: top kernel speedups {top3:?} (need 3 kernels >= 2.0x)"
+
+    // Compute-bound kernels carry named floors over the scalar tier: a
+    // vector tier that is not really vectorized reads about 1x there.
+    // The memory-bound rows stream two to four slices per multiply and
+    // read 1.1-2.4x on a 2-vCPU x86_64 host, so they are printed only.
+    let mut gated: Vec<(String, f64, (f64, f64))> = Vec::new();
+    for (name, times) in rows {
+        match KERNEL_FLOORS.iter().find(|(kernel, _)| *kernel == name) {
+            Some(&(_, floor)) if tier != scal.tier.name() => {
+                gated.push((name.to_string(), floor, times));
+            }
+            _ => {
+                let (s, d) = times;
+                println!(
+                    "kernel {name}: scalar {s:.1} ns, dispatched {d:.1} ns, {:.2}x (not gated)",
+                    s / d
+                );
+            }
+        }
+    }
+    gated.extend(codelet_rows);
+    for (name, floor, (s, d)) in &gated {
+        println!(
+            "kernel {name}: scalar {s:.1} ns, dispatched {d:.1} ns, {:.2}x (floor {floor}x)",
+            s / d
         );
+    }
+    for (name, floor, (s, d)) in &gated {
+        let speedup = s / d;
         assert!(
-            lee_forward_speedup >= LEE_FORWARD_FLOOR,
-            "tier {tier}: lee_forward_lanes {lee_forward_speedup:.2}x over scalar \
-             (need >= {LEE_FORWARD_FLOOR}x)"
+            speedup >= *floor,
+            "tier {tier}: {name} {speedup:.2}x over scalar (need >= {floor}x)"
         );
     }
 }
 
+/// Least speedups over the scalar tier that the compute-bound n = 2048
+/// kernels must show on a vector tier.
+const KERNEL_FLOORS: [(&str, f64); 2] = [("dot", 2.0), ("fista_step", 2.0)];
+
 /// Least speedup over the scalar tier that the 32-point forward lane
-/// codelet must show on a vector tier.
+/// codelet must show on every vector table the host can run.
 const LEE_FORWARD_FLOOR: f64 = 2.0;
+
+/// Least speedup over the scalar tier that the 32-point inverse lane
+/// codelet must show on every vector table the host can run. The 4-lane
+/// AVX2 inverse reads 2.0-2.8x on a 2-vCPU x86_64 host and the 8-lane
+/// AVX-512 one 3.0-4.7x, so the floor sits below both.
+const LEE_INVERSE_FLOOR: f64 = 1.5;
 
 /// Codelet twiddles for length `n`, level by level from `m = n` down to
 /// `m = 2`: reciprocal twiddles `0.5 / cos((i + 0.5)·π / m)` (forward)

@@ -261,8 +261,11 @@ impl Decoder {
         if tel::enabled() {
             // Tag every decode with the micro-kernel tier that produced
             // it, so perf traces are attributable to the hardware path
-            // (`simd.tier.scalar`, `simd.tier.x86_64-avx2+fma`, ...).
+            // (`simd.tier.scalar`, `simd.tier.x86_64-avx2+fma`, ...),
+            // and with the Lee codelet strip width the tier runs
+            // (`simd.codelet_lanes.4`, or `.8` on AVX-512 hosts).
             tel::counter(&format!("simd.tier.{}", simd::tier_name()), 1);
+            tel::counter(&format!("simd.codelet_lanes.{}", simd::codelet_lanes()), 1);
         }
         let setup_span = tel::span("decode.setup");
         let plan = self.plan_for(rows, cols)?;

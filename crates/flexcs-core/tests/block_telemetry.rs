@@ -1,6 +1,6 @@
 //! Telemetry contract for the block-tiled decode pipeline: one
-//! `blocks.decoded` count and one latency sample per block, and the
-//! seam pixel count.
+//! `blocks.decoded` count and one latency sample per block, the seam
+//! pixel count, and one SIMD tier and codelet width tag per decode.
 //!
 //! The recorder is process-global, so this test lives in a binary of
 //! its own: any other test decoding concurrently in the same process
@@ -9,7 +9,7 @@
 #![cfg(feature = "telemetry")]
 
 use flexcs_core::{BlockGrid, BlockGridConfig, BlockPipeline, BlockPipelineConfig, Decoder};
-use flexcs_linalg::Matrix;
+use flexcs_linalg::{simd, Matrix};
 use flexcs_telemetry::MemoryRecorder;
 use std::sync::Arc;
 
@@ -44,4 +44,8 @@ fn telemetry_records_block_counters_and_latency() {
         .histogram_snapshot("blocks.block_ms")
         .expect("per-block latency histogram recorded");
     assert_eq!(hist.count, blocks);
+    let tier = recorder.counter_value(&format!("simd.tier.{}", simd::tier_name()));
+    let lanes = recorder.counter_value(&format!("simd.codelet_lanes.{}", simd::codelet_lanes()));
+    assert!(tier >= blocks, "{tier} tier tags for {blocks} blocks");
+    assert_eq!(lanes, tier);
 }

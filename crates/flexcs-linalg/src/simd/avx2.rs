@@ -541,16 +541,19 @@ unsafe fn sub_add_scaled_shrink_inner(
 
 /// Four adjacent codelet lanes in one AVX2 register: the
 /// [`super::codelet::Lane`] the codelet wrappers below run the shared
-/// recursion body on. The type is private to this module, and only the
-/// `#[target_feature(enable = "avx2")]` codelet wrappers build values of
+/// recursion body on, and the tail strip of the AVX-512 codelets. The
+/// type is private to the `simd` module, and only the
+/// `#[target_feature(enable = "avx2")]` codelet wrappers below and the
+/// `avx512f` ones in `avx512.rs` (which implies AVX2) build values of
 /// it, so every method runs on a CPU that passed AVX2 detection at tier
 /// selection. `add`, `sub` and `mul` are one intrinsic each (never FMA),
 /// so each lane rounds exactly as the scalar tier's `[f64; 4]` lanes do.
 #[derive(Clone, Copy)]
-struct Ymm(__m256d);
+pub(super) struct Ymm(__m256d);
 
 impl super::codelet::Lane for Ymm {
     const WIDTH: usize = 4;
+    type Tail = [f64; 1];
 
     #[inline(always)]
     fn zero() -> Self {
@@ -601,9 +604,12 @@ impl super::codelet::Lane for Ymm {
     }
 
     #[inline(always)]
-    fn canonical_nan(self) -> Self {
+    fn canonical_nan_where(self, row0: Self) -> Self {
         // SAFETY: AVX2 verified at tier selection (see the type docs).
-        Ymm(unsafe { canonical_nan(self.0) })
+        Ymm(unsafe {
+            let lanes = _mm256_cmp_pd::<_CMP_UNORD_Q>(row0.0, row0.0);
+            _mm256_blendv_pd(self.0, canonical_nan(self.0), lanes)
+        })
     }
 }
 

@@ -6,44 +6,60 @@
 //! length-`n` lanes (one per column), `n` a power of two `≤`
 //! [`CODELET_MAX`]. A strip of adjacent lanes is loaded once, runs every
 //! Lee recursion level in registers, spilling to the stack where it must
-//! (fixed-size levels for n = 2, 4, 8, 16, 32), and is stored once;
-//! lanes left over at the right edge run the same body one at a time.
+//! (fixed-size levels for n = 2, 4, 8, 16, 32), and is stored once.
 //! Each lane performs exactly the arithmetic of the single-lane
 //! recursion in `flexcs-transform` (same operations, same order, no
 //! fused multiply-add), so results are bit-identical to it and across
 //! tiers.
 //!
-//! One recursion body serves two lane kinds: the levels are generic over
-//! a [`Lane`], one element of a strip. [`forward`] and [`inverse`] run
-//! them on `[f64; 4]` arrays; the scalar tier calls these as is, and the
-//! NEON tier from inside its `#[target_feature]` wrappers, where the
-//! compiler maps the array operations onto vector registers. The AVX2
+//! One recursion body serves every lane kind: the levels are generic
+//! over a [`Lane`], one element of a strip. [`forward`] and [`inverse`]
+//! run them on `[f64; 4]` arrays; the scalar tier calls these as is, and
+//! the NEON tier from inside its `#[target_feature]` wrappers, where the
+//! compiler maps the array operations onto vector registers. The x86_64
 //! tier runs the same levels through [`forward_with`] / [`inverse_with`]
-//! on a lane type of its own that holds one `__m256d`: on `[f64; 4]`
-//! arrays the 32-point codelet compiled for AVX2 kept a 3 KiB stack
-//! frame busy with general-register moves, and the register lane type
-//! (with the row walk of [`next_row`]) about halves the forward
-//! codelet's time and cuts the inverse's by a fifth. This file is safe
-//! Rust; the intrinsics and their `unsafe` stay in `avx2.rs`.
+//! on register lane types of its own: one `__m256d` per strip element
+//! (`avx2.rs`), or one `__m512d` on AVX-512 hosts (`avx512.rs`). On
+//! `[f64; 4]` arrays the 32-point codelet compiled for AVX2 kept a 3 KiB
+//! stack frame busy with general-register moves, and the register lane
+//! type (with the row walk of [`next_row`]) about halves the forward
+//! codelet's time and cuts the inverse's by a fifth; a 32-row strip
+//! still spills from AVX2's 16 registers, and AVX-512's 32 hold twice
+//! the lanes with fewer spills. This file is safe Rust; the intrinsics
+//! and their `unsafe` stay in the tier files.
 //!
-//! NaN payloads are pinned too. When two NaNs meet in an add, IEEE 754
-//! leaves open which one the result carries, and the compiler may swap
-//! an add's operands differently per tier. Every output of a lane mixes
-//! every input of it through adds, subtracts and multiplies, so a lane
-//! with a NaN input has a NaN in row 0 of its unscaled output; such
-//! lanes have every NaN replaced by `f64::NAN` before the store (whose
-//! finite forward scales keep it `f64::NAN`). Any
-//! other NaN was made by an invalid operation such as `∞ − ∞`, and the
-//! platform's one default NaN then meets only copies of itself. So the
-//! tiers agree on every input bit for bit, NaN bits included, given
-//! finite twiddles and scales.
+//! ## Strip widths
+//!
+//! A sweep runs whole strips of the lane type's [`Lane::WIDTH`] (8 for
+//! `__m512d`, 4 otherwise), then one strip of its [`Lane::Tail`] type
+//! while that fits (4 lanes in one `__m256d` after the 8-lane strips),
+//! then the lanes left at the right edge one at a time, so a width that
+//! is not a multiple of 8 does not fall back to single lanes. The strip
+//! width moves no bit: every lane repeats the single-lane arithmetic
+//! whichever strip it lands in.
+//!
+//! ## NaN bits
+//!
+//! NaN payloads are pinned too, per lane. When two NaNs meet in an add,
+//! IEEE 754 leaves open which one the result carries, and the compiler
+//! may swap an add's operands differently per tier. Every output of a
+//! lane mixes every input of it through adds, subtracts and multiplies,
+//! so a lane with a NaN input has a NaN in row 0 of its unscaled output;
+//! in each such lane every NaN is replaced by `f64::NAN` before the
+//! store (whose finite forward scales keep it `f64::NAN`). Any other NaN
+//! was made by an invalid operation such as `∞ − ∞`, and the platform's
+//! one default NaN then meets only copies of itself; those lanes are
+//! left alone even when a neighbour in the strip is replaced, so a
+//! lane's bits never depend on the lanes beside it. So the tiers and
+//! strip widths agree on every input bit for bit, NaN bits included,
+//! given finite twiddles and scales.
 
 /// Longest transform a codelet runs in one piece.
 pub const CODELET_MAX: usize = 32;
 
-/// Lanes per `[f64; STRIP]` strip (one AVX2 register, two NEON
-/// registers).
-const STRIP: usize = 4;
+/// Lanes per `[f64; STRIP]` strip of the scalar and NEON tiers (two
+/// NEON registers).
+pub(super) const STRIP: usize = 4;
 
 /// The same element of [`Lane::WIDTH`] adjacent lanes, with the
 /// operations a Lee level performs on it. Every implementation rounds
@@ -52,6 +68,11 @@ const STRIP: usize = 4;
 pub(super) trait Lane: Copy {
     /// Adjacent lanes one value holds.
     const WIDTH: usize;
+    /// Lane type of the one narrower strip a sweep runs on the lanes
+    /// left over after the whole `Self` strips, when it fits; single
+    /// lanes take the rest. `[f64; 1]` when there is no such strip
+    /// (see the module docs).
+    type Tail: Lane;
     /// Every lane `0.0`.
     fn zero() -> Self;
     /// Lane `l` from `src[l]`; `src` holds exactly `WIDTH` values.
@@ -66,12 +87,14 @@ pub(super) trait Lane: Copy {
     fn mul(self, s: f64) -> Self;
     /// Whether any lane is NaN.
     fn any_nan(self) -> bool;
-    /// Every NaN lane replaced by `f64::NAN`; the other lanes unchanged.
-    fn canonical_nan(self) -> Self;
+    /// Every NaN lane whose lane of `row0` is NaN too replaced by
+    /// `f64::NAN`; the other lanes unchanged.
+    fn canonical_nan_where(self, row0: Self) -> Self;
 }
 
 impl<const L: usize> Lane for [f64; L] {
     const WIDTH: usize = L;
+    type Tail = [f64; 1];
 
     #[inline(always)]
     fn zero() -> Self {
@@ -123,8 +146,14 @@ impl<const L: usize> Lane for [f64; L] {
     }
 
     #[inline(always)]
-    fn canonical_nan(self) -> Self {
-        self.map(super::scalar::canonical_nan)
+    fn canonical_nan_where(self, row0: Self) -> Self {
+        let mut out = self;
+        for l in 0..L {
+            if row0[l].is_nan() {
+                out[l] = super::scalar::canonical_nan(self[l]);
+            }
+        }
+        out
     }
 }
 
@@ -249,7 +278,7 @@ fn next_row_mut<'a>(rest: &mut &'a mut [f64], w: usize) -> &'a mut [f64] {
 /// length-`$n` `$level`, whose rows are `$r`. Forward: one load, every
 /// level, one store scaled by `$s0` (row 0) and `$sk` (the other rows).
 /// Inverse: one load scaled the same way, every level, one store. Before
-/// the store, a lane whose row 0 is NaN gets canonical NaNs (see the
+/// the store, each lane whose row 0 is NaN gets canonical NaNs (see the
 /// module docs).
 ///
 /// Rows are listed, not looped over, and walked with [`next_row`], so the
@@ -268,8 +297,9 @@ macro_rules! strip {
         )*
         $level(&mut x, $tw);
         if x[0].any_nan() {
+            let row0 = x[0];
             $(
-                x[$r] = x[$r].canonical_nan();
+                x[$r] = x[$r].canonical_nan_where(row0);
             )*
         }
         let mut rest: &mut [f64] = $v;
@@ -288,8 +318,9 @@ macro_rules! strip {
         )*
         $level(&mut x, $tw);
         if x[0].any_nan() {
+            let row0 = x[0];
             $(
-                x[$r] = x[$r].canonical_nan();
+                x[$r] = x[$r].canonical_nan_where(row0);
             )*
         }
         let mut rest: &mut [f64] = $v;
@@ -300,14 +331,32 @@ macro_rules! strip {
 }
 
 /// Runs the length-`$n` `$level` (rows `$rows`) over every lane in
-/// direction `$dir`: whole strips of `$strip` lanes, then the leftover
-/// lanes one by one.
+/// direction `$dir`: whole strips of `$strip` lanes, then one strip of
+/// its [`Lane::Tail`] if that is wider than one lane and fits, then the
+/// leftover lanes one by one.
 macro_rules! sweep_strips {
     ($dir:ident, $strip:ty, $level:ident, $n:literal, $rows:tt, $v:ident, $w:ident, $tw:ident, $s0:ident, $sk:ident) => {{
         let mut j = 0;
         while j + <$strip as Lane>::WIDTH <= $w {
             strip!($dir, $strip, $level, $n, $rows, $v, $w, j, $tw, $s0, $sk);
             j += <$strip as Lane>::WIDTH;
+        }
+        let tail = <<$strip as Lane>::Tail as Lane>::WIDTH;
+        if tail > 1 && j + tail <= $w {
+            strip!(
+                $dir,
+                <$strip as Lane>::Tail,
+                $level,
+                $n,
+                $rows,
+                $v,
+                $w,
+                j,
+                $tw,
+                $s0,
+                $sk
+            );
+            j += tail;
         }
         while j < $w {
             strip!($dir, [f64; 1], $level, $n, $rows, $v, $w, j, $tw, $s0, $sk);

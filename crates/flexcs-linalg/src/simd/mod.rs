@@ -12,13 +12,27 @@
 //!    regardless of CPU features (for A/B testing both paths on one
 //!    host).
 //! 2. **x86_64 AVX2+FMA** — selected when
-//!    `is_x86_feature_detected!("avx2")` and `("fma")` both pass.
+//!    `is_x86_feature_detected!("avx2")` and `("fma")` both pass. When
+//!    `("avx512f")` passes too, the table is the same tier with the Lee
+//!    lane codelets swapped for their 8-lane `__m512d` versions
+//!    (`avx512.rs`); its tier name stays `x86_64-avx2+fma`.
 //! 3. **aarch64 NEON** — selected when
 //!    `is_aarch64_feature_detected!("neon")` passes.
 //! 4. **Portable scalar** — the historical Rust loops, retained
 //!    verbatim in [`scalar`]; always the fallback.
 //!
+//! Only CPU detection picks the codelet width; there is no setting for
+//! it. [`codelet_lanes`] reports the width the selected table runs (4,
+//! or 8 on AVX-512 hosts), and [`host_kernel_tables`] lists every table
+//! the host can run, so tests cover the 4-lane codelets on AVX-512 hosts
+//! too.
+//!
 //! ## Tolerance policy
+//!
+//! The tier name, not the codelet width, keys the rounding: reductions
+//! re-associate per tier (below), and perfbench's recorded figures are
+//! keyed by [`tier_name`]. Every table of one tier shares its
+//! reductions, and the codelet width changes no bit.
 //!
 //! - *Elementwise* kernels (axpy, scale, sub/add, soft-threshold,
 //!   momentum, the `x⁺` that `fista_step` writes, DCT butterflies and
@@ -26,8 +40,9 @@
 //!   tiers: vector tiers use explicit mul/add/sub intrinsics — never
 //!   fused multiply-add — so each lane performs the exact scalar
 //!   rounding sequence. The lane codelets share one recursion body, run
-//!   on register lanes (AVX2) or on `[f64; 4]` arrays compiled with FMA
-//!   disabled (scalar, NEON), and also agree on NaN bits. So do the Lee
+//!   on register lanes (4-lane AVX2, 8-lane AVX-512) or on `[f64; 4]`
+//!   arrays compiled with FMA disabled (scalar, NEON), and also agree on
+//!   NaN bits, lane by lane, whatever strip a lane lands in. So do the Lee
 //!   sweep kernels: `add` and `butterfly_merge`, whose adds may meet two
 //!   NaNs, return `f64::NAN` for every NaN output on every tier.
 //! - *Reductions* (`dot`, the RPCA dual residual, `fista_step`'s norm
@@ -50,7 +65,8 @@
 //! 2. Add a `fn` pointer field to [`Kernels`] and wire it in the
 //!    `SCALAR` table (plus `AVX2_FMA`/`NEON` if vectorized — a new
 //!    field may simply reuse the scalar fn in vector tiers until a
-//!    vector implementation exists).
+//!    vector implementation exists). `AVX2_FMA_AVX512` copies every
+//!    field but the codelets from `AVX2_FMA`.
 //! 3. If vectorized: elementwise ⇒ mul/add only (bit-identity);
 //!    reduction ⇒ document re-association and extend the ≤ 1e-12
 //!    proptests. Every intrinsic block needs a `// SAFETY:` comment.
@@ -68,6 +84,8 @@ pub use codelet::CODELET_MAX;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 
@@ -184,6 +202,9 @@ pub struct Kernels {
     /// load, then the exact inverse recursion (`n − 1` doubled cosines,
     /// level by level) on every lane (elementwise, bit-identical).
     pub lee_inverse_lanes: LeeLanesFn,
+    /// Lanes one strip of the two Lee codelets transforms at once (4, or
+    /// 8 on AVX-512 hosts); moves no bit.
+    pub codelet_lanes: usize,
     /// Out-of-place transpose (data movement, identical across tiers).
     pub transpose: TransposeFn,
     /// RPCA L-update target `out = (a − b) + c·k` (elementwise,
@@ -213,6 +234,7 @@ static SCALAR: Kernels = Kernels {
     butterfly_merge: scalar::butterfly_merge,
     lee_forward_lanes: scalar::lee_forward_lanes,
     lee_inverse_lanes: scalar::lee_inverse_lanes,
+    codelet_lanes: codelet::STRIP,
     transpose: scalar::transpose,
     sub_add_scaled: scalar::sub_add_scaled,
     sub_add_scaled_shrink: scalar::sub_add_scaled_shrink,
@@ -234,10 +256,21 @@ static AVX2_FMA: Kernels = Kernels {
     butterfly_merge: avx2::butterfly_merge,
     lee_forward_lanes: avx2::lee_forward_lanes,
     lee_inverse_lanes: avx2::lee_inverse_lanes,
+    codelet_lanes: <avx2::Ymm as codelet::Lane>::WIDTH,
     transpose: avx2::transpose,
     sub_add_scaled: avx2::sub_add_scaled,
     sub_add_scaled_shrink: avx2::sub_add_scaled_shrink,
     dual_update_residual_sq: avx2::dual_update_residual_sq,
+};
+
+/// The AVX2+FMA tier with the 8-lane AVX-512 codelets, for hosts that
+/// also report `avx512f`.
+#[cfg(target_arch = "x86_64")]
+static AVX2_FMA_AVX512: Kernels = Kernels {
+    lee_forward_lanes: avx512::lee_forward_lanes,
+    lee_inverse_lanes: avx512::lee_inverse_lanes,
+    codelet_lanes: <avx512::Zmm as codelet::Lane>::WIDTH,
+    ..AVX2_FMA
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -255,6 +288,7 @@ static NEON: Kernels = Kernels {
     butterfly_merge: neon::butterfly_merge,
     lee_forward_lanes: neon::lee_forward_lanes,
     lee_inverse_lanes: neon::lee_inverse_lanes,
+    codelet_lanes: codelet::STRIP,
     transpose: scalar::transpose,
     sub_add_scaled: neon::sub_add_scaled,
     sub_add_scaled_shrink: neon::sub_add_scaled_shrink,
@@ -276,20 +310,35 @@ fn select() -> &'static Kernels {
     if force_scalar(env.as_deref()) {
         return &SCALAR;
     }
+    host_kernel_tables()
+        .pop()
+        .expect("the scalar table is always listed")
+}
+
+/// Every kernel table this host's CPU can run, the scalar reference
+/// first and the one runtime detection prefers last (see the module
+/// docs). Property tests run each of them against the scalar table; this
+/// is no setting, and only [`kernels`] picks the table a process uses.
+#[doc(hidden)]
+pub fn host_kernel_tables() -> Vec<&'static Kernels> {
+    let mut tables = vec![&SCALAR];
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
-            return &AVX2_FMA;
+            tables.push(&AVX2_FMA);
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                tables.push(&AVX2_FMA_AVX512);
+            }
         }
     }
     #[cfg(target_arch = "aarch64")]
     {
         if std::arch::is_aarch64_feature_detected!("neon") {
-            return &NEON;
+            tables.push(&NEON);
         }
     }
-    &SCALAR
+    tables
 }
 
 /// Process-wide kernel table: selected on first call (see the module
@@ -313,6 +362,13 @@ pub fn tier() -> SimdTier {
 /// Stable name of the selected tier (see [`SimdTier::name`]).
 pub fn tier_name() -> &'static str {
     kernels().tier.name()
+}
+
+/// Lanes one Lee codelet strip of the selected table transforms at once
+/// (see [`Kernels::codelet_lanes`]), recorded in telemetry as
+/// `simd.codelet_lanes.<n>`.
+pub fn codelet_lanes() -> usize {
+    kernels().codelet_lanes
 }
 
 #[cfg(test)]
@@ -339,6 +395,24 @@ mod tests {
         // The scalar table always reports the scalar tier.
         assert_eq!(scalar_kernels().tier, SimdTier::Scalar);
         assert_eq!(SimdTier::Scalar.name(), "scalar");
+        assert_eq!(k.codelet_lanes, codelet_lanes());
+    }
+
+    #[test]
+    fn host_tables_list_scalar_first_and_the_detected_table_last() {
+        let tables = host_kernel_tables();
+        assert!(std::ptr::eq(tables[0], scalar_kernels()));
+        let env = std::env::var("FLEXCS_FORCE_SCALAR").ok();
+        if !force_scalar(env.as_deref()) {
+            assert!(std::ptr::eq(kernels(), *tables.last().unwrap()));
+        }
+        for k in &tables {
+            assert!(matches!(k.codelet_lanes, 4 | 8), "{:?}", k.tier);
+            // An 8-lane codelet table is the AVX2+FMA tier under its name.
+            if k.codelet_lanes == 8 {
+                assert_eq!(k.tier.name(), "x86_64-avx2+fma");
+            }
+        }
     }
 
     #[test]

@@ -1,28 +1,32 @@
-//! Property tests pinning every dispatched SIMD kernel to its scalar
-//! reference tier.
+//! Property tests pinning every SIMD kernel table the host can run to
+//! the scalar reference tier.
 //!
 //! Contract (see `flexcs_linalg::simd`): elementwise kernels are
 //! **bit-identical** to the scalar tier on every input; reductions may
-//! re-associate but must agree to **≤ 1e-12 relative**. The suite runs
-//! against whichever tier the process selected — under the CI
-//! `FLEXCS_FORCE_SCALAR=1` leg the dispatched table *is* the scalar
-//! table and the comparisons degenerate to exact self-consistency, so
-//! both legs together cover both paths.
+//! re-associate but must agree to **≤ 1e-12 relative**. Each case runs
+//! every table of `simd::host_kernel_tables()`, not only the one the
+//! process selected: on an AVX-512 host that is the scalar table, the
+//! AVX2+FMA table with 4-lane codelets and the one with 8-lane
+//! codelets, so the narrower codelets stay covered where runtime
+//! detection never picks them, and the CI `FLEXCS_FORCE_SCALAR=1` leg
+//! runs the same comparisons.
 //!
 //! Lengths are drawn across 0..=67 (via full-length draws sliced to
 //! an independent length) to hit the empty case, the
 //! sub-vector-width remainders, and full vector blocks of every tier
 //! (4/8-wide AVX2, 2/4-wide NEON, 4-wide scalar unrolling). The Lee
-//! lane codelets draw 1..=68 lanes (whole 4-lane strips plus 1–3
-//! leftover lanes) at every codelet length, with up to five special
-//! values planted per frame (`SPECIALS`: NaN bits must agree too); the
-//! Lee sweep kernels `add`/`sub` and `butterfly_merge` get up to five
-//! planted pairs, so two NaNs meet in one add. The transpose draws
+//! lane codelets draw 1..=68 lanes (whole 8- and 4-lane strips plus
+//! every leftover count) at every codelet length, with up to five
+//! special values planted per frame (`SPECIALS`: NaN bits must agree
+//! too), and every width 1..=40 is checked lane by lane against each
+//! lane transformed alone, so no lane's bits depend on its neighbours;
+//! the Lee sweep kernels `add`/`sub` and `butterfly_merge` get up to
+//! five planted pairs, so two NaNs meet in one add. The transpose draws
 //! shapes up to 69 x 69 (ragged 4×4 blocks on both edges, several cache
 //! tiles). `fista_step` runs every length 0..=67 in each case, with up to
 //! five special values planted in each of `y`, `g` and `x`.
 
-use flexcs_linalg::simd;
+use flexcs_linalg::simd::{self, Kernels};
 use proptest::prelude::*;
 
 const REL_TOL: f64 = 1e-12;
@@ -50,6 +54,14 @@ fn assert_bits_eq(dispatched: &[f64], scalar: &[f64], kernel: &str) {
     }
 }
 
+/// `kernel` labelled with the table it ran on.
+fn on(k: &Kernels, kernel: &str) -> String {
+    format!(
+        "{kernel} on {:?} ({} codelet lanes)",
+        k.tier, k.codelet_lanes
+    )
+}
+
 fn assert_rel_close(dispatched: f64, scalar: f64, kernel: &str) {
     let tol = REL_TOL * scalar.abs().max(1.0);
     assert!(
@@ -64,22 +76,24 @@ proptest! {
     #[test]
     fn axpy_bit_identical(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN, alpha in -10.0..10.0f64) {
         let (x, y) = (va[..n].to_vec(), vb[..n].to_vec());
-        let k = simd::kernels();
-        let s = simd::scalar_kernels();
-        let mut yd = y.clone();
-        let mut ys = y;
-        (k.axpy)(alpha, &x, &mut yd);
-        (s.axpy)(alpha, &x, &mut ys);
-        assert_bits_eq(&yd, &ys, "axpy");
+        let mut ys = y.clone();
+        (simd::scalar_kernels().axpy)(alpha, &x, &mut ys);
+        for k in simd::host_kernel_tables() {
+            let mut yd = y.clone();
+            (k.axpy)(alpha, &x, &mut yd);
+            assert_bits_eq(&yd, &ys, &on(k, "axpy"));
+        }
     }
 
     #[test]
     fn scale_bit_identical(va in full_vec(), n in 0usize..MAX_LEN, s in -10.0..10.0f64) {
-        let mut a = va[..n].to_vec();
-        let mut b = a.clone();
-        (simd::kernels().scale)(&mut a, s);
+        let mut b = va[..n].to_vec();
         (simd::scalar_kernels().scale)(&mut b, s);
-        assert_bits_eq(&a, &b, "scale");
+        for k in simd::host_kernel_tables() {
+            let mut a = va[..n].to_vec();
+            (k.scale)(&mut a, s);
+            assert_bits_eq(&a, &b, &on(k, "scale"));
+        }
     }
 
     #[test]
@@ -92,47 +106,54 @@ proptest! {
         kinds_b in proptest::collection::vec(0usize..SPECIALS.len(), 6),
     ) {
         let (a, b) = planted_pair(&va[..n], &vb[..n], &plant_at, &kinds_a, &kinds_b);
-        let k = simd::kernels();
         let s = simd::scalar_kernels();
         let n = a.len();
-        let (mut od, mut os) = (vec![0.0; n], vec![0.0; n]);
-        (k.sub)(&mut od, &a, &b);
-        (s.sub)(&mut os, &a, &b);
-        assert_bits_eq(&od, &os, "sub");
-        (k.add)(&mut od, &a, &b);
-        (s.add)(&mut os, &a, &b);
-        assert_bits_eq(&od, &os, "add");
+        let (mut ss, mut sa) = (vec![0.0; n], vec![0.0; n]);
+        (s.sub)(&mut ss, &a, &b);
+        (s.add)(&mut sa, &a, &b);
+        for k in simd::host_kernel_tables() {
+            let mut od = vec![0.0; n];
+            (k.sub)(&mut od, &a, &b);
+            assert_bits_eq(&od, &ss, &on(k, "sub"));
+            (k.add)(&mut od, &a, &b);
+            assert_bits_eq(&od, &sa, &on(k, "add"));
+        }
     }
 
     #[test]
     fn soft_threshold_bit_identical(va in full_vec(), n in 0usize..MAX_LEN, t in 0.0..50.0f64) {
-        let mut d = va[..n].to_vec();
         let mut s = va[..n].to_vec();
-        (simd::kernels().soft_threshold)(&mut d, t);
         (simd::scalar_kernels().soft_threshold)(&mut s, t);
-        assert_bits_eq(&d, &s, "soft_threshold");
+        for k in simd::host_kernel_tables() {
+            let mut d = va[..n].to_vec();
+            (k.soft_threshold)(&mut d, t);
+            assert_bits_eq(&d, &s, &on(k, "soft_threshold"));
+        }
     }
 
     #[test]
     fn momentum_bit_identical(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN, beta in 0.0..1.0f64) {
         let (xn, xo) = (va[..n].to_vec(), vb[..n].to_vec());
-        let n = xn.len();
-        let (mut yd, mut ys) = (vec![0.0; n], vec![0.0; n]);
-        (simd::kernels().momentum)(&mut yd, &xn, &xo, beta);
+        let mut ys = vec![0.0; n];
         (simd::scalar_kernels().momentum)(&mut ys, &xn, &xo, beta);
-        assert_bits_eq(&yd, &ys, "momentum");
+        for k in simd::host_kernel_tables() {
+            let mut yd = vec![0.0; n];
+            (k.momentum)(&mut yd, &xn, &xo, beta);
+            assert_bits_eq(&yd, &ys, &on(k, "momentum"));
+        }
     }
 
     #[test]
     fn butterfly_split_bit_identical(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN, inv in 0.5..20.0f64) {
         let (x, y) = (va[..n].to_vec(), vb[..n].to_vec());
-        let w = x.len();
-        let (mut ad, mut bd) = (vec![0.0; w], vec![0.0; w]);
-        let (mut as_, mut bs) = (vec![0.0; w], vec![0.0; w]);
-        (simd::kernels().butterfly_split)(&mut ad, &mut bd, &x, &y, inv);
+        let (mut as_, mut bs) = (vec![0.0; n], vec![0.0; n]);
         (simd::scalar_kernels().butterfly_split)(&mut as_, &mut bs, &x, &y, inv);
-        assert_bits_eq(&ad, &as_, "butterfly_split alpha");
-        assert_bits_eq(&bd, &bs, "butterfly_split beta");
+        for k in simd::host_kernel_tables() {
+            let (mut ad, mut bd) = (vec![0.0; n], vec![0.0; n]);
+            (k.butterfly_split)(&mut ad, &mut bd, &x, &y, inv);
+            assert_bits_eq(&ad, &as_, &on(k, "butterfly_split alpha"));
+            assert_bits_eq(&bd, &bs, &on(k, "butterfly_split beta"));
+        }
     }
 
     #[test]
@@ -147,40 +168,47 @@ proptest! {
     ) {
         let (alpha, beta) = planted_pair(&va[..n], &vb[..n], &plant_at, &kinds_a, &kinds_b);
         let w = alpha.len();
-        let (mut td, mut bd) = (vec![0.0; w], vec![0.0; w]);
         let (mut ts, mut bs) = (vec![0.0; w], vec![0.0; w]);
-        (simd::kernels().butterfly_merge)(&mut td, &mut bd, &alpha, &beta, c);
         (simd::scalar_kernels().butterfly_merge)(&mut ts, &mut bs, &alpha, &beta, c);
-        assert_bits_eq(&td, &ts, "butterfly_merge top");
-        assert_bits_eq(&bd, &bs, "butterfly_merge bottom");
+        for k in simd::host_kernel_tables() {
+            let (mut td, mut bd) = (vec![0.0; w], vec![0.0; w]);
+            (k.butterfly_merge)(&mut td, &mut bd, &alpha, &beta, c);
+            assert_bits_eq(&td, &ts, &on(k, "butterfly_merge top"));
+            assert_bits_eq(&bd, &bs, &on(k, "butterfly_merge bottom"));
+        }
     }
 
     #[test]
     fn sub_add_scaled_bit_identical(va in full_vec(), vb in full_vec(), vc in full_vec(), n in 0usize..MAX_LEN, k in -5.0..5.0f64) {
         let (a, b, c) = (va[..n].to_vec(), vb[..n].to_vec(), vc[..n].to_vec());
-        let n = a.len();
-        let (mut od, mut os) = (vec![0.0; n], vec![0.0; n]);
-        (simd::kernels().sub_add_scaled)(&mut od, &a, &b, &c, k);
+        let mut os = vec![0.0; n];
         (simd::scalar_kernels().sub_add_scaled)(&mut os, &a, &b, &c, k);
-        assert_bits_eq(&od, &os, "sub_add_scaled");
+        for t in simd::host_kernel_tables() {
+            let mut od = vec![0.0; n];
+            (t.sub_add_scaled)(&mut od, &a, &b, &c, k);
+            assert_bits_eq(&od, &os, &on(t, "sub_add_scaled"));
+        }
     }
 
     #[test]
     fn sub_add_scaled_shrink_bit_identical(va in full_vec(), vb in full_vec(), vc in full_vec(), n in 0usize..MAX_LEN, k in -5.0..5.0f64, thr in 0.0..10.0f64) {
         let (a, b, c) = (va[..n].to_vec(), vb[..n].to_vec(), vc[..n].to_vec());
-        let n = a.len();
-        let (mut od, mut os) = (vec![0.0; n], vec![0.0; n]);
-        (simd::kernels().sub_add_scaled_shrink)(&mut od, &a, &b, &c, k, thr);
+        let mut os = vec![0.0; n];
         (simd::scalar_kernels().sub_add_scaled_shrink)(&mut os, &a, &b, &c, k, thr);
-        assert_bits_eq(&od, &os, "sub_add_scaled_shrink");
+        for t in simd::host_kernel_tables() {
+            let mut od = vec![0.0; n];
+            (t.sub_add_scaled_shrink)(&mut od, &a, &b, &c, k, thr);
+            assert_bits_eq(&od, &os, &on(t, "sub_add_scaled_shrink"));
+        }
     }
 
     #[test]
     fn dot_within_reduction_tolerance(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN) {
         let (a, b) = (va[..n].to_vec(), vb[..n].to_vec());
-        let d = (simd::kernels().dot)(&a, &b);
         let s = (simd::scalar_kernels().dot)(&a, &b);
-        assert_rel_close(d, s, "dot");
+        for k in simd::host_kernel_tables() {
+            assert_rel_close((k.dot)(&a, &b), s, &on(k, "dot"));
+        }
     }
 
     #[test]
@@ -189,12 +217,14 @@ proptest! {
         // y starts from d (any equal-length buffer works); the updated
         // dual is elementwise (bit-identical), the returned Σz² is a
         // reduction (≤ 1e-12 relative).
-        let mut yd = d.clone();
         let mut ys = d.clone();
-        let zd = (simd::kernels().dual_update_residual_sq)(&mut yd, &d, &l, &s, mu);
         let zs = (simd::scalar_kernels().dual_update_residual_sq)(&mut ys, &d, &l, &s, mu);
-        assert_bits_eq(&yd, &ys, "dual_update y");
-        assert_rel_close(zd, zs, "dual_update residual");
+        for k in simd::host_kernel_tables() {
+            let mut yd = d.clone();
+            let zd = (k.dual_update_residual_sq)(&mut yd, &d, &l, &s, mu);
+            assert_bits_eq(&yd, &ys, &on(k, "dual_update y"));
+            assert_rel_close(zd, zs, &on(k, "dual_update residual"));
+        }
     }
 
     #[test]
@@ -234,16 +264,35 @@ proptest! {
         }
         let v = &v[..];
         let (inv, twice_cos) = lee_twiddles(n);
-        let k = simd::kernels();
-        let s = simd::scalar_kernels();
-        let (mut fd, mut fs) = (v.to_vec(), v.to_vec());
-        (k.lee_forward_lanes)(&mut fd, w, &inv, s0, sk);
-        (s.lee_forward_lanes)(&mut fs, w, &inv, s0, sk);
-        assert_bits_eq(&fd, &fs, "lee_forward_lanes");
-        let (mut id, mut is) = (v.to_vec(), v.to_vec());
-        (k.lee_inverse_lanes)(&mut id, w, &twice_cos, s0, sk);
-        (s.lee_inverse_lanes)(&mut is, w, &twice_cos, s0, sk);
-        assert_bits_eq(&id, &is, "lee_inverse_lanes");
+        let (mut fs, mut is) = (v.to_vec(), v.to_vec());
+        (simd::scalar_kernels().lee_forward_lanes)(&mut fs, w, &inv, s0, sk);
+        (simd::scalar_kernels().lee_inverse_lanes)(&mut is, w, &twice_cos, s0, sk);
+        for k in simd::host_kernel_tables() {
+            let (mut fd, mut id) = (v.to_vec(), v.to_vec());
+            (k.lee_forward_lanes)(&mut fd, w, &inv, s0, sk);
+            assert_bits_eq(&fd, &fs, &on(k, "lee_forward_lanes"));
+            (k.lee_inverse_lanes)(&mut id, w, &twice_cos, s0, sk);
+            assert_bits_eq(&id, &is, &on(k, "lee_inverse_lanes"));
+        }
+    }
+
+    #[test]
+    fn lee_lanes_match_each_lane_alone(
+        vals in proptest::collection::vec(-100.0..100.0f64, simd::CODELET_MAX * LANE_ALONE_MAX_W),
+        log_n in 0usize..6,
+        s0 in -2.0..2.0f64,
+        sk in -2.0..2.0f64,
+        plant_at in proptest::collection::vec(0usize..simd::CODELET_MAX * LANE_ALONE_MAX_W, 0..24),
+        plant_kind in proptest::collection::vec(0usize..SPECIALS.len(), 24),
+    ) {
+        let n = 1usize << log_n;
+        for w in 1..=LANE_ALONE_MAX_W {
+            let mut v = vals[..n * w].to_vec();
+            for (&at, &kind) in plant_at.iter().zip(&plant_kind) {
+                v[at % (n * w)] = SPECIALS[kind];
+            }
+            check_lanes_alone(&v, n, w, s0, sk);
+        }
     }
 
     #[test]
@@ -253,10 +302,13 @@ proptest! {
         cols in 1usize..70,
     ) {
         let src = &vals[..rows * cols];
-        let (mut td, mut ts) = (vec![0.0; rows * cols], vec![0.0; rows * cols]);
-        (simd::kernels().transpose)(src, &mut td, rows, cols);
+        let mut ts = vec![0.0; rows * cols];
         (simd::scalar_kernels().transpose)(src, &mut ts, rows, cols);
-        assert_bits_eq(&td, &ts, "transpose");
+        for k in simd::host_kernel_tables() {
+            let mut td = vec![0.0; rows * cols];
+            (k.transpose)(src, &mut td, rows, cols);
+            assert_bits_eq(&td, &ts, &on(k, "transpose"));
+        }
         for i in 0..rows {
             for j in 0..cols {
                 prop_assert_eq!(ts[j * rows + i].to_bits(), src[i * cols + j].to_bits());
@@ -280,8 +332,8 @@ fn check_fista_step(y: &[f64], g: &[f64], x: &[f64], step: f64, t: f64) {
         .zip(g)
         .map(|(yi, gi)| simd::scalar::shrink(yi - step * gi, t))
         .collect();
-    for k in [simd::kernels(), simd::scalar_kernels()] {
-        let what = |part: &str| format!("fista_step {part} on {:?}, n = {n}", k.tier);
+    for k in simd::host_kernel_tables() {
+        let what = |part: &str| format!("{}, n = {n}", on(k, &format!("fista_step {part}")));
         let mut xn = vec![f64::NAN; n];
         let sums = (k.fista_step)(&mut xn, y, g, x, step, t);
         assert_bits_eq(&xn, &want, &what("x_next"));
@@ -324,6 +376,56 @@ fn check_fista_step(y: &[f64], g: &[f64], x: &[f64], step: f64, t: f64) {
                 what("restart_abs")
             );
             assert!(!sums.restart_abs.is_finite(), "{}", what("restart_abs"));
+        }
+    }
+}
+
+/// Widest frame the lane-alone codelet check runs (every width from 1,
+/// so each strip width and leftover count of every table shows up).
+const LANE_ALONE_MAX_W: usize = 40;
+
+/// Both Lee codelets of every host table on the `n x w` frame `v`
+/// against each lane transformed alone (`w = 1`) on the same table: a
+/// lane's bits, NaN bits included, must not depend on its neighbours.
+fn check_lanes_alone(v: &[f64], n: usize, w: usize, s0: f64, sk: f64) {
+    let (inv, twice_cos) = lee_twiddles(n);
+    for k in simd::host_kernel_tables() {
+        let codelets = [
+            (k.lee_forward_lanes, &inv, "lee_forward_lanes"),
+            (k.lee_inverse_lanes, &twice_cos, "lee_inverse_lanes"),
+        ];
+        for (codelet, tw, name) in codelets {
+            let mut frame = v.to_vec();
+            codelet(&mut frame, w, tw, s0, sk);
+            for j in 0..w {
+                let mut lane: Vec<f64> = (0..n).map(|r| v[r * w + j]).collect();
+                codelet(&mut lane, 1, tw, s0, sk);
+                let in_frame: Vec<f64> = (0..n).map(|r| frame[r * w + j]).collect();
+                assert_bits_eq(
+                    &in_frame,
+                    &lane,
+                    &on(k, &format!("{name} lane {j} of {n} x {w}")),
+                );
+            }
+        }
+    }
+}
+
+/// A NaN in lane 0's row 0 must not change the NaN bits of lane 1, whose
+/// `∞ − ∞` makes the platform's default NaN in rows 1..: every width
+/// from 1 to [`LANE_ALONE_MAX_W`] and every codelet length.
+#[test]
+fn lee_lane_nan_bits_ignore_neighbours() {
+    for log_n in 1..6 {
+        let n = 1usize << log_n;
+        for w in 2..=LANE_ALONE_MAX_W {
+            let mut v: Vec<f64> = (0..n * w).map(|i| (i as f64 * 0.37).sin()).collect();
+            v[0] = f64::NAN;
+            // Lane 1 reads +∞ in its first two rows: row 0 sums to +∞,
+            // the differences of the two make NaNs.
+            v[1] = f64::INFINITY;
+            v[w + 1] = f64::INFINITY;
+            check_lanes_alone(&v, n, w, 1.0, 1.0);
         }
     }
 }
