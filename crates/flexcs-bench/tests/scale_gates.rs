@@ -759,7 +759,6 @@ fn block_pipeline(threads: usize) -> BlockPipeline {
         Decoder::default(),
         BlockPipelineConfig {
             threads: Some(threads),
-            ..BlockPipelineConfig::default()
         },
     )
 }

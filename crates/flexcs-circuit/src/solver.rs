@@ -109,7 +109,7 @@ struct SharedPattern {
 }
 
 /// A handle that shares one netlist's symbolic analyses across many
-/// [`SparseSolver`] instances.
+/// `SparseSolver` instances (the crate's private sparse MNA solver).
 ///
 /// Monte-Carlo variation sweeps solve thousands of circuits with the
 /// *same topology* (hence the same sparsity pattern) and different

@@ -30,7 +30,7 @@
 //! [`AdaptivePipeline`] packages the detector, the tier routing and the
 //! per-tier accounting; `flexcs-serve` attaches one per session.
 
-use crate::basisop::SubsampledDctOperator;
+use crate::basisop::{BasisKind, SubsampledDctOperator};
 use crate::decode::{DecodeWarmState, Decoder, Reconstruction};
 use crate::error::{CoreError, Result};
 use crate::tel;
@@ -135,8 +135,8 @@ pub struct AdaptiveConfig {
     /// the guard.
     pub force_full_every: usize,
     /// Iteration budget for the delta tier's warm partial decode (the
-    /// latency governor may shrink it at runtime, never below
-    /// [`MIN_DELTA_ITERATIONS`]).
+    /// latency governor may shrink it at runtime, never below 5
+    /// iterations).
     pub delta_iteration_budget: usize,
     /// Largest estimated total sparsity still routed to the greedy
     /// tier; denser events go straight to the full solver.
@@ -463,7 +463,7 @@ impl AdaptivePipeline {
         }
         let plan = decoder.plan_for(rows, cols).ok()?;
         let op =
-            SubsampledDctOperator::with_plan(rows, cols, selected.to_vec(), decoder.basis(), plan)
+            SubsampledDctOperator::with_plan(rows, cols, selected.to_vec(), BasisKind::Dct, plan)
                 .ok()?;
         // Residual spectrum: Ψᵀ·Φ_Mᵀ applied to (y − Φ_M·x_prev), or to
         // y itself when no reference frame exists.

@@ -7,38 +7,26 @@
 //! milliseconds versus materializing a 512x1024 matrix.
 
 use crate::error::{CoreError, Result};
-use flexcs_linalg::Matrix;
 use flexcs_solver::LinearOperator;
-use flexcs_transform::{devectorize, haar2d_full_forward, haar2d_full_inverse, Dct2d};
+use flexcs_transform::Dct2d;
 use std::sync::Arc;
 
-/// Sparsity basis the decoder works in.
-///
-/// The paper develops the DCT formulation (Eqs. 3–7) and notes that
-/// "other suitable transformations, such as discrete Fourier transform
-/// and discrete wavelet transform, can be applied as well"; [`BasisKind::Haar`]
-/// exercises that claim (power-of-two frames only).
+/// The operator's sparsity basis: only the paper's 2-D DCT. The Haar
+/// wavelet basis was retired after it measured 2.6–3.5× the DCT's RMSE
+/// (EXPERIMENTS.md). This one-variant type and the argument
+/// [`SubsampledDctOperator::with_plan`] ignores remain only because the
+/// benchmark's `replay.rs` spells them; both go with that replay
+/// (ROADMAP item 10).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BasisKind {
     /// 2-D orthonormal DCT (the paper's basis).
     #[default]
     Dct,
-    /// Full 2-D orthonormal Haar wavelet basis.
-    Haar,
 }
 
-impl BasisKind {
-    /// Short name for result tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            BasisKind::Dct => "dct",
-            BasisKind::Haar => "haar",
-        }
-    }
-}
-
-/// Implicit `Φ_M·Ψ` operator for identity-subset sampling over an
-/// orthonormal 2-D basis (DCT by default).
+/// Implicit `Φ_M·Ψ` operator for identity-subset sampling over the
+/// orthonormal 2-D DCT basis.
 #[derive(Debug, Clone)]
 pub struct SubsampledDctOperator {
     rows: usize,
@@ -46,9 +34,8 @@ pub struct SubsampledDctOperator {
     plan: Arc<Dct2d>,
     selected: Vec<usize>,
     /// `selected` in the layout the plan's fused sampled transforms
-    /// read and write ([`Dct2d::sample_positions`]); empty for Haar.
+    /// read and write ([`Dct2d::sample_positions`]).
     positions: Vec<usize>,
-    basis: BasisKind,
 }
 
 impl SubsampledDctOperator {
@@ -63,23 +50,8 @@ impl SubsampledDctOperator {
     /// [`LinearOperator::apply_transpose`] overwrite instead of
     /// accumulate, so `Aᵀ` would no longer be `A`'s adjoint).
     pub fn new(rows: usize, cols: usize, selected: Vec<usize>) -> Result<Self> {
-        Self::with_basis(rows, cols, selected, BasisKind::Dct)
-    }
-
-    /// Creates the operator over an explicit basis.
-    ///
-    /// # Errors
-    ///
-    /// As [`SubsampledDctOperator::new`]; additionally the Haar basis
-    /// requires power-of-two dimensions.
-    pub fn with_basis(
-        rows: usize,
-        cols: usize,
-        selected: Vec<usize>,
-        basis: BasisKind,
-    ) -> Result<Self> {
         let plan = Arc::new(Dct2d::new(rows, cols)?);
-        Self::with_plan(rows, cols, selected, basis, plan)
+        Self::with_plan(rows, cols, selected, BasisKind::Dct, plan)
     }
 
     /// Creates the operator around an existing (shared) 2-D DCT plan.
@@ -90,15 +62,19 @@ impl SubsampledDctOperator {
     /// rebuilding it per operator. The plan's internal scratch is
     /// contention-safe, so one `Arc` may serve concurrent operators.
     ///
+    /// The basis is always the DCT: the `BasisKind` argument is ignored
+    /// and goes with the benchmark's `replay.rs`, which passes it
+    /// (ROADMAP item 10).
+    ///
     /// # Errors
     ///
-    /// As [`SubsampledDctOperator::with_basis`]; additionally the plan
-    /// shape must match `rows x cols`.
+    /// As [`SubsampledDctOperator::new`]; additionally the plan shape
+    /// must match `rows x cols`.
     pub fn with_plan(
         rows: usize,
         cols: usize,
         selected: Vec<usize>,
-        basis: BasisKind,
+        _basis: BasisKind,
         plan: Arc<Dct2d>,
     ) -> Result<Self> {
         if rows == 0 || cols == 0 {
@@ -122,34 +98,20 @@ impl SubsampledDctOperator {
                 "selected index out of range".to_string(),
             ));
         }
-        if basis == BasisKind::Haar && !(rows.is_power_of_two() && cols.is_power_of_two()) {
-            return Err(CoreError::InvalidConfig(format!(
-                "haar basis requires power-of-two dimensions, got {rows}x{cols}"
-            )));
-        }
         if plan.shape() != (rows, cols) {
             return Err(CoreError::InvalidConfig(format!(
                 "plan shape {:?} does not match frame {rows}x{cols}",
                 plan.shape()
             )));
         }
-        let positions = match basis {
-            BasisKind::Dct => plan.sample_positions(&selected)?,
-            BasisKind::Haar => Vec::new(),
-        };
+        let positions = plan.sample_positions(&selected)?;
         Ok(SubsampledDctOperator {
             rows,
             cols,
             plan,
             selected,
             positions,
-            basis,
         })
-    }
-
-    /// Basis in use.
-    pub fn basis(&self) -> BasisKind {
-        self.basis
     }
 
     /// The shared 2-D DCT plan.
@@ -190,45 +152,21 @@ impl LinearOperator for SubsampledDctOperator {
     }
 
     fn apply_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        // Ψ·x (synthesis), then gather the sampled pixels. The DCT path
-        // gathers inside the transform, from its transposed staging
+        // Ψ·x (synthesis), then gather the sampled pixels. The gather
+        // runs inside the transform, from its transposed staging
         // buffer, and allocates nothing once the thread scratch is warm.
         out.resize(self.selected.len(), 0.0);
-        match self.basis {
-            BasisKind::Dct => self
-                .plan
-                .inverse_gather(x, &self.positions, out)
-                .expect("length checked by caller"),
-            BasisKind::Haar => {
-                let coeffs =
-                    devectorize(x, self.rows, self.cols).expect("length checked by caller");
-                let frame = haar2d_full_inverse(&coeffs).expect("validated power of two");
-                let flat = frame.as_slice();
-                for (o, &i) in out.iter_mut().zip(&self.selected) {
-                    *o = flat[i];
-                }
-            }
-        }
+        self.plan
+            .inverse_gather(x, &self.positions, out)
+            .expect("length checked by caller");
     }
 
     fn apply_transpose_into(&self, y: &[f64], out: &mut Vec<f64>) {
         // Ψᵀ·Φᵀ·y = analysis(scatter(y)); Ψ orthonormal so Ψᵀ = Ψ⁻¹.
         out.resize(self.rows * self.cols, 0.0);
-        match self.basis {
-            BasisKind::Dct => self
-                .plan
-                .scatter_forward(y, &self.positions, out)
-                .expect("length checked by caller"),
-            BasisKind::Haar => {
-                let mut frame = Matrix::zeros(self.rows, self.cols);
-                let flat = frame.as_mut_slice();
-                for (&i, &v) in self.selected.iter().zip(y) {
-                    flat[i] = v;
-                }
-                let coeffs = haar2d_full_forward(&frame).expect("validated power of two");
-                out.copy_from_slice(coeffs.as_slice());
-            }
-        }
+        self.plan
+            .scatter_forward(y, &self.positions, out)
+            .expect("length checked by caller");
     }
 }
 
@@ -236,8 +174,8 @@ impl LinearOperator for SubsampledDctOperator {
 mod tests {
     use super::*;
     use crate::sampling::SamplingPlan;
-    use flexcs_linalg::vecops;
-    use flexcs_transform::psi_matrix;
+    use flexcs_linalg::{vecops, Matrix};
+    use flexcs_transform::{devectorize, psi_matrix};
     use proptest::prelude::*;
 
     /// The unfused forward path: devectorize, full inverse 2-D DCT,
@@ -382,8 +320,6 @@ mod tests {
     fn rejects_invalid_construction() {
         assert!(SubsampledDctOperator::new(0, 4, vec![]).is_err());
         assert!(SubsampledDctOperator::new(4, 4, vec![16]).is_err());
-        // Haar demands powers of two.
-        assert!(SubsampledDctOperator::with_basis(6, 8, vec![0], BasisKind::Haar).is_err());
     }
 
     #[test]
@@ -400,22 +336,6 @@ mod tests {
             );
         }
         assert!(SubsampledDctOperator::new(4, 4, vec![3, 7]).is_ok());
-    }
-
-    #[test]
-    fn haar_operator_adjoint_and_roundtrip() {
-        let op =
-            SubsampledDctOperator::with_basis(8, 8, (0..64).collect(), BasisKind::Haar).unwrap();
-        let x: Vec<f64> = (0..64).map(|i| ((i as f64) * 0.21).sin()).collect();
-        let y: Vec<f64> = (0..64).map(|i| ((i as f64) * 0.17).cos()).collect();
-        let lhs = vecops::dot(&op.apply(&x), &y);
-        let rhs = vecops::dot(&x, &op.apply_transpose(&y));
-        assert!((lhs - rhs).abs() < 1e-10);
-        // Full sampling over an orthonormal basis: ΨᵀΨ = I.
-        let back = op.apply_transpose(&op.apply(&x));
-        for (a, b) in back.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 
     #[test]

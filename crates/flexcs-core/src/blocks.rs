@@ -40,6 +40,11 @@ use flexcs_parallel::Pool;
 use flexcs_solver::SolveReport;
 use std::time::Instant;
 
+/// Relative cut of the global RPCA defect pass: a block is flagged when
+/// its sparse residual exceeds this fraction of the maximum (see
+/// [`outlier_indices`]).
+const DEFECT_THRESHOLD: f64 = 0.5;
+
 /// Tiling geometry: block edge and inter-block overlap, both in pixels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockGridConfig {
@@ -438,29 +443,16 @@ pub struct BlockMeasurements {
 /// not use it: [`BlockPipeline`] solves each block through a fresh state
 /// on its thread's solver workspace. The alias remains only because the
 /// benchmark's traced megapixel replay names it, and goes with that
-/// replay (ROADMAP item 3).
+/// replay (ROADMAP items 10 and 4).
 pub type DecodePool = Pool<DecodeWarmState>;
 
 /// Configuration for [`BlockPipeline`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BlockPipelineConfig {
     /// Worker-thread cap for the per-block fan-out; `None` uses the
     /// `flexcs-parallel` default pool (the `FLEXCS_THREADS` override
     /// applies). Results are bit-identical for every setting.
     pub threads: Option<usize>,
-    /// Run the global RPCA pass on the block-mean image and flag blocks
-    /// whose sparse residual exceeds this fraction of the maximum
-    /// (see [`outlier_indices`]); `None` skips the defect map.
-    pub defect_threshold: Option<f64>,
-}
-
-impl Default for BlockPipelineConfig {
-    fn default() -> Self {
-        BlockPipelineConfig {
-            threads: None,
-            defect_threshold: Some(0.5),
-        }
-    }
 }
 
 /// Result of a block-tiled decode.
@@ -473,7 +465,7 @@ pub struct BlockOutcome {
     /// Block-mean image (one pixel per tile, grid shape).
     pub block_means: Matrix,
     /// Tiles flagged by the global RPCA defect pass (tile indices);
-    /// empty when the pass is disabled or the grid is a single strip.
+    /// empty when the grid is a single strip.
     pub defect_blocks: Vec<usize>,
     /// Pixels fused from more than one tile.
     pub seam_pixels: usize,
@@ -504,8 +496,8 @@ pub struct BlockOutcome {
 #[derive(Debug)]
 pub struct BlockPipeline {
     decoder: Decoder,
-    config: BlockPipelineConfig,
-    /// Fan-out width: `config.threads`, or the default pool size.
+    /// Fan-out width: the configured `threads`, or the default pool
+    /// size.
     workers: usize,
 }
 
@@ -516,11 +508,7 @@ impl BlockPipeline {
             .threads
             .unwrap_or_else(flexcs_parallel::default_threads)
             .max(1);
-        BlockPipeline {
-            decoder,
-            config,
-            workers,
-        }
+        BlockPipeline { decoder, workers }
     }
 
     /// Decodes one tiled frame: parallel cold per-tile solves,
@@ -593,14 +581,13 @@ impl BlockPipeline {
             tel::counter("blocks.seam_px", seam_pixels as u64);
         }
         let block_means = Matrix::from_vec(grid_rows, grid_cols, means)?;
-        let defect_blocks = match self.config.defect_threshold {
-            // RPCA needs a genuinely 2-D mean image; a single strip of
-            // blocks has no low-rank structure to separate from.
-            Some(threshold) if grid_rows >= 2 && grid_cols >= 2 => {
-                let dec = rpca(&block_means, &RpcaConfig::default())?;
-                outlier_indices(&dec, threshold)
-            }
-            _ => Vec::new(),
+        // RPCA needs a genuinely 2-D mean image; a single strip of
+        // blocks has no low-rank structure to separate from.
+        let defect_blocks = if grid_rows >= 2 && grid_cols >= 2 {
+            let dec = rpca(&block_means, &RpcaConfig::default())?;
+            outlier_indices(&dec, DEFECT_THRESHOLD)
+        } else {
+            Vec::new()
         };
         Ok(BlockOutcome {
             frame,

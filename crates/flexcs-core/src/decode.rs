@@ -11,7 +11,7 @@ use flexcs_linalg::{simd, Matrix};
 use flexcs_solver::{
     IstaConfig, LinearOperator, SolveReport, SolveWorkspace, SolverError, SparseSolver, WarmStart,
 };
-use flexcs_transform::{devectorize, haar2d_full_inverse, Dct2d};
+use flexcs_transform::{devectorize, Dct2d};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
@@ -65,7 +65,6 @@ fn with_solve_workspace<R>(f: impl FnOnce(&mut SolveWorkspace) -> R) -> R {
 #[derive(Debug)]
 pub struct Decoder {
     solver: SparseSolver,
-    basis: BasisKind,
     /// Most-recently-used 2-D DCT plan, keyed by its shape. Repeated
     /// reconstructions of same-shaped frames (the common case: every
     /// resample round and batch frame) skip the twiddle-table rebuild.
@@ -76,7 +75,6 @@ impl Clone for Decoder {
     fn clone(&self) -> Self {
         Decoder {
             solver: self.solver.clone(),
-            basis: self.basis,
             plan_cache: Mutex::new(
                 self.plan_cache
                     .lock()
@@ -165,26 +163,13 @@ impl Decoder {
     pub fn new(solver: SparseSolver) -> Self {
         Decoder {
             solver,
-            basis: BasisKind::Dct,
             plan_cache: Mutex::new(None),
         }
-    }
-
-    /// Selects the sparsity basis (builder style).
-    #[must_use]
-    pub fn with_basis(mut self, basis: BasisKind) -> Self {
-        self.basis = basis;
-        self
     }
 
     /// Borrows the solver configuration.
     pub fn solver(&self) -> &SparseSolver {
         &self.solver
-    }
-
-    /// Basis in use.
-    pub fn basis(&self) -> BasisKind {
-        self.basis
     }
 
     /// Reconstructs a `rows x cols` frame from measurements `y` taken at
@@ -229,7 +214,7 @@ impl Decoder {
 
     /// [`Decoder::reconstruct_warm`] with a per-call solver override:
     /// the decode runs `solver` instead of the configured one, while
-    /// basis, plan cache and λ-scaling behave exactly as usual. The
+    /// plan cache and λ-scaling behave exactly as usual. The
     /// adaptive tier derives its delta (budget-capped FISTA) and
     /// event-greedy (OMP) decodes from the session solver this way
     /// without rebuilding the decoder.
@@ -269,7 +254,8 @@ impl Decoder {
         }
         let setup_span = tel::span("decode.setup");
         let plan = self.plan_for(rows, cols)?;
-        let op = SubsampledDctOperator::with_plan(rows, cols, selected.to_vec(), self.basis, plan)?;
+        let op =
+            SubsampledDctOperator::with_plan(rows, cols, selected.to_vec(), BasisKind::Dct, plan)?;
         // Checked before the λ scaling below, which applies Aᵀ to `y`
         // ahead of any solver-side validation.
         if y.len() != op.rows() {
@@ -304,10 +290,7 @@ impl Decoder {
         }
         let inverse_span = tel::span("decode.inverse");
         let coefficients = devectorize(&recovery.x, rows, cols)?;
-        let frame = match self.basis {
-            BasisKind::Dct => op.plan().inverse(&coefficients)?,
-            BasisKind::Haar => haar2d_full_inverse(&coefficients)?,
-        };
+        let frame = op.plan().inverse(&coefficients)?;
         drop(inverse_span);
         Ok(Reconstruction {
             frame,
@@ -555,28 +538,6 @@ mod tests {
             .inverse(&rec.coefficients)
             .unwrap();
         assert!(from_coeffs.max_abs_diff(&rec.frame).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn haar_basis_decoder_reconstructs_piecewise_constant() {
-        use flexcs_transform::haar2d_full_inverse;
-        // A frame that is exactly sparse in the Haar basis (few wavelet
-        // coefficients) — blocky structure the DCT handles poorly.
-        let mut coeffs = Matrix::zeros(8, 8);
-        coeffs[(0, 0)] = 4.0;
-        coeffs[(1, 0)] = 1.5;
-        coeffs[(0, 1)] = -1.0;
-        coeffs[(2, 2)] = 0.7;
-        let frame = haar2d_full_inverse(&coeffs).unwrap();
-        let plan = SamplingPlan::random_subset(64, 40, &[], 3).unwrap();
-        let y = plan.measure(&frame.to_flat());
-        let decoder = Decoder::default().with_basis(crate::BasisKind::Haar);
-        let rec = decoder.reconstruct(8, 8, plan.selected(), &y).unwrap();
-        assert!(
-            rec.frame.max_abs_diff(&frame).unwrap() < 0.05,
-            "haar error {}",
-            rec.frame.max_abs_diff(&frame).unwrap()
-        );
     }
 
     #[test]

@@ -26,13 +26,7 @@ fn smooth_frame(rows: usize, cols: usize) -> Matrix {
 }
 
 fn pipeline(threads: Option<usize>) -> BlockPipeline {
-    BlockPipeline::new(
-        Decoder::default(),
-        BlockPipelineConfig {
-            threads,
-            ..BlockPipelineConfig::default()
-        },
-    )
+    BlockPipeline::new(Decoder::default(), BlockPipelineConfig { threads })
 }
 
 #[test]
@@ -130,13 +124,7 @@ fn overlapping_decode_is_bit_identical_to_fresh_workspace_reassembly() {
 
     // One worker: every block after the first decodes on the same
     // thread's reused solver workspace.
-    let pipe = BlockPipeline::new(
-        Decoder::default(),
-        BlockPipelineConfig {
-            threads: Some(1),
-            ..BlockPipelineConfig::default()
-        },
-    );
+    let pipe = BlockPipeline::new(Decoder::default(), BlockPipelineConfig { threads: Some(1) });
     let tiled = pipe.decode(&grid, &meas).unwrap();
 
     let b = grid.block_size();

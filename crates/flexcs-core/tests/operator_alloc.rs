@@ -245,10 +245,13 @@ fn adaptive_delta_frame_allocates_independently_of_budget() {
 
 #[test]
 fn block_decode_allocates_independently_of_budget() {
-    let frame = smooth_frame(32, 32);
+    // One column of two blocks: a single strip, so the decode skips the
+    // RPCA defect map, whose own iteration count follows the block
+    // means, which differ between the two budgets.
+    let frame = smooth_frame(32, 16);
     let grid = BlockGrid::new(
         32,
-        32,
+        16,
         BlockGridConfig {
             block: 16,
             overlap: 0,
@@ -260,14 +263,9 @@ fn block_decode_allocates_independently_of_budget() {
         .into_iter()
         .map(|budget| {
             // One worker: the fan-out runs inline, on the counted thread.
-            // No defect map: RPCA's own iteration count follows the
-            // block means, which differ between the two budgets.
             let pipe = BlockPipeline::new(
                 Decoder::new(SparseSolver::Fista(budget_config(budget))),
-                BlockPipelineConfig {
-                    threads: Some(1),
-                    defect_threshold: None,
-                },
+                BlockPipelineConfig { threads: Some(1) },
             );
             pipe.decode(&grid, &meas).unwrap();
             let (count, out) = allocations_during(|| pipe.decode(&grid, &meas).unwrap());
@@ -289,13 +287,7 @@ fn block_decode_heap_peaks_near_one_frame() {
     let meas = grid.measure(&frame, 0.5, &[], 5).unwrap();
     // One worker: the fan-out runs inline, so every allocation of the
     // decode lands on the counted thread.
-    let pipe = BlockPipeline::new(
-        Decoder::default(),
-        BlockPipelineConfig {
-            threads: Some(1),
-            ..BlockPipelineConfig::default()
-        },
-    );
+    let pipe = BlockPipeline::new(Decoder::default(), BlockPipelineConfig { threads: Some(1) });
     let (peak, out) = peak_bytes_during(|| pipe.decode(&grid, &meas).unwrap());
     assert_eq!(out.reports.len(), 361);
     let frame_bytes = (side * side * std::mem::size_of::<f64>()) as i64;

@@ -78,30 +78,6 @@ pub fn devectorize(v: &[f64], rows: usize, cols: usize) -> Result<Matrix> {
     })
 }
 
-/// Mutual coherence of a matrix: the maximum absolute normalized inner
-/// product between distinct columns. Low coherence between the sampling
-/// and sparsity bases is the classic CS recovery condition.
-pub fn mutual_coherence(a: &Matrix) -> f64 {
-    let n = a.cols();
-    let mut norms = vec![0.0; n];
-    for (j, norm) in norms.iter_mut().enumerate() {
-        let col = a.col(j);
-        *norm = flexcs_linalg::vecops::norm2(&col);
-    }
-    let mut mu = 0.0_f64;
-    for j in 0..n {
-        let cj = a.col(j);
-        for k in (j + 1)..n {
-            let ck = a.col(k);
-            let denom = norms[j] * norms[k];
-            if denom > 0.0 {
-                mu = mu.max(flexcs_linalg::vecops::dot(&cj, &ck).abs() / denom);
-            }
-        }
-    }
-    mu
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,16 +140,5 @@ mod tests {
         let back = devectorize(&v, 2, 2).unwrap();
         assert_eq!(back, m);
         assert!(devectorize(&v, 3, 2).is_err());
-    }
-
-    #[test]
-    fn coherence_of_identity_is_zero() {
-        assert_eq!(mutual_coherence(&Matrix::identity(4)), 0.0);
-    }
-
-    #[test]
-    fn coherence_of_repeated_column_is_one() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
-        assert!((mutual_coherence(&a) - 1.0).abs() < 1e-12);
     }
 }

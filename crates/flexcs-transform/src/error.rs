@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error produced by DCT/DWT plans and sparsity analysis.
+/// Error produced by DCT plans and sparsity analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransformError {
     /// An input length was unusable for the requested transform.

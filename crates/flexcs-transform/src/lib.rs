@@ -12,11 +12,10 @@
 //! - [`DctPlan`] / [`Dct2d`]: orthonormal DCT-II and inverse for any size,
 //!   taking the fast Lee recursion for power-of-two lengths.
 //! - [`psi_matrix`]: the dense basis Ψ of paper Eq. 4/5, with
-//!   [`vectorize`]/[`devectorize`] helpers and [`mutual_coherence`].
+//!   [`vectorize`]/[`devectorize`] helpers.
 //! - [`sparsity`] statistics: sorted magnitudes (Fig. 2a), significant
 //!   coefficient counts at the paper's `1e-4` threshold (Fig. 2b),
 //!   best-K approximation and the Eq. 1 measurement estimate.
-//! - Haar [`dwt`] as the alternative basis the paper mentions.
 //!
 //! ## Example
 //!
@@ -41,13 +40,11 @@
 
 mod basis;
 mod dct;
-pub mod dwt;
 mod error;
 pub mod sparsity;
 
-pub use basis::{devectorize, mutual_coherence, psi_matrix, vectorize};
+pub use basis::{devectorize, psi_matrix, vectorize};
 pub use dct::{Dct2d, DctPlan};
-pub use dwt::{haar2d_full_forward, haar2d_full_inverse};
 pub use error::{Result, TransformError};
 pub use sparsity::{
     analyze, best_k_approximation, k_term_relative_error, required_measurements, significant_count,

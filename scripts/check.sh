@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Lint gate: clippy with warnings denied (in both telemetry modes),
-# rustfmt in check mode, and an unsafe-confinement grep. Run before
-# sending changes; CI treats all four as hard failures.
+# rustfmt in check mode, rustdoc with warnings denied, and an
+# unsafe-confinement grep. Run before sending changes; CI treats all
+# five as hard failures.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,4 +43,8 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --all-targets --features telemetry -- -D warnings
 cargo fmt --all -- --check
-echo "check.sh: clippy + fmt + unsafe-confinement clean"
+# Strict rustdoc catches intra-doc links left dangling by a deletion or
+# pointing at private items. The vendored std-only stand-ins for
+# proptest and rand are not documented.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --exclude rand
+echo "check.sh: clippy + fmt + rustdoc + unsafe-confinement clean"

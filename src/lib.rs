@@ -16,7 +16,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`linalg`] | `flexcs-linalg` | dense matrices, LU/QR/Cholesky/SVD, complex solves |
-//! | [`transform`] | `flexcs-transform` | 1-D/2-D DCT, Haar DWT, Ψ basis, sparsity statistics |
+//! | [`transform`] | `flexcs-transform` | 1-D/2-D DCT, Ψ basis, sparsity statistics |
 //! | [`solver`] | `flexcs-solver` | ISTA/FISTA, OMP, interior-point LP |
 //! | [`circuit`] | `flexcs-circuit` | CNT-TFT model, MNA simulator, pseudo-CMOS cells, shift register, amplifier, active matrix |
 //! | [`datasets`] | `flexcs-datasets` | synthetic thermal / tactile / ultrasound generators |
