@@ -16,7 +16,6 @@
 //! | `fig6c_strategies` | Fig. 6c RPCA vs resampling |
 //! | `comm_cost` | Sec. 4.1 communication-cost reduction |
 //! | `solver_ablation` | decoder-solver comparison (design choice) |
-//! | `sampling_ablation` | Φ ensemble comparison (design choice) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

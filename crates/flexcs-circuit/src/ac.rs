@@ -96,24 +96,9 @@ impl Circuit {
         self.ac_sweep_at_with(excite, freqs, &op, policy)
     }
 
-    /// Like [`Circuit::ac_sweep`] but reuses a pre-computed operating
-    /// point.
-    ///
-    /// # Errors
-    ///
-    /// See [`Circuit::ac_sweep`].
-    pub fn ac_sweep_at(
-        &self,
-        excite: ElementId,
-        freqs: &[f64],
-        op: &OperatingPoint,
-    ) -> Result<AcSweep> {
-        self.ac_sweep_at_with(excite, freqs, op, SolverPolicy::Auto)
-    }
-
-    /// Like [`Circuit::ac_sweep_at`] with an explicit linear-solver
-    /// policy. The sparse path converts `(G + jωC)·x = b` into its
-    /// real-equivalent `2·dim` system `[G, −ωC; ωC, G]`; the sparsity
+    /// Like [`Circuit::ac_sweep_with`] but reuses a pre-computed
+    /// operating point. The sparse path converts `(G + jωC)·x = b` into
+    /// its real-equivalent `2·dim` system `[G, −ωC; ωC, G]`; the sparsity
     /// pattern is frequency-independent, so the symbolic factorization
     /// is computed once and only values are refilled per frequency.
     ///

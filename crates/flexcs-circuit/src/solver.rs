@@ -159,12 +159,6 @@ impl SymbolicShare {
             *slot = Some(pattern);
         }
     }
-
-    /// Whether a pattern has been published for the given companion
-    /// mode (`false` = DC, `true` = transient).
-    pub fn has_pattern(&self, companion_mode: bool) -> bool {
-        self.get(companion_mode).is_some()
-    }
 }
 
 /// Cached sparse assembly/factorization state. Built once per sparsity

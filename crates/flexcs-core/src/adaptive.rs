@@ -814,6 +814,62 @@ mod tests {
     }
 
     #[test]
+    fn bad_frames_after_a_reference_fail_typed_and_leave_the_stream_intact() {
+        let decoder = Decoder::default();
+        let cfg = AdaptiveConfig::default();
+        let mut warm = DecodeWarmState::new();
+        let mut pipeline = AdaptivePipeline::new(cfg.clone());
+        let plan = SamplingPlan::random_subset(64, 40, &[], 11).unwrap();
+        let frame = sparse_frame(8, 8, 1.0);
+        let y = measure(&frame, &plan);
+        pipeline
+            .decode(&decoder, 8, 8, plan.selected(), &y, &mut warm)
+            .unwrap();
+        let (_, tier) = pipeline
+            .decode(&decoder, 8, 8, plan.selected(), &y, &mut warm)
+            .unwrap();
+        assert_eq!(tier, DecodeTier::Static);
+        let counts = pipeline.tier_counts();
+
+        let mut bad_frames = Vec::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut y_bad = y.clone();
+            y_bad[3] = bad;
+            bad_frames.push((y_bad, CoreError::NonFiniteMeasurement { index: 3 }));
+        }
+        for scale in [1e160, 1e200, 1e308] {
+            let y_bad = y.iter().map(|v| v * scale).collect();
+            bad_frames.push((y_bad, CoreError::MeasurementOverflow));
+        }
+        for (y_bad, expected) in &bad_frames {
+            // The detector's verdict on a bad frame must never be
+            // Static (a stale frame served for bad input): a NaN or
+            // overflowing `y` makes the relative residual NaN, which
+            // fails both threshold comparisons and lands on Event, so
+            // the decoder's ingress checks see the frame.
+            let verdict =
+                ChangeDetector::new().classify(8, 8, plan.selected(), y_bad, Some(&frame), &cfg);
+            assert_eq!(verdict, FrameClass::Event, "{expected:?}");
+            let result = pipeline.decode(&decoder, 8, 8, plan.selected(), y_bad, &mut warm);
+            assert!(
+                matches!(&result, Err(e) if e == expected),
+                "expected {expected:?}, got {result:?}"
+            );
+            assert_eq!(pipeline.tier_counts(), counts);
+        }
+
+        // The stream goes on: a drifted good frame still decodes.
+        let drifted = sparse_frame(8, 8, 1.12);
+        let y_drifted = measure(&drifted, &plan);
+        let (rec, tier) = pipeline
+            .decode(&decoder, 8, 8, plan.selected(), &y_drifted, &mut warm)
+            .unwrap();
+        assert_eq!(tier, DecodeTier::Delta);
+        assert!(rec.frame.max_abs_diff(&drifted).unwrap() < 0.05);
+        assert_eq!(pipeline.tier_counts().total(), counts.total() + 1);
+    }
+
+    #[test]
     fn reset_forgets_reference_frame_but_keeps_counts() {
         let decoder = Decoder::default();
         let mut warm = DecodeWarmState::new();

@@ -83,7 +83,7 @@ pub use rpca::{
     outlier_indices, persistent_outliers, rpca, rpca_multiframe, transient_outliers, RpcaConfig,
     RpcaDecomposition, RpcaStream, SvdPolicy, RSVD_CROSSOVER,
 };
-pub use sampling::{SamplingKind, SamplingPlan};
+pub use sampling::SamplingPlan;
 pub use strategy::{SamplingStrategy, StrategySession};
 
 /// Always `true`: every build fans work out across threads, and

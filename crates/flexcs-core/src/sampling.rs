@@ -2,38 +2,20 @@
 //!
 //! The paper's encoder uses `M` randomly chosen rows of the identity —
 //! implementable in flexible hardware as an active-matrix scan (Fig. 4).
-//! Dense Gaussian/Bernoulli ensembles are also provided for the
-//! sampling-ablation bench: classic CS theory prefers them, but they
-//! cannot be realized with a simple scan, which is precisely the paper's
-//! design trade-off.
+//! Dense Gaussian/Bernoulli ensembles, which classic CS theory prefers,
+//! cannot be realized with a simple scan; that is the paper's design
+//! trade-off, and no encoder here produces them.
 
 use crate::error::{CoreError, Result};
-use flexcs_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The kind of sampling operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplingKind {
-    /// Random subset of identity rows (the paper's hardware-friendly
-    /// choice).
-    IdentitySubset,
-    /// Dense ±1/√M Bernoulli ensemble (ablation only).
-    Bernoulli,
-    /// Dense N(0, 1/M) Gaussian ensemble (ablation only).
-    Gaussian,
-}
-
-/// A sampling plan: which pixels (or dense combinations) are measured.
+/// A sampling plan: which pixels of an `n`-pixel frame are measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplingPlan {
-    kind: SamplingKind,
     n: usize,
-    /// For [`SamplingKind::IdentitySubset`]: sampled pixel indices,
-    /// ascending.
+    /// Sampled pixel indices, ascending.
     selected: Vec<usize>,
-    /// For dense kinds: the `m x n` matrix.
-    dense: Option<Matrix>,
 }
 
 impl SamplingPlan {
@@ -78,98 +60,27 @@ impl SamplingPlan {
         }
         let mut selected = usable[..m].to_vec();
         selected.sort_unstable();
-        Ok(SamplingPlan {
-            kind: SamplingKind::IdentitySubset,
-            n,
-            selected,
-            dense: None,
-        })
-    }
-
-    /// Draws a dense sampling plan (`Bernoulli` or `Gaussian`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for zero dimensions or an
-    /// identity kind.
-    pub fn dense(kind: SamplingKind, n: usize, m: usize, seed: u64) -> Result<Self> {
-        if m == 0 || n == 0 {
-            return Err(CoreError::InvalidConfig(format!(
-                "need positive dimensions, got m = {m}, n = {n}"
-            )));
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let scale = 1.0 / (m as f64).sqrt();
-        let matrix = match kind {
-            SamplingKind::Bernoulli => {
-                Matrix::from_fn(m, n, |_, _| if rng.gen_bool(0.5) { scale } else { -scale })
-            }
-            SamplingKind::Gaussian => {
-                let mut gauss = move || {
-                    let u1: f64 = rng.gen_range(1e-12..1.0);
-                    let u2: f64 = rng.gen_range(0.0..1.0);
-                    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-                };
-                Matrix::from_fn(m, n, |_, _| gauss() * scale)
-            }
-            SamplingKind::IdentitySubset => {
-                return Err(CoreError::InvalidConfig(
-                    "use random_subset for identity sampling".to_string(),
-                ))
-            }
-        };
-        Ok(SamplingPlan {
-            kind,
-            n,
-            selected: Vec::new(),
-            dense: Some(matrix),
-        })
-    }
-
-    /// Sampling kind.
-    pub fn kind(&self) -> SamplingKind {
-        self.kind
-    }
-
-    /// Signal dimension `n`.
-    pub fn signal_len(&self) -> usize {
-        self.n
+        Ok(SamplingPlan { n, selected })
     }
 
     /// Measurement count `m`.
     pub fn measurement_count(&self) -> usize {
-        match self.kind {
-            SamplingKind::IdentitySubset => self.selected.len(),
-            _ => self.dense.as_ref().map_or(0, Matrix::rows),
-        }
+        self.selected.len()
     }
 
-    /// Sampled pixel indices (ascending; empty for dense kinds).
+    /// Sampled pixel indices, ascending.
     pub fn selected(&self) -> &[usize] {
         &self.selected
-    }
-
-    /// Dense matrix (for dense kinds).
-    pub fn dense_matrix(&self) -> Option<&Matrix> {
-        self.dense.as_ref()
     }
 
     /// Applies `Φ` to a full signal, producing the measurement vector.
     ///
     /// # Panics
     ///
-    /// Panics if `signal.len() != self.signal_len()`.
+    /// Panics if `signal.len()` is not the plan's pixel count `n`.
     pub fn measure(&self, signal: &[f64]) -> Vec<f64> {
         assert_eq!(signal.len(), self.n, "measure: wrong signal length");
-        match self.kind {
-            SamplingKind::IdentitySubset => self.selected.iter().map(|&i| signal[i]).collect(),
-            _ => self
-                .dense
-                .as_ref()
-                .expect("dense plan has a matrix")
-                .matvec(signal)
-                .expect("dims checked"),
-        }
+        self.selected.iter().map(|&i| signal[i]).collect()
     }
 }
 
@@ -212,8 +123,6 @@ mod tests {
     fn invalid_configs_rejected() {
         assert!(SamplingPlan::random_subset(10, 0, &[], 1).is_err());
         assert!(SamplingPlan::random_subset(10, 5, &[10], 1).is_err());
-        assert!(SamplingPlan::dense(SamplingKind::IdentitySubset, 10, 5, 1).is_err());
-        assert!(SamplingPlan::dense(SamplingKind::Gaussian, 0, 5, 1).is_err());
     }
 
     #[test]
@@ -222,20 +131,5 @@ mod tests {
         assert_eq!(plan.selected(), &[1, 3]);
         let y = plan.measure(&[10.0, 11.0, 12.0, 13.0, 14.0]);
         assert_eq!(y, vec![11.0, 13.0]);
-    }
-
-    #[test]
-    fn dense_plans_have_expected_shape_and_scale() {
-        for kind in [SamplingKind::Bernoulli, SamplingKind::Gaussian] {
-            let plan = SamplingPlan::dense(kind, 64, 32, 9).unwrap();
-            assert_eq!(plan.measurement_count(), 32);
-            let m = plan.dense_matrix().unwrap();
-            assert_eq!(m.shape(), (32, 64));
-            // Column norms concentrate near 1.
-            let norm0 = flexcs_linalg::vecops::norm2(&m.col(0));
-            assert!(norm0 > 0.5 && norm0 < 1.6, "column norm {norm0}");
-            let y = plan.measure(&vec![1.0; 64]);
-            assert_eq!(y.len(), 32);
-        }
     }
 }

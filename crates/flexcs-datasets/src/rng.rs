@@ -52,12 +52,6 @@ impl DatasetRng {
         self.inner.gen_range(0..n)
     }
 
-    /// Bernoulli draw with success probability `p` (clamped to [0, 1]).
-    pub fn chance(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        self.inner.gen_bool(p)
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

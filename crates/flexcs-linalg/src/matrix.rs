@@ -489,15 +489,6 @@ impl Matrix {
         Matrix::from_fn(r1 - r0, c1 - c0, |i, j| self[(r0 + i, c0 + j)])
     }
 
-    /// Builds a matrix from the given subset of this matrix's columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_columns(&self, indices: &[usize]) -> Matrix {
-        Matrix::from_fn(self.rows, indices.len(), |i, j| self[(i, indices[j])])
-    }
-
     /// Builds a matrix from the given subset of this matrix's rows.
     ///
     /// # Panics
@@ -516,40 +507,9 @@ impl Matrix {
         }
     }
 
-    /// Multiplies every entry by `s` in place.
-    pub fn scale_mut(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Returns `self * s` (entrywise).
     pub fn scaled(&self, s: f64) -> Matrix {
         self.map(|v| v * s)
-    }
-
-    /// Entrywise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "hadamard: {}x{} vs {}x{}",
-                self.rows, self.cols, rhs.rows, rhs.cols
-            )));
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| a * b)
-                .collect(),
-        })
     }
 
     /// Frobenius norm `sqrt(sum of squares)`.
@@ -565,20 +525,6 @@ impl Matrix {
     /// Sum of absolute entries (entrywise L1 norm).
     pub fn norm_l1(&self) -> f64 {
         self.data.iter().map(|v| v.abs()).sum()
-    }
-
-    /// Induced 1-norm (maximum absolute column sum).
-    pub fn norm_one_induced(&self) -> f64 {
-        (0..self.cols)
-            .map(|j| (0..self.rows).map(|i| self[(i, j)].abs()).sum::<f64>())
-            .fold(0.0_f64, f64::max)
-    }
-
-    /// Induced infinity-norm (maximum absolute row sum).
-    pub fn norm_inf_induced(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| self.row(i).iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0_f64, f64::max)
     }
 
     /// Trace (sum of diagonal entries) of a square matrix.
@@ -921,8 +867,6 @@ mod tests {
         let a = sample();
         let s = a.submatrix(0, 2, 1, 3);
         assert_eq!(s, Matrix::from_rows(&[&[2.0, 3.0], &[5.0, 6.0]]).unwrap());
-        let c = a.select_columns(&[2, 0]);
-        assert_eq!(c, Matrix::from_rows(&[&[3.0, 1.0], &[6.0, 4.0]]).unwrap());
         let r = a.select_rows(&[1]);
         assert_eq!(r, Matrix::from_rows(&[&[4.0, 5.0, 6.0]]).unwrap());
     }
@@ -933,8 +877,6 @@ mod tests {
         assert!((a.norm_fro() - 5.0).abs() < 1e-12);
         assert_eq!(a.norm_max(), 4.0);
         assert_eq!(a.norm_l1(), 7.0);
-        assert_eq!(a.norm_one_induced(), 4.0);
-        assert_eq!(a.norm_inf_induced(), 4.0);
     }
 
     #[test]
@@ -962,13 +904,6 @@ mod tests {
         assert_eq!(a.mean(), 3.5);
         assert_eq!(a.min(), 1.0);
         assert_eq!(a.max(), 6.0);
-    }
-
-    #[test]
-    fn hadamard_product() {
-        let a = sample();
-        let h = a.hadamard(&a).unwrap();
-        assert_eq!(h[(1, 1)], 25.0);
     }
 
     #[test]

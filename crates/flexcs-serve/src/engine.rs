@@ -250,7 +250,7 @@ impl Engine {
     pub fn register_tenant(&self, config: SessionConfig) -> usize {
         let invalid = match &config.mode {
             DecodeMode::Adaptive(cfg) => cfg.validate().err(),
-            DecodeMode::Cold | DecodeMode::Warm => None,
+            DecodeMode::Warm => None,
         };
         let mut tenants = self
             .inner

@@ -71,8 +71,6 @@ impl FrameRequest {
 /// How a session decodes its stream of frames.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DecodeMode {
-    /// Every frame solves from scratch.
-    Cold,
     /// Each solve seeds from the tenant's previous solution
     /// (cross-frame warm starts); the first frame after a shape change
     /// runs cold automatically.
@@ -108,20 +106,6 @@ impl SessionConfig {
         }
     }
 
-    /// Replaces the decoder (builder style).
-    #[must_use]
-    pub fn with_decoder(mut self, decoder: Decoder) -> Self {
-        self.decoder = decoder;
-        self
-    }
-
-    /// Decodes every frame cold (builder style), replacing the mode.
-    #[must_use]
-    pub fn cold(mut self) -> Self {
-        self.mode = DecodeMode::Cold;
-        self
-    }
-
     /// Enables adaptive tier routing (builder style), replacing the
     /// mode.
     #[must_use]
@@ -152,10 +136,9 @@ impl Default for SessionConfig {
 }
 
 /// The live form of a [`DecodeMode`]: the adaptive mode owns its tier
-/// router (boxed: it dwarfs the other variants).
+/// router (boxed: it dwarfs the warm variant).
 #[derive(Debug)]
 enum LiveMode {
-    Cold,
     Warm,
     Adaptive(Box<AdaptivePipeline>),
 }
@@ -177,7 +160,6 @@ impl Session {
             decoder: config.decoder,
             warm: DecodeWarmState::new(),
             mode: match config.mode {
-                DecodeMode::Cold => LiveMode::Cold,
                 DecodeMode::Warm => LiveMode::Warm,
                 DecodeMode::Adaptive(cfg) => {
                     LiveMode::Adaptive(Box::new(AdaptivePipeline::new(cfg)))
@@ -208,7 +190,7 @@ impl Session {
     ) {
         let pipeline = match &mut self.mode {
             LiveMode::Adaptive(pipeline) => Some(pipeline.as_mut()),
-            LiveMode::Cold | LiveMode::Warm => None,
+            LiveMode::Warm => None,
         };
         (&self.decoder, &mut self.warm, pipeline)
     }
@@ -218,7 +200,7 @@ impl Session {
     pub fn tier_counts(&self) -> Option<TierCounts> {
         match &self.mode {
             LiveMode::Adaptive(pipeline) => Some(pipeline.tier_counts()),
-            LiveMode::Cold | LiveMode::Warm => None,
+            LiveMode::Warm => None,
         }
     }
 
@@ -271,9 +253,9 @@ pub trait DecodeBackend: Send + Sync {
 }
 
 /// Default backend: the flexcs-core decoder, dispatched on the
-/// session's [`DecodeMode`]. Cold sessions decode from scratch, warm
-/// sessions seed from the previous solution, and adaptive sessions
-/// route each frame through the change-gated pipeline (emitting
+/// session's [`DecodeMode`]. Warm sessions seed from the previous
+/// solution, and adaptive sessions route each frame through the
+/// change-gated pipeline (emitting
 /// `serve.tier.{static,delta,event_greedy,event_full}` counters).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WarmDecodeBackend;
@@ -292,7 +274,6 @@ impl DecodeBackend for WarmDecodeBackend {
         } = session;
         let (rows, cols, selected, y) = (req.rows, req.cols, &req.selected, &req.y);
         match mode {
-            LiveMode::Cold => decoder.reconstruct(rows, cols, selected, y),
             LiveMode::Warm => decoder.reconstruct_warm(rows, cols, selected, y, warm),
             LiveMode::Adaptive(pipeline) => {
                 let (rec, tier) = pipeline.decode(decoder, rows, cols, selected, y, warm)?;
@@ -412,16 +393,6 @@ mod tests {
         let second = backend.decode(&hold, &mut s).unwrap();
         assert_eq!(first.frame.as_slice(), second.frame.as_slice());
         assert_eq!(s.tier_counts().unwrap().static_frames, 1);
-    }
-
-    #[test]
-    fn cold_builder_drops_adaptive_routing() {
-        let cfg = SessionConfig::named("t")
-            .with_adaptive(flexcs_core::AdaptiveConfig::default())
-            .cold();
-        assert_eq!(cfg.mode, DecodeMode::Cold);
-        let s = Session::new(cfg);
-        assert!(s.tier_counts().is_none());
     }
 
     #[test]

@@ -187,11 +187,6 @@ impl DenseOperator {
     pub fn matrix(&self) -> &Matrix {
         &self.a
     }
-
-    /// Consumes the operator, returning the matrix.
-    pub fn into_matrix(self) -> Matrix {
-        self.a
-    }
 }
 
 impl From<Matrix> for DenseOperator {

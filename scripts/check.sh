@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Lint gate: clippy with warnings denied (in both telemetry modes),
-# rustfmt in check mode, rustdoc with warnings denied, and an
-# unsafe-confinement grep. Run before sending changes; CI treats all
-# five as hard failures.
+# rustfmt in check mode, rustdoc with warnings denied, an
+# unsafe-confinement grep and a doc-drift grep. Run before sending
+# changes; CI treats all six as hard failures.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +40,25 @@ if ! grep -q '#!\[forbid(unsafe_code)\]' crates/flexcs-circuit/src/lib.rs; then
   exit 1
 fi
 
+# Doc drift: every `--bin NAME` or `--example NAME` the docs tell a
+# reader to run must name a binary or example that exists, so a deleted
+# binary cannot leave stale run instructions behind (a retirement note
+# names the binary without `--bin`). Lines are joined first, so a name
+# wrapped onto the next line is still checked.
+doc_files=(README.md EXPERIMENTS.md DESIGN.md crates/flexcs-bench/src/lib.rs)
+stale_runs=""
+for name in $(sed 's|^[[:space:]]*//!||' "${doc_files[@]}" | tr '\n' ' ' \
+  | grep -oE -- '--(bin|example)[[:space:]]+[A-Za-z0-9_]+' | awk '{print $2}' | sort -u); do
+  if [[ ! -f "crates/flexcs-bench/src/bin/$name.rs" && ! -f "src/bin/$name.rs" \
+    && ! -f "examples/$name.rs" ]]; then
+    stale_runs+=" $name"
+  fi
+done
+if [[ -n "$stale_runs" ]]; then
+  echo "check.sh: ${doc_files[*]} name binaries or examples that do not exist:$stale_runs" >&2
+  exit 1
+fi
+
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --all-targets --features telemetry -- -D warnings
 cargo fmt --all -- --check
@@ -47,4 +66,4 @@ cargo fmt --all -- --check
 # pointing at private items. The vendored std-only stand-ins for
 # proptest and rand are not documented.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --exclude rand
-echo "check.sh: clippy + fmt + rustdoc + unsafe-confinement clean"
+echo "check.sh: clippy + fmt + rustdoc + unsafe-confinement + doc-drift clean"
