@@ -464,7 +464,7 @@ impl TftArray {
                 let x = ckt.fresh_node("px");
                 // p-type access TFT: source on VDD, drain at the pixel
                 // node, gate on the active-low column select.
-                ckt.add_tft(scanner.selects_bar[c], x, lib.vdd, config.pixel_w_over_l)?;
+                ckt.add_tft(scanner.outputs_bar[c], x, lib.vdd, config.pixel_w_over_l)?;
                 let t = t0 + scene[r * config.cols + c].clamp(0.0, 1.0) * (t1 - t0);
                 ckt.add_resistor(x, row_lines[r], config.sensor.resistance(t))?;
             }

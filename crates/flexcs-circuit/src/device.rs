@@ -151,13 +151,6 @@ impl CntTftModel {
     pub fn cgd(&self, w_over_l: f64) -> f64 {
         self.cgd_per_wl * w_over_l
     }
-
-    /// Saturation current for a source–gate overdrive, handy for
-    /// back-of-envelope sizing: `(k_p·W/L / 2)·(V_sg − |Vth|)²`.
-    pub fn saturation_current(&self, v_sg: f64, w_over_l: f64) -> f64 {
-        let ov = (v_sg - self.vth_abs).max(0.0);
-        0.5 * self.kp * w_over_l * ov * ov
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +176,10 @@ mod tests {
         let m = model();
         // Vs = 3, Vg = 0 → Vsg = 3, overdrive 2.2; drain far below.
         let op = m.eval(0.0, -3.0, 3.0, WL);
-        let expect = m.saturation_current(3.0, WL) * (1.0 + m.lambda * 6.0);
+        // Square law `(k_p·W/L / 2)·(V_sg − |Vth|)²` with channel-length
+        // modulation.
+        let ov = 3.0 - m.vth_abs;
+        let expect = 0.5 * m.kp * WL * ov * ov * (1.0 + m.lambda * 6.0);
         assert!(
             (op.i_sd - expect).abs() / expect < 0.05,
             "sat current {} vs {}",

@@ -87,7 +87,7 @@ pub use ring_oscillator::{
     ring_oscillator_frequency_with_model, OscillationMeasurement, RingOscillator,
 };
 pub use scan::{ArrayScanResult, ScanSchedule};
-pub use scan_driver::{bitstream_waveform, build_column_scanner, serial_row_stream, ColumnScanner};
+pub use scan_driver::serial_row_stream;
 pub use sensor::{
     linearity_fit, pixel_access_model, pixel_temperature_sweep, read_pixel_current, PixelBias,
     PtSensorModel,

@@ -104,16 +104,6 @@ impl ScanSchedule {
         }
         order
     }
-
-    /// Number of row-line activations in the busiest cycle — the peak
-    /// parallel-readout requirement on the column amplifier.
-    pub fn max_parallel_reads(&self) -> usize {
-        self.column_masks
-            .iter()
-            .map(|m| m.iter().filter(|&&b| b).count())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Row-line voltages captured from a transistor-level array scan
@@ -253,7 +243,6 @@ mod tests {
         let s = ScanSchedule::from_selected(3, 3, &[4]).unwrap(); // (1,1)
         assert_eq!(s.row_word(1), &[false, true, false]);
         assert_eq!(s.row_word(0), &[false, false, false]);
-        assert_eq!(s.max_parallel_reads(), 1);
     }
 
     #[test]
@@ -268,6 +257,5 @@ mod tests {
         let s = ScanSchedule::from_selected(2, 2, &[]).unwrap();
         assert_eq!(s.sample_count(), 0);
         assert!(s.readout_order().is_empty());
-        assert_eq!(s.max_parallel_reads(), 0);
     }
 }

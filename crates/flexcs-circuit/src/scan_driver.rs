@@ -15,44 +15,15 @@ use crate::scan::ScanSchedule;
 use crate::shift_register::{build_shift_register, ShiftRegister};
 use crate::waveform::Waveform;
 
-/// A constructed column scanner: a shift register carrying a one-hot
-/// token, one stage per array column.
-#[derive(Debug, Clone)]
-pub struct ColumnScanner {
-    /// Per-column select outputs.
-    pub selects: Vec<NodeId>,
-    /// Per-column *active-low* selects (the flip-flops' `q_bar`
-    /// outputs): low exactly while the column is selected. These drive
-    /// the p-type pixel access TFTs directly.
-    pub selects_bar: Vec<NodeId>,
-    /// TFTs used.
-    pub tft_count: usize,
-}
-
 /// Builds the one-hot column scanner: a `cols`-stage register whose data
-/// input carries a single token pulse, so stage `c` goes high during
-/// scan cycle `c`.
+/// input carries a single token pulse, injected only after
+/// `flush_cycles` clock cycles of zeros have been shifted through the
+/// register. Its `outputs` are the per-column selects; its active-low
+/// `outputs_bar` (low exactly while the column is selected) drive the
+/// p-type pixel access TFTs directly.
 ///
 /// `clk` must carry the scan clock; the token pulse waveform is created
 /// on a fresh node and returned as part of the netlist.
-///
-/// # Errors
-///
-/// Propagates netlist-construction failures.
-pub fn build_column_scanner(
-    ckt: &mut Circuit,
-    lib: &CellLibrary,
-    cols: usize,
-    clk: NodeId,
-    scan_clock_hz: f64,
-    vdd: f64,
-) -> Result<ColumnScanner> {
-    build_column_scanner_flushed(ckt, lib, cols, clk, scan_clock_hz, vdd, 0)
-}
-
-/// Like [`build_column_scanner`], but the token is injected only after
-/// `flush_cycles` clock cycles of zeros have been shifted through the
-/// register.
 ///
 /// This is real scan-chain bring-up: the cross-coupled NAND latches of
 /// a long register have many DC solutions (Newton on the bistable
@@ -74,41 +45,22 @@ pub fn build_column_scanner_flushed(
     scan_clock_hz: f64,
     vdd: f64,
     flush_cycles: usize,
-) -> Result<ColumnScanner> {
+) -> Result<ShiftRegister> {
     let token = ckt.fresh_node("scan_token");
     let period = 1.0 / scan_clock_hz;
-    let wave = if flush_cycles == 0 {
-        // One token pulse covering the first clock period (captured by
-        // the first rising edge, then marched along).
-        Waveform::Pulse {
-            v0: vdd,
-            v1: 0.0,
-            delay: 0.9 * period,
-            rise: period * 0.02,
-            fall: period * 0.02,
-            width: 1.0,
-            period: 0.0,
-        }
-    } else {
-        // Token low through the flush, then one period-wide pulse
-        // straddling the rising clock edge at `flush_cycles · T`.
-        Waveform::Pulse {
-            v0: 0.0,
-            v1: vdd,
-            delay: (flush_cycles as f64 - 0.9) * period,
-            rise: period * 0.02,
-            fall: period * 0.02,
-            width: period,
-            period: 0.0,
-        }
+    // Token low through the flush, then one period-wide pulse
+    // straddling the rising clock edge at `flush_cycles · T`.
+    let wave = Waveform::Pulse {
+        v0: 0.0,
+        v1: vdd,
+        delay: (flush_cycles as f64 - 0.9) * period,
+        rise: period * 0.02,
+        fall: period * 0.02,
+        width: period,
+        period: 0.0,
     };
     ckt.add_vsource(token, NodeId::GROUND, wave);
-    let sr: ShiftRegister = build_shift_register(ckt, lib, cols, token, clk)?;
-    Ok(ColumnScanner {
-        selects: sr.outputs,
-        selects_bar: sr.outputs_bar,
-        tft_count: sr.tft_count,
-    })
+    build_shift_register(ckt, lib, cols, token, clk)
 }
 
 /// Serial bit stream that loads a schedule's row words into the row
@@ -128,27 +80,6 @@ pub fn serial_row_stream(schedule: &ScanSchedule) -> Vec<bool> {
         }
     }
     bits
-}
-
-/// Converts a bit stream into a piecewise-linear waveform clocked at
-/// `bit_rate_hz` (bit `k` valid during `[k, k+1)/bit_rate`), swinging
-/// `0..vdd` with 2 % transition times.
-pub fn bitstream_waveform(bits: &[bool], bit_rate_hz: f64, vdd: f64) -> Waveform {
-    let t_bit = 1.0 / bit_rate_hz;
-    let edge = t_bit * 0.02;
-    let mut points = Vec::with_capacity(2 * bits.len() + 2);
-    let level = |b: bool| if b { vdd } else { 0.0 };
-    points.push((0.0, level(bits.first().copied().unwrap_or(false))));
-    for k in 1..bits.len() {
-        if bits[k] != bits[k - 1] {
-            let t = k as f64 * t_bit;
-            points.push((t - edge, level(bits[k - 1])));
-            points.push((t, level(bits[k])));
-        }
-    }
-    let t_end = bits.len() as f64 * t_bit;
-    points.push((t_end, level(bits.last().copied().unwrap_or(false))));
-    Waveform::Pwl(points)
 }
 
 #[cfg(test)]
@@ -173,42 +104,30 @@ mod tests {
     }
 
     #[test]
-    fn bitstream_waveform_levels() {
-        let w = bitstream_waveform(&[true, false, false, true], 1000.0, 3.0);
-        assert!((w.value(0.4e-3) - 3.0).abs() < 1e-9);
-        assert!(w.value(1.5e-3).abs() < 1e-9);
-        assert!((w.value(3.5e-3) - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_bitstream_is_flat_zero() {
-        let w = bitstream_waveform(&[], 1000.0, 3.0);
-        assert_eq!(w.value(0.0), 0.0);
-        assert_eq!(w.value(1.0), 0.0);
-    }
-
-    #[test]
     fn column_scanner_marches_one_hot() {
-        // 3-column scanner at 10 kHz: stage c is high during cycle c
+        // 3-column scanner at 10 kHz with the production bring-up
+        // (`TftArray::scan`): power-up from the all-zero state, `cols`
+        // flush cycles, then stage c is high during cycle `flush + c`
         // and exactly one stage is high per cycle.
         let vdd = 3.0;
         let f_scan = 10e3;
+        let cols = 3;
         let mut ckt = Circuit::new();
         let lib = CellLibrary::with_rails(&mut ckt, vdd, -vdd);
         let clk = ckt.node("clk");
         ckt.add_vsource(clk, NodeId::GROUND, Waveform::clock(0.0, vdd, f_scan));
-        let scanner = build_column_scanner(&mut ckt, &lib, 3, clk, f_scan, vdd).unwrap();
+        let scanner =
+            build_column_scanner_flushed(&mut ckt, &lib, cols, clk, f_scan, vdd, cols).unwrap();
         let period = 1.0 / f_scan;
-        let result = ckt
-            .transient(&TransientConfig::new(4.0 * period, 2e-6))
-            .unwrap();
-        for cycle in 0..3usize {
-            // The first rising edge at t ≈ 0 captures the token, so
-            // stage c is high during [cT, (c+1)T]; sample late in that
-            // window.
-            let t = (cycle as f64 + 0.9) * period;
+        let flush = cols as f64;
+        let mut tc = TransientConfig::new(2.0 * flush * period, 2e-6);
+        tc.start_from_dc = false;
+        let result = ckt.transient(&tc).unwrap();
+        for cycle in 0..cols {
+            // Sample late in the cycle, as `TftArray::scan` does.
+            let t = (flush + cycle as f64 + 0.9) * period;
             let mut high = Vec::new();
-            for (stage, &q) in scanner.selects.iter().enumerate() {
+            for (stage, &q) in scanner.outputs.iter().enumerate() {
                 if result.trace(q).value_at(t).unwrap() > vdd / 2.0 {
                     high.push(stage);
                 }

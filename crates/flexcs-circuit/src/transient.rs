@@ -69,15 +69,6 @@ impl TransientResult {
         self.times.is_empty()
     }
 
-    /// Voltage of `node` at stored step `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn voltage_at_step(&self, node: NodeId, k: usize) -> f64 {
-        self.states[k][node.index()]
-    }
-
     /// Extracts the full trace of one node.
     pub fn trace(&self, node: NodeId) -> Trace {
         let mut tr = Trace::new();
@@ -343,6 +334,6 @@ mod tests {
         let r = c.transient(&TransientConfig::new(1e-6, 1e-7)).unwrap();
         assert!(!r.is_empty());
         assert_eq!(r.times().len(), r.len());
-        assert!((r.voltage_at_step(a, r.len() - 1) - 1.0).abs() < 1e-9);
+        assert!((r.trace(a).value_at(1e-6).unwrap() - 1.0).abs() < 1e-9);
     }
 }

@@ -75,19 +75,6 @@ impl CircuitEncoder {
             scan_cycles: schedule.cycles(),
         })
     }
-
-    /// Acquires every pixel (a full-frame read through the hardware
-    /// model), returned as a normalized frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates array read failures.
-    pub fn acquire_full(&self, scene: &Matrix, seed: u64) -> Result<Matrix> {
-        let rows = self.array.config().rows;
-        let cols = self.array.config().cols;
-        let flat = self.array.read_normalized(&scene.to_flat(), seed)?;
-        Ok(Matrix::from_vec(rows, cols, flat)?)
-    }
 }
 
 #[cfg(test)]
@@ -169,14 +156,5 @@ mod tests {
         let acq = enc.acquire(&scene, &plan, 3).unwrap();
         let pos = acq.selected.iter().position(|&i| i == 10).unwrap();
         assert_eq!(acq.measurements[pos], 1.0);
-    }
-
-    #[test]
-    fn full_acquisition_has_frame_shape() {
-        let enc = encoder(8, 8);
-        let scene = smooth_scene(8, 8);
-        let frame = enc.acquire_full(&scene, 2).unwrap();
-        assert_eq!(frame.shape(), (8, 8));
-        assert!(rmse(&frame, &scene) < 0.05);
     }
 }

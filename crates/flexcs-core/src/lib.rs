@@ -74,7 +74,7 @@ pub use decode::{DecodeWarmState, Decoder, Reconstruction};
 pub use encoder::{Acquisition, CircuitEncoder};
 pub use error::{CoreError, Result};
 pub use inject::{detect_extremes, SparseErrorModel};
-pub use metrics::{mae, psnr_unit, relative_error, rmse};
+pub use metrics::rmse;
 pub use pipeline::{
     run_experiment, run_experiment_batch, run_experiment_stream, ExperimentConfig,
     ExperimentOutcome,

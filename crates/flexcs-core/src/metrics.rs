@@ -18,64 +18,6 @@ pub fn rmse(a: &Matrix, b: &Matrix) -> f64 {
     (sse / n).sqrt()
 }
 
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics on a shape mismatch.
-pub fn mae(a: &Matrix, b: &Matrix) -> f64 {
-    assert_eq!(a.shape(), b.shape(), "mae: shape mismatch");
-    let n = (a.rows() * a.cols()) as f64;
-    if n == 0.0 {
-        return 0.0; // an empty frame has no error, not 0/0
-    }
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y).abs())
-        .sum::<f64>()
-        / n
-}
-
-/// Peak signal-to-noise ratio in dB for unit-range frames
-/// (`20·log10(1/rmse)`), `+inf` for identical frames.
-///
-/// # Panics
-///
-/// Panics on a shape mismatch.
-pub fn psnr_unit(a: &Matrix, b: &Matrix) -> f64 {
-    let e = rmse(a, b);
-    if e == 0.0 {
-        f64::INFINITY
-    } else {
-        -20.0 * e.log10()
-    }
-}
-
-/// Relative Frobenius error `‖a − b‖_F / ‖b‖_F` (`b` is the reference;
-/// 0 reference with nonzero `a` gives `+inf`).
-///
-/// # Panics
-///
-/// Panics on a shape mismatch.
-pub fn relative_error(a: &Matrix, reference: &Matrix) -> f64 {
-    assert_eq!(
-        a.shape(),
-        reference.shape(),
-        "relative_error: shape mismatch"
-    );
-    let num = (a - reference).norm_fro();
-    let den = reference.norm_fro();
-    if den == 0.0 {
-        if num == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        num / den
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,7 +26,6 @@ mod tests {
     fn rmse_of_identical_is_zero() {
         let a = Matrix::from_fn(3, 3, |i, j| (i + j) as f64);
         assert_eq!(rmse(&a, &a), 0.0);
-        assert_eq!(psnr_unit(&a, &a), f64::INFINITY);
     }
 
     #[test]
@@ -92,43 +33,12 @@ mod tests {
         let a = Matrix::filled(2, 2, 1.0);
         let b = Matrix::filled(2, 2, 0.5);
         assert!((rmse(&a, &b) - 0.5).abs() < 1e-12);
-        assert!((mae(&a, &b) - 0.5).abs() < 1e-12);
-        assert!((psnr_unit(&a, &b) - 20.0 * 2.0_f64.log10()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn relative_error_scales() {
-        let a = Matrix::filled(2, 2, 1.1);
-        let b = Matrix::filled(2, 2, 1.0);
-        assert!((relative_error(&a, &b) - 0.1).abs() < 1e-12);
-        let z = Matrix::zeros(2, 2);
-        assert_eq!(relative_error(&z, &z), 0.0);
-        assert_eq!(relative_error(&b, &z), f64::INFINITY);
     }
 
     #[test]
     #[should_panic(expected = "rmse: shape mismatch")]
     fn shape_mismatch_panics() {
         rmse(&Matrix::zeros(2, 2), &Matrix::zeros(2, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "mae: shape mismatch")]
-    fn mae_shape_mismatch_panics() {
-        mae(&Matrix::zeros(3, 2), &Matrix::zeros(2, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "rmse: shape mismatch")]
-    fn psnr_shape_mismatch_panics() {
-        // psnr_unit goes through rmse, so it inherits the same guard.
-        psnr_unit(&Matrix::zeros(1, 4), &Matrix::zeros(4, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "relative_error: shape mismatch")]
-    fn relative_error_shape_mismatch_panics() {
-        relative_error(&Matrix::zeros(2, 2), &Matrix::zeros(2, 3));
     }
 
     #[test]
@@ -140,12 +50,9 @@ mod tests {
 
     #[test]
     fn zero_size_frames() {
-        // 0×0 frames: the error sums are empty and n = 0; every metric
-        // must settle on a defined value instead of NaN from 0/0.
+        // 0×0 frames: the error sum is empty and n = 0; the metric must
+        // settle on a defined value instead of NaN from 0/0.
         let e = Matrix::zeros(0, 0);
         assert_eq!(rmse(&e, &e), 0.0);
-        assert_eq!(mae(&e, &e), 0.0);
-        assert_eq!(relative_error(&e, &e), 0.0);
-        assert_eq!(psnr_unit(&e, &e), f64::INFINITY);
     }
 }

@@ -76,12 +76,6 @@ impl Dataset {
         Ok(Dataset { frames, labels })
     }
 
-    /// Creates an unlabeled dataset (all labels zero).
-    pub fn unlabeled(frames: Vec<Matrix>) -> Self {
-        let labels = vec![0; frames.len()];
-        Dataset { frames, labels }
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.frames.len()
@@ -110,16 +104,6 @@ impl Dataset {
     /// Iterates over `(frame, label)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Matrix, usize)> {
         self.frames.iter().zip(self.labels.iter().copied())
-    }
-
-    /// Returns a new dataset with samples shuffled deterministically.
-    pub fn shuffled(&self, seed: u64) -> Dataset {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        DatasetRng::new(seed).shuffle(&mut order);
-        Dataset {
-            frames: order.iter().map(|&i| self.frames[i].clone()).collect(),
-            labels: order.iter().map(|&i| self.labels[i]).collect(),
-        }
     }
 
     /// Splits into `(train, test)` with `train_fraction` of each class's
@@ -182,14 +166,6 @@ impl Dataset {
             },
         ))
     }
-
-    /// Applies a transformation to every frame, keeping labels.
-    pub fn map_frames(&self, mut f: impl FnMut(&Matrix) -> Matrix) -> Dataset {
-        Dataset {
-            frames: self.frames.iter().map(&mut f).collect(),
-            labels: self.labels.clone(),
-        }
-    }
 }
 
 /// Normalizes a frame into `[0, 1]` by global min–max (the paper's first
@@ -203,37 +179,6 @@ pub fn normalize_unit(frame: &Matrix) -> Matrix {
         return Matrix::zeros(frame.rows(), frame.cols());
     }
     frame.map(|v| (v - min) / range)
-}
-
-/// Normalizes every frame of a batch with a *shared* min–max (so relative
-/// amplitudes across frames survive), returning the batch plus the
-/// `(min, max)` used.
-pub fn normalize_batch(frames: &[Matrix]) -> (Vec<Matrix>, f64, f64) {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for f in frames {
-        min = min.min(f.min());
-        max = max.max(f.max());
-    }
-    if !min.is_finite() || !max.is_finite() || max <= min {
-        return (
-            frames
-                .iter()
-                .map(|f| Matrix::zeros(f.rows(), f.cols()))
-                .collect(),
-            0.0,
-            0.0,
-        );
-    }
-    let range = max - min;
-    (
-        frames
-            .iter()
-            .map(|f| f.map(|v| (v - min) / range))
-            .collect(),
-        min,
-        max,
-    )
 }
 
 #[cfg(test)]
@@ -267,18 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_preserves_multiset() {
-        let ds = tiny(&[5, 5]);
-        let sh = ds.shuffled(3);
-        assert_eq!(sh.len(), ds.len());
-        let mut a: Vec<f64> = ds.frames().iter().map(|f| f.sum()).collect();
-        let mut b: Vec<f64> = sh.frames().iter().map(|f| f.sum()).collect();
-        a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn split_is_stratified() {
         let ds = tiny(&[10, 10]);
         let (train, test) = ds.split(0.8, 1).unwrap();
@@ -309,7 +242,7 @@ mod tests {
             ds.split(1.0, 1),
             Err(DatasetError::BadFraction(_))
         ));
-        let empty = Dataset::unlabeled(vec![]);
+        let empty = Dataset::new(vec![], vec![]).unwrap();
         assert!(matches!(empty.split(0.5, 1), Err(DatasetError::Empty)));
     }
 
@@ -323,24 +256,5 @@ mod tests {
         // Constant frame maps to zeros, not NaN.
         let c = normalize_unit(&Matrix::filled(2, 2, 5.0));
         assert_eq!(c.sum(), 0.0);
-    }
-
-    #[test]
-    fn normalize_batch_shares_range() {
-        let a = Matrix::filled(1, 2, 0.0);
-        let b = Matrix::filled(1, 2, 10.0);
-        let (out, min, max) = normalize_batch(&[a, b]);
-        assert_eq!(min, 0.0);
-        assert_eq!(max, 10.0);
-        assert_eq!(out[0].max(), 0.0);
-        assert_eq!(out[1].min(), 1.0);
-    }
-
-    #[test]
-    fn map_frames_applies_transformation() {
-        let ds = tiny(&[2]);
-        let doubled = ds.map_frames(|m| m.scaled(2.0));
-        assert_eq!(doubled.frames()[1].sum(), ds.frames()[1].sum() * 2.0);
-        assert_eq!(doubled.labels(), ds.labels());
     }
 }

@@ -15,9 +15,9 @@
 //! | 26-object tactile glove \[5\] | [`tactile_frame`] | 32x32 class-discriminative contact maps |
 //! | breast-lesion ultrasound RF \[15\] | [`ultrasound_frame`] | band-limited pulse-echo structure, 100x33 |
 //!
-//! [`Dataset`] adds labeling, deterministic shuffles and stratified
-//! splits; [`normalize_unit`] implements the paper's `[0, 1]`
-//! normalization step.
+//! [`Dataset`] adds labeling and deterministic stratified splits;
+//! [`normalize_unit`] implements the paper's `[0, 1]` normalization
+//! step.
 //!
 //! All generators take explicit seeds — identical seeds give identical
 //! frames on every platform.
@@ -42,9 +42,9 @@ mod tactile;
 mod thermal;
 mod ultrasound;
 
-pub use dataset::{normalize_batch, normalize_unit, Dataset, DatasetError};
+pub use dataset::{normalize_unit, Dataset, DatasetError};
 pub use filter::gaussian_blur;
 pub use rng::DatasetRng;
 pub use tactile::{tactile_dataset, tactile_frame, TactileConfig, TACTILE_CLASS_COUNT};
 pub use thermal::{thermal_frame, thermal_frames, thermal_sequence, ThermalConfig};
-pub use ultrasound::{ultrasound_frame, ultrasound_frames, UltrasoundConfig};
+pub use ultrasound::{ultrasound_frame, UltrasoundConfig};

@@ -59,20 +59,6 @@ impl DatasetRng {
             items.swap(i, j);
         }
     }
-
-    /// Draws `k` distinct indices from `[0, n)` (reservoir-free; shuffles
-    /// a full index vector, fine at dataset scale).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    pub fn distinct_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "distinct_indices: k={k} > n={n}");
-        let mut idx: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut idx);
-        idx.truncate(k);
-        idx
-    }
 }
 
 #[cfg(test)]
@@ -106,15 +92,6 @@ mod tests {
         let var = draws.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn distinct_indices_are_distinct() {
-        let mut rng = DatasetRng::new(9);
-        let idx = rng.distinct_indices(100, 30);
-        let set: std::collections::HashSet<_> = idx.iter().collect();
-        assert_eq!(set.len(), 30);
-        assert!(idx.iter().all(|&i| i < 100));
     }
 
     #[test]

@@ -106,13 +106,6 @@ pub fn ultrasound_frame(config: &UltrasoundConfig, seed: u64) -> Matrix {
     frame
 }
 
-/// Generates a batch of RF frames with consecutive sub-seeds.
-pub fn ultrasound_frames(config: &UltrasoundConfig, count: usize, seed: u64) -> Vec<Matrix> {
-    (0..count)
-        .map(|i| ultrasound_frame(config, seed.wrapping_add(i as u64 * 0x1235)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,12 +141,6 @@ mod tests {
         // Band-limited RF keeps 99 % of energy well under the full
         // dimension.
         assert!(k99 < n * 3 / 5, "k99 = {k99} of {n}");
-    }
-
-    #[test]
-    fn batch_generation() {
-        let frames = ultrasound_frames(&UltrasoundConfig::default(), 4, 20);
-        assert_eq!(frames.len(), 4);
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl Cholesky {
             y[i] = s / self.l[(i, i)];
         }
     }
-
-    /// Log-determinant of the original matrix (`2·Σ log L_ii`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 /// Solves the SPD system `A·x = b` in one call.
@@ -174,13 +169,6 @@ mod tests {
         for (p, q) in x_ch.iter().zip(&x_lu) {
             assert!((p - q).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let a = Matrix::from_diagonal(&[2.0, 8.0]);
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.log_det() - 16.0_f64.ln()).abs() < 1e-12);
     }
 
     #[test]

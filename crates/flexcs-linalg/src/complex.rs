@@ -50,26 +50,16 @@ impl Complex {
         self.re.hypot(self.im)
     }
 
-    /// Squared magnitude.
-    pub fn abs_squared(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
     /// Phase angle in radians.
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)
-    }
-
-    /// Complex conjugate.
-    pub fn conj(self) -> Complex {
-        Complex::new(self.re, -self.im)
     }
 
     /// Multiplicative inverse.
     ///
     /// Returns an infinite value for zero input, matching `f64` semantics.
     pub fn recip(self) -> Complex {
-        let d = self.abs_squared();
+        let d = self.re * self.re + self.im * self.im;
         Complex::new(self.re / d, -self.im / d)
     }
 
@@ -277,7 +267,6 @@ mod tests {
         let back = q * b;
         assert!((back - a).abs() < 1e-12);
         assert_eq!(-a, Complex::new(-1.0, -2.0));
-        assert_eq!(a.conj(), Complex::new(1.0, -2.0));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! ## Contents
 //!
 //! - [`Matrix`]: dense row-major `f64` matrix with the usual algebra.
-//! - [`vecops`]: slice-level vector kernels (dot, norms, soft threshold).
+//! - [`vecops`]: slice-level vector kernels (dot, norms, the fused FISTA step).
 //! - [`simd`]: runtime-dispatched micro-kernel tiers (AVX2+FMA / NEON /
 //!   portable scalar) behind a `OnceLock`'d kernel table.
 //! - [`Lu`] / [`solve`]: partially pivoted LU for general square systems.

@@ -207,31 +207,6 @@ unsafe fn shrink_pd(v: __m256d, t: __m256d, neg_t: __m256d) -> __m256d {
     _mm256_blendv_pd(r, _mm256_sub_pd(v, t), pos)
 }
 
-/// In-place entrywise soft threshold, bit-identical to the scalar tier.
-pub fn soft_threshold(a: &mut [f64], t: f64) {
-    // SAFETY: AVX2+FMA verified at tier selection.
-    unsafe { soft_threshold_inner(a, t) }
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn soft_threshold_inner(a: &mut [f64], t: f64) {
-    let n = a.len();
-    let ap = a.as_mut_ptr();
-    let vt = _mm256_set1_pd(t);
-    let vnt = _mm256_set1_pd(-t);
-    let mut i = 0;
-    // SAFETY: i + 4 <= n; in-bounds unaligned access.
-    while i + 4 <= n {
-        let v = _mm256_loadu_pd(ap.add(i));
-        _mm256_storeu_pd(ap.add(i), shrink_pd(v, vt, vnt));
-        i += 4;
-    }
-    while i < n {
-        *ap.add(i) = super::scalar::shrink(*ap.add(i), t);
-        i += 1;
-    }
-}
-
 /// One FISTA vector pass: the prox step as mul-then-sub and the shrink
 /// blend (so `x⁺` is bit-identical to the scalar tier), with `‖x⁺‖²` and
 /// `‖x⁺ − x‖²` on [`dot`]'s accumulator structure (so each is

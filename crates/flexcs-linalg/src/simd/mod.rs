@@ -34,8 +34,8 @@
 //! keyed by [`tier_name`]. Every table of one tier shares its
 //! reductions, and the codelet width changes no bit.
 //!
-//! - *Elementwise* kernels (axpy, scale, sub/add, soft-threshold,
-//!   momentum, the `x⁺` that `fista_step` writes, DCT butterflies and
+//! - *Elementwise* kernels (axpy, scale, sub/add, momentum, the `x⁺`
+//!   that `fista_step` writes (its shrink included), DCT butterflies and
 //!   lane codelets, RPCA shrink targets) are **bit-identical** across
 //!   tiers: vector tiers use explicit mul/add/sub intrinsics — never
 //!   fused multiply-add — so each lane performs the exact scalar
@@ -175,8 +175,6 @@ pub struct Kernels {
     pub add: fn(out: &mut [f64], a: &[f64], b: &[f64]),
     /// Dot product (reduction, ≤ 1e-12 relative across tiers).
     pub dot: fn(a: &[f64], b: &[f64]) -> f64,
-    /// In-place soft threshold (elementwise, bit-identical).
-    pub soft_threshold: fn(a: &mut [f64], t: f64),
     /// The FISTA vector tail in one pass: writes
     /// `x_next[i] = shrink(y[i] − step·g[i], t)` (elementwise,
     /// bit-identical) and returns its [`FistaSums`] against the previous
@@ -227,7 +225,6 @@ static SCALAR: Kernels = Kernels {
     sub: scalar::sub,
     add: scalar::add,
     dot: scalar::dot,
-    soft_threshold: scalar::soft_threshold,
     fista_step: scalar::fista_step,
     momentum: scalar::momentum,
     butterfly_split: scalar::butterfly_split,
@@ -249,7 +246,6 @@ static AVX2_FMA: Kernels = Kernels {
     sub: avx2::sub,
     add: avx2::add,
     dot: avx2::dot,
-    soft_threshold: avx2::soft_threshold,
     fista_step: avx2::fista_step,
     momentum: avx2::momentum,
     butterfly_split: avx2::butterfly_split,
@@ -281,7 +277,6 @@ static NEON: Kernels = Kernels {
     sub: neon::sub,
     add: neon::add,
     dot: neon::dot,
-    soft_threshold: neon::soft_threshold,
     fista_step: neon::fista_step,
     momentum: neon::momentum,
     butterfly_split: neon::butterfly_split,
@@ -435,12 +430,6 @@ mod tests {
         (k.fista_step)(&mut o0, &a, &b, &c, 0.3, 1.5);
         (s.fista_step)(&mut o1, &a, &b, &c, 0.3, 1.5);
         assert_eq!(o0, o1);
-
-        let mut t0 = a.clone();
-        let mut t1 = a.clone();
-        (k.soft_threshold)(&mut t0, 2.0);
-        (s.soft_threshold)(&mut t1, 2.0);
-        assert_eq!(t0, t1);
     }
 
     #[test]

@@ -207,30 +207,6 @@ unsafe fn shrink_f64x2(v: float64x2_t, t: float64x2_t, neg_t: float64x2_t) -> fl
     vbslq_f64(pos, vsubq_f64(v, t), r)
 }
 
-/// In-place entrywise soft threshold, bit-identical to the scalar tier.
-pub fn soft_threshold(a: &mut [f64], t: f64) {
-    // SAFETY: NEON verified at tier selection.
-    unsafe { soft_threshold_inner(a, t) }
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn soft_threshold_inner(a: &mut [f64], t: f64) {
-    let n = a.len();
-    let ap = a.as_mut_ptr();
-    let vt = vdupq_n_f64(t);
-    let vnt = vdupq_n_f64(-t);
-    let mut i = 0;
-    // SAFETY: i + 2 <= n; in-bounds access.
-    while i + 2 <= n {
-        vst1q_f64(ap.add(i), shrink_f64x2(vld1q_f64(ap.add(i)), vt, vnt));
-        i += 2;
-    }
-    while i < n {
-        *ap.add(i) = super::scalar::shrink(*ap.add(i), t);
-        i += 1;
-    }
-}
-
 /// One FISTA vector pass as three: the prox step (bit-identical to the
 /// scalar tier), then this tier's [`dot`] of `x⁺` with itself and its
 /// difference norm against `x`, then the restart sums in index order.

@@ -84,21 +84,6 @@ pub fn shrink(v: f64, t: f64) -> f64 {
     }
 }
 
-/// In-place entrywise soft threshold (reference for
-/// [`super::Kernels::soft_threshold`]).
-pub fn soft_threshold(a: &mut [f64], t: f64) {
-    let mut chunks = a.chunks_exact_mut(4);
-    for c in chunks.by_ref() {
-        c[0] = shrink(c[0], t);
-        c[1] = shrink(c[1], t);
-        c[2] = shrink(c[2], t);
-        c[3] = shrink(c[3], t);
-    }
-    for v in chunks.into_remainder() {
-        *v = shrink(*v, t);
-    }
-}
-
 /// One FISTA vector pass (reference for [`super::Kernels::fista_step`]):
 /// writes `xn[i] = shrink(y[i] − step·g[i], t)` and returns its sums
 /// against the previous iterate `x`.

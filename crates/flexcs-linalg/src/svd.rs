@@ -173,11 +173,6 @@ impl Svd {
         shrunk
     }
 
-    /// Nuclear norm (sum of singular values).
-    pub fn nuclear_norm(&self) -> f64 {
-        self.sigma.iter().sum()
-    }
-
     /// Spectral norm (largest singular value); 0.0 for an empty spectrum.
     pub fn spectral_norm(&self) -> f64 {
         self.sigma.first().copied().unwrap_or(0.0)
@@ -473,10 +468,9 @@ mod tests {
     }
 
     #[test]
-    fn nuclear_and_spectral_norms() {
+    fn spectral_norm_is_largest_singular_value() {
         let a = Matrix::from_diagonal(&[3.0, 4.0]);
         let svd = Svd::compute(&a).unwrap();
-        assert!((svd.nuclear_norm() - 7.0).abs() < 1e-12);
         assert!((svd.spectral_norm() - 4.0).abs() < 1e-12);
     }
 

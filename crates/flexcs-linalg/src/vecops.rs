@@ -4,8 +4,8 @@
 //! zero-overhead interop with [`crate::Matrix`] storage. These helpers keep
 //! that code readable without committing to a heavier `Vector` newtype.
 //!
-//! The hot kernels (axpy, dot, the fused FISTA step, momentum, shrinkage)
-//! delegate to the runtime-dispatched tier in [`crate::simd`]:
+//! The hot kernels (axpy, dot, the fused FISTA step, momentum) delegate
+//! to the runtime-dispatched tier in [`crate::simd`]:
 //! elementwise results are bit-identical across tiers, reductions agree
 //! to ≤ 1e-12 relative (see the tolerance policy there).
 
@@ -97,9 +97,9 @@ pub fn sub_into(out: &mut Vec<f64>, a: &[f64], b: &[f64]) {
 /// sums `Σ pᵢ`, `Σ |pᵢ|` with `pᵢ = (yᵢ − x⁺ᵢ)·(x⁺ᵢ − xᵢ)`.
 ///
 /// `x_next` is bit-identical on every tier to the open-coded
-/// `y − step·g` + [`soft_threshold_mut`] sequence. `‖x⁺‖²` and
-/// `‖x⁺ − x‖²` are bit-identical to [`dot`] of `x_next`, and of the
-/// materialized difference, with itself, so the solver's stopping
+/// `y − step·g` followed by [`simd::scalar::shrink`] of each element.
+/// `‖x⁺‖²` and `‖x⁺ − x‖²` are bit-identical to [`dot`] of `x_next`,
+/// and of the materialized difference, with itself, so the solver's stopping
 /// decisions keep their bits; across tiers they agree to ≤ 1e-12
 /// relative. The restart sums are added in a tier-chosen order (see
 /// [`crate::simd::FistaSums`]).
@@ -127,26 +127,6 @@ pub fn fista_step(
 /// Panics if the slices have different lengths.
 pub fn momentum_into(y: &mut [f64], xn: &[f64], xo: &[f64], beta: f64) {
     (simd::kernels().momentum)(y, xn, xo, beta)
-}
-
-/// Soft-thresholding (shrinkage) operator applied entrywise:
-/// `sign(v) * max(|v| - t, 0)`.
-///
-/// This is the proximal operator of `t * ||.||_1` and the core of
-/// the ISTA/FISTA L1 solvers.
-pub fn soft_threshold(a: &[f64], t: f64) -> Vec<f64> {
-    let mut out = a.to_vec();
-    soft_threshold_mut(&mut out, t);
-    out
-}
-
-/// In-place soft thresholding; see [`soft_threshold`].
-///
-/// Dispatched elementwise kernel: every result bit matches the scalar
-/// reference loop on every tier (vector tiers mirror the branch
-/// priority with a blend sequence).
-pub fn soft_threshold_mut(a: &mut [f64], t: f64) {
-    (simd::kernels().soft_threshold)(a, t)
 }
 
 /// Indices of the `k` largest-magnitude entries (unsorted order).
@@ -248,16 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn soft_threshold_shrinks_toward_zero() {
-        let v = [3.0, -0.5, 0.5, -3.0, 1.0];
-        let s = soft_threshold(&v, 1.0);
-        assert_eq!(s, vec![2.0, 0.0, 0.0, -2.0, 0.0]);
-        let mut w = v;
-        soft_threshold_mut(&mut w, 1.0);
-        assert_eq!(w.to_vec(), s);
-    }
-
-    #[test]
     fn top_k_selects_largest_magnitudes() {
         let v = [0.1, -5.0, 3.0, 0.0, 4.0];
         let mut idx = top_k_indices(&v, 2);
@@ -315,8 +285,11 @@ mod tests {
             let (step, t) = (0.37, 0.25);
             let mut fused = vec![0.0; n];
             let sums = fista_step(&mut fused, &y, &g, &x, step, t);
-            let mut reference: Vec<f64> = y.iter().zip(&g).map(|(yi, gi)| yi - step * gi).collect();
-            soft_threshold_mut(&mut reference, t);
+            let reference: Vec<f64> = y
+                .iter()
+                .zip(&g)
+                .map(|(yi, gi)| simd::scalar::shrink(yi - step * gi, t))
+                .collect();
             for (a, b) in fused.iter().zip(&reference) {
                 assert_eq!(a.to_bits(), b.to_bits(), "n = {n}");
             }
@@ -337,6 +310,11 @@ mod tests {
             assert!((sums.restart - exact).abs() <= 2.0 * n as f64 * f64::EPSILON * abs);
             assert!((sums.restart_abs - abs).abs() <= 2.0 * n as f64 * f64::EPSILON * abs);
         }
+        // With step 0 the pass is the bare shrink `sign(v)·max(|v| − t, 0)`.
+        let v = [3.0, -0.5, 0.5, -3.0, 1.0];
+        let mut shrunk = [f64::NAN; 5];
+        fista_step(&mut shrunk, &v, &[0.0; 5], &[0.0; 5], 0.0, 1.0);
+        assert_eq!(shrunk, [2.0, 0.0, 0.0, -2.0, 0.0]);
     }
 
     #[test]

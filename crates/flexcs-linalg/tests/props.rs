@@ -162,19 +162,6 @@ proptest! {
     }
 
     #[test]
-    fn soft_threshold_is_nonexpansive(
-        v in proptest::collection::vec(-10.0..10.0f64, 12),
-        w in proptest::collection::vec(-10.0..10.0f64, 12),
-        t in 0.0..5.0f64,
-    ) {
-        let sv = vecops::soft_threshold(&v, t);
-        let sw = vecops::soft_threshold(&w, t);
-        let before = vecops::norm2(&vecops::sub(&v, &w));
-        let after = vecops::norm2(&vecops::sub(&sv, &sw));
-        prop_assert!(after <= before + 1e-12);
-    }
-
-    #[test]
     fn median_lies_within_range(v in proptest::collection::vec(-10.0..10.0f64, 1..20)) {
         let m = vecops::median(&v);
         let lo = v.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -121,17 +121,6 @@ proptest! {
     }
 
     #[test]
-    fn soft_threshold_bit_identical(va in full_vec(), n in 0usize..MAX_LEN, t in 0.0..50.0f64) {
-        let mut s = va[..n].to_vec();
-        (simd::scalar_kernels().soft_threshold)(&mut s, t);
-        for k in simd::host_kernel_tables() {
-            let mut d = va[..n].to_vec();
-            (k.soft_threshold)(&mut d, t);
-            assert_bits_eq(&d, &s, &on(k, "soft_threshold"));
-        }
-    }
-
-    #[test]
     fn momentum_bit_identical(va in full_vec(), vb in full_vec(), n in 0usize..MAX_LEN, beta in 0.0..1.0f64) {
         let (xn, xo) = (va[..n].to_vec(), vb[..n].to_vec());
         let mut ys = vec![0.0; n];

@@ -16,9 +16,9 @@
 //!   backward passes (all finite-difference tested).
 //! - [`ResidualBlock`] / [`Sequential`] / [`build_tactile_resnet`].
 //! - [`softmax`] / [`cross_entropy_with_logits`].
-//! - [`Sgd`] / [`Adam`] / [`ReduceLrOnPlateau`].
+//! - [`Adam`] / [`ReduceLrOnPlateau`].
 //! - [`fit`]: the paper's training recipe; [`evaluate`], [`accuracy`],
-//!   [`confusion_matrix`], [`tensor_from_frame`].
+//!   [`tensor_from_frame`].
 //!
 //! ## Example
 //!
@@ -39,7 +39,6 @@ mod init;
 pub mod layers;
 mod loss;
 mod metrics;
-mod norm;
 mod optim;
 mod resnet;
 mod tensor;
@@ -48,9 +47,8 @@ mod train;
 pub use init::NnRng;
 pub use layers::{Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, Layer, MaxPool2d, Relu};
 pub use loss::{cross_entropy_with_logits, softmax};
-pub use metrics::{accuracy, confusion_matrix, evaluate, tensor_from_frame};
-pub use norm::InstanceNorm2d;
-pub use optim::{Adam, ReduceLrOnPlateau, Sgd};
+pub use metrics::{accuracy, evaluate, tensor_from_frame};
+pub use optim::{Adam, ReduceLrOnPlateau};
 pub use resnet::{build_tactile_resnet, ResidualBlock, Sequential};
 pub use tensor::Tensor;
 pub use train::{fit, FitReport, TrainConfig};

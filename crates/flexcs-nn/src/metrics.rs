@@ -1,4 +1,4 @@
-//! Evaluation metrics: loss, accuracy and confusion matrices.
+//! Evaluation metrics: loss and accuracy.
 
 use crate::layers::Layer;
 use crate::loss::cross_entropy_with_logits;
@@ -31,22 +31,6 @@ pub fn evaluate(net: &mut Sequential, data: &[(Tensor, usize)]) -> (f64, f64) {
 /// Classification accuracy only.
 pub fn accuracy(net: &mut Sequential, data: &[(Tensor, usize)]) -> f64 {
     evaluate(net, data).1
-}
-
-/// Builds a `classes x classes` confusion matrix with true classes as
-/// rows and predictions as columns.
-///
-/// # Panics
-///
-/// Panics if any label is `>= classes`.
-pub fn confusion_matrix(net: &mut Sequential, data: &[(Tensor, usize)], classes: usize) -> Matrix {
-    let mut m = Matrix::zeros(classes, classes);
-    for (x, label) in data {
-        assert!(*label < classes, "label {label} out of range");
-        let pred = net.forward(x, false).argmax().min(classes - 1);
-        m[(*label, pred)] += 1.0;
-    }
-    m
 }
 
 /// Converts a sensor frame into a `[1, rows, cols]` network input.
@@ -94,22 +78,6 @@ mod tests {
     fn evaluate_on_empty_is_zero() {
         let mut net = fixed_net();
         assert_eq!(evaluate(&mut net, &[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn confusion_matrix_layout() {
-        let mut net = fixed_net();
-        let data = vec![
-            sample(1.0, 0.0, 0),
-            sample(0.0, 1.0, 0), // true 0 predicted 1
-            sample(0.0, 1.0, 1),
-        ];
-        let m = confusion_matrix(&mut net, &data, 2);
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(0, 1)], 1.0);
-        assert_eq!(m[(1, 1)], 1.0);
-        assert_eq!(m[(1, 0)], 0.0);
-        assert_eq!(m.sum(), 3.0);
     }
 
     #[test]

@@ -7,54 +7,6 @@
 
 use crate::layers::Layer;
 
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// Creates plain SGD.
-    pub fn new(lr: f64) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Creates SGD with momentum.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update step to all parameters of `net`.
-    pub fn step(&mut self, net: &mut dyn Layer) {
-        let mut buf_idx = 0;
-        let velocity = &mut self.velocity;
-        let (lr, momentum) = (self.lr, self.momentum);
-        net.visit_params(&mut |w, g| {
-            if velocity.len() <= buf_idx {
-                velocity.push(vec![0.0; w.len()]);
-            }
-            let v = &mut velocity[buf_idx];
-            for i in 0..w.len() {
-                v[i] = momentum * v[i] - lr * g[i];
-                w[i] += v[i];
-            }
-            buf_idx += 1;
-        });
-    }
-}
-
 /// Adam optimizer (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -179,20 +131,6 @@ mod tests {
             final_loss = loss;
         }
         final_loss
-    }
-
-    #[test]
-    fn sgd_reduces_loss() {
-        let mut opt = Sgd::new(0.1);
-        let loss = train_toy(|l| opt.step(l));
-        assert!(loss < 0.05, "final loss {loss}");
-    }
-
-    #[test]
-    fn sgd_momentum_reduces_loss() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let loss = train_toy(|l| opt.step(l));
-        assert!(loss < 0.05, "final loss {loss}");
     }
 
     #[test]

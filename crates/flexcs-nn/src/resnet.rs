@@ -92,13 +92,6 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Total trainable parameter count.
-    pub fn parameter_count(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |w, _| n += w.len());
-        n
-    }
-
     /// Copies all parameters into a flat snapshot (for best-weights
     /// selection).
     pub fn snapshot(&mut self) -> Vec<f64> {
@@ -223,7 +216,6 @@ mod tests {
         let x = Tensor::from_fn(&[1, 4, 4], |i| i as f64 * 0.1);
         let y = net.forward(&x, false);
         assert_eq!(y.shape(), &[3]);
-        assert!(net.parameter_count() > 0);
     }
 
     #[test]

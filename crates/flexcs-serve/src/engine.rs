@@ -85,11 +85,6 @@ impl Submit {
             Submit::Rejected { .. } => None,
         }
     }
-
-    /// Whether the submission was rejected by backpressure.
-    pub fn is_rejected(&self) -> bool {
-        matches!(self, Submit::Rejected { .. })
-    }
 }
 
 struct Job {
@@ -498,7 +493,6 @@ impl Inner {
             submitted_at,
         } = job;
         let decoded = catch_unwind(AssertUnwindSafe(|| self.backend.decode(&req, session)));
-        session.note_frame();
         let latency = submitted_at.elapsed();
         let outcome: FrameResult = match decoded {
             Ok(Ok(rec)) => {
@@ -698,7 +692,10 @@ mod tests {
         let second = engine.submit(tenant, request(&frame, 10, 2)).unwrap();
         let h2 = second.accepted().expect("one slot free while decoding");
         let third = engine.submit(tenant, request(&frame, 10, 3)).unwrap();
-        assert!(third.is_rejected(), "capacity-1 queue rejects the third");
+        assert!(
+            matches!(third, Submit::Rejected { .. }),
+            "capacity-1 queue rejects the third"
+        );
         let m = engine.metrics();
         assert_eq!(m.rejected, 1);
         // Open the gate; both accepted frames must complete.

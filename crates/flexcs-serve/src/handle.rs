@@ -61,15 +61,6 @@ impl FrameHandle {
         }
     }
 
-    /// Non-blocking probe: takes the result if the frame has completed.
-    pub fn try_take(&self) -> Option<FrameResult> {
-        self.shared
-            .slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-    }
-
     /// Whether a result is waiting (false after it has been taken).
     pub fn is_done(&self) -> bool {
         self.shared
@@ -159,14 +150,5 @@ mod tests {
         });
         assert_eq!(handle.wait(), Err(ServeError::WorkerLost));
         t.join().unwrap();
-    }
-
-    #[test]
-    fn try_take_consumes_once() {
-        let (handle, completion) = completion_pair();
-        assert!(handle.try_take().is_none());
-        completion.complete(Err(ServeError::EngineStopped));
-        assert!(handle.try_take().is_some());
-        assert!(handle.try_take().is_none());
     }
 }

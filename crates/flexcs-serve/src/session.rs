@@ -150,7 +150,6 @@ pub struct Session {
     decoder: Decoder,
     warm: DecodeWarmState,
     mode: LiveMode,
-    frames_decoded: u64,
 }
 
 impl Session {
@@ -165,7 +164,6 @@ impl Session {
                     LiveMode::Adaptive(Box::new(AdaptivePipeline::new(cfg)))
                 }
             },
-            frames_decoded: 0,
         }
     }
 
@@ -204,18 +202,9 @@ impl Session {
         }
     }
 
-    /// Frames this session has decoded (successfully or not).
-    pub fn frames_decoded(&self) -> u64 {
-        self.frames_decoded
-    }
-
     /// Solves seeded from a previous solution so far.
     pub fn warm_starts(&self) -> u64 {
         self.warm.warm_starts()
-    }
-
-    pub(crate) fn note_frame(&mut self) {
-        self.frames_decoded += 1;
     }
 
     /// Called after a decode panic: the carried solution and adaptive
@@ -336,8 +325,10 @@ mod tests {
     #[test]
     fn session_resets_warm_state_after_panic() {
         let mut s = Session::new(SessionConfig::named("t"));
-        s.note_frame();
-        assert_eq!(s.frames_decoded(), 1);
+        let req = frame_request(1.0);
+        WarmDecodeBackend.decode(&req, &mut s).unwrap();
+        WarmDecodeBackend.decode(&req, &mut s).unwrap();
+        assert_eq!(s.warm_starts(), 1, "the second solve is seeded");
         s.reset_after_panic();
         assert_eq!(s.warm_starts(), 0);
     }
