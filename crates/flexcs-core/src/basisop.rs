@@ -36,6 +36,9 @@ pub struct SubsampledDctOperator {
     /// `selected` in the layout the plan's fused sampled transforms
     /// read and write ([`Dct2d::sample_positions`]).
     positions: Vec<usize>,
+    /// One word per slot of that layout: all ones at `positions`, zero
+    /// elsewhere ([`Dct2d::masked_residual_forward`]).
+    mask: Vec<u64>,
 }
 
 impl SubsampledDctOperator {
@@ -105,12 +108,17 @@ impl SubsampledDctOperator {
             )));
         }
         let positions = plan.sample_positions(&selected)?;
+        let mut mask = vec![0; rows * cols];
+        for &p in &positions {
+            mask[p] = u64::MAX;
+        }
         Ok(SubsampledDctOperator {
             rows,
             cols,
             plan,
             selected,
             positions,
+            mask,
         })
     }
 
@@ -167,6 +175,30 @@ impl LinearOperator for SubsampledDctOperator {
         self.plan
             .scatter_forward(y, &self.positions, out)
             .expect("length checked by caller");
+    }
+
+    fn stage_measurements(&self, b: &[f64], staged: &mut Vec<f64>) {
+        // Φᵀ·b, once per solve, in the plan's staging layout.
+        staged.clear();
+        staged.resize(self.rows * self.cols, 0.0);
+        for (&p, &v) in self.positions.iter().zip(b) {
+            staged[p] = v;
+        }
+    }
+
+    fn gradient_into(
+        &self,
+        y: &[f64],
+        staged: &[f64],
+        _ax: &mut Vec<f64>,
+        _r: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
+        // Ψᵀ(mask ⊙ Ψy − Φᵀb) in one pass through the staging buffer.
+        out.resize(self.rows * self.cols, 0.0);
+        self.plan
+            .masked_residual_forward(y, staged, &self.mask, out)
+            .expect("lengths checked by caller");
     }
 }
 

@@ -118,6 +118,33 @@ unsafe fn sub_inner(out: &mut [f64], a: &[f64], b: &[f64]) {
     }
 }
 
+/// `v = (v − b) & mask` on the bits, bit-identical to the scalar tier.
+pub fn masked_sub(v: &mut [f64], b: &[f64], mask: &[u64]) {
+    assert_eq!(v.len(), b.len(), "masked_sub: length mismatch");
+    assert_eq!(v.len(), mask.len(), "masked_sub: length mismatch");
+    // SAFETY: AVX2+FMA verified at tier selection; lengths checked.
+    unsafe { masked_sub_inner(v, b, mask) }
+}
+
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn masked_sub_inner(v: &mut [f64], b: &[f64], mask: &[u64]) {
+    let n = v.len();
+    let (vp, bp, mp) = (v.as_mut_ptr(), b.as_ptr(), mask.as_ptr());
+    let mut i = 0;
+    // SAFETY: i + 4 <= n for all three equal-length slices.
+    while i + 4 <= n {
+        let d = _mm256_sub_pd(_mm256_loadu_pd(vp.add(i)), _mm256_loadu_pd(bp.add(i)));
+        let m = _mm256_castsi256_pd(_mm256_loadu_si256(mp.add(i).cast()));
+        _mm256_storeu_pd(vp.add(i), _mm256_and_pd(d, m));
+        i += 4;
+    }
+    while i < n {
+        let d = *vp.add(i) - *bp.add(i);
+        *vp.add(i) = f64::from_bits(d.to_bits() & *mp.add(i));
+        i += 1;
+    }
+}
+
 /// `out = a + b`, bit-identical to the scalar tier (NaN sums included).
 pub fn add(out: &mut [f64], a: &[f64], b: &[f64]) {
     assert_eq!(a.len(), b.len(), "add: length mismatch");
@@ -146,9 +173,15 @@ unsafe fn add_inner(out: &mut [f64], a: &[f64], b: &[f64]) {
 
 /// Horizontal sum of a 256-bit accumulator in a fixed order:
 /// `(l0 + l2) + (l1 + l3)`. Shared by every reduction so their
-/// association order is mutually consistent.
+/// association order is mutually consistent, the AVX-512 table's
+/// `fista_step` included.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, as tier selection checked before
+/// any caller runs.
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn hsum(acc: __m256d) -> f64 {
+pub(super) unsafe fn hsum(acc: __m256d) -> f64 {
     let lo = _mm256_castpd256_pd128(acc);
     let hi = _mm256_extractf128_pd(acc, 1);
     let pair = _mm_add_pd(lo, hi);
@@ -302,7 +335,7 @@ unsafe fn fista_step_inner(
 /// caller runs, and `i + 4` must not exceed the length of any of the
 /// four slices behind the pointers.
 #[inline(always)]
-unsafe fn fista_lanes(
+pub(super) unsafe fn fista_lanes(
     (op, yp, gp, xp): (*mut f64, *const f64, *const f64, *const f64),
     i: usize,
     (vs, vt, vnt): (__m256d, __m256d, __m256d),
@@ -637,8 +670,14 @@ pub fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
     unsafe { transpose_inner(src, dst, rows, cols) }
 }
 
+/// The body of [`transpose`], for callers that checked the lengths.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and both slices must hold `rows * cols`
+/// values.
 #[target_feature(enable = "avx2")]
-unsafe fn transpose_inner(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
+pub(super) unsafe fn transpose_inner(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
     // Cache tile (a multiple of the 4×4 register block).
     const TILE: usize = 32;
     let (r4, c4) = (rows & !3, cols & !3);

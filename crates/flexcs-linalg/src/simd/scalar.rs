@@ -41,6 +41,18 @@ pub fn sub(out: &mut [f64], a: &[f64], b: &[f64]) {
     }
 }
 
+/// `v = (v − b) & mask` entrywise on the bits (reference for
+/// [`super::Kernels::masked_sub`]): an all-ones `mask` word keeps the
+/// difference, a zero word writes `+0.0` whatever the difference was
+/// (NaN and ±∞ included). No branch and no multiply.
+pub fn masked_sub(v: &mut [f64], b: &[f64], mask: &[u64]) {
+    assert_eq!(v.len(), b.len(), "masked_sub: length mismatch");
+    assert_eq!(v.len(), mask.len(), "masked_sub: length mismatch");
+    for ((o, y), m) in v.iter_mut().zip(b).zip(mask) {
+        *o = f64::from_bits((*o - y).to_bits() & m);
+    }
+}
+
 /// `out = a + b` entrywise, every NaN sum `f64::NAN` (reference for
 /// [`super::Kernels::add`]).
 pub fn add(out: &mut [f64], a: &[f64], b: &[f64]) {

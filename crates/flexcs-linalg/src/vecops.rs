@@ -101,7 +101,7 @@ pub fn sub_into(out: &mut Vec<f64>, a: &[f64], b: &[f64]) {
 /// `‖x⁺‖²` and `‖x⁺ − x‖²` are bit-identical to [`dot`] of `x_next`,
 /// and of the materialized difference, with itself, so the solver's stopping
 /// decisions keep their bits; across tiers they agree to ≤ 1e-12
-/// relative. The restart sums are added in a tier-chosen order (see
+/// relative. The restart sums are added in a table-chosen order (see
 /// [`crate::simd::FistaSums`]).
 ///
 /// # Panics

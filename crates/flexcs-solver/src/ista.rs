@@ -173,6 +173,7 @@ fn run_in(
     }
     ws.y.clear();
     ws.y.extend_from_slice(&ws.x); // Momentum point (equals x for plain ISTA).
+    op.stage_measurements(b, &mut ws.staged);
     let mut t = 1.0_f64;
     let mut iterations = 0;
     let mut converged = false;
@@ -181,9 +182,15 @@ fn run_in(
     for iter in 0..config.max_iterations {
         iterations = iter + 1;
         // Gradient step at y: y - step * Aᵀ(Ay - b).
-        op.apply_into(&ws.y, &mut ws.ax);
-        vecops::sub_into(&mut ws.r, &ws.ax, b);
-        op.apply_transpose_into(&ws.r, &mut ws.grad);
+        op.gradient_into(&ws.y, &ws.staged, &mut ws.ax, &mut ws.r, &mut ws.grad);
+        // The traced residual ‖Ay − b‖ is no by-product of a fused
+        // gradient, so it costs one more apply, and only while a
+        // recorder is installed.
+        let traced_rn = tel::enabled().then(|| {
+            op.apply_into(&ws.y, &mut ws.ax);
+            vecops::sub_into(&mut ws.r, &ws.ax, b);
+            vecops::norm2(&ws.r)
+        });
         ws.x_next.resize(n, 0.0);
         let sums = vecops::fista_step(&mut ws.x_next, &ws.y, &ws.grad, &ws.x, step, thresh);
         // A NaN or infinite entry makes the norm non-finite, so the
@@ -218,10 +225,7 @@ fn run_in(
             ws.y.extend_from_slice(&ws.x_next);
         }
         std::mem::swap(&mut ws.x, &mut ws.x_next);
-        if tel::enabled() {
-            // The gradient residual Ay − b is already at hand; reuse it
-            // rather than re-applying the operator.
-            let rn = vecops::norm2(&ws.r);
+        if let Some(rn) = traced_rn {
             let obj = config.lambda * vecops::norm1(&ws.x) + 0.5 * rn * rn;
             tel::iteration(solver_name, iterations, obj, rn, step);
         }

@@ -59,6 +59,42 @@ pub trait LinearOperator {
         *out = self.apply_transpose(y);
     }
 
+    /// Writes measurements `b` into `staged` in the form
+    /// [`gradient_into`] reads them; called once per solve.
+    ///
+    /// The default copies `b`. An operator that overrides one of this
+    /// method and [`gradient_into`] overrides both, so a wrapper that
+    /// forwards neither (and so runs both defaults) stays consistent.
+    ///
+    /// [`gradient_into`]: LinearOperator::gradient_into
+    fn stage_measurements(&self, b: &[f64], staged: &mut Vec<f64>) {
+        staged.clear();
+        staged.extend_from_slice(b);
+    }
+
+    /// Computes the least-squares gradient `Aᵀ(A·y − b)` into `out`, with
+    /// `staged` from [`stage_measurements`] on the same `b`.
+    ///
+    /// The default is [`apply_into`] into `ax`, `r = ax − b` and
+    /// [`apply_transpose_into`] of `r`. Overrides must produce
+    /// bit-identical values to it; they may leave `ax` and `r` untouched.
+    ///
+    /// [`stage_measurements`]: LinearOperator::stage_measurements
+    /// [`apply_into`]: LinearOperator::apply_into
+    /// [`apply_transpose_into`]: LinearOperator::apply_transpose_into
+    fn gradient_into(
+        &self,
+        y: &[f64],
+        staged: &[f64],
+        ax: &mut Vec<f64>,
+        r: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
+        self.apply_into(y, ax);
+        flexcs_linalg::vecops::sub_into(r, ax, staged);
+        self.apply_transpose_into(r, out);
+    }
+
     /// Materializes column `j` (defaults to `A·e_j`).
     fn column(&self, j: usize) -> Vec<f64> {
         let mut basis = Vec::new();

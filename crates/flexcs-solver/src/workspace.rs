@@ -65,6 +65,9 @@ pub struct SolveWorkspace {
     pub(crate) ax: Vec<f64>,
     /// Residual `A·x − b` (`m`).
     pub(crate) r: Vec<f64>,
+    /// Measurements in the operator's gradient layout
+    /// ([`LinearOperator::stage_measurements`]).
+    pub(crate) staged: Vec<f64>,
     /// Arena for OMP (support mask, correlation buffer, refit scratch),
     /// so the greedy solver runs allocation-free too.
     pub(crate) greedy: GreedyWorkspace,

@@ -759,24 +759,50 @@ impl Dct2d {
         Ok(())
     }
 
+    /// The LASSO gradient of the sampled synthesis in one staging pass:
+    /// the inverse 2-D DCT of row-major `coeffs`, minus `staged` and
+    /// masked by `mask` slot by slot in the transposed staging layout
+    /// ([`simd::Kernels::masked_sub`]: all-ones words keep the
+    /// difference, zero words write `+0.0`), then the forward 2-D DCT of
+    /// that frame into row-major `out`.
+    ///
+    /// With `staged` holding measurements `b` scattered at `positions`
+    /// (from [`Dct2d::sample_positions`]) and `mask` all-ones exactly
+    /// there, this is `Ψᵀ·Φᵀ(Φ·Ψ·coeffs − b)`, bit-identical to
+    /// [`Dct2d::inverse_gather`], a subtract and
+    /// [`Dct2d::scatter_forward`], without the gather, the zero fill and
+    /// the scatter.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransformError::InvalidLength`] unless `coeffs`,
+    /// `staged`, `mask` and `out` each hold `rows * cols` values.
+    pub fn masked_residual_forward(
+        &self,
+        coeffs: &[f64],
+        staged: &[f64],
+        mask: &[u64],
+        out: &mut [f64],
+    ) -> Result<()> {
+        for len in [coeffs.len(), staged.len(), mask.len(), out.len()] {
+            self.check_len(len)?;
+        }
+        let (rows, cols) = self.shape();
+        with_frame_scratch(|s| {
+            self.inverse_to_staging(s, coeffs);
+            (simd::kernels().masked_sub)(lanes(&mut s.aux, rows * cols), staged, mask);
+            self.forward_from_staging(s, out);
+        });
+        Ok(())
+    }
+
     /// Forward transform into row-major `out` of the frame that `stage`
     /// writes into the transposed staging buffer.
-    ///
-    /// Separable transform: rows then columns here, columns then rows
-    /// in the inverse (order only matters for matching the adjoint
-    /// exactly, cost is identical). Both passes run the multi-lane
-    /// kernel over contiguous memory — the row pass on the transposed
-    /// staging buffer — so every codelet strip vectorizes across lanes.
     fn forward_staged(&self, out: &mut [f64], stage: impl FnOnce(&mut [f64])) {
         let (rows, cols) = self.shape();
         with_frame_scratch(|s| {
-            let t = lanes(&mut s.aux, rows * cols);
-            stage(t);
-            self.row_plan
-                .forward_lanes(t, lanes(&mut s.aux2, rows * cols), rows);
-            (simd::kernels().transpose)(t, out, cols, rows);
-            self.col_plan
-                .forward_lanes(out, lanes(&mut s.aux, rows * cols), cols);
+            stage(lanes(&mut s.aux, rows * cols));
+            self.forward_from_staging(s, out);
         });
     }
 
@@ -785,15 +811,40 @@ impl Dct2d {
     fn inverse_staged(&self, coeffs: &[f64], finish: impl FnOnce(&[f64])) {
         let (rows, cols) = self.shape();
         with_frame_scratch(|s| {
-            let data = lanes(&mut s.aux2, rows * cols);
-            data.copy_from_slice(coeffs);
-            self.col_plan
-                .inverse_lanes(data, lanes(&mut s.aux, rows * cols), cols);
-            let t = lanes(&mut s.aux, rows * cols);
-            (simd::kernels().transpose)(data, t, rows, cols);
-            self.row_plan.inverse_lanes(t, data, rows);
-            finish(t);
+            self.inverse_to_staging(s, coeffs);
+            finish(lanes(&mut s.aux, rows * cols));
         });
+    }
+
+    /// Forward transform of the frame staged transposed in `s.aux` into
+    /// row-major `out`.
+    ///
+    /// Separable transform: rows then columns here, columns then rows
+    /// in the inverse (order only matters for matching the adjoint
+    /// exactly, cost is identical). Both passes run the multi-lane
+    /// kernel over contiguous memory — the row pass on the transposed
+    /// staging buffer — so every codelet strip vectorizes across lanes.
+    fn forward_from_staging(&self, s: &mut Dct2dScratch, out: &mut [f64]) {
+        let (rows, cols) = self.shape();
+        let t = lanes(&mut s.aux, rows * cols);
+        self.row_plan
+            .forward_lanes(t, lanes(&mut s.aux2, rows * cols), rows);
+        (simd::kernels().transpose)(t, out, cols, rows);
+        self.col_plan
+            .forward_lanes(out, lanes(&mut s.aux, rows * cols), cols);
+    }
+
+    /// Inverse transform of row-major `coeffs`, left in `s.aux` in the
+    /// transposed staging layout.
+    fn inverse_to_staging(&self, s: &mut Dct2dScratch, coeffs: &[f64]) {
+        let (rows, cols) = self.shape();
+        let data = lanes(&mut s.aux2, rows * cols);
+        data.copy_from_slice(coeffs);
+        self.col_plan
+            .inverse_lanes(data, lanes(&mut s.aux, rows * cols), cols);
+        let t = lanes(&mut s.aux, rows * cols);
+        (simd::kernels().transpose)(data, t, rows, cols);
+        self.row_plan.inverse_lanes(t, data, rows);
     }
 
     fn check(&self, frame: &Matrix) -> Result<()> {
