@@ -806,7 +806,6 @@ fn mc_engine_beats_serial_cold() {
     let engine = |threads| {
         McEngine::new(McEngineConfig {
             threads: Some(threads),
-            ..McEngineConfig::default()
         })
     };
     let (par_s, par) = mc_sweep(&engine(THREADS), &nominal);

@@ -108,23 +108,12 @@ fn sample_seed(seed: u64, trial: u64) -> u64 {
 }
 
 /// Configuration of a [`McEngine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct McEngineConfig {
     /// Worker-thread cap; `None` uses the `flexcs-parallel` default
     /// (the `FLEXCS_THREADS` override applies). Results are
     /// bit-identical for every setting.
     pub threads: Option<usize>,
-    /// Linear-solver policy for every solve the engine runs.
-    pub policy: SolverPolicy,
-}
-
-impl Default for McEngineConfig {
-    fn default() -> Self {
-        McEngineConfig {
-            threads: None,
-            policy: SolverPolicy::Auto,
-        }
-    }
 }
 
 /// One trial's verdict: the recorded metric and the pass flag.
@@ -284,11 +273,9 @@ impl McTrial<'_> {
         let asm = Assembler::new(ckt);
         if self.ws.dc.len() <= slot {
             let share = (!self.engine.cold).then(|| share_at(&self.tables.dc, slot));
-            self.ws.dc.push(MnaSolver::with_share(
-                self.engine.cfg.policy,
-                asm.dim(),
-                share,
-            ));
+            self.ws
+                .dc
+                .push(MnaSolver::with_share(SolverPolicy::Auto, asm.dim(), share));
         }
         let seed = if !self.nominal && !self.engine.cold {
             self.warm
@@ -330,9 +317,9 @@ impl McTrial<'_> {
             let dim = Assembler::new(ckt).dim();
             self.ws
                 .tran
-                .push(MnaSolver::with_share(self.engine.cfg.policy, dim, share));
+                .push(MnaSolver::with_share(SolverPolicy::Auto, dim, share));
         }
-        transient_in(ckt, config, &mut self.ws.tran[slot], self.engine.cfg.policy)
+        transient_in(ckt, config, &mut self.ws.tran[slot], SolverPolicy::Auto)
     }
 }
 
@@ -361,10 +348,7 @@ impl McEngine {
     /// default engine's: warm starts change Newton trajectories.
     pub fn serial_cold() -> Self {
         McEngine {
-            cfg: McEngineConfig {
-                threads: Some(1),
-                ..McEngineConfig::default()
-            },
+            cfg: McEngineConfig { threads: Some(1) },
             cold: true,
         }
     }
@@ -532,7 +516,6 @@ mod tests {
         let run = |threads| {
             McEngine::new(McEngineConfig {
                 threads: Some(threads),
-                ..McEngineConfig::default()
             })
             .run(16, 99, divider_metric)
             .unwrap()
@@ -566,12 +549,9 @@ mod tests {
 
     #[test]
     fn pool_reuses_workspaces() {
-        let report = McEngine::new(McEngineConfig {
-            threads: Some(1),
-            ..McEngineConfig::default()
-        })
-        .run(6, 1, divider_metric)
-        .unwrap();
+        let report = McEngine::new(McEngineConfig { threads: Some(1) })
+            .run(6, 1, divider_metric)
+            .unwrap();
         // One workspace (seeded by the nominal pass) serves all six
         // serial trials.
         assert_eq!(report.pool_checkouts, 6);

@@ -4,7 +4,7 @@
 //! engine's statistics must be invariant in the thread count.
 
 use flexcs_circuit::sparse::{CsrMatrix, SparseLu, SymbolicLu, Triplets};
-use flexcs_circuit::{Circuit, McEngine, McEngineConfig, McSample, NodeId, SolverPolicy, Waveform};
+use flexcs_circuit::{Circuit, McEngine, McEngineConfig, McSample, NodeId, Waveform};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -132,7 +132,6 @@ proptest! {
         let run = |threads: usize| {
             let engine = McEngine::new(McEngineConfig {
                 threads: Some(threads),
-                policy: SolverPolicy::Auto,
             });
             engine
                 .run(trials, seed, |trial| {

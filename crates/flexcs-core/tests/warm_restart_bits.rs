@@ -8,7 +8,7 @@
 //! taken wrongly would change the iterates, so these hashes would move.
 //! The stop rule reads the tier's `dot` reductions, which re-associate
 //! across tiers; the scalar and AVX2 tiers were each recorded and read
-//! the same values. NEON has no record.
+//! the same values.
 
 use flexcs_core::{DecodeWarmState, Decoder, SamplingPlan, SparseErrorModel};
 use flexcs_linalg::{simd, Matrix};
@@ -58,12 +58,10 @@ fn warm_resample_stream_keeps_recorded_bits_on_each_tier() {
     let got = (bit_hash(&decoded), iterations, state.restarts());
     // Recorded when the restart sum was one index-order loop and the
     // prox step, norm and change were separate passes.
-    if simd::tier() != simd::SimdTier::Neon {
-        assert_eq!(
-            got,
-            (0x59c7_678f_7f65_b3b8, 3189, 35),
-            "(frame hash, iterations, restarts) on {}",
-            simd::tier_name()
-        );
-    }
+    assert_eq!(
+        got,
+        (0x59c7_678f_7f65_b3b8, 3189, 35),
+        "(frame hash, iterations, restarts) on {}",
+        simd::tier_name()
+    );
 }

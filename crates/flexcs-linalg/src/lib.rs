@@ -14,8 +14,9 @@
 //!
 //! - [`Matrix`]: dense row-major `f64` matrix with the usual algebra.
 //! - [`vecops`]: slice-level vector kernels (dot, norms, the fused FISTA step).
-//! - [`simd`]: runtime-dispatched micro-kernel tiers (AVX2+FMA / NEON /
-//!   portable scalar) behind a `OnceLock`'d kernel table.
+//! - [`simd`]: runtime-dispatched micro-kernel tiers (x86_64 AVX2+FMA /
+//!   portable scalar, the only tier on other targets) behind a
+//!   `OnceLock`'d kernel table.
 //! - [`Lu`] / [`solve`]: partially pivoted LU for general square systems.
 //! - [`Cholesky`] / [`solve_spd`]: SPD solves for Gram systems.
 //! - [`Qr`] / [`solve_least_squares`]: Householder QR for least squares.

@@ -14,19 +14,18 @@
 //!
 //! One recursion body serves every lane kind: the levels are generic
 //! over a [`Lane`], one element of a strip. [`forward`] and [`inverse`]
-//! run them on `[f64; 4]` arrays; the scalar tier calls these as is, and
-//! the NEON tier from inside its `#[target_feature]` wrappers, where the
-//! compiler maps the array operations onto vector registers. The x86_64
-//! tier runs the same levels through [`forward_with`] / [`inverse_with`]
-//! on register lane types of its own: one `__m256d` per strip element
-//! (`avx2.rs`), or one `__m512d` on AVX-512 hosts (`avx512.rs`). On
-//! `[f64; 4]` arrays the 32-point codelet compiled for AVX2 kept a 3 KiB
-//! stack frame busy with general-register moves, and the register lane
-//! type (with the row walk of [`next_row`]) about halves the forward
-//! codelet's time and cuts the inverse's by a fifth; a 32-row strip
-//! still spills from AVX2's 16 registers, and AVX-512's 32 hold twice
-//! the lanes with fewer spills. This file is safe Rust; the intrinsics
-//! and their `unsafe` stay in the tier files.
+//! run them on `[f64; 4]` arrays; the scalar tier calls these as is, on
+//! x86_64 under `FLEXCS_FORCE_SCALAR` and on every other target. The
+//! x86_64 tier runs the same levels through [`forward_with`] /
+//! [`inverse_with`] on register lane types of its own: one `__m256d`
+//! per strip element (`avx2.rs`), or one `__m512d` on AVX-512 hosts
+//! (`avx512.rs`). On `[f64; 4]` arrays the 32-point codelet compiled
+//! for AVX2 kept a 3 KiB stack frame busy with general-register moves,
+//! and the register lane type (with the row walk of [`next_row`]) about
+//! halves the forward codelet's time and cuts the inverse's by a fifth;
+//! a 32-row strip still spills from AVX2's 16 registers, and AVX-512's
+//! 32 hold twice the lanes with fewer spills. This file is safe Rust;
+//! the intrinsics and their `unsafe` stay in the tier files.
 //!
 //! ## Strip widths
 //!
@@ -57,8 +56,7 @@
 /// Longest transform a codelet runs in one piece.
 pub const CODELET_MAX: usize = 32;
 
-/// Lanes per `[f64; STRIP]` strip of the scalar and NEON tiers (two
-/// NEON registers).
+/// Lanes per `[f64; STRIP]` strip of the scalar tier.
 pub(super) const STRIP: usize = 4;
 
 /// The same element of [`Lane::WIDTH`] adjacent lanes, with the

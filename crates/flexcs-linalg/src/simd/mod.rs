@@ -19,10 +19,9 @@
 //!    codelets, `fista_step` and `transpose`. Its tier name stays
 //!    `x86_64-avx2+fma`; every other entry, the `dot` and dual-update
 //!    reductions included, is the AVX2 table's.
-//! 3. **aarch64 NEON** — selected when
-//!    `is_aarch64_feature_detected!("neon")` passes.
-//! 4. **Portable scalar** — the historical Rust loops, retained
-//!    verbatim in [`scalar`]; always the fallback.
+//! 3. **Portable scalar** — the historical Rust loops, retained
+//!    verbatim in [`scalar`]; always the fallback, and the only table
+//!    on every target other than x86_64 (aarch64 included).
 //!
 //! Only CPU detection picks the lane width; there is no setting for
 //! it. [`codelet_lanes`] reports the width the selected table runs (4,
@@ -45,11 +44,11 @@
 //!   tiers: vector tiers use explicit mul/add/sub intrinsics — never
 //!   fused multiply-add — so each lane performs the exact scalar
 //!   rounding sequence. The lane codelets share one recursion body, run
-//!   on register lanes (4-lane AVX2, 8-lane AVX-512) or on `[f64; 4]`
-//!   arrays compiled with FMA disabled (scalar, NEON), and also agree on
-//!   NaN bits, lane by lane, whatever strip a lane lands in. So do the Lee
-//!   sweep kernels: `add` and `butterfly_merge`, whose adds may meet two
-//!   NaNs, return `f64::NAN` for every NaN output on every tier.
+//!   on register lanes (4-lane AVX2, 8-lane AVX-512) or on the scalar
+//!   tier's `[f64; 4]` arrays, and also agree on NaN bits, lane by lane,
+//!   whatever strip a lane lands in. So do the Lee sweep kernels: `add`
+//!   and `butterfly_merge`, whose adds may meet two NaNs, return
+//!   `f64::NAN` for every NaN output on every tier.
 //! - *Reductions* (`dot`, the RPCA dual residual, `fista_step`'s norm
 //!   and change) may **re-associate** (wide accumulators, FMA) and are
 //!   pinned to the scalar tier at ≤ 1e-12 relative error by property
@@ -67,22 +66,23 @@
 //!
 //! 1. Add the reference loop to [`scalar`] (move it verbatim from the
 //!    call site; it stays the semantic baseline).
-//! 2. Add a `fn` pointer field to [`Kernels`] and wire it in the
-//!    `SCALAR` table (plus `AVX2_FMA`/`NEON` if vectorized — a new
-//!    field may simply reuse the scalar fn in vector tiers until a
-//!    vector implementation exists). `AVX2_FMA_AVX512` overrides the
-//!    fields it runs 8 lanes wide and copies the rest from `AVX2_FMA`;
-//!    override one only where its scale-gate row beats the AVX2 row,
-//!    and keep the AVX2 association order in an 8-lane reduction, so
-//!    that both tables of the tier round alike.
+//! 2. Add a `fn` pointer field to [`Kernels`] and wire it in both
+//!    tables, `SCALAR` and `AVX2_FMA` (`AVX2_FMA` may simply reuse the
+//!    scalar fn until a vector implementation exists).
+//!    `AVX2_FMA_AVX512` overrides the fields it runs 8 lanes wide and
+//!    copies the rest from `AVX2_FMA`; override one only where its
+//!    scale-gate row beats the AVX2 row, and keep the AVX2 association
+//!    order in an 8-lane reduction, so that both tables of the tier
+//!    round alike.
 //! 3. If vectorized: elementwise ⇒ mul/add only (bit-identity);
 //!    reduction ⇒ document re-association and extend the ≤ 1e-12
 //!    proptests and the same-tier bit test. Every intrinsic block needs
 //!    a `// SAFETY:` comment.
 //! 4. Call it via `simd::kernels()` from the hot loop.
 //!
-//! All `unsafe` in the workspace lives in this module's vector tiers
-//! (`scripts/check.sh` enforces this with a grep lint).
+//! All `unsafe` in the workspace lives in this module's vector tiers,
+//! `avx2.rs` and `avx512.rs` (`scripts/check.sh` enforces this with a
+//! grep lint).
 
 use std::sync::OnceLock;
 
@@ -95,8 +95,6 @@ pub use codelet::CODELET_MAX;
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 
 /// Which micro-kernel tier the process selected.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -105,8 +103,6 @@ pub enum SimdTier {
     Scalar,
     /// x86_64 AVX2 + FMA tier (4-wide `f64`).
     Avx2Fma,
-    /// aarch64 NEON tier (2-wide `f64`).
-    Neon,
 }
 
 impl SimdTier {
@@ -116,7 +112,6 @@ impl SimdTier {
         match self {
             SimdTier::Scalar => "scalar",
             SimdTier::Avx2Fma => "x86_64-avx2+fma",
-            SimdTier::Neon => "aarch64-neon",
         }
     }
 }
@@ -291,28 +286,6 @@ static AVX2_FMA_AVX512: Kernels = Kernels {
     ..AVX2_FMA
 };
 
-#[cfg(target_arch = "aarch64")]
-static NEON: Kernels = Kernels {
-    tier: SimdTier::Neon,
-    axpy: neon::axpy,
-    scale: neon::scale,
-    sub: neon::sub,
-    masked_sub: scalar::masked_sub,
-    add: neon::add,
-    dot: neon::dot,
-    fista_step: neon::fista_step,
-    momentum: neon::momentum,
-    butterfly_split: neon::butterfly_split,
-    butterfly_merge: neon::butterfly_merge,
-    lee_forward_lanes: neon::lee_forward_lanes,
-    lee_inverse_lanes: neon::lee_inverse_lanes,
-    codelet_lanes: codelet::STRIP,
-    transpose: scalar::transpose,
-    sub_add_scaled: neon::sub_add_scaled,
-    sub_add_scaled_shrink: neon::sub_add_scaled_shrink,
-    dual_update_residual_sq: neon::dual_update_residual_sq,
-};
-
 /// Interprets the `FLEXCS_FORCE_SCALAR` environment value: unset,
 /// empty, `"0"`, or (case-insensitive) `"false"` leave runtime
 /// detection on; anything else forces the scalar tier.
@@ -339,6 +312,8 @@ fn select() -> &'static Kernels {
 /// is no setting, and only [`kernels`] picks the table a process uses.
 #[doc(hidden)]
 pub fn host_kernel_tables() -> Vec<&'static Kernels> {
+    // Other targets list the scalar table alone.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
     let mut tables = vec![&SCALAR];
     #[cfg(target_arch = "x86_64")]
     {
@@ -348,12 +323,6 @@ pub fn host_kernel_tables() -> Vec<&'static Kernels> {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 tables.push(&AVX2_FMA_AVX512);
             }
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            tables.push(&NEON);
         }
     }
     tables

@@ -14,7 +14,7 @@
 //! Lengths are drawn across 0..=67 (via full-length draws sliced to
 //! an independent length) to hit the empty case, the
 //! sub-vector-width remainders, and full vector blocks of every tier
-//! (4/8-wide AVX2, 2/4-wide NEON, 4-wide scalar unrolling). The Lee
+//! (4/8-wide AVX2, 4-wide scalar unrolling). The Lee
 //! lane codelets draw 1..=68 lanes (whole 8- and 4-lane strips plus
 //! every leftover count) at every codelet length, with up to five
 //! special values planted per frame (`SPECIALS`: NaN bits must agree
