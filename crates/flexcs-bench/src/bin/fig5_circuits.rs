@@ -13,8 +13,8 @@
 use flexcs_bench::print_table;
 use flexcs_circuit::{
     build_self_biased_amplifier, build_shift_register, linearity_fit, log_frequencies,
-    pixel_temperature_sweep, ring_oscillator_frequency, AmplifierConfig, CellLibrary, Circuit,
-    NodeId, PixelBias, PtSensorModel, TransientConfig, Waveform,
+    pixel_temperature_sweep, ring_oscillator_frequency, CellLibrary, Circuit, NodeId, PixelBias,
+    PtSensorModel, TransientConfig, Waveform,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -93,8 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Fig. 5e — self-biased amplifier (C = 1 nF, Vtune = 1 V, VDD/VSS = +/-3 V)\n");
     let mut amp_ckt = Circuit::new();
     let amp_lib = CellLibrary::with_rails(&mut amp_ckt, vdd, -vdd);
-    let amp =
-        build_self_biased_amplifier(&mut amp_ckt, &amp_lib, "vin", &AmplifierConfig::default())?;
+    let amp = build_self_biased_amplifier(&mut amp_ckt, &amp_lib, "vin")?;
     let vin = amp_ckt.find_node("vin")?;
     let src = amp_ckt.add_vsource(vin, NodeId::GROUND, Waveform::Dc(0.0));
     let freqs = log_frequencies(100.0, 1e6, 3);

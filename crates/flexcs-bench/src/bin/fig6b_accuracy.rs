@@ -77,7 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             lr: 3e-3,
             verbose: true,
             seed,
-            ..TrainConfig::default()
         },
     );
     println!(

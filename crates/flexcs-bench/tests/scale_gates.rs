@@ -19,7 +19,7 @@
 
 use flexcs_circuit::{
     Circuit, CntTftModel, McEngine, McEngineConfig, McReport, McSample, NodeId, PtSensorModel,
-    SolverPolicy, TftArray, TftArrayConfig, VariationModel, Waveform,
+    SolverPolicy, TftArray, VariationModel, Waveform,
 };
 use flexcs_core::{
     rmse, rpca, AdaptiveConfig, AdaptivePipeline, BlockGrid, BlockGridConfig, BlockPipeline,
@@ -631,12 +631,7 @@ fn scene(rows: usize, cols: usize) -> Vec<f64> {
 }
 
 fn array(rows: usize, cols: usize) -> TftArray {
-    let config = TftArrayConfig {
-        rows,
-        cols,
-        ..TftArrayConfig::default()
-    };
-    TftArray::build(config, &scene(rows, cols)).expect("array builds")
+    TftArray::build(rows, cols, &scene(rows, cols)).expect("array builds")
 }
 
 /// Scans `array` under `policy` once per rep; returns the median

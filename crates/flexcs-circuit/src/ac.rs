@@ -6,7 +6,7 @@
 //! (paper Fig. 5e) is measured.
 
 use crate::error::{CircuitError, Result};
-use crate::mna::{Assembler, OperatingPoint, GMIN};
+use crate::mna::{Assembler, GMIN};
 use crate::netlist::{Circuit, Element, ElementId, NodeId};
 use crate::solver::SolverPolicy;
 use crate::sparse::{CsrMatrix, SparseLu, SymbolicLu, Triplets};
@@ -24,15 +24,6 @@ impl AcSweep {
     /// The swept frequencies, hertz.
     pub fn freqs(&self) -> &[f64] {
         &self.freqs
-    }
-
-    /// Phasor of `node` at frequency index `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn phasor(&self, node: NodeId, k: usize) -> Complex {
-        self.phasors[k][node.index()]
     }
 
     /// Magnitude response of a node across the sweep.
@@ -70,7 +61,11 @@ impl Circuit {
     }
 
     /// Like [`Circuit::ac_sweep`] with an explicit linear-solver policy
-    /// for both the DC operating point and the per-frequency solves.
+    /// for both the DC operating point and the per-frequency solves. The
+    /// sparse path converts `(G + jωC)·x = b` into its real-equivalent
+    /// `2·dim` system `[G, −ωC; ωC, G]`; the sparsity pattern is
+    /// frequency-independent, so the symbolic factorization is computed
+    /// once and only values are refilled per frequency.
     ///
     /// # Errors
     ///
@@ -93,25 +88,6 @@ impl Circuit {
             )));
         }
         let op = self.dc_operating_point_with(policy)?;
-        self.ac_sweep_at_with(excite, freqs, &op, policy)
-    }
-
-    /// Like [`Circuit::ac_sweep_with`] but reuses a pre-computed
-    /// operating point. The sparse path converts `(G + jωC)·x = b` into
-    /// its real-equivalent `2·dim` system `[G, −ωC; ωC, G]`; the sparsity
-    /// pattern is frequency-independent, so the symbolic factorization
-    /// is computed once and only values are refilled per frequency.
-    ///
-    /// # Errors
-    ///
-    /// See [`Circuit::ac_sweep`].
-    pub fn ac_sweep_at_with(
-        &self,
-        excite: ElementId,
-        freqs: &[f64],
-        op: &OperatingPoint,
-        policy: SolverPolicy,
-    ) -> Result<AcSweep> {
         let asm = Assembler::new(self);
         let dim = asm.dim();
         let n_free = asm.n_free;
@@ -440,10 +416,18 @@ mod tests {
         let freqs = [10.0, 320.0, 1e3, 3.2e4, 1e6];
         let dense = c.ac_sweep_with(v, &freqs, SolverPolicy::Dense).unwrap();
         let sparse = c.ac_sweep_with(v, &freqs, SolverPolicy::Sparse).unwrap();
-        for (k, &f) in freqs.iter().enumerate() {
-            for &n in &taps {
-                let d = dense.phasor(n, k);
-                let s = sparse.phasor(n, k);
+        // Rebuild each phasor from its magnitude and phase.
+        let phasors = |sweep: &AcSweep, n: NodeId| -> Vec<Complex> {
+            sweep
+                .magnitude(n)
+                .iter()
+                .zip(sweep.phase(n))
+                .map(|(&m, p)| Complex::new(m * p.cos(), m * p.sin()))
+                .collect()
+        };
+        for &n in &taps {
+            let (dense, sparse) = (phasors(&dense, n), phasors(&sparse, n));
+            for ((d, s), f) in dense.iter().zip(&sparse).zip(freqs) {
                 assert!(
                     (d.re - s.re).abs() < 1e-9 && (d.im - s.im).abs() < 1e-9,
                     "mismatch at f={} node {:?}: dense {:?} sparse {:?}",

@@ -11,7 +11,6 @@
 
 use crate::cells::CellLibrary;
 use crate::error::{CircuitError, Result};
-use crate::mc::Rng;
 use crate::netlist::{Circuit, NodeId};
 use crate::scan::{ArrayScanResult, ScanSchedule};
 use crate::scan_driver::build_column_scanner_flushed;
@@ -19,6 +18,7 @@ use crate::sensor::{linearity_fit, pixel_temperature_sweep, PixelBias, PtSensorM
 use crate::solver::SolverPolicy;
 use crate::transient::TransientConfig;
 use crate::waveform::Waveform;
+use flexcs_linalg::SplitMix64;
 
 /// Per-pixel defect state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,47 +84,26 @@ impl PixelCalibration {
     }
 }
 
-/// Configuration of the behavioral array.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActiveMatrixConfig {
-    /// Array rows.
-    pub rows: usize,
-    /// Array columns.
-    pub cols: usize,
-    /// Temperature range represented by normalized frame values `[0, 1]`.
-    pub t_range: (f64, f64),
-    /// Relative per-pixel gain mismatch (std of a multiplicative factor).
-    pub gain_mismatch: f64,
-    /// Additive readout-current noise, relative to full scale.
-    pub readout_noise: f64,
-}
+/// Temperature range, °C, that normalized scene values `[0, 1]` span
+/// in both array models.
+const T_RANGE: (f64, f64) = (20.0, 40.0);
+/// Relative per-pixel gain mismatch of [`ActiveMatrix`] (std of a
+/// multiplicative factor).
+const GAIN_MISMATCH: f64 = 0.005;
+/// Additive readout-current noise of [`ActiveMatrix`], relative to full
+/// scale.
+const READOUT_NOISE: f64 = 0.002;
 
-impl Default for ActiveMatrixConfig {
-    /// 32x32 array spanning 20–40 °C with 0.5 % gain mismatch and
-    /// 0.2 % readout noise.
-    fn default() -> Self {
-        ActiveMatrixConfig {
-            rows: 32,
-            cols: 32,
-            t_range: (20.0, 40.0),
-            gain_mismatch: 0.005,
-            readout_noise: 0.002,
-        }
-    }
-}
-
-/// A behavioral large-area sensing array.
+/// A behavioral large-area sensing array: scenes span 20–40 °C, with
+/// 0.5 % per-pixel gain mismatch and 0.2 % readout noise.
 ///
 /// # Examples
 ///
 /// ```
-/// use flexcs_circuit::{ActiveMatrix, ActiveMatrixConfig};
+/// use flexcs_circuit::ActiveMatrix;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut config = ActiveMatrixConfig::default();
-/// config.rows = 8;
-/// config.cols = 8;
-/// let array = ActiveMatrix::new(config)?;
+/// let array = ActiveMatrix::new(8, 8)?;
 /// // A uniform 30 °C scene reads back near 0.5 in normalized units.
 /// let frame = vec![0.5; 64];
 /// let reading = array.read_normalized(&frame, 1)?;
@@ -134,22 +113,23 @@ impl Default for ActiveMatrixConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ActiveMatrix {
-    config: ActiveMatrixConfig,
+    rows: usize,
+    cols: usize,
     calibration: PixelCalibration,
     defects: Vec<PixelDefect>,
     gains: Vec<f64>,
 }
 
 impl ActiveMatrix {
-    /// Builds an array, calibrating the pixel transfer at the
-    /// transistor level.
+    /// Builds a `rows × cols` array, calibrating the pixel transfer at
+    /// the transistor level.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidParameter`] for zero dimensions
     /// and propagates calibration failures.
-    pub fn new(config: ActiveMatrixConfig) -> Result<Self> {
-        Self::with_seed(config, 0x5eed)
+    pub fn new(rows: usize, cols: usize) -> Result<Self> {
+        Self::with_seed(rows, cols, 0x5eed)
     }
 
     /// Like [`ActiveMatrix::new`] with an explicit mismatch seed.
@@ -157,44 +137,40 @@ impl ActiveMatrix {
     /// # Errors
     ///
     /// See [`ActiveMatrix::new`].
-    pub fn with_seed(config: ActiveMatrixConfig, seed: u64) -> Result<Self> {
-        if config.rows == 0 || config.cols == 0 {
+    pub fn with_seed(rows: usize, cols: usize, seed: u64) -> Result<Self> {
+        if rows == 0 || cols == 0 {
             return Err(CircuitError::InvalidParameter(
                 "array needs positive dimensions".to_string(),
-            ));
-        }
-        if config.t_range.1 <= config.t_range.0 {
-            return Err(CircuitError::InvalidParameter(
-                "t_range must be increasing".to_string(),
             ));
         }
         let calibration = PixelCalibration::from_circuit(
             &PtSensorModel::default(),
             &PixelBias::default(),
-            config.t_range.0,
-            config.t_range.1,
+            T_RANGE.0,
+            T_RANGE.1,
         )?;
-        let n = config.rows * config.cols;
-        let mut rng = Rng::new(seed);
+        let n = rows * cols;
+        let mut rng = SplitMix64::new(seed);
         let gains = (0..n)
-            .map(|_| 1.0 + config.gain_mismatch * rng.gaussian())
+            .map(|_| 1.0 + GAIN_MISMATCH * rng.gaussian())
             .collect();
         Ok(ActiveMatrix {
-            config,
+            rows,
+            cols,
             calibration,
             defects: vec![PixelDefect::None; n],
             gains,
         })
     }
 
-    /// Array configuration.
-    pub fn config(&self) -> &ActiveMatrixConfig {
-        &self.config
+    /// Array rows.
+    pub fn rows(&self) -> usize {
+        self.rows
     }
 
-    /// Pixel calibration in use.
-    pub fn calibration(&self) -> &PixelCalibration {
-        &self.calibration
+    /// Array columns.
+    pub fn cols(&self) -> usize {
+        self.cols
     }
 
     /// Pixel count `N`.
@@ -238,7 +214,7 @@ impl ActiveMatrix {
         let fraction = fraction.clamp(0.0, 1.0);
         let n = self.len();
         let count = ((n as f64) * fraction).round() as usize;
-        let mut rng = Rng::new(seed ^ 0xdefec7);
+        let mut rng = SplitMix64::new(seed ^ 0xdefec7);
         // Sample distinct indices by shuffling.
         let mut idx: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
@@ -281,13 +257,13 @@ impl ActiveMatrix {
         schedule: &ScanSchedule,
         seed: u64,
     ) -> Result<Vec<f64>> {
-        if schedule.rows() != self.config.rows || schedule.cols() != self.config.cols {
+        if schedule.rows() != self.rows || schedule.cols() != self.cols {
             return Err(CircuitError::InvalidParameter(format!(
                 "schedule is {}x{} but array is {}x{}",
                 schedule.rows(),
                 schedule.cols(),
-                self.config.rows,
-                self.config.cols
+                self.rows,
+                self.cols
             )));
         }
         self.read_indices(scene, &schedule.readout_order(), seed)
@@ -301,9 +277,9 @@ impl ActiveMatrix {
                 scene.len()
             )));
         }
-        let (t0, t1) = self.config.t_range;
+        let (t0, t1) = T_RANGE;
         let full_scale = (self.calibration.current_at(t1) - self.calibration.current_at(t0)).abs();
-        let mut rng = Rng::new(seed ^ 0x4ead);
+        let mut rng = SplitMix64::new(seed ^ 0x4ead);
         let mut out = Vec::with_capacity(indices.len());
         for &i in indices {
             let v = match self.defects[i] {
@@ -320,7 +296,7 @@ impl ActiveMatrix {
                     let i_ref = self.calibration.current_at(t0);
                     let measured = i_ref
                         + (ideal - i_ref) * self.gains[i]
-                        + full_scale * self.config.readout_noise * rng.gaussian();
+                        + full_scale * READOUT_NOISE * rng.gaussian();
                     let t_est = self.calibration.temperature_at(measured);
                     (t_est - t0) / (t1 - t0)
                 }
@@ -331,46 +307,16 @@ impl ActiveMatrix {
     }
 }
 
-/// Configuration of the transistor-level array ([`TftArray`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TftArrayConfig {
-    /// Array rows.
-    pub rows: usize,
-    /// Array columns (= scan cycles).
-    pub cols: usize,
-    /// Positive supply, volts (the pseudo-CMOS rails are `±vdd`).
-    pub vdd: f64,
-    /// Column-scan clock, hertz (paper: 10 kHz).
-    pub scan_clock_hz: f64,
-    /// Backward-Euler steps per scan cycle.
-    pub steps_per_cycle: usize,
-    /// Pt RTD model shared by all pixels.
-    pub sensor: PtSensorModel,
-    /// Temperature range represented by normalized scene values `[0, 1]`.
-    pub t_range: (f64, f64),
-    /// Per-row current-sense resistor to ground, ohms.
-    pub r_sense: f64,
-    /// Pixel access-TFT geometry `W/L`.
-    pub pixel_w_over_l: f64,
-}
-
-impl Default for TftArrayConfig {
-    /// The paper's operating point: 32x32 array, `VDD = 3 V`, 10 kHz
-    /// scan clock, 20–40 °C scene range.
-    fn default() -> Self {
-        TftArrayConfig {
-            rows: 32,
-            cols: 32,
-            vdd: 3.0,
-            scan_clock_hz: 10e3,
-            steps_per_cycle: 50,
-            sensor: PtSensorModel::default(),
-            t_range: (20.0, 40.0),
-            r_sense: 10_000.0,
-            pixel_w_over_l: 20.0,
-        }
-    }
-}
+/// Positive supply, volts (the pseudo-CMOS rails are `±VDD`).
+const VDD: f64 = 3.0;
+/// Column-scan clock, hertz (paper: 10 kHz).
+const SCAN_CLOCK_HZ: f64 = 10e3;
+/// Backward-Euler steps per scan cycle.
+const STEPS_PER_CYCLE: usize = 50;
+/// Per-row current-sense resistor to ground, ohms.
+const R_SENSE: f64 = 10_000.0;
+/// Pixel access-TFT geometry `W/L`.
+const PIXEL_W_OVER_L: f64 = 20.0;
 
 /// Transistor-level active-matrix array: a pseudo-CMOS column scanner
 /// (shift register marching a one-hot token) plus one access TFT and Pt
@@ -385,94 +331,73 @@ impl Default for TftArrayConfig {
 /// clock cycles with one transient run — this is the full-array
 /// simulation the sparse MNA engine exists for: a 32×32 array is
 /// ~3 000 TFTs and ~1 800 MNA unknowns, far past the dense crossover.
+///
+/// The array runs at the paper's operating point: `VDD = 3 V`, a 10 kHz
+/// scan clock, a default Pt RTD per pixel and a 20–40 °C scene range.
 #[derive(Debug, Clone)]
 pub struct TftArray {
     circuit: Circuit,
-    config: TftArrayConfig,
+    cols: usize,
     row_lines: Vec<NodeId>,
     tft_count: usize,
 }
 
 impl TftArray {
-    /// Builds the array circuit for a normalized scene (`scene[r·cols +
-    /// c]` in `[0, 1]` maps linearly onto `t_range`).
+    /// Builds a `rows × cols` array circuit for a normalized scene
+    /// (`scene[r·cols + c]` in `[0, 1]` maps linearly onto 20–40 °C).
     ///
     /// # Errors
     ///
-    /// Returns [`CircuitError::InvalidParameter`] for zero dimensions,
-    /// non-positive clock/steps/sense values, a non-increasing
-    /// `t_range`, or a scene-length mismatch; propagates netlist-
-    /// construction failures.
-    pub fn build(config: TftArrayConfig, scene: &[f64]) -> Result<Self> {
-        if config.rows == 0 || config.cols == 0 {
+    /// Returns [`CircuitError::InvalidParameter`] for zero dimensions or
+    /// a scene-length mismatch; propagates netlist-construction
+    /// failures.
+    pub fn build(rows: usize, cols: usize, scene: &[f64]) -> Result<Self> {
+        if rows == 0 || cols == 0 {
             return Err(CircuitError::InvalidParameter(
                 "array needs positive dimensions".to_string(),
             ));
         }
-        if !(config.scan_clock_hz > 0.0) || config.steps_per_cycle == 0 {
-            return Err(CircuitError::InvalidParameter(
-                "scan clock and steps per cycle must be positive".to_string(),
-            ));
-        }
-        if !(config.r_sense > 0.0) || !(config.vdd > 0.0) {
-            return Err(CircuitError::InvalidParameter(
-                "r_sense and vdd must be positive".to_string(),
-            ));
-        }
-        if config.t_range.1 <= config.t_range.0 {
-            return Err(CircuitError::InvalidParameter(
-                "t_range must be increasing".to_string(),
-            ));
-        }
-        if scene.len() != config.rows * config.cols {
+        if scene.len() != rows * cols {
             return Err(CircuitError::InvalidParameter(format!(
                 "scene has {} pixels, array needs {}",
                 scene.len(),
-                config.rows * config.cols
+                rows * cols
             )));
         }
         let mut ckt = Circuit::new();
-        let lib = CellLibrary::with_rails(&mut ckt, config.vdd, -config.vdd);
+        let lib = CellLibrary::with_rails(&mut ckt, VDD, -VDD);
         let clk = ckt.node("scan_clk");
         ckt.add_vsource(
             clk,
             NodeId::GROUND,
-            Waveform::clock(0.0, config.vdd, config.scan_clock_hz),
+            Waveform::clock(0.0, VDD, SCAN_CLOCK_HZ),
         );
         // Power-up bring-up: the transient starts from the all-zero
         // state (a `cols`-stage register of bistable latches has no
         // reliably solvable DC point), and `cols` flush cycles shift the
         // power-up garbage out before the token enters.
-        let scanner = build_column_scanner_flushed(
-            &mut ckt,
-            &lib,
-            config.cols,
-            clk,
-            config.scan_clock_hz,
-            config.vdd,
-            config.cols,
-        )?;
-        let row_lines: Vec<NodeId> = (0..config.rows)
-            .map(|r| ckt.node(&format!("row{r}")))
-            .collect();
+        let scanner =
+            build_column_scanner_flushed(&mut ckt, &lib, cols, clk, SCAN_CLOCK_HZ, VDD, cols)?;
+        let row_lines: Vec<NodeId> = (0..rows).map(|r| ckt.node(&format!("row{r}"))).collect();
         for &rl in &row_lines {
-            ckt.add_resistor(rl, NodeId::GROUND, config.r_sense)?;
+            ckt.add_resistor(rl, NodeId::GROUND, R_SENSE)?;
         }
-        let (t0, t1) = config.t_range;
-        for r in 0..config.rows {
-            for c in 0..config.cols {
+        let sensor = PtSensorModel::default();
+        let (t0, t1) = T_RANGE;
+        for r in 0..rows {
+            for c in 0..cols {
                 let x = ckt.fresh_node("px");
                 // p-type access TFT: source on VDD, drain at the pixel
                 // node, gate on the active-low column select.
-                ckt.add_tft(scanner.outputs_bar[c], x, lib.vdd, config.pixel_w_over_l)?;
-                let t = t0 + scene[r * config.cols + c].clamp(0.0, 1.0) * (t1 - t0);
-                ckt.add_resistor(x, row_lines[r], config.sensor.resistance(t))?;
+                ckt.add_tft(scanner.outputs_bar[c], x, lib.vdd, PIXEL_W_OVER_L)?;
+                let t = t0 + scene[r * cols + c].clamp(0.0, 1.0) * (t1 - t0);
+                ckt.add_resistor(x, row_lines[r], sensor.resistance(t))?;
             }
         }
         let tft_count = ckt.tft_count();
         Ok(TftArray {
             circuit: ckt,
-            config,
+            cols,
             row_lines,
             tft_count,
         })
@@ -481,11 +406,6 @@ impl TftArray {
     /// The underlying netlist.
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
-    }
-
-    /// Array configuration.
-    pub fn config(&self) -> &TftArrayConfig {
-        &self.config
     }
 
     /// Per-row sense nodes.
@@ -524,15 +444,15 @@ impl TftArray {
     ///
     /// Propagates transient-simulation failures.
     pub fn scan_with(&self, policy: SolverPolicy) -> Result<ArrayScanResult> {
-        let period = 1.0 / self.config.scan_clock_hz;
-        let flush = self.config.cols as f64;
+        let period = 1.0 / SCAN_CLOCK_HZ;
+        let flush = self.cols as f64;
         let t_stop = 2.0 * flush * period;
-        let dt = period / self.config.steps_per_cycle as f64;
+        let dt = period / STEPS_PER_CYCLE as f64;
         let mut tc = TransientConfig::new(t_stop, dt);
         tc.start_from_dc = false;
         let result = self.circuit.transient_with(&tc, policy)?;
-        let mut frames = Vec::with_capacity(self.config.cols);
-        for c in 0..self.config.cols {
+        let mut frames = Vec::with_capacity(self.cols);
+        for c in 0..self.cols {
             let t = (flush + c as f64 + 0.9) * period;
             frames.push(
                 self.row_lines
@@ -547,8 +467,8 @@ impl TftArray {
             );
         }
         Ok(ArrayScanResult::new(
-            self.config.rows,
-            self.config.cols,
+            self.row_lines.len(),
+            self.cols,
             frames,
         ))
     }
@@ -559,18 +479,18 @@ mod tests {
     use super::*;
 
     fn small_array() -> ActiveMatrix {
-        let config = ActiveMatrixConfig {
-            rows: 8,
-            cols: 8,
-            ..ActiveMatrixConfig::default()
-        };
-        ActiveMatrix::new(config).unwrap()
+        ActiveMatrix::new(8, 8).unwrap()
     }
 
     #[test]
     fn calibration_is_linear_and_invertible() {
-        let array = small_array();
-        let cal = array.calibration();
+        let cal = PixelCalibration::from_circuit(
+            &PtSensorModel::default(),
+            &PixelBias::default(),
+            T_RANGE.0,
+            T_RANGE.1,
+        )
+        .unwrap();
         assert!(cal.r_squared > 0.99);
         let i = cal.current_at(33.0);
         assert!((cal.temperature_at(i) - 33.0).abs() < 1e-9);
@@ -642,26 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn tft_array_rejects_bad_configs() {
-        let bad_dims = TftArrayConfig {
-            rows: 0,
-            ..TftArrayConfig::default()
-        };
-        assert!(TftArray::build(bad_dims, &[]).is_err());
-        let bad_clock = TftArrayConfig {
-            rows: 2,
-            cols: 2,
-            scan_clock_hz: 0.0,
-            ..TftArrayConfig::default()
-        };
-        assert!(TftArray::build(bad_clock, &[0.0; 4]).is_err());
-        let ok = TftArrayConfig {
-            rows: 2,
-            cols: 2,
-            ..TftArrayConfig::default()
-        };
+    fn tft_array_rejects_bad_shapes() {
+        assert!(TftArray::build(0, 32, &[]).is_err());
         // Scene-length mismatch.
-        assert!(TftArray::build(ok, &[0.0; 3]).is_err());
+        assert!(TftArray::build(2, 2, &[0.0; 3]).is_err());
     }
 
     #[test]
@@ -669,13 +573,8 @@ mod tests {
         // 2x3 array: column 0 has (cold, hot) pixels, column 1 the
         // reverse, column 2 equal. A hotter pixel has more Pt
         // resistance, so its selected-cycle row voltage is lower.
-        let config = TftArrayConfig {
-            rows: 2,
-            cols: 3,
-            ..TftArrayConfig::default()
-        };
         let scene = [0.0, 1.0, 0.5, 1.0, 0.0, 0.5];
-        let array = TftArray::build(config, &scene).unwrap();
+        let array = TftArray::build(2, 3, &scene).unwrap();
         // 3 scanner stages x 60 TFTs + 6 pixel access TFTs.
         assert_eq!(array.tft_count(), 3 * 60 + 6);
         assert_eq!(array.row_lines().len(), 2);
@@ -708,10 +607,6 @@ mod tests {
         assert!(array.read_normalized(&[0.0; 5], 1).is_err());
         let wrong = crate::scan::ScanSchedule::from_selected(4, 4, &[1]).unwrap();
         assert!(array.read_scheduled(&[0.0; 64], &wrong, 1).is_err());
-        let bad_cfg = ActiveMatrixConfig {
-            rows: 0,
-            ..ActiveMatrixConfig::default()
-        };
-        assert!(ActiveMatrix::new(bad_cfg).is_err());
+        assert!(ActiveMatrix::new(0, 32).is_err());
     }
 }

@@ -16,26 +16,12 @@ use crate::error::Result;
 use crate::netlist::{Circuit, ElementId, NodeId};
 use crate::waveform::Waveform;
 
-/// Parameters of the self-biased amplifier (paper Fig. 5e values).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AmplifierConfig {
-    /// Input AC-coupling capacitor, farads (paper: 1 nF).
-    pub c_in: f64,
-    /// Feedback-device tuning gate voltage, volts (paper: 1 V).
-    pub v_tune: f64,
-    /// Feedback TFT geometry (paper M9: 50 µm / 10 µm).
-    pub feedback_wl: f64,
-}
-
-impl Default for AmplifierConfig {
-    fn default() -> Self {
-        AmplifierConfig {
-            c_in: 1e-9,
-            v_tune: 1.0,
-            feedback_wl: 5.0,
-        }
-    }
-}
+/// Input AC-coupling capacitor, farads (paper: 1 nF).
+const C_IN: f64 = 1e-9;
+/// Feedback-device tuning gate voltage, volts (paper: 1 V).
+const V_TUNE: f64 = 1.0;
+/// Feedback TFT geometry W/L (paper M9: 50 µm / 10 µm).
+const FEEDBACK_WL: f64 = 5.0;
 
 /// Nodes of a constructed amplifier.
 #[derive(Debug, Clone)]
@@ -54,8 +40,10 @@ pub struct Amplifier {
     pub tft_count: usize,
 }
 
-/// Builds the self-biased two-stage amplifier, returning its node
-/// handles. `input` is created (or reused) under the given name.
+/// Builds the self-biased two-stage amplifier at the paper's Fig. 5e
+/// values (`C = 1 nF`, `V_tune = 1 V`, M9 = 50 µm / 10 µm), returning
+/// its node handles. `input` is created (or reused) under the given
+/// name.
 ///
 /// # Errors
 ///
@@ -64,12 +52,12 @@ pub struct Amplifier {
 /// # Examples
 ///
 /// ```no_run
-/// use flexcs_circuit::{build_self_biased_amplifier, AmplifierConfig, CellLibrary, Circuit};
+/// use flexcs_circuit::{build_self_biased_amplifier, CellLibrary, Circuit};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut ckt = Circuit::new();
 /// let lib = CellLibrary::with_rails(&mut ckt, 3.0, -3.0);
-/// let amp = build_self_biased_amplifier(&mut ckt, &lib, "vin", &AmplifierConfig::default())?;
+/// let amp = build_self_biased_amplifier(&mut ckt, &lib, "vin")?;
 /// assert_eq!(amp.tft_count, 9);
 /// # Ok(())
 /// # }
@@ -78,20 +66,19 @@ pub fn build_self_biased_amplifier(
     ckt: &mut Circuit,
     lib: &CellLibrary,
     input_name: &str,
-    config: &AmplifierConfig,
 ) -> Result<Amplifier> {
     let before = ckt.tft_count();
     let input = ckt.node(input_name);
     let gate = ckt.fresh_node("amp_gate");
     // AC coupling.
-    ckt.add_capacitor(input, gate, config.c_in)?;
+    ckt.add_capacitor(input, gate, C_IN)?;
     // First stage: pseudo-CMOS inverter (M1–M4).
     let stage1_out = lib.inverter(ckt, gate)?;
     // Feedback device M9 in the linear region between input and output
     // of the first stage.
     let v_tune = ckt.fresh_node("vtune");
-    let v_tune_source = ckt.add_vsource(v_tune, NodeId::GROUND, Waveform::Dc(config.v_tune));
-    ckt.add_tft(v_tune, gate, stage1_out, config.feedback_wl)?;
+    let v_tune_source = ckt.add_vsource(v_tune, NodeId::GROUND, Waveform::Dc(V_TUNE));
+    ckt.add_tft(v_tune, gate, stage1_out, FEEDBACK_WL)?;
     // Second stage: common-source buffer (M5–M8).
     let output = lib.inverter(ckt, stage1_out)?;
     Ok(Amplifier {
@@ -113,8 +100,7 @@ mod tests {
     fn build() -> (Circuit, Amplifier, ElementId) {
         let mut ckt = Circuit::new();
         let lib = CellLibrary::with_rails(&mut ckt, 3.0, -3.0);
-        let amp = build_self_biased_amplifier(&mut ckt, &lib, "vin", &AmplifierConfig::default())
-            .unwrap();
+        let amp = build_self_biased_amplifier(&mut ckt, &lib, "vin").unwrap();
         let vin = ckt.find_node("vin").unwrap();
         let src = ckt.add_vsource(vin, NodeId::GROUND, Waveform::Dc(0.0));
         (ckt, amp, src)

@@ -28,31 +28,16 @@ use crate::device::CntTftModel;
 use crate::error::Result;
 use crate::netlist::{Circuit, NodeId};
 
-/// Device sizing for the pseudo-CMOS cells (W/L ratios).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PseudoCmosSizing {
-    /// First-stage drive device (M1).
-    pub drive: f64,
-    /// First-stage always-on load (M2).
-    pub load: f64,
-    /// Output-stage pull-up (M3).
-    pub out_drive: f64,
-    /// Output-stage pull-down (M4).
-    pub out_load: f64,
-}
-
-impl Default for PseudoCmosSizing {
-    /// Ratios validated by the DC truth-table tests: strong drive against
-    /// a weak always-on load.
-    fn default() -> Self {
-        PseudoCmosSizing {
-            drive: 20.0,
-            load: 1.0,
-            out_drive: 10.0,
-            out_load: 10.0,
-        }
-    }
-}
+// Pseudo-CMOS device sizing (W/L ratios), validated by the DC
+// truth-table tests: strong drive against a weak always-on load.
+/// First-stage drive device (M1).
+pub(crate) const DRIVE_WL: f64 = 20.0;
+/// First-stage always-on load (M2).
+pub(crate) const LOAD_WL: f64 = 1.0;
+/// Output-stage pull-up (M3).
+pub(crate) const OUT_DRIVE_WL: f64 = 10.0;
+/// Output-stage pull-down (M4).
+pub(crate) const OUT_LOAD_WL: f64 = 10.0;
 
 /// A pseudo-CMOS cell generator bound to supply rails and a device
 /// model.
@@ -79,8 +64,6 @@ pub struct CellLibrary {
     pub vdd: NodeId,
     /// Negative tuning supply node (pseudo-CMOS `VSS`, typically −VDD).
     pub vss: NodeId,
-    /// Device sizing.
-    pub sizing: PseudoCmosSizing,
     /// Compact model shared by all cell devices.
     pub model: CntTftModel,
 }
@@ -91,7 +74,6 @@ impl CellLibrary {
         CellLibrary {
             vdd,
             vss,
-            sizing: PseudoCmosSizing::default(),
             model: CntTftModel::default(),
         }
     }
@@ -120,9 +102,9 @@ impl CellLibrary {
     fn input_stage(&self, ckt: &mut Circuit, inputs: &[NodeId]) -> Result<NodeId> {
         let v1 = ckt.fresh_node("v1");
         for &input in inputs {
-            ckt.add_tft_with_model(input, v1, self.vdd, self.sizing.drive, self.model.clone())?;
+            ckt.add_tft_with_model(input, v1, self.vdd, DRIVE_WL, self.model.clone())?;
         }
-        ckt.add_tft_with_model(self.vss, self.vss, v1, self.sizing.load, self.model.clone())?;
+        ckt.add_tft_with_model(self.vss, self.vss, v1, LOAD_WL, self.model.clone())?;
         Ok(v1)
     }
 
@@ -130,21 +112,9 @@ impl CellLibrary {
     fn output_stage(&self, ckt: &mut Circuit, inputs: &[NodeId], v1: NodeId) -> Result<NodeId> {
         let out = ckt.fresh_node("out");
         for &input in inputs {
-            ckt.add_tft_with_model(
-                input,
-                out,
-                self.vdd,
-                self.sizing.out_drive,
-                self.model.clone(),
-            )?;
+            ckt.add_tft_with_model(input, out, self.vdd, OUT_DRIVE_WL, self.model.clone())?;
         }
-        ckt.add_tft_with_model(
-            v1,
-            NodeId::GROUND,
-            out,
-            self.sizing.out_load,
-            self.model.clone(),
-        )?;
+        ckt.add_tft_with_model(v1, NodeId::GROUND, out, OUT_LOAD_WL, self.model.clone())?;
         Ok(out)
     }
 
@@ -216,21 +186,9 @@ impl CellLibrary {
     fn nand2_into(&self, ckt: &mut Circuit, a: NodeId, b: NodeId, out: NodeId) -> Result<()> {
         let v1 = self.input_stage(ckt, &[a, b])?;
         for &input in &[a, b] {
-            ckt.add_tft_with_model(
-                input,
-                out,
-                self.vdd,
-                self.sizing.out_drive,
-                self.model.clone(),
-            )?;
+            ckt.add_tft_with_model(input, out, self.vdd, OUT_DRIVE_WL, self.model.clone())?;
         }
-        ckt.add_tft_with_model(
-            v1,
-            NodeId::GROUND,
-            out,
-            self.sizing.out_load,
-            self.model.clone(),
-        )?;
+        ckt.add_tft_with_model(v1, NodeId::GROUND, out, OUT_LOAD_WL, self.model.clone())?;
         Ok(())
     }
 

@@ -72,11 +72,9 @@ mod variation;
 mod waveform;
 
 pub use ac::{log_frequencies, AcSweep};
-pub use active_matrix::{
-    ActiveMatrix, ActiveMatrixConfig, PixelCalibration, PixelDefect, TftArray, TftArrayConfig,
-};
-pub use amplifier::{build_self_biased_amplifier, Amplifier, AmplifierConfig};
-pub use cells::{CellLibrary, PseudoCmosSizing};
+pub use active_matrix::{ActiveMatrix, PixelCalibration, PixelDefect, TftArray};
+pub use amplifier::{build_self_biased_amplifier, Amplifier};
+pub use cells::CellLibrary;
 pub use device::{CntTftModel, TftOperatingPoint};
 pub use error::{CircuitError, Result};
 pub use mc::{McEngine, McEngineConfig, McReport, McSample, McTrial};

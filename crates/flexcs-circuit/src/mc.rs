@@ -64,47 +64,16 @@ use crate::solver::{MnaSolver, SolverPolicy, SymbolicShare};
 use crate::tel;
 use crate::transient::{transient_in, TransientConfig, TransientResult};
 use crate::variation::{MonteCarloStats, VariationModel};
+use flexcs_linalg::{mix64, SplitMix64, GOLDEN_GAMMA};
 use flexcs_parallel::Pool;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Deterministic SplitMix64 RNG: per-trial variation draws here, and
-/// the active-matrix mismatch, defect and readout-noise patterns.
-#[derive(Debug, Clone)]
-pub(crate) struct Rng(u64);
-
-impl Rng {
-    pub(crate) fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_add(0x9e3779b97f4a7c15))
-    }
-
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    pub(crate) fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    pub(crate) fn gaussian(&mut self) -> f64 {
-        let u1 = self.uniform().max(1e-300);
-        let u2 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-}
 
 /// Per-trial seed: a SplitMix64 finalizer over `(seed, trial)`. Pure in
 /// its inputs, so trial `i` draws the same variation stream no matter
 /// which thread runs it (or in what order).
 fn sample_seed(seed: u64, trial: u64) -> u64 {
-    let mut z = seed ^ trial.wrapping_mul(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+    mix64(seed ^ trial.wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// Configuration of a [`McEngine`].
@@ -198,7 +167,7 @@ struct NominalRecord {
 pub struct McTrial<'e> {
     trial: usize,
     nominal: bool,
-    rng: Rng,
+    rng: SplitMix64,
     engine: &'e McEngine,
     tables: &'e ShareTables,
     warm: Option<&'e NominalRecord>,
@@ -390,7 +359,7 @@ impl McEngine {
         let mut nominal_ctx = McTrial {
             trial: 0,
             nominal: true,
-            rng: Rng::new(seed),
+            rng: SplitMix64::new(seed),
             engine: self,
             tables: &tables,
             warm: None,
@@ -428,7 +397,7 @@ impl McEngine {
             let mut ctx = McTrial {
                 trial: i,
                 nominal: false,
-                rng: Rng::new(sample_seed(seed, i as u64)),
+                rng: SplitMix64::new(sample_seed(seed, i as u64)),
                 engine: self,
                 tables: &tables,
                 warm: Some(&warm),

@@ -9,7 +9,7 @@
 //! from the pseudo-CMOS cell library and measures it in transient
 //! simulation.
 
-use crate::cells::CellLibrary;
+use crate::cells::{CellLibrary, DRIVE_WL, LOAD_WL, OUT_DRIVE_WL, OUT_LOAD_WL};
 use crate::error::{CircuitError, Result};
 use crate::netlist::{Circuit, NodeId};
 use crate::transient::TransientConfig;
@@ -61,22 +61,10 @@ pub fn build_ring_oscillator(
         let output = nodes[(k + 1) % stages];
         // Pseudo-CMOS inverter into an existing node.
         let v1 = ckt.fresh_node("ro_v1");
-        ckt.add_tft_with_model(input, v1, lib.vdd, lib.sizing.drive, lib.model.clone())?;
-        ckt.add_tft_with_model(lib.vss, lib.vss, v1, lib.sizing.load, lib.model.clone())?;
-        ckt.add_tft_with_model(
-            input,
-            output,
-            lib.vdd,
-            lib.sizing.out_drive,
-            lib.model.clone(),
-        )?;
-        ckt.add_tft_with_model(
-            v1,
-            NodeId::GROUND,
-            output,
-            lib.sizing.out_load,
-            lib.model.clone(),
-        )?;
+        ckt.add_tft_with_model(input, v1, lib.vdd, DRIVE_WL, lib.model.clone())?;
+        ckt.add_tft_with_model(lib.vss, lib.vss, v1, LOAD_WL, lib.model.clone())?;
+        ckt.add_tft_with_model(input, output, lib.vdd, OUT_DRIVE_WL, lib.model.clone())?;
+        ckt.add_tft_with_model(v1, NodeId::GROUND, output, OUT_LOAD_WL, lib.model.clone())?;
     }
     Ok(RingOscillator {
         nodes,

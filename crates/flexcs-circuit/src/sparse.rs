@@ -150,15 +150,6 @@ impl CsrMatrix {
         self.vals.len()
     }
 
-    /// Stored-entry fraction `nnz / dim²`.
-    pub fn nnz_fraction(&self) -> f64 {
-        if self.dim == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / (self.dim as f64 * self.dim as f64)
-        }
-    }
-
     /// Overwrites all values from a fresh triplet-value stream in the
     /// original push order, using the slot map from
     /// [`CsrMatrix::from_triplets`].
@@ -829,7 +820,6 @@ mod tests {
         let (cols, vals) = csr.row(0);
         assert_eq!(cols, &[0, 1]);
         assert_eq!(vals, &[4.0, 2.0]);
-        assert!((csr.nnz_fraction() - 0.75).abs() < 1e-15);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! valid logic levels when every TFT's threshold and transconductance
 //! are perturbed? How much does the amplifier's gain spread?
 
-use crate::amplifier::{build_self_biased_amplifier, AmplifierConfig};
-use crate::cells::CellLibrary;
+use crate::amplifier::build_self_biased_amplifier;
+use crate::cells::{CellLibrary, DRIVE_WL, LOAD_WL, OUT_DRIVE_WL, OUT_LOAD_WL};
 use crate::device::CntTftModel;
 use crate::error::Result;
 use crate::mc::{McEngine, McReport, McSample, McTrial};
@@ -139,20 +139,19 @@ fn varied_inverter(
     // The cell library clones its model per device; emulate per-device
     // variation by building the inverter manually with perturbed models.
     let nominal = lib.model.clone();
-    let sizing = lib.sizing.clone();
     let v1 = ckt.fresh_node("v1");
     ckt.add_tft_with_model(
         input,
         v1,
         lib.vdd,
-        sizing.drive,
+        DRIVE_WL,
         trial.perturb(variation, &nominal),
     )?;
     ckt.add_tft_with_model(
         lib.vss,
         lib.vss,
         v1,
-        sizing.load,
+        LOAD_WL,
         trial.perturb(variation, &nominal),
     )?;
     let out = ckt.fresh_node("out");
@@ -160,14 +159,14 @@ fn varied_inverter(
         input,
         out,
         lib.vdd,
-        sizing.out_drive,
+        OUT_DRIVE_WL,
         trial.perturb(variation, &nominal),
     )?;
     ckt.add_tft_with_model(
         v1,
         NodeId::GROUND,
         out,
-        sizing.out_load,
+        OUT_LOAD_WL,
         trial.perturb(variation, &nominal),
     )?;
     Ok((ckt, out))
@@ -230,7 +229,7 @@ pub fn amplifier_gain_spread_mc(
         let mut ckt = Circuit::new();
         let mut lib = CellLibrary::with_rails(&mut ckt, 3.0, -3.0);
         lib.model = trial.perturb(variation, &CntTftModel::default());
-        let amp = build_self_biased_amplifier(&mut ckt, &lib, "vin", &AmplifierConfig::default())?;
+        let amp = build_self_biased_amplifier(&mut ckt, &lib, "vin")?;
         let vin = ckt.find_node("vin")?;
         let src = ckt.add_vsource(vin, NodeId::GROUND, Waveform::Dc(0.0));
         let gain_db = ckt.ac_sweep(src, &[freq])?.gain_db(amp.output)[0];

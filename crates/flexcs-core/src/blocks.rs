@@ -35,7 +35,7 @@ use crate::error::{CoreError, Result};
 use crate::rpca::{outlier_indices, rpca, RpcaConfig};
 use crate::sampling::SamplingPlan;
 use crate::tel;
-use flexcs_linalg::Matrix;
+use flexcs_linalg::{Matrix, SplitMix64};
 use flexcs_parallel::Pool;
 use flexcs_solver::SolveReport;
 use std::time::Instant;
@@ -76,14 +76,11 @@ pub struct BlockRect {
     pub col0: usize,
 }
 
-/// SplitMix64 — decorrelates per-block seeds drawn from one master
-/// seed, so block plans are independent but the whole grid reproduces
-/// from a single u64.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// One SplitMix64 output from Weyl state `z` — decorrelates per-block
+/// seeds drawn from one master seed, so block plans are independent but
+/// the whole grid reproduces from a single u64.
+fn splitmix64(z: u64) -> u64 {
+    SplitMix64::from_state(z).next_u64()
 }
 
 /// A tiling of a `rows x cols` frame into overlapping `B x B` blocks.

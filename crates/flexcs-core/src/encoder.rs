@@ -58,9 +58,8 @@ impl CircuitEncoder {
     ///
     /// Propagates schedule/array failures (shape mismatches).
     pub fn acquire(&self, scene: &Matrix, plan: &SamplingPlan, seed: u64) -> Result<Acquisition> {
-        let rows = self.array.config().rows;
-        let cols = self.array.config().cols;
-        let schedule = ScanSchedule::from_selected(rows, cols, plan.selected())?;
+        let schedule =
+            ScanSchedule::from_selected(self.array.rows(), self.array.cols(), plan.selected())?;
         let readout = self
             .array
             .read_scheduled(&scene.to_flat(), &schedule, seed)?;
@@ -82,16 +81,11 @@ mod tests {
     use super::*;
     use crate::decode::Decoder;
     use crate::metrics::rmse;
-    use flexcs_circuit::{ActiveMatrixConfig, PixelDefect};
+    use flexcs_circuit::PixelDefect;
     use flexcs_transform::Dct2d;
 
     fn encoder(rows: usize, cols: usize) -> CircuitEncoder {
-        let config = ActiveMatrixConfig {
-            rows,
-            cols,
-            ..ActiveMatrixConfig::default()
-        };
-        CircuitEncoder::new(ActiveMatrix::new(config).unwrap())
+        CircuitEncoder::new(ActiveMatrix::new(rows, cols).unwrap())
     }
 
     fn smooth_scene(rows: usize, cols: usize) -> Matrix {

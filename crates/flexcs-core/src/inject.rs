@@ -11,13 +11,15 @@ use flexcs_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The sparse-error model: a fraction of pixels stuck at 0 or 1.
+/// Probability a corrupted pixel sticks at 1 (the rest stick at 0).
+const HIGH_PROBABILITY: f64 = 0.5;
+
+/// The sparse-error model: a fraction of pixels stuck at 0 or 1, half
+/// low and half high in expectation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseErrorModel {
     /// Fraction of pixels corrupted, in `[0, 1]`.
     pub fraction: f64,
-    /// Probability a corrupted pixel sticks at 1 (the rest stick at 0).
-    pub high_probability: f64,
 }
 
 impl SparseErrorModel {
@@ -33,10 +35,7 @@ impl SparseErrorModel {
                 "error fraction must lie in [0, 1], got {fraction}"
             )));
         }
-        Ok(SparseErrorModel {
-            fraction,
-            high_probability: 0.5,
-        })
+        Ok(SparseErrorModel { fraction })
     }
 
     /// Applies the model to a normalized frame, returning the corrupted
@@ -55,7 +54,7 @@ impl SparseErrorModel {
         let mut out = frame.clone();
         let cols = frame.cols();
         for &i in &corrupted_indices {
-            let value = if rng.gen_bool(self.high_probability.clamp(0.0, 1.0)) {
+            let value = if rng.gen_bool(HIGH_PROBABILITY) {
                 1.0
             } else {
                 0.0

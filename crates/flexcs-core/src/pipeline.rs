@@ -12,10 +12,8 @@ use crate::inject::SparseErrorModel;
 use crate::metrics::rmse;
 use crate::strategy::{SamplingStrategy, StrategySession};
 use crate::tel;
-use flexcs_datasets::normalize_unit;
+use flexcs_datasets::{normalize_unit, DatasetRng};
 use flexcs_linalg::Matrix;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Configuration of one robustness experiment.
 #[derive(Debug, Clone)]
@@ -104,12 +102,7 @@ fn run_experiment_inner(
     let model = SparseErrorModel::new(config.error_fraction)?;
     let (mut corrupted, corrupted_indices) = model.corrupt(&truth, config.seed);
     if config.measurement_noise > 0.0 {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0e25);
-        let mut gauss = move || {
-            let u1: f64 = rng.gen_range(1e-12..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-        };
+        let mut rng = DatasetRng::new(config.seed ^ 0x0e25);
         let cols = corrupted.cols();
         let mut stuck = vec![false; n];
         for &i in &corrupted_indices {
@@ -118,7 +111,7 @@ fn run_experiment_inner(
         for i in 0..corrupted.rows() {
             for j in 0..cols {
                 if !stuck[i * cols + j] {
-                    corrupted[(i, j)] += config.measurement_noise * gauss();
+                    corrupted[(i, j)] += config.measurement_noise * rng.gaussian();
                 }
             }
         }

@@ -42,7 +42,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::tel;
-use flexcs_linalg::{simd, spectral_norm_estimate, Matrix, Rsvd, RsvdConfig, Svd};
+use flexcs_linalg::{simd, spectral_norm_estimate, Matrix, Rsvd, Svd, RSVD_OVERSAMPLE};
 
 /// Matrices with `min(rows, cols)` below this stay on the exact Jacobi
 /// SVD under [`SvdPolicy::Auto`] — the randomized machinery only pays
@@ -50,13 +50,6 @@ use flexcs_linalg::{simd, spectral_norm_estimate, Matrix, Rsvd, RsvdConfig, Svd}
 /// retained rank. Kept below the paper's 32×32 frame size so the
 /// Fig. 6c decode scenarios ride the fast path.
 pub const RSVD_CROSSOVER: usize = 24;
-
-/// Sketch columns beyond the adaptive rank estimate.
-const RSVD_OVERSAMPLE: usize = 8;
-
-/// Seed for the randomized range finder's Gaussian stream (fixed so
-/// decompositions are reproducible run-to-run).
-const RSVD_SEED: u64 = 0x00f1_e6c5;
 
 /// Cold-start rank prediction for the adaptive randomized L-update.
 const RSVD_START_RANK: usize = 5;
@@ -319,14 +312,7 @@ impl LUpdater {
                 tel::counter("rpca.rsvd.exact_fallbacks", 1);
                 return self.exact(target, tau);
             }
-            let cfg = RsvdConfig {
-                oversample: RSVD_OVERSAMPLE,
-                // A warm subspace already points at the dominant
-                // directions; one power pass re-projects it.
-                power_iterations: if self.subspace.is_some() { 1 } else { 2 },
-                seed: RSVD_SEED,
-            };
-            let rs = Rsvd::compute_warm(target, rank, self.subspace.as_ref(), &cfg)?;
+            let rs = Rsvd::compute_warm(target, rank, self.subspace.as_ref())?;
             tel::counter("rpca.rsvd.solves", 1);
             let sigma = rs.sigma();
             let l = sigma.len();

@@ -11,17 +11,19 @@
 use crate::rng::DatasetRng;
 use flexcs_linalg::Matrix;
 
-/// Configuration of the thermal-hand generator.
+/// Ambient (background) temperature in °C.
+const AMBIENT: f64 = 22.0;
+/// Peak skin temperature in °C.
+const SKIN_TEMP: f64 = 34.0;
+
+/// Configuration of the thermal-hand generator. Frames show a hand at
+/// up to 34 °C over a 22 °C ambient.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThermalConfig {
     /// Frame rows (paper uses 32x32 temperature arrays).
     pub rows: usize,
     /// Frame columns.
     pub cols: usize,
-    /// Ambient (background) temperature in °C.
-    pub ambient: f64,
-    /// Peak skin temperature in °C.
-    pub skin_temp: f64,
     /// Gaussian sensor-noise standard deviation in °C.
     pub noise_std: f64,
     /// Point-spread-function sigma in pixels (thermal diffusion + sensor
@@ -30,13 +32,11 @@ pub struct ThermalConfig {
 }
 
 impl Default for ThermalConfig {
-    /// 32x32 frames, 22 °C ambient, 34 °C skin, 0.05 °C noise.
+    /// 32x32 frames with 0.02 °C noise.
     fn default() -> Self {
         ThermalConfig {
             rows: 32,
             cols: 32,
-            ambient: 22.0,
-            skin_temp: 34.0,
             noise_std: 0.02,
             psf_sigma: 0.8,
         }
@@ -140,8 +140,8 @@ pub fn thermal_frame(config: &ThermalConfig, seed: u64) -> Matrix {
         for &(bx, by, tx, ty, w) in &fingers {
             heat = heat.max(bump(capsule_dist2(x, y, bx, by, tx, ty, w)));
         }
-        let ambient = config.ambient + gmag * (gx * (x / cf - 0.5) + gy * (y / rf - 0.5));
-        let skin = config.skin_temp * warmth;
+        let ambient = AMBIENT + gmag * (gx * (x / cf - 0.5) + gy * (y / rf - 0.5));
+        let skin = SKIN_TEMP * warmth;
         ambient + heat * (skin - ambient)
     });
     // Sensor PSF, then additive readout noise (noise is not blurred).
@@ -171,7 +171,7 @@ pub fn thermal_sequence(config: &ThermalConfig, count: usize, seed: u64) -> Vec<
             // Same base seed → same pose; shift by resampling through a
             // translated coordinate system via per-frame sub-config.
             let frame = thermal_frame(config, seed);
-            shift_frame(&frame, vx * t as f64, vy * t as f64, config.ambient)
+            shift_frame(&frame, vx * t as f64, vy * t as f64, AMBIENT)
         })
         .collect()
 }
@@ -235,12 +235,8 @@ mod tests {
         let cfg = ThermalConfig::default();
         for seed in 0..10 {
             let f = thermal_frame(&cfg, seed);
-            assert!(f.min() > cfg.ambient - 2.0, "seed {seed}: min {}", f.min());
-            assert!(
-                f.max() < cfg.skin_temp + 2.0,
-                "seed {seed}: max {}",
-                f.max()
-            );
+            assert!(f.min() > AMBIENT - 2.0, "seed {seed}: min {}", f.min());
+            assert!(f.max() < SKIN_TEMP + 2.0, "seed {seed}: max {}", f.max());
             // The hand occupies a nontrivial warm area (PSF blurring
             // lowers finger peaks, so the threshold sits at 29 °C).
             let warm = f.iter().filter(|&&t| t > 29.0).count();
@@ -288,7 +284,7 @@ mod tests {
         assert!(d04 >= d01, "drift accumulates: {d04} vs {d01}");
         // Temperatures remain physical.
         for f in &seq {
-            assert!(f.min() > cfg.ambient - 2.0 && f.max() < cfg.skin_temp + 2.0);
+            assert!(f.min() > AMBIENT - 2.0 && f.max() < SKIN_TEMP + 2.0);
         }
     }
 

@@ -9,32 +9,31 @@
 use crate::rng::DatasetRng;
 use flexcs_linalg::Matrix;
 
-/// Configuration of the ultrasound RF generator.
+/// Center frequency in cycles per sample (normalized).
+const CENTER_FREQ: f64 = 0.15;
+/// Pulse envelope standard deviation in samples.
+const PULSE_SIGMA: f64 = 4.0;
+/// Number of strong scatterers per frame.
+const SCATTERERS: usize = 6;
+
+/// Configuration of the ultrasound RF generator. Frames hold echoes of
+/// 6 scatterers at 0.15 cycles/sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UltrasoundConfig {
     /// Depth samples per A-line (paper frame: 100x33).
     pub samples: usize,
     /// Transducer channels.
     pub channels: usize,
-    /// Center frequency in cycles per sample (normalized).
-    pub center_freq: f64,
-    /// Pulse envelope standard deviation in samples.
-    pub pulse_sigma: f64,
-    /// Number of strong scatterers per frame.
-    pub scatterers: usize,
     /// Additive noise floor relative to unit echo amplitude.
     pub noise_std: f64,
 }
 
 impl Default for UltrasoundConfig {
-    /// 100x33 frames at 0.15 cycles/sample with 6 scatterers.
+    /// 100x33 frames with a 0.01 noise floor.
     fn default() -> Self {
         UltrasoundConfig {
             samples: 100,
             channels: 33,
-            center_freq: 0.15,
-            pulse_sigma: 4.0,
-            scatterers: 6,
             noise_std: 0.01,
         }
     }
@@ -66,7 +65,7 @@ pub fn ultrasound_frame(config: &UltrasoundConfig, seed: u64) -> Matrix {
         amp: f64,
         phase: f64,
     }
-    let scats: Vec<Scat> = (0..config.scatterers)
+    let scats: Vec<Scat> = (0..SCATTERERS)
         .map(|_| Scat {
             depth: rng.uniform(0.15, 0.9) * samples as f64,
             lateral: rng.uniform(0.1, 0.9) * channels as f64,
@@ -75,7 +74,7 @@ pub fn ultrasound_frame(config: &UltrasoundConfig, seed: u64) -> Matrix {
         })
         .collect();
     let aperture = channels as f64 * 0.35;
-    let two_sigma2 = 2.0 * config.pulse_sigma * config.pulse_sigma;
+    let two_sigma2 = 2.0 * PULSE_SIGMA * PULSE_SIGMA;
     let mut frame = Matrix::zeros(samples, channels);
     for ch in 0..channels {
         for s in &scats {
@@ -90,11 +89,11 @@ pub fn ultrasound_frame(config: &UltrasoundConfig, seed: u64) -> Matrix {
             let lateral_weight = (-(dx / aperture) * (dx / aperture) * 3.0).exp();
             for t in 0..samples {
                 let dt = t as f64 - delay;
-                if dt.abs() > 4.0 * config.pulse_sigma {
+                if dt.abs() > 4.0 * PULSE_SIGMA {
                     continue;
                 }
                 let env = (-(dt * dt) / two_sigma2).exp();
-                let carrier = (std::f64::consts::TAU * config.center_freq * dt + s.phase).cos();
+                let carrier = (std::f64::consts::TAU * CENTER_FREQ * dt + s.phase).cos();
                 frame[(t, ch)] += s.amp * atten * lateral_weight * env * carrier;
             }
         }

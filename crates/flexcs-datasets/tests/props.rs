@@ -14,8 +14,9 @@ proptest! {
     fn thermal_frames_stay_in_physical_range(seed in 0u64..5000) {
         let cfg = ThermalConfig::default();
         let f = thermal_frame(&cfg, seed);
-        prop_assert!(f.min() > cfg.ambient - 2.0);
-        prop_assert!(f.max() < cfg.skin_temp + 2.0);
+        // 22 °C ambient and 34 °C skin, within 2 °C.
+        prop_assert!(f.min() > 20.0);
+        prop_assert!(f.max() < 36.0);
         prop_assert!(f.is_finite());
     }
 

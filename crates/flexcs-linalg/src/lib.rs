@@ -26,6 +26,7 @@
 //!   power iterations, residual certificate) for the RPCA hot path.
 //! - [`Complex`] / [`ComplexMatrix`]: complex solves for AC circuit
 //!   analysis.
+//! - [`SplitMix64`]: the workspace's one seeded generator.
 //!
 //! ## Example
 //!
@@ -59,6 +60,7 @@ mod error;
 mod lu;
 mod matrix;
 mod qr;
+mod rng;
 mod rsvd;
 pub mod simd;
 mod svd;
@@ -70,5 +72,6 @@ pub use error::{LinalgError, Result};
 pub use lu::{solve, Lu};
 pub use matrix::Matrix;
 pub use qr::{solve_least_squares, Qr, QrScratch};
-pub use rsvd::{Rsvd, RsvdConfig};
+pub use rng::{mix64, SplitMix64, GOLDEN_GAMMA};
+pub use rsvd::{Rsvd, RSVD_OVERSAMPLE};
 pub use svd::{spectral_norm_estimate, Svd};

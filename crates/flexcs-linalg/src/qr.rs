@@ -122,14 +122,6 @@ impl Qr {
         let n = self.qr.cols();
         Matrix::from_fn(n, n, |i, j| if j >= i { self.qr[(i, j)] } else { 0.0 })
     }
-
-    /// Squared residual `||A·x - b||₂²` of the least-squares solution,
-    /// computed from the tail of `Qᵀ·b` without forming `x`.
-    pub fn residual_norm_squared(&self, b: &[f64]) -> f64 {
-        let (m, n) = self.qr.shape();
-        let y = self.apply_qt(b);
-        y[n..m].iter().map(|v| v * v).sum()
-    }
 }
 
 /// Householder factorization of the matrix held in `qr`, in place: R in
@@ -381,17 +373,6 @@ mod tests {
         for (p, q) in x_qr.iter().zip(&x_ne) {
             assert!((p - q).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn residual_norm_matches_direct() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let b = [0.0, 1.0, 1.0];
-        let qr = Qr::factor(&a).unwrap();
-        let x = qr.solve_least_squares(&b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        let direct: f64 = ax.iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum();
-        assert!((qr.residual_norm_squared(&b) - direct).abs() < 1e-12);
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! test matrix, tighten it with QR-re-orthonormalized block power
 //! iterations, then run the exact Jacobi SVD on the small projected
 //! matrix `B = Qᵀ·A`. Everything is deterministic: the test matrix
-//! comes from a seeded splitmix64 stream, so the same input and
-//! [`RsvdConfig`] always produce bit-identical factors.
+//! comes from a fixed-seed [`SplitMix64`] stream, so the same input
+//! always produces bit-identical factors.
 //!
 //! Two extras matter to the RPCA caller:
 //!
 //! - **Warm starts.** [`Rsvd::compute_warm`] seeds the subspace from a
 //!   previous `Q` (the dominant subspace of inexact-ALM iterates drifts
-//!   slowly), so one power pass usually suffices instead of two.
+//!   slowly), so it runs one power pass instead of a cold start's two.
 //! - **A residual certificate.** [`Rsvd::residual`] reports
 //!   `‖A − Q·Qᵀ·A‖_F` (computed exactly from the Frobenius identity
 //!   `‖A‖²_F = ‖Qᵀ·A‖²_F + ‖A − Q·Qᵀ·A‖²_F`), so callers can detect
@@ -23,47 +23,37 @@
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::qr::Qr;
+use crate::rng::SplitMix64;
 use crate::svd::Svd;
 
-/// Configuration for the randomized range finder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RsvdConfig {
-    /// Extra subspace columns beyond the requested rank. More columns
-    /// buy capture accuracy at O(m·n) cost per column.
-    pub oversample: usize,
-    /// Block power iterations (each is one `A·Aᵀ` application with QR
-    /// re-orthonormalization). 2 is a robust cold-start default; warm
-    /// starts usually need only 1.
-    pub power_iterations: usize,
-    /// Seed for the deterministic Gaussian test matrix.
-    pub seed: u64,
-}
+/// Extra subspace columns beyond the requested rank. More columns buy
+/// capture accuracy at O(m·n) cost per column.
+pub const RSVD_OVERSAMPLE: usize = 8;
 
-impl Default for RsvdConfig {
-    fn default() -> Self {
-        RsvdConfig {
-            oversample: 8,
-            power_iterations: 2,
-            seed: 0x5eed_cafe,
-        }
-    }
-}
+/// Seed of the Gaussian test matrix (fixed so decompositions are
+/// reproducible run to run).
+const SEED: u64 = 0x00f1_e6c5;
 
-/// A randomized truncated SVD `A ≈ U·Σ·Vᵀ` with `l = rank + oversample`
-/// computed triplets, plus the captured subspace and an error
-/// certificate.
+/// Block power passes on a cold start (each is one `A·Aᵀ` application
+/// with QR re-orthonormalization). A warm start runs one: its subspace
+/// already points at the dominant directions.
+const COLD_POWER_PASSES: usize = 2;
+
+/// A randomized truncated SVD `A ≈ U·Σ·Vᵀ` with
+/// `l = rank + RSVD_OVERSAMPLE` computed triplets, plus the captured
+/// subspace and an error certificate.
 ///
 /// # Examples
 ///
 /// ```
-/// use flexcs_linalg::{Matrix, Rsvd, RsvdConfig, Svd};
+/// use flexcs_linalg::{Matrix, Rsvd, Svd};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Rank-2 matrix: the randomized SVD recovers both singular values.
 /// let u = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0], &[1.0, -1.0]])?;
 /// let v = Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[0.0, 1.0, 3.0]])?;
 /// let a = u.matmul(&v)?;
-/// let rsvd = Rsvd::compute(&a, 2, &RsvdConfig::default())?;
+/// let rsvd = Rsvd::compute(&a, 2)?;
 /// let exact = Svd::compute(&a)?;
 /// assert!((rsvd.sigma()[0] - exact.sigma()[0]).abs() < 1e-10);
 /// assert!((rsvd.sigma()[1] - exact.sigma()[1]).abs() < 1e-10);
@@ -90,32 +80,26 @@ impl Rsvd {
     ///
     /// Returns [`LinalgError::InvalidArgument`] for an empty matrix or
     /// `rank == 0`, and propagates QR/SVD failures.
-    pub fn compute(a: &Matrix, rank: usize, config: &RsvdConfig) -> Result<Self> {
-        Self::compute_warm(a, rank, None, config)
+    pub fn compute(a: &Matrix, rank: usize) -> Result<Self> {
+        Self::compute_warm(a, rank, None)
     }
 
     /// [`Rsvd::compute`] with a warm-started subspace: the leading
     /// columns of the sketch are taken from `warm` (a previous
     /// [`Rsvd::subspace`] with matching row count) and only the
-    /// remainder is drawn fresh from the Gaussian stream. The power
-    /// passes then tighten the combined subspace, so a slowly drifting
-    /// dominant subspace (RPCA's inexact-ALM iterates) converges with a
-    /// single pass.
+    /// remainder is drawn fresh from the Gaussian stream. One power
+    /// pass then tightens the combined subspace and re-projects stale
+    /// directions through `A`, so a slowly drifting dominant subspace
+    /// (RPCA's inexact-ALM iterates) converges with a single pass.
     ///
     /// A `warm` matrix with mismatched rows (or zero columns) is
-    /// ignored; at least one power pass always runs on a warm start so
-    /// stale directions are re-projected through `A`.
+    /// ignored, and the solve runs as a cold start.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::InvalidArgument`] for an empty matrix or
     /// `rank == 0`, and propagates QR/SVD failures.
-    pub fn compute_warm(
-        a: &Matrix,
-        rank: usize,
-        warm: Option<&Matrix>,
-        config: &RsvdConfig,
-    ) -> Result<Self> {
+    pub fn compute_warm(a: &Matrix, rank: usize, warm: Option<&Matrix>) -> Result<Self> {
         let (m, n) = a.shape();
         if m == 0 || n == 0 {
             return Err(LinalgError::InvalidArgument(
@@ -127,7 +111,7 @@ impl Rsvd {
                 "rsvd: rank must be at least 1".to_string(),
             ));
         }
-        let l = (rank + config.oversample).clamp(1, m.min(n));
+        let l = (rank + RSVD_OVERSAMPLE).clamp(1, m.min(n));
         let warm = warm.filter(|q| q.rows() == m && q.cols() > 0);
 
         // Sketch Y spanning (approximately) the range of A: warm
@@ -138,7 +122,7 @@ impl Rsvd {
                 if keep == l {
                     q.submatrix(0, m, 0, l)
                 } else {
-                    let omega = gaussian(n, l - keep, config.seed);
+                    let omega = gaussian(n, l - keep);
                     let fresh = panel_matmul(a, &omega)?;
                     Matrix::from_fn(m, l, |i, j| {
                         if j < keep {
@@ -149,18 +133,14 @@ impl Rsvd {
                     })
                 }
             }
-            None => panel_matmul(a, &gaussian(n, l, config.seed))?,
+            None => panel_matmul(a, &gaussian(n, l))?,
         };
         let mut q = Qr::factor(&sketch)?.q_thin();
 
         // Block power iterations: Q ← orth(A·orth(Aᵀ·Q)). QR after each
         // half-step keeps the basis numerically orthonormal (plain
         // power iterations collapse onto the top singular vector).
-        let passes = if warm.is_some() {
-            config.power_iterations.max(1)
-        } else {
-            config.power_iterations
-        };
+        let passes = if warm.is_some() { 1 } else { COLD_POWER_PASSES };
         for _ in 0..passes {
             let z = q.transpose().matmul(a)?.transpose();
             let qz = Qr::factor(&z)?.q_thin();
@@ -265,20 +245,13 @@ impl Rsvd {
     }
 }
 
-/// Deterministic standard-Gaussian test matrix via splitmix64 +
-/// Box–Muller. Seeded, stateless across calls: the same `(rows, cols,
-/// seed)` always yields the same matrix.
-fn gaussian(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut state = seed ^ 0x6a09_e667_f3bc_c908;
-    let mut next_u64 = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+/// Deterministic standard-Gaussian test matrix from a [`SplitMix64`]
+/// stream, both Box–Muller branches per uniform pair. Stateless across
+/// calls: the same `(rows, cols)` always yields the same matrix.
+fn gaussian(rows: usize, cols: usize) -> Matrix {
+    let mut rng = SplitMix64::from_state(SEED ^ 0x6a09_e667_f3bc_c908);
     // (0, 1) open on both ends so ln() below is always finite.
-    let mut uniform = move || ((next_u64() >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+    let mut uniform = move || ((rng.next_u64() >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
     let count = rows * cols;
     let mut data = Vec::with_capacity(count);
     while data.len() < count {
@@ -346,7 +319,7 @@ mod tests {
         for &(m, n) in &[(40usize, 30usize), (30, 40), (32, 32)] {
             let a = low_rank(m, n, 4, 0.0);
             let exact = Svd::compute(&a).unwrap();
-            let rsvd = Rsvd::compute(&a, 4, &RsvdConfig::default()).unwrap();
+            let rsvd = Rsvd::compute(&a, 4).unwrap();
             for j in 0..4 {
                 assert!(
                     (rsvd.sigma()[j] - exact.sigma()[j]).abs() < 1e-9,
@@ -370,32 +343,24 @@ mod tests {
 
     #[test]
     fn certificate_reports_uncaptured_energy() {
-        // Rank-8 matrix sketched with only rank 2 + no oversampling:
-        // the certificate must report the missing tail, and it must
-        // upper-bound every uncaptured singular value.
-        let a = low_rank(36, 28, 8, 0.0);
-        let cfg = RsvdConfig {
-            oversample: 0,
-            ..RsvdConfig::default()
-        };
-        let rsvd = Rsvd::compute(&a, 2, &cfg).unwrap();
+        // Rank-16 matrix sketched at rank 2 (2 + 8 oversampled
+        // columns): the certificate must report the missing tail, and
+        // it must upper-bound every uncaptured singular value.
+        let a = low_rank(36, 28, 16, 0.0);
+        let rsvd = Rsvd::compute(&a, 2).unwrap();
         let exact = Svd::compute(&a).unwrap();
         assert!(rsvd.residual() > 1e-3, "residual {}", rsvd.residual());
-        // ‖A − QQᵀA‖_F >= σ_3(A) when only 2 directions are captured.
-        assert!(rsvd.residual() >= exact.sigma()[2] * 0.99);
+        // ‖A − QQᵀA‖_F >= σ_11(A) when only 10 directions are captured.
+        assert!(rsvd.residual() >= exact.sigma()[10] * 0.99);
     }
 
     #[test]
     fn warm_start_with_true_subspace_needs_one_pass() {
         let a = low_rank(48, 32, 3, 1e-9);
-        let cold = Rsvd::compute(&a, 3, &RsvdConfig::default()).unwrap();
+        let cold = Rsvd::compute(&a, 3).unwrap();
         // Perturb A slightly (next "frame") and reuse the subspace.
         let b = &a + &Matrix::from_fn(48, 32, |i, j| ((i + 2 * j) as f64 * 0.5).sin() * 1e-6);
-        let cfg = RsvdConfig {
-            power_iterations: 1,
-            ..RsvdConfig::default()
-        };
-        let warm = Rsvd::compute_warm(&b, 3, Some(cold.subspace()), &cfg).unwrap();
+        let warm = Rsvd::compute_warm(&b, 3, Some(cold.subspace())).unwrap();
         let exact = Svd::compute(&b).unwrap();
         for j in 0..3 {
             assert!(
@@ -411,16 +376,15 @@ mod tests {
     fn warm_start_ignores_mismatched_shapes() {
         let a = low_rank(20, 16, 2, 0.0);
         let stale = Matrix::zeros(7, 3); // wrong row count
-        let rsvd = Rsvd::compute_warm(&a, 2, Some(&stale), &RsvdConfig::default()).unwrap();
+        let rsvd = Rsvd::compute_warm(&a, 2, Some(&stale)).unwrap();
         assert!(rsvd.reconstruct().max_abs_diff(&a).unwrap() < 1e-9);
     }
 
     #[test]
     fn same_seed_is_bit_identical() {
         let a = low_rank(33, 27, 3, 1e-3);
-        let cfg = RsvdConfig::default();
-        let r1 = Rsvd::compute(&a, 3, &cfg).unwrap();
-        let r2 = Rsvd::compute(&a, 3, &cfg).unwrap();
+        let r1 = Rsvd::compute(&a, 3).unwrap();
+        let r2 = Rsvd::compute(&a, 3).unwrap();
         assert_eq!(r1.sigma(), r2.sigma());
         assert_eq!(r1.u().as_slice(), r2.u().as_slice());
         assert_eq!(r1.v().as_slice(), r2.v().as_slice());
@@ -432,16 +396,14 @@ mod tests {
         let a = low_rank(30, 30, 3, 0.0);
         let tau = Svd::compute(&a).unwrap().sigma()[1] * 0.5;
         let exact = Svd::compute(&a).unwrap().shrink(tau);
-        let fast = Rsvd::compute(&a, 3, &RsvdConfig::default())
-            .unwrap()
-            .shrink(tau);
+        let fast = Rsvd::compute(&a, 3).unwrap().shrink(tau);
         assert!(exact.max_abs_diff(&fast).unwrap() < 1e-8);
     }
 
     #[test]
     fn rank_abs_counts_absolute_threshold() {
         let a = Matrix::from_diagonal(&[5.0, 3.0, 1.0, 0.2]);
-        let rsvd = Rsvd::compute(&a, 4, &RsvdConfig::default()).unwrap();
+        let rsvd = Rsvd::compute(&a, 4).unwrap();
         assert_eq!(rsvd.rank_abs(0.5), 3);
         assert_eq!(rsvd.rank_abs(4.0), 1);
         assert_eq!(rsvd.rank_abs(10.0), 0);
@@ -450,7 +412,7 @@ mod tests {
     #[test]
     fn subspace_is_orthonormal() {
         let a = low_rank(40, 24, 5, 1e-2);
-        let rsvd = Rsvd::compute(&a, 5, &RsvdConfig::default()).unwrap();
+        let rsvd = Rsvd::compute(&a, 5).unwrap();
         let q = rsvd.subspace();
         let qtq = q.transpose().matmul(q).unwrap();
         assert!(qtq.max_abs_diff(&Matrix::identity(q.cols())).unwrap() < 1e-10);
@@ -458,13 +420,13 @@ mod tests {
 
     #[test]
     fn invalid_inputs_rejected() {
-        assert!(Rsvd::compute(&Matrix::zeros(0, 3), 1, &RsvdConfig::default()).is_err());
-        assert!(Rsvd::compute(&Matrix::zeros(3, 3), 0, &RsvdConfig::default()).is_err());
+        assert!(Rsvd::compute(&Matrix::zeros(0, 3), 1).is_err());
+        assert!(Rsvd::compute(&Matrix::zeros(3, 3), 0).is_err());
     }
 
     #[test]
     fn zero_matrix_yields_zero_spectrum() {
-        let rsvd = Rsvd::compute(&Matrix::zeros(12, 9), 2, &RsvdConfig::default()).unwrap();
+        let rsvd = Rsvd::compute(&Matrix::zeros(12, 9), 2).unwrap();
         assert!(rsvd.sigma().iter().all(|&s| s == 0.0));
         assert!(rsvd.residual() == 0.0);
         assert_eq!(rsvd.rank_abs(0.0), 0);
@@ -472,11 +434,9 @@ mod tests {
 
     #[test]
     fn gaussian_stream_is_seeded_and_plausible() {
-        let g1 = gaussian(50, 20, 7);
-        let g2 = gaussian(50, 20, 7);
-        let g3 = gaussian(50, 20, 8);
+        let g1 = gaussian(50, 20);
+        let g2 = gaussian(50, 20);
         assert_eq!(g1.as_slice(), g2.as_slice());
-        assert!(g1.as_slice() != g3.as_slice());
         // Standard-normal moments, loosely.
         let mean = g1.mean();
         let var = g1.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / 999.0;

@@ -1,41 +1,10 @@
 //! Deterministic weight initialization.
 
-/// SplitMix64-based RNG for reproducible parameter initialization and
-/// dropout masks.
-#[derive(Debug, Clone)]
-pub struct NnRng(u64);
+use flexcs_linalg::SplitMix64;
 
-impl NnRng {
-    /// Creates an RNG from a seed.
-    pub fn new(seed: u64) -> Self {
-        NnRng(seed.wrapping_add(0x9e3779b97f4a7c15))
-    }
-
-    /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Standard-normal draw.
-    pub fn gaussian(&mut self) -> f64 {
-        let u1 = self.uniform().max(1e-300);
-        let u2 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// He (Kaiming) initialization: `N(0, √(2/fan_in))`.
-    pub fn he(&mut self, fan_in: usize) -> f64 {
-        self.gaussian() * (2.0 / fan_in as f64).sqrt()
-    }
+/// He (Kaiming) initialization: a draw from `N(0, √(2/fan_in))`.
+pub(crate) fn he(rng: &mut SplitMix64, fan_in: usize) -> f64 {
+    rng.gaussian() * (2.0 / fan_in as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -43,20 +12,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deterministic() {
-        let mut a = NnRng::new(1);
-        let mut b = NnRng::new(1);
-        for _ in 0..5 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
     fn he_variance_scales_with_fan_in() {
-        let mut rng = NnRng::new(3);
+        let mut rng = SplitMix64::new(3);
         let n = 20_000;
         let fan_in = 50;
-        let var: f64 = (0..n).map(|_| rng.he(fan_in).powi(2)).sum::<f64>() / n as f64;
+        let var: f64 = (0..n).map(|_| he(&mut rng, fan_in).powi(2)).sum::<f64>() / n as f64;
         assert!((var - 2.0 / fan_in as f64).abs() < 0.005, "var {var}");
     }
 }

@@ -5,8 +5,9 @@
 //! single-sample `[C, H, W]` tensors; the trainer accumulates gradients
 //! over a minibatch before each optimizer step.
 
-use crate::init::NnRng;
+use crate::init::he;
 use crate::tensor::Tensor;
+use flexcs_linalg::SplitMix64;
 
 /// A differentiable layer processing one sample at a time.
 ///
@@ -53,10 +54,10 @@ impl Conv2d {
     pub fn new(in_ch: usize, out_ch: usize, k: usize, seed: u64) -> Self {
         assert!(k % 2 == 1, "conv kernel must be odd for same padding");
         assert!(in_ch > 0 && out_ch > 0 && k > 0);
-        let mut rng = NnRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let fan_in = in_ch * k * k;
         let weight = (0..out_ch * in_ch * k * k)
-            .map(|_| rng.he(fan_in))
+            .map(|_| he(&mut rng, fan_in))
             .collect();
         Conv2d {
             in_ch,
@@ -173,11 +174,13 @@ pub struct Dense {
 impl Dense {
     /// Creates a dense layer with He-initialized weights.
     pub fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
-        let mut rng = NnRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         Dense {
             in_dim,
             out_dim,
-            weight: (0..in_dim * out_dim).map(|_| rng.he(in_dim)).collect(),
+            weight: (0..in_dim * out_dim)
+                .map(|_| he(&mut rng, in_dim))
+                .collect(),
             bias: vec![0.0; out_dim],
             grad_w: vec![0.0; in_dim * out_dim],
             grad_b: vec![0.0; out_dim],
@@ -328,7 +331,7 @@ impl Layer for MaxPool2d {
 /// Inverted dropout (paper: "'Dropout' … for avoiding overfitting").
 pub struct Dropout {
     p_drop: f64,
-    rng: NnRng,
+    rng: SplitMix64,
     mask: Vec<f64>,
 }
 
@@ -343,7 +346,7 @@ impl Dropout {
         assert!((0.0..1.0).contains(&p_drop), "p_drop must be in [0, 1)");
         Dropout {
             p_drop,
-            rng: NnRng::new(seed),
+            rng: SplitMix64::new(seed),
             mask: Vec::new(),
         }
     }

@@ -44,7 +44,6 @@ mod resnet;
 mod tensor;
 mod train;
 
-pub use init::NnRng;
 pub use layers::{Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, Layer, MaxPool2d, Relu};
 pub use loss::{cross_entropy_with_logits, softmax};
 pub use metrics::{accuracy, evaluate, tensor_from_frame};

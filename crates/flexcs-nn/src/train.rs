@@ -5,13 +5,17 @@
 //! converges. The weights that achieve the best validation accuracy are
 //! selected for the final evaluation."
 
-use crate::init::NnRng;
 use crate::layers::Layer;
 use crate::loss::cross_entropy_with_logits;
 use crate::metrics::evaluate;
 use crate::optim::{Adam, ReduceLrOnPlateau};
 use crate::resnet::Sequential;
 use crate::tensor::Tensor;
+use flexcs_linalg::SplitMix64;
+
+/// Epochs without validation-loss improvement before a 10x LR
+/// reduction.
+const PLATEAU_PATIENCE: usize = 2;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,8 +26,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Initial Adam learning rate.
     pub lr: f64,
-    /// Plateau patience before a 10x LR reduction.
-    pub patience: usize,
     /// Shuffle seed.
     pub seed: u64,
     /// Print one line per epoch to stdout.
@@ -36,7 +38,6 @@ impl Default for TrainConfig {
             epochs: 15,
             batch_size: 16,
             lr: 3e-3,
-            patience: 2,
             seed: 0,
             verbose: false,
         }
@@ -73,8 +74,8 @@ pub fn fit(
     assert!(!train.is_empty() && !val.is_empty(), "fit needs data");
     assert!(config.batch_size > 0, "batch size must be positive");
     let mut opt = Adam::new(config.lr);
-    let mut sched = ReduceLrOnPlateau::new(config.patience);
-    let mut rng = NnRng::new(config.seed);
+    let mut sched = ReduceLrOnPlateau::new(PLATEAU_PATIENCE);
+    let mut rng = SplitMix64::new(config.seed);
     let mut order: Vec<usize> = (0..train.len()).collect();
 
     let mut report = FitReport {
@@ -140,7 +141,7 @@ mod tests {
 
     /// Tiny separable 2-class problem: mean of the frame decides.
     fn toy_data(count: usize, seed: u64) -> Vec<(Tensor, usize)> {
-        let mut rng = NnRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         (0..count)
             .map(|_| {
                 let label = (rng.uniform() < 0.5) as usize;

@@ -78,47 +78,18 @@ pub(crate) mod testutil {
     //! matrices and K-sparse ground-truth signals.
 
     use crate::DenseOperator;
-    use flexcs_linalg::Matrix;
-
-    /// Small deterministic RNG (SplitMix64) to keep tests hermetic.
-    pub struct TestRng(u64);
-
-    impl TestRng {
-        pub fn new(seed: u64) -> Self {
-            TestRng(seed.wrapping_add(0x9e3779b97f4a7c15))
-        }
-
-        pub fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        }
-
-        /// Uniform in [0, 1).
-        pub fn uniform(&mut self) -> f64 {
-            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-        }
-
-        /// Standard normal via Box–Muller.
-        pub fn gaussian(&mut self) -> f64 {
-            let u1 = self.uniform().max(1e-300);
-            let u2 = self.uniform();
-            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-        }
-    }
+    use flexcs_linalg::{Matrix, SplitMix64};
 
     /// Random Gaussian `m x n` operator with unit-norm expected columns.
     pub fn gaussian_operator(m: usize, n: usize, seed: u64) -> DenseOperator {
-        let mut rng = TestRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let scale = 1.0 / (m as f64).sqrt();
         DenseOperator::new(Matrix::from_fn(m, n, |_, _| rng.gaussian() * scale))
     }
 
     /// K-sparse signal with ±[1, 2) magnitudes at random positions.
     pub fn sparse_signal(n: usize, k: usize, seed: u64) -> Vec<f64> {
-        let mut rng = TestRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut x = vec![0.0; n];
         let mut placed = 0;
         while placed < k {

@@ -1,6 +1,6 @@
 //! Property-based tests for the sparse-recovery solvers.
 
-use flexcs_linalg::{vecops, Matrix};
+use flexcs_linalg::{vecops, Matrix, SplitMix64};
 use flexcs_solver::{
     fista, ista, lp_basis_pursuit, omp, DenseOperator, GreedyConfig, IstaConfig, LinearOperator,
     LpConfig, SolveWorkspace, WarmStart,
@@ -10,21 +10,9 @@ use proptest::prelude::*;
 /// Deterministic Gaussian operator from a seed (normalized columns in
 /// expectation).
 fn gaussian_op(m: usize, n: usize, seed: u64) -> DenseOperator {
-    let mut state = seed.wrapping_add(0x9e3779b97f4a7c15);
-    let mut next = move || {
-        state = state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    };
+    let mut rng = SplitMix64::new(seed);
     let scale = 1.0 / (m as f64).sqrt();
-    DenseOperator::new(Matrix::from_fn(m, n, |_, _| {
-        let u1 = next().max(1e-300);
-        let u2 = next();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos() * scale
-    }))
+    DenseOperator::new(Matrix::from_fn(m, n, |_, _| rng.gaussian() * scale))
 }
 
 /// K-sparse ground truth with magnitudes >= 1 at seeded positions.

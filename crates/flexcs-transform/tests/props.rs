@@ -1,6 +1,6 @@
 //! Property-based tests for the transform layer.
 
-use flexcs_linalg::Matrix;
+use flexcs_linalg::{Matrix, SplitMix64};
 use flexcs_transform::{psi_matrix, sparsity, Dct2d, DctPlan};
 use proptest::prelude::*;
 
@@ -139,18 +139,13 @@ proptest! {
 }
 
 /// Deterministic pseudo-random values in `[-8, 8)` from a seed
-/// (splitmix64), with every seventh value scaled by 1e6 so the frames
+/// (SplitMix64), with every seventh value scaled by 1e6 so the frames
 /// mix magnitudes.
 fn seeded_values(seed: u64, len: usize) -> Vec<f64> {
-    let mut state = seed;
+    let mut rng = SplitMix64::from_state(seed);
     (0..len)
         .map(|i| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            let u = (z >> 11) as f64 / (1u64 << 53) as f64 * 16.0 - 8.0;
+            let u = rng.uniform() * 16.0 - 8.0;
             if i % 7 == 3 {
                 u * 1e6
             } else {

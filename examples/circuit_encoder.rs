@@ -11,8 +11,8 @@
 
 use flexcs::circuit::{
     build_self_biased_amplifier, build_shift_register, linearity_fit, pixel_temperature_sweep,
-    ActiveMatrix, ActiveMatrixConfig, AmplifierConfig, CellLibrary, Circuit, NodeId, PixelBias,
-    PtSensorModel, TransientConfig, Waveform,
+    ActiveMatrix, CellLibrary, Circuit, NodeId, PixelBias, PtSensorModel, TransientConfig,
+    Waveform,
 };
 use flexcs::core::{CircuitEncoder, Decoder, SamplingPlan};
 use flexcs::datasets::{normalize_unit, thermal_frame, ThermalConfig};
@@ -79,8 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Fig. 5e: self-biased amplifier --------------------------------
     let mut amp_ckt = Circuit::new();
     let amp_lib = CellLibrary::with_rails(&mut amp_ckt, 3.0, -3.0);
-    let amp =
-        build_self_biased_amplifier(&mut amp_ckt, &amp_lib, "vin", &AmplifierConfig::default())?;
+    let amp = build_self_biased_amplifier(&mut amp_ckt, &amp_lib, "vin")?;
     let vin = amp_ckt.find_node("vin")?;
     let src = amp_ckt.add_vsource(vin, NodeId::GROUND, Waveform::Dc(0.0));
     let sweep = amp_ckt.ac_sweep(src, &[3e3, 10e3, 30e3, 100e3, 300e3])?;
@@ -99,12 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         3,
     ));
-    let array_config = ActiveMatrixConfig {
-        rows: 16,
-        cols: 16,
-        ..ActiveMatrixConfig::default()
-    };
-    let mut encoder = CircuitEncoder::new(ActiveMatrix::new(array_config)?);
+    let mut encoder = CircuitEncoder::new(ActiveMatrix::new(16, 16)?);
     encoder.array_mut().inject_defects(0.05, 99);
     let defect_count = encoder.array().defective_indices().len();
 

@@ -39,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lr: 3e-3,
         verbose: true,
         seed,
-        ..TrainConfig::default()
     };
     println!("\ntraining ResNet (Adam, cross-entropy, plateau LR decay)...");
     let report = fit(

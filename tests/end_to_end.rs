@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full encoder→decoder pipeline
 //! assembled from every subsystem.
 
-use flexcs::circuit::{ActiveMatrix, ActiveMatrixConfig};
+use flexcs::circuit::ActiveMatrix;
 use flexcs::core::{
     rmse, run_experiment, CircuitEncoder, Decoder, ExperimentConfig, SamplingPlan,
     SamplingStrategy, SparseErrorModel,
@@ -79,12 +79,7 @@ fn hardware_in_the_loop_matches_mathematical_pipeline() {
     // The circuit-level encoder (defects + mismatch + noise from the
     // device model) must land near the idealized pipeline's RMSE.
     let scene = normalize_unit(&small_thermal(9));
-    let config = ActiveMatrixConfig {
-        rows: 16,
-        cols: 16,
-        ..ActiveMatrixConfig::default()
-    };
-    let mut encoder = CircuitEncoder::new(ActiveMatrix::new(config).unwrap());
+    let mut encoder = CircuitEncoder::new(ActiveMatrix::new(16, 16).unwrap());
     encoder.array_mut().inject_defects(0.08, 3);
     let excluded = encoder.array().defective_indices();
     let plan = SamplingPlan::random_subset(256, 140, &excluded, 11).unwrap();
